@@ -17,6 +17,12 @@
 //!    `Algorithm::Exact` and oracle trimming under each engine. Reports
 //!    must be identical; the wall-clock ratio is the pipeline-level payoff.
 //!
+//! Every row also records Howard's policy-iteration rounds per component
+//! solve ([`HowardScratch::take_stats`]); a cold solve needing more than
+//! `MAX_HOWARD_ROUNDS` rounds fails the run in every mode. The count is
+//! deterministic, so this gate catches one-hop-per-round propagation, which
+//! makes long rings quadratic, without timing noise.
+//!
 //! Flags: `--quick` (small sizes, no 10x gate — the CI smoke mode),
 //! `--min-large-speedup X` (default 10), `--min-e2e-speedup X` (default 3).
 
@@ -27,9 +33,11 @@ use lis_bench::{timed, Table};
 use lis_core::{LisModel, LisSystem};
 use lis_gen::{generate, ring, torus, GeneratorConfig};
 use lis_qs::{solve, Algorithm, QsConfig};
+use marked_graph::csr::CsrScc;
+use marked_graph::howard::{howard_csr, HowardScratch};
 use marked_graph::incremental::IncrementalMcm;
 use marked_graph::mcm::{self, McmEngine};
-use marked_graph::{MarkedGraph, Ratio};
+use marked_graph::{MarkedGraph, Ratio, SccDecomposition};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,6 +45,10 @@ const OUT_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../results/engine_speedup.txt"
 );
+
+/// Most policy-iteration rounds any cold Howard solve of a benchmark row
+/// may take.
+const MAX_HOWARD_ROUNDS: u64 = 8;
 
 struct Opts {
     quick: bool,
@@ -200,6 +212,21 @@ fn warm(g: &MarkedGraph, q: usize, samples: usize, verify: usize) -> Duration {
     best / q as u32
 }
 
+/// The most policy-iteration rounds a cold Howard solve of any cyclic
+/// component of `g` takes. A Karp fallback shows as the full round limit.
+fn max_howard_rounds(g: &MarkedGraph) -> u64 {
+    let scc = SccDecomposition::compute(g);
+    let mut scratch = HowardScratch::new();
+    scc.component_ids()
+        .filter(|&c| scc.is_cyclic(g, c))
+        .map(|c| {
+            howard_csr(&CsrScc::build(g, &scc, c), &mut scratch, &mut Vec::new());
+            scratch.take_stats().rounds
+        })
+        .max()
+        .unwrap_or(0)
+}
+
 fn fmt_ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
 }
@@ -217,6 +244,7 @@ fn kernel_section(report: &mut String, opts: &Opts) -> f64 {
             "lawler",
             "howard",
             "howard-warm",
+            "rounds",
             "karp/howard",
             "mean",
         ],
@@ -244,6 +272,11 @@ fn kernel_section(report: &mut String, opts: &Opts) -> f64 {
             assert_eq!(m_karp, m_lawler, "{label}: lawler disagrees with karp");
         }
         assert_eq!(m_karp, m_howard, "{label}: howard disagrees with karp");
+        let max_rounds = max_howard_rounds(g);
+        assert!(
+            max_rounds <= MAX_HOWARD_ROUNDS,
+            "{label}: a cold Howard solve took {max_rounds} rounds (limit {MAX_HOWARD_ROUNDS})"
+        );
         let q = if opts.quick { 8 } else { 32 };
         let t_warm = warm(g, q, samples, if opts.quick { 4 } else { 8 });
         assert!(
@@ -269,6 +302,7 @@ fn kernel_section(report: &mut String, opts: &Opts) -> f64 {
             lawler_cell,
             fmt_ms(t_howard),
             fmt_ms(t_warm),
+            format!("{max_rounds}"),
             format!("{speedup:.1}x"),
             m_karp.to_string(),
         ]);
@@ -361,8 +395,10 @@ fn main() {
          exact rational arithmetic; per-row means are asserted identical\n\
          before anything is written. howard-warm answers the queue-sizing\n\
          query pattern through IncrementalMcm with persisted policies and a\n\
-         cold memo (every override value distinct). Lawler is skipped (\"-\")\n\
-         past 15k places, where one parametric solve takes minutes.\n\
+         cold memo (every override value distinct). rounds is the most\n\
+         policy-iteration rounds any one cold Howard component solve took\n\
+         (gate: <= {MAX_HOWARD_ROUNDS}). Lawler is skipped (\"-\") past 15k\n\
+         places, where one parametric solve takes minutes.\n\
          Regenerate with:\n\
          \x20   cargo run --release -p lis-bench --bin engines\n\
          mode: {}\n",

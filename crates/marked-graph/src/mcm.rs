@@ -464,34 +464,46 @@ pub(crate) fn critical_cycle_csr(csr: &CsrScc, mean: Ratio) -> Vec<PlaceId> {
     critical_cycle_from(csr, mean, &phi)
 }
 
-/// Shortest-path potentials under reduced weights `r(e) = den*w(e) - num`,
-/// Bellman–Ford from vertex 0 (SCC ⇒ everything reachable). Every edge of
-/// every critical (zero-total) cycle is *tight* under these potentials:
-/// `phi(u) + r(e) == phi(v)`.
-fn potentials_csr(csr: &CsrScc, mean: Ratio) -> Vec<i64> {
+/// Shortest-path potentials under reduced weights `r(e) = den*w(e) - num`:
+/// the exact distances from vertex 0 (SCC ⇒ everything reachable). Every
+/// edge of every critical (zero-total) cycle is *tight* under these
+/// potentials: `phi(u) + r(e) == phi(v)`.
+///
+/// `mean` must not exceed the component's minimum cycle mean, so no cycle
+/// has a negative reduced total and the distances exist. They are unique, so any
+/// exact shortest-path algorithm yields the same vector; this one is
+/// label-correcting with a FIFO queue, which revisits only vertices whose
+/// distance dropped. Full Bellman–Ford passes in vertex order would need one
+/// pass per hop on a long ring whose edges run against that order.
+pub(crate) fn potentials_csr(csr: &CsrScc, mean: Ratio) -> Vec<i64> {
     let n = csr.n();
     let num = mean.numer();
     let den = mean.denom();
     let reduced = |w: i64| den * w - num;
     let mut phi = vec![i64::MAX; n];
+    let mut queued = vec![false; n];
+    let mut queue = std::collections::VecDeque::with_capacity(n);
     phi[0] = 0;
-    for _ in 0..n {
-        let mut changed = false;
-        for v in 0..n {
-            if phi[v] == i64::MAX {
-                continue;
-            }
-            for e in csr.out(v) {
-                let w = csr.target(e);
-                let cand = phi[v] + reduced(csr.weight(e));
-                if cand < phi[w] {
-                    phi[w] = cand;
-                    changed = true;
+    queued[0] = true;
+    queue.push_back(0);
+    // Bellman–Ford's bound: without a negative cycle no vertex is lowered
+    // more than n times.
+    let mut budget = n * n + n;
+    while let Some(v) = queue.pop_front() {
+        queued[v] = false;
+        for e in csr.out(v) {
+            let w = csr.target(e);
+            let cand = phi[v] + reduced(csr.weight(e));
+            if cand < phi[w] {
+                phi[w] = cand;
+                budget = budget
+                    .checked_sub(1)
+                    .expect("mean above the component's minimum cycle mean");
+                if !queued[w] {
+                    queued[w] = true;
+                    queue.push_back(w);
                 }
             }
-        }
-        if !changed {
-            break;
         }
     }
     phi
@@ -999,6 +1011,66 @@ mod tests {
                     "trial {trial} engine {engine}"
                 );
             }
+        }
+    }
+
+    /// Full Bellman–Ford passes in vertex order: the reference the queue-
+    /// based [`potentials_csr`] must reproduce exactly.
+    fn potentials_by_passes(csr: &CsrScc, mean: Ratio) -> Vec<i64> {
+        let (num, den) = (mean.numer(), mean.denom());
+        let mut phi = vec![i64::MAX; csr.n()];
+        phi[0] = 0;
+        for _ in 0..csr.n() {
+            let mut changed = false;
+            for v in 0..csr.n() {
+                if phi[v] == i64::MAX {
+                    continue;
+                }
+                for e in csr.out(v) {
+                    let cand = phi[v] + den * csr.weight(e) - num;
+                    if cand < phi[csr.target(e)] {
+                        phi[csr.target(e)] = cand;
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        phi
+    }
+
+    #[test]
+    fn queued_potentials_equal_bellman_ford_passes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        for trial in 0..300 {
+            let n = rng.gen_range(1..40);
+            let mut g = MarkedGraph::new();
+            let ts: Vec<_> = (0..n).map(|i| g.add_transition(format!("t{i}"))).collect();
+            // A ring run against vertex order half the time, plus chords.
+            for i in 0..n {
+                let (a, b) = if trial % 2 == 0 {
+                    (i, (i + 1) % n)
+                } else {
+                    ((i + 1) % n, i)
+                };
+                g.add_place(ts[a], ts[b], rng.gen_range(0..4));
+            }
+            for _ in 0..rng.gen_range(0..n) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                g.add_place(ts[u], ts[v], rng.gen_range(0..4));
+            }
+            let scc = SccDecomposition::compute(&g);
+            let csr = CsrScc::build(&g, &scc, scc.component_of(ts[0]));
+            let mean = karp_csr(&csr);
+            assert_eq!(
+                potentials_csr(&csr, mean),
+                potentials_by_passes(&csr, mean),
+                "trial {trial}"
+            );
         }
     }
 

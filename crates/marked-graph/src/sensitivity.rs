@@ -3,18 +3,21 @@
 //! Once the minimum cycle mean is known, a designer wants to know *where*
 //! to spend buffering: which places lie on critical cycles, and which
 //! single-token additions actually raise the throughput. This module
-//! answers both questions exactly, by re-solving the MCM under
-//! hypothetical token additions — O(|P|) MCM computations, cheap at LIS
-//! scale and free of the false positives a purely structural analysis
-//! would give (a place can lie on *a* critical cycle without being on
-//! *all* of them). The per-place re-solves go through
-//! [`crate::incremental::IncrementalMcm`], so only the touched component
-//! is re-evaluated, warm-started from the previous Howard policy.
+//! answers both questions exactly. [`token_sensitivity`] re-solves the MCM
+//! under each hypothetical token addition through
+//! [`crate::incremental::IncrementalMcm`], so only the touched component is
+//! re-evaluated, warm-started from the previous Howard policy.
+//! [`bottleneck_places`] and [`critical_places`] reach the same exact
+//! answers structurally, from the tight subgraph of one solve (a place can
+//! lie on *a* critical cycle without being on *all* of them, and only the
+//! latter are bottlenecks).
 
+use crate::csr::CsrScc;
 use crate::graph::{MarkedGraph, PlaceId};
 use crate::incremental::IncrementalMcm;
 use crate::mcm;
 use crate::ratio::Ratio;
+use crate::scc::SccDecomposition;
 
 /// The sensitivity of the minimum cycle mean to one extra token on a place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,12 +109,14 @@ pub fn bottleneck_places(graph: &MarkedGraph) -> Vec<PlaceId> {
 /// All places lying on at least one minimum-mean cycle ("critical places").
 ///
 /// A place `p` is critical iff some cycle through `p` has mean equal to the
-/// minimum. The exact test runs per place: under reduced weights
-/// `r(e) = den·w(e) − num`, every cycle has nonnegative total and the
-/// critical ones total zero; a zero-total closed walk through `p`
-/// decomposes into elementary cycles that must each be tight, one of which
-/// contains `p`. So `p` is critical iff the shortest reduced-weight path
-/// from `target(p)` back to `source(p)` plus `r(p)` is zero.
+/// minimum. Under reduced weights `r(e) = den·w(e) − num` every cycle has
+/// nonnegative total and the critical ones total zero. With exact
+/// shortest-path potentials `phi` of each component, a cycle totals zero
+/// iff every edge on it is *tight* (`phi(u) + r(e) == phi(v)`), so the
+/// critical cycles are exactly the cycles of the tight subgraph, and `p` is
+/// critical iff it is tight and its endpoints share a strongly connected
+/// component of that subgraph. One potentials pass per component and one
+/// SCC decomposition answer every place at once.
 ///
 /// # Examples
 ///
@@ -133,57 +138,37 @@ pub fn critical_places(graph: &MarkedGraph) -> Vec<PlaceId> {
     let Some(base) = mcm::howard(graph) else {
         return Vec::new();
     };
-    graph
-        .place_ids()
-        .filter(|&p| cycle_through_place_with_mean(graph, p, base))
-        .collect()
-}
-
-/// Whether some cycle through `p` has mean exactly `mean`. Exact, via
-/// shortest-path potentials on reduced weights restricted to p's SCC.
-fn cycle_through_place_with_mean(graph: &MarkedGraph, p: PlaceId, mean: Ratio) -> bool {
-    use crate::scc::SccDecomposition;
+    let (num, den) = (base.numer(), base.denom());
     let scc = SccDecomposition::compute(graph);
-    let s = scc.component_of(graph.source(p));
-    if s != scc.component_of(graph.target(p)) {
-        return false;
+    // The tight subgraph over the same transition ids. No component's mean
+    // is below `base`, so every component has potentials under it.
+    let mut tight = MarkedGraph::new();
+    for _ in graph.transition_ids() {
+        tight.add_transition("");
     }
-    // Reduced weight r(e) = den*w - num >= 0 around every cycle; a cycle
-    // through p with mean == `mean` exists iff the shortest reduced-weight
-    // path from target(p) back to source(p) within the SCC equals -r(p)...
-    // i.e. dist(target -> source) + r(p) == 0.
-    let members: Vec<_> = scc.members(s).to_vec();
-    let index: std::collections::HashMap<_, _> =
-        members.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-    let n = members.len();
-    let num = mean.numer();
-    let den = mean.denom();
-    let reduced = |w: u64| den * w as i64 - num;
-    let mut dist = vec![i64::MAX; n];
-    dist[index[&graph.target(p)]] = 0;
-    for _ in 0..n {
-        let mut changed = false;
-        for (i, &t) in members.iter().enumerate() {
-            if dist[i] == i64::MAX {
-                continue;
-            }
-            for &out in graph.outputs(t) {
-                let Some(&j) = index.get(&graph.target(out)) else {
-                    continue;
-                };
-                let cand = dist[i] + reduced(graph.tokens(out));
-                if cand < dist[j] {
-                    dist[j] = cand;
-                    changed = true;
+    let mut tight_places = Vec::new();
+    for c in scc.component_ids().filter(|&c| scc.is_cyclic(graph, c)) {
+        let csr = CsrScc::build(graph, &scc, c);
+        let phi = mcm::potentials_csr(&csr, base);
+        for v in 0..csr.n() {
+            for e in csr.out(v) {
+                let w = csr.target(e);
+                if phi[v] + den * csr.weight(e) - num == phi[w] {
+                    tight.add_place(csr.transition(v), csr.transition(w), 0);
+                    tight_places.push(csr.place(e));
                 }
             }
         }
-        if !changed {
-            break;
-        }
     }
-    let back = dist[index[&graph.source(p)]];
-    back != i64::MAX && back + reduced(graph.tokens(p)) == 0
+    let tight_scc = SccDecomposition::compute(&tight);
+    let mut critical: Vec<PlaceId> = tight_places
+        .into_iter()
+        .filter(|&p| {
+            tight_scc.component_of(graph.source(p)) == tight_scc.component_of(graph.target(p))
+        })
+        .collect();
+    critical.sort_unstable();
+    critical
 }
 
 #[cfg(test)]
@@ -367,6 +352,16 @@ mod tests {
                 let u = rng.gen_range(0..n);
                 let v = rng.gen_range(0..n);
                 g.add_place(ts[u], ts[v], rng.gen_range(0..3));
+            }
+            // Every other trial: a second component, fed by the first, whose
+            // ring may tie, beat, or trail it.
+            if trial % 2 == 1 {
+                let k = rng.gen_range(1..4);
+                let rs: Vec<_> = (0..k).map(|i| g.add_transition(format!("r{i}"))).collect();
+                for i in 0..k {
+                    g.add_place(rs[i], rs[(i + 1) % k], rng.gen_range(0..3));
+                }
+                g.add_place(ts[0], rs[0], 0);
             }
             let base = match mcm::karp(&g) {
                 Some(m) => m,

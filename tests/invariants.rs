@@ -238,6 +238,48 @@ proptest! {
         }
     }
 
+    /// On the doubled model of a long ring — one SCC whose critical cycle is
+    /// hundreds of hops long — cold Howard certifies the Karp mean in a
+    /// handful of policy-iteration rounds, whatever the ring's length,
+    /// relay stations and queue sizes, and the reported critical cycle is
+    /// the one every other engine reports.
+    #[test]
+    fn howard_certifies_doubled_rings_in_few_rounds(
+        len in 20usize..400,
+        stations in proptest::collection::vec((0usize..400, 1u32..3), 1..4),
+        queues in proptest::collection::vec((0usize..400, 1u64..4), 0..4),
+    ) {
+        use lis::gen::ring;
+        use lis::marked_graph::csr::CsrScc;
+        use lis::marked_graph::howard::{howard_csr, HowardScratch};
+        use lis::marked_graph::mcm::{self, minimum_cycle_mean_serial_with, McmEngine};
+        use lis::marked_graph::SccDecomposition;
+        let r = ring(len);
+        let mut sys = r.system;
+        for (at, count) in stations {
+            for _ in 0..count {
+                sys.add_relay_station(r.channels[at % len]);
+            }
+        }
+        for (at, q) in queues {
+            sys.set_queue_capacity(r.channels[at % len], q).expect("q >= 1");
+        }
+        let g = LisModel::doubled(&sys).into_graph();
+        let scc = SccDecomposition::compute(&g);
+        prop_assert_eq!(scc.component_ids().count(), 1);
+        let csr = CsrScc::build(&g, &scc, 0);
+        let mut scratch = HowardScratch::new();
+        let mean = howard_csr(&csr, &mut scratch, &mut Vec::new());
+        prop_assert_eq!(Some(mean), mcm::karp(&g));
+        let stats = scratch.take_stats();
+        prop_assert!(stats.rounds <= 4, "{:?}", stats);
+        prop_assert!(stats.relaxations <= 4 * csr.edge_count() as u64, "{:?}", stats);
+        prop_assert_eq!(
+            minimum_cycle_mean_serial_with(&g, McmEngine::Howard),
+            minimum_cycle_mean_serial_with(&g, McmEngine::Karp)
+        );
+    }
+
     /// Ratios: ordering is total and consistent with subtraction sign.
     #[test]
     fn ratio_order_consistency(a in -50i64..50, b in 1i64..20, c in -50i64..50, d in 1i64..20) {
