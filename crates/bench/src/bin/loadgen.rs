@@ -13,9 +13,8 @@
 //!   topped up as responses land). The server runs in a child process
 //!   (`--serve-child`, spawned via self-exec) so both sides get their own
 //!   fd budget. Rows land in `results/net_loadgen.txt`; `--scale` runs the
-//!   threaded-vs-epoll matrix at 100/1k/10k connections. Gates:
-//!   `--min-rps` (best epoll row) and `--min-connections` (connections
-//!   held concurrently).
+//!   matrix at 100/1k/10k connections. Gates: `--min-rps` (best row) and
+//!   `--min-connections` (connections held concurrently).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -136,9 +135,8 @@ where
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--serve-child") {
-        let front = args.get(i + 1).map_or("epoll", String::as_str);
-        serve_child(front);
+    if args.iter().any(|a| a == "--serve-child") {
+        serve_child();
         return;
     }
     if args.iter().any(|a| a == "--connections" || a == "--scale") {
@@ -274,16 +272,13 @@ fn legacy_main(args: &[String]) {
 // Connection-scale mode: one poller, N keep-alive connections, pipeline D.
 // ---------------------------------------------------------------------------
 
-/// Child-process entry (`--serve-child <front>`): bind an ephemeral port,
-/// announce it on stdout as `ADDR <addr>`, and serve until `/shutdown`.
-/// Running the daemon in its own process gives each side of the benchmark
-/// its own file-descriptor budget (the container caps one process at 20k).
-fn serve_child(front_name: &str) {
-    let front = lis_server::FrontTier::parse(front_name)
-        .unwrap_or_else(|| panic!("--serve-child: unknown front {front_name:?}"));
+/// Child-process entry (`--serve-child`): bind an ephemeral port, announce
+/// it on stdout as `ADDR <addr>`, and serve until `/shutdown`. Running the
+/// daemon in its own process gives each side of the benchmark its own
+/// file-descriptor budget (the container caps one process at 20k).
+fn serve_child() {
     let config = ServerConfig {
         max_connections: 16_000,
-        front,
         ..ServerConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind child server");
@@ -298,10 +293,10 @@ fn serve_child(front_name: &str) {
 }
 
 /// Spawns the server child and reads its announced address.
-fn spawn_server_child(front: &str) -> (std::process::Child, std::net::SocketAddr) {
+fn spawn_server_child() -> (std::process::Child, std::net::SocketAddr) {
     let exe = std::env::current_exe().expect("current_exe");
     let mut child = std::process::Command::new(exe)
-        .args(["--serve-child", front])
+        .arg("--serve-child")
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("spawn server child");
@@ -320,7 +315,6 @@ fn spawn_server_child(front: &str) -> (std::process::Child, std::net::SocketAddr
 
 /// One measured row of the connection-scale benchmark.
 struct NetRow {
-    front: &'static str,
     conns: usize,
     pipeline: usize,
     rps: f64,
@@ -332,8 +326,8 @@ struct NetRow {
 impl NetRow {
     fn render(&self) -> String {
         format!(
-            "front={} conns={} pipeline={} rps={:.0} p50_us={} p99_us={} held={}",
-            self.front, self.conns, self.pipeline, self.rps, self.p50_us, self.p99_us, self.held
+            "conns={} pipeline={} rps={:.0} p50_us={} p99_us={} held={}",
+            self.conns, self.pipeline, self.rps, self.p50_us, self.p99_us, self.held
         )
     }
 }
@@ -368,7 +362,6 @@ fn connect_retry(addr: std::net::SocketAddr) -> std::net::TcpStream {
 /// `/analyze`, so the number measures the connection tier, not the solver.
 fn run_net_row(
     addr: std::net::SocketAddr,
-    front: &'static str,
     conns: usize,
     depth: usize,
     duration: Duration,
@@ -533,7 +526,6 @@ fn run_net_row(
         latencies_us[i]
     };
     NetRow {
-        front,
         conns,
         pipeline: depth,
         rps: done as f64 / duration.as_secs_f64(),
@@ -544,14 +536,9 @@ fn run_net_row(
 }
 
 /// Runs one row end-to-end: child server up, measure, drain, reap.
-fn net_row_with_server(
-    front: &'static str,
-    conns: usize,
-    depth: usize,
-    duration: Duration,
-) -> NetRow {
-    let (mut child, addr) = spawn_server_child(front);
-    let row = run_net_row(addr, front, conns, depth, duration);
+fn net_row_with_server(conns: usize, depth: usize, duration: Duration) -> NetRow {
+    let (mut child, addr) = spawn_server_child();
+    let row = run_net_row(addr, conns, depth, duration);
     let mut admin = Client::connect(addr).expect("admin connect");
     assert_eq!(admin.shutdown().expect("shutdown"), 200);
     let _ = child.wait();
@@ -570,23 +557,15 @@ fn net_main(args: &[String]) {
 
     let rows: Vec<NetRow> = if scale {
         vec![
-            net_row_with_server("threaded", 100, 1, duration),
-            net_row_with_server("threaded", 1_000, 1, duration),
-            net_row_with_server("epoll", 100, 1, duration),
-            net_row_with_server("epoll", 1_000, 1, duration),
-            net_row_with_server("epoll", 1_000, 8, duration),
-            net_row_with_server("epoll", 10_000, 1, duration),
+            net_row_with_server(100, 1, duration),
+            net_row_with_server(1_000, 1, duration),
+            net_row_with_server(1_000, 8, duration),
+            net_row_with_server(10_000, 1, duration),
         ]
     } else {
         let conns: usize = arg(args, "--connections", 1_000);
         let depth: usize = arg(args, "--pipeline", 1);
-        let front: String = arg(args, "--front", "epoll".to_string());
-        let front: &'static str = match front.as_str() {
-            "threaded" => "threaded",
-            "epoll" => "epoll",
-            other => panic!("--front: unknown tier {other:?}"),
-        };
-        vec![net_row_with_server(front, conns, depth, duration)]
+        vec![net_row_with_server(conns, depth, duration)]
     };
 
     let mut report = String::new();
@@ -616,15 +595,11 @@ fn net_main(args: &[String]) {
         eprintln!("\nwrote {NET_OUT_PATH}");
     }
 
-    let best_epoll_rps = rows
-        .iter()
-        .filter(|r| r.front == "epoll")
-        .map(|r| r.rps)
-        .fold(0.0f64, f64::max);
+    let best_rps = rows.iter().map(|r| r.rps).fold(0.0f64, f64::max);
     let max_held = rows.iter().map(|r| r.held).max().unwrap_or(0);
     let mut failed = false;
-    if best_epoll_rps < min_rps {
-        eprintln!("FAIL: best epoll req/s {best_epoll_rps:.0} below the required {min_rps:.0}");
+    if best_rps < min_rps {
+        eprintln!("FAIL: best req/s {best_rps:.0} below the required {min_rps:.0}");
         failed = true;
     }
     if max_held < min_connections {

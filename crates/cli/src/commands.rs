@@ -67,14 +67,12 @@ analysis commands (local, netlist from a file):
 
 server commands (analysis as a service):
   serve  <addr> [--queue N] [--cache N] [--timeout-ms N] [--max-conns N]
-                [--front epoll|threaded] [--faults SPEC]
-                [--store DIR [--store-cap N]]
+                [--faults SPEC] [--store DIR [--store-cap N]]
                                          run the analysis daemon on addr
-                                         (e.g. 127.0.0.1:7171); --front picks
-                                         the connection tier (default epoll:
-                                         one readiness event loop holds every
-                                         connection; threaded: one thread per
-                                         connection); --faults (or
+                                         (e.g. 127.0.0.1:7171): one readiness
+                                         event loop holds every connection
+                                         and hands work to the worker pool;
+                                         --faults (or
                                          the LIS_FAULTS env var) arms
                                          deterministic fault injection, e.g.
                                          panic:0.01,slow_read:5ms,truncate:0.02;
@@ -84,8 +82,8 @@ server commands (analysis as a service):
                                          bounds on-disk entries, default 65536)
   gateway <addr> [--shards N] [--join a,b,...] [--shard-threads T]
                  [--queue N] [--cache N] [--probe-ms N] [--no-hedge]
-                 [--hedge-rate R] [--hedge-seed S] [--front epoll|threaded]
-                 [--store DIR] [--no-replicate]
+                 [--hedge-rate R] [--hedge-seed S] [--store DIR]
+                 [--no-replicate]
                                          front a sharded cluster on addr:
                                          spawn and supervise N local shard
                                          daemons (default), or --join
@@ -218,7 +216,6 @@ fn serve(rest: &[String]) -> CliResult {
         cache_capacity: option(rest, "--cache", 4096usize)?,
         request_timeout: std::time::Duration::from_millis(option(rest, "--timeout-ms", 30_000u64)?),
         max_connections: option(rest, "--max-conns", 1024usize)?,
-        front: front_flag(rest)?,
         faults,
         store_dir,
         store_capacity: option(rest, "--store-cap", 65_536usize)?,
@@ -303,7 +300,6 @@ fn gateway_cmd(rest: &[String]) -> CliResult {
     let config = GatewayConfig {
         probe_interval: std::time::Duration::from_millis(option(rest, "--probe-ms", 150u64)?),
         hedge,
-        front: front_flag(rest)?,
         replicate: !flag(rest, "--no-replicate"),
         ..GatewayConfig::default()
     };
@@ -453,13 +449,6 @@ fn client_cmd(rest: &[String], engine: McmEngine) -> CliResult {
 
 fn flag(rest: &[String], name: &str) -> bool {
     rest.iter().any(|a| a == name)
-}
-
-/// Parses the `--front epoll|threaded` connection-tier flag (default epoll).
-fn front_flag(rest: &[String]) -> Result<lis_server::FrontTier, String> {
-    let v: String = option(rest, "--front", "epoll".to_string())?;
-    lis_server::FrontTier::parse(&v)
-        .ok_or_else(|| format!("--front: unknown tier {v:?} (known: epoll, threaded)"))
 }
 
 fn option<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> Result<T, String>
@@ -1596,24 +1585,6 @@ mod tests {
         assert!(json.contains("\"on_per_mille\":500"), "{json}");
         assert!(parse_sweep_flags(&["--bursts".to_string()]).is_err());
         assert!(parse_sweep_flags(&["--bursts".to_string(), "moose".to_string()]).is_err());
-    }
-
-    #[test]
-    fn front_flag_parses_and_rejects() {
-        assert_eq!(
-            front_flag(&[]).expect("default"),
-            lis_server::FrontTier::Epoll
-        );
-        let args: Vec<String> = ["--front", "threaded"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(
-            front_flag(&args).expect("threaded"),
-            lis_server::FrontTier::Threaded
-        );
-        let bad: Vec<String> = ["--front", "moose"].iter().map(|s| s.to_string()).collect();
-        assert!(front_flag(&bad).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! routing, shard failover, hedged tail requests, and shard supervision.
 //!
 //! ```text
-//!  client ──▶ gateway accept loop ──▶ handler (1/conn)
+//!  client ──▶ gateway event loop ──▶ forwarding pool job
 //!                                       │ route on canonical_hash(netlist)
 //!                                       ▼
 //!                          rendezvous-ranked shard list
@@ -18,23 +18,20 @@
 //! would have produced for the same request.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use lis_core::parse_netlist;
-use lis_server::http::{
-    read_request, write_request_with, write_response, write_response_with, DeadlineReader, Request,
-    Response, REQUEST_ID_HEADER,
-};
+use lis_server::http::{write_request_with, Request, Response, REQUEST_ID_HEADER};
 use lis_server::net::{
-    probe_many, race, Completion, Completions, ConnPermit, EventLoop, FrontConfig, Outcome,
-    RaceAttempt, RaceOutcome, Rendered, SlotKey,
+    probe_many, race, Completion, Completions, EventLoop, FrontConfig, Outcome, RaceAttempt,
+    RaceOutcome, Rendered, SlotKey,
 };
 use lis_server::wire::{obj, Json};
-use lis_server::{FrontTier, ServerError, WorkerPool};
+use lis_server::{ServerError, WorkerPool};
 
 use crate::error::GatewayError;
 use crate::hedge::{HedgeConfig, Hedger};
@@ -44,11 +41,7 @@ use crate::replicate::Replicator;
 use crate::supervise::{ChildShard, ChildSpec};
 use crate::table::{Shard, ShardTable};
 
-/// How long an idle keep-alive connection sleeps between shutdown-flag
-/// checks while waiting for the next request.
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// Forwarding threads behind the epoll front: each runs one shard round
+/// Forwarding threads behind the event loop: each runs one shard round
 /// trip (hedge race or sequential failover) at a time.
 const FORWARD_WORKERS: usize = 32;
 
@@ -93,8 +86,6 @@ pub struct GatewayConfig {
     pub max_connections: usize,
     /// Slow-loris read deadline per request.
     pub read_deadline: Duration,
-    /// Which connection front serves the socket.
-    pub front: FrontTier,
     /// Replicate deterministic answers to the runner-up shard and warm up
     /// (re)joining shards by handoff. On by default; meaningless with a
     /// single shard.
@@ -109,7 +100,6 @@ impl Default for GatewayConfig {
             hedge: Some(HedgeConfig::default()),
             max_connections: 1024,
             read_deadline: Duration::from_secs(10),
-            front: FrontTier::default(),
             replicate: true,
         }
     }
@@ -121,7 +111,8 @@ struct ChildSet {
     children: Vec<Mutex<ChildShard>>,
 }
 
-/// State shared by the accept loop, handlers, and the maintenance thread.
+/// State shared by the event loop, forwarding jobs, and the maintenance
+/// thread.
 struct GwState {
     table: ShardTable,
     children: Option<ChildSet>,
@@ -131,7 +122,6 @@ struct GwState {
     /// or the cluster has a single shard.
     replicator: Option<Replicator>,
     shutdown: AtomicBool,
-    active_connections: AtomicUsize,
     config: GatewayConfig,
     started: Instant,
     /// Request sequence number: feeds hedge eligibility and minted ids.
@@ -203,7 +193,6 @@ impl Gateway {
             hedger: config.hedge.clone().map(Hedger::new),
             replicator,
             shutdown: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
             config,
             started: Instant::now(),
             sequence: AtomicU64::new(0),
@@ -220,24 +209,20 @@ impl Gateway {
         self.listener.local_addr()
     }
 
-    /// Serves until `POST /shutdown`, then drains handlers and stops any
-    /// supervised children.
+    /// Serves until `POST /shutdown`, then drains in-flight forwards and
+    /// stops any supervised children.
     ///
     /// # Errors
     ///
-    /// Returns fatal accept-loop errors; per-connection errors are handled
-    /// in the connection's own thread (threaded front) or swallowed per
-    /// connection by the event loop (epoll front).
+    /// Returns fatal accept/poll errors; per-connection errors close that
+    /// connection only.
     pub fn run(self) -> io::Result<()> {
         let state = Arc::clone(&self.state);
         let maintenance = {
             let state = Arc::clone(&state);
             std::thread::spawn(move || maintenance_loop(&state))
         };
-        let result = match state.config.front {
-            FrontTier::Threaded => self.run_threaded(),
-            FrontTier::Epoll => self.run_event_loop(),
-        };
+        let result = self.run_event_loop();
         let _ = maintenance.join();
         // Owned cluster: drain every child before returning.
         if let Some(set) = &state.children {
@@ -268,68 +253,6 @@ impl Gateway {
         };
         EventLoop::new(listener, handler, config, stats)?.run()?;
         pool.drain();
-        Ok(())
-    }
-
-    /// The classic thread-per-connection front.
-    fn run_threaded(self) -> io::Result<()> {
-        let mut handler_threads = Vec::new();
-        while !self.state.shutdown.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((mut stream, _peer)) => {
-                    let active = self.state.active_connections.load(Ordering::Acquire);
-                    if active >= self.state.config.max_connections {
-                        let e = ServerError::TooManyConnections {
-                            limit: self.state.config.max_connections,
-                        };
-                        let body = e.to_json().to_string();
-                        let _ = write_response(
-                            &mut stream,
-                            e.status(),
-                            "application/json",
-                            body.as_bytes(),
-                            false,
-                        );
-                        self.state
-                            .metrics
-                            .record_request(e.status(), Duration::ZERO);
-                        continue;
-                    }
-                    let state = Arc::clone(&self.state);
-                    state.active_connections.fetch_add(1, Ordering::AcqRel);
-                    state
-                        .metrics
-                        .net
-                        .connections_open
-                        .fetch_add(1, Ordering::Relaxed);
-                    handler_threads.push(std::thread::spawn(move || {
-                        let _ = handle_connection(stream, &state);
-                        state.active_connections.fetch_sub(1, Ordering::AcqRel);
-                        state
-                            .metrics
-                            .net
-                            .connections_open
-                            .fetch_sub(1, Ordering::Relaxed);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-            handler_threads.retain(|h| !h.is_finished());
-        }
-        // Drain in-flight handlers (they notice the flag within IDLE_POLL).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while self.state.active_connections.load(Ordering::Acquire) > 0 && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        for h in handler_threads {
-            if h.is_finished() {
-                let _ = h.join();
-            }
-        }
         Ok(())
     }
 }
@@ -406,92 +329,9 @@ fn schedule_handoff_to(state: &Arc<GwState>, target: usize, shards: &[Arc<Shard>
     }
 }
 
-/// Serves one connection's keep-alive request loop (same discipline as the
-/// shard daemon: idle poll for shutdown, slow-loris deadline, typed 400s).
-fn handle_connection(stream: TcpStream, state: &Arc<GwState>) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(IDLE_POLL))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        match reader.fill_buf() {
-            Ok([]) => return Ok(()),
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if state.shutdown.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        let deadline = Instant::now() + state.config.read_deadline;
-        let request = match read_request(&mut DeadlineReader::new(&mut reader, deadline)) {
-            Ok(Some(request)) => request,
-            Ok(None) => return Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let body = ServerError::BadRequest(e.to_string()).to_json().to_string();
-                write_response(&mut writer, 400, "application/json", body.as_bytes(), false)?;
-                return Ok(());
-            }
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                let err = ServerError::SlowClient {
-                    deadline_ms: state.config.read_deadline.as_millis() as u64,
-                };
-                state
-                    .metrics
-                    .record_request(err.status(), state.config.read_deadline);
-                let body = err.to_json().to_string();
-                write_response(
-                    &mut writer,
-                    err.status(),
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                )?;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-
-        let started = Instant::now();
-        let seq = state.sequence.fetch_add(1, Ordering::Relaxed);
-        // Every exchange gets a correlation id: the client's, or one the
-        // gateway mints so the shard hop is traceable regardless.
-        let request_id = request
-            .header(REQUEST_ID_HEADER)
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("gw-{seq:08x}"));
-        let (status, content_type, body) = dispatch(&request, state, seq, &request_id);
-        let shutting_down = state.shutdown.load(Ordering::Acquire);
-        let keep_alive = !request.wants_close() && !shutting_down;
-        state.metrics.record_request(status, started.elapsed());
-        write_response_with(
-            &mut writer,
-            status,
-            content_type,
-            &body,
-            keep_alive,
-            &[("X-LIS-Request-Id", &request_id)],
-        )?;
-        if !keep_alive {
-            return Ok(());
-        }
-    }
-}
-
-/// Routes one request. Returns `(status, content type, body)`.
-fn dispatch(
-    request: &Request,
-    state: &Arc<GwState>,
-    seq: u64,
-    request_id: &str,
-) -> (u16, &'static str, Vec<u8>) {
+/// Routes one control-plane or error request, answered inline on the loop.
+/// Returns `(status, content type, body)`.
+fn dispatch(request: &Request, state: &Arc<GwState>) -> (u16, &'static str, Vec<u8>) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => (200, "application/json", healthz_body(state).into_bytes()),
         ("GET", "/metrics") => (
@@ -508,25 +348,6 @@ fn dispatch(
                     .to_string()
                     .into_bytes(),
             )
-        }
-        ("POST", "/analyze" | "/qs" | "/insert" | "/dot") => {
-            let (status, body) = forward(state, &request.path, &request.body, seq, request_id);
-            (status, "application/json", body)
-        }
-        ("POST", "/sweep") => {
-            // Sweeps ride the same rendezvous-affinity + failover path. The
-            // shard streams chunked NDJSON; the gateway's client reassembles
-            // it, so a mid-stream shard death is retried on the next shard
-            // from scratch (results are cached server-side, so the replay of
-            // an interrupted sweep costs one warm evaluation at most) and
-            // relayed to the caller with Content-Length framing.
-            let (status, body) = forward(state, &request.path, &request.body, seq, request_id);
-            let content_type = if status == 200 {
-                "application/x-ndjson"
-            } else {
-                "application/json"
-            };
-            (status, content_type, body)
         }
         (
             _,
@@ -829,8 +650,8 @@ fn forward(
     (e.status(), e.to_json().to_string().into_bytes())
 }
 
-/// The epoll front's handler: forwarding runs on a bounded worker pool so
-/// the event loop never blocks on a shard round trip; control-plane
+/// The gateway's event-loop handler: forwarding runs on a bounded worker
+/// pool so the loop never blocks on a shard round trip; control-plane
 /// routes answer inline.
 struct GwHandler {
     state: Arc<GwState>,
@@ -856,6 +677,12 @@ impl lis_server::net::Handler for GwHandler {
         let method = request.method.clone();
         let path = request.path.clone();
         match (method.as_str(), path.as_str()) {
+            // Sweeps ride the same rendezvous-affinity + failover path. The
+            // shard streams chunked NDJSON; the forwarding client reassembles
+            // it, so a mid-stream shard death is retried on the next shard
+            // from scratch (results are cached server-side, so the replay of
+            // an interrupted sweep costs one warm evaluation at most) and
+            // relayed to the caller with Content-Length framing.
             ("POST", "/analyze" | "/qs" | "/insert" | "/dot" | "/sweep") => {
                 let job = {
                     let state = Arc::clone(state);
@@ -900,7 +727,7 @@ impl lis_server::net::Handler for GwHandler {
                 }
             }
             _ => {
-                let (status, content_type, body) = dispatch(&request, state, seq, &request_id);
+                let (status, content_type, body) = dispatch(&request, state);
                 state.metrics.record_request(status, started.elapsed());
                 Outcome::Respond(Rendered {
                     status,
@@ -915,7 +742,8 @@ impl lis_server::net::Handler for GwHandler {
     }
 
     fn bad_request(&self, error: &io::Error) -> Rendered {
-        // Unrecorded, like the threaded front's 400 path.
+        // Protocol-violation 400s close the connection and are
+        // deliberately not recorded.
         let e = ServerError::BadRequest(error.to_string());
         let mut rendered = Rendered::json(e.status(), e.to_json().to_string().into_bytes());
         rendered.force_close = true;
@@ -957,19 +785,5 @@ impl lis_server::net::Handler for GwHandler {
 
     fn shutting_down(&self) -> bool {
         self.state.shutdown.load(Ordering::Acquire)
-    }
-
-    fn take_over(
-        &self,
-        stream: TcpStream,
-        _request: Request,
-        _residual: Vec<u8>,
-        permit: ConnPermit,
-    ) {
-        // The gateway never returns Outcome::TakeOver (/sweep relays with
-        // Content-Length framing through forward()); dropping the stream
-        // and permit is the safe answer if that ever changes.
-        drop(stream);
-        drop(permit);
     }
 }

@@ -39,9 +39,7 @@ pub const DEFAULT_SEED: u64 = 0x11a7_c0ff_ee5e_ed00;
 pub const INJECTED_PANIC_MARKER: &str = "lis-fault: injected worker panic";
 
 /// The non-HTTP bytes a [`WriteFault::Garbage`] injection sends instead of
-/// the response (a TLS-looking record, so clients fail fast). Shared by the
-/// threaded and epoll front tiers so the chaos suites see identical wire
-/// bytes from both.
+/// the response (a TLS-looking record, so clients fail fast).
 pub const GARBAGE_BYTES: &[u8] = b"\x16\x03\x01LIS GARBAGE\r\n\r\n";
 
 /// What [`FaultPlan::write_fault`] asks the connection handler to do with
@@ -169,7 +167,8 @@ impl FaultPlan {
         self.burst_remaining.fetch_add(jobs, Ordering::Relaxed);
     }
 
-    /// Worker-panic site: called once per analysis job. Panics (with
+    /// Worker-panic site: called once per analysis job, `/batch` row and
+    /// `/sweep` job. Panics (with
     /// [`INJECTED_PANIC_MARKER`] in the payload) when this job's draw
     /// fires or a burst is armed.
     pub fn maybe_panic(&self) {

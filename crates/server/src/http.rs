@@ -3,10 +3,10 @@
 //! Supported: request line + headers + `Content-Length` bodies, persistent
 //! connections (`Connection: keep-alive` semantics, the HTTP/1.1 default),
 //! explicit `Connection: close`, and — on **responses only** — chunked
-//! transfer encoding, which the `/sweep` route uses to stream result rows
-//! before the total body length is known ([`write_chunked_head`] /
-//! [`write_chunk`] / [`finish_chunked`]; [`read_response`] reassembles the
-//! chunks transparently). Not supported (and rejected where it matters):
+//! transfer encoding, which `/sweep` and `/batch` use to stream result rows
+//! before the total body length is known ([`write_chunked_head`], frames
+//! from a [`ChunkBatcher`], then [`LAST_CHUNK`]; [`read_response`]
+//! reassembles the chunks transparently). Not supported (and rejected where it matters):
 //! chunked *requests*, HTTP/0.9/2, multi-line header folding. That subset
 //! is exactly what `lis client` and `loadgen` speak, and keeps the parser
 //! small enough to audit.
@@ -15,8 +15,7 @@
 //! (request/status line + headers) may not exceed [`MAX_HEAD_BYTES`] and
 //! bodies may not exceed [`MAX_BODY_BYTES`].
 
-use std::io::{self, BufRead, Read, Write};
-use std::time::Instant;
+use std::io::{self, BufRead, Write};
 
 /// Maximum bytes of request/status line plus headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -319,9 +318,12 @@ fn read_chunked_body(reader: &mut impl BufRead) -> io::Result<Vec<u8>> {
     }
 }
 
+/// The zero-size chunk that terminates a chunked response body.
+pub const LAST_CHUNK: &[u8] = b"0\r\n\r\n";
+
 /// Writes the head of a chunked response (status line + headers +
 /// `Transfer-Encoding: chunked`, no `Content-Length`). Follow with
-/// [`write_chunk`] calls and one [`finish_chunked`].
+/// [`ChunkBatcher`] frames and one [`LAST_CHUNK`].
 ///
 /// # Errors
 ///
@@ -347,41 +349,16 @@ pub fn write_chunked_head(
     writer.flush()
 }
 
-/// Writes one chunk frame and flushes, so a streamed row is on the wire
-/// before the next one is computed. Empty data is skipped (an empty chunk
-/// would terminate the body).
+/// Coalesces many small streamed payloads into fewer, larger chunk frames —
+/// the one chunk framer of the crate.
 ///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying stream.
-pub fn write_chunk(writer: &mut impl Write, data: &[u8]) -> io::Result<()> {
-    if data.is_empty() {
-        return Ok(());
-    }
-    write!(writer, "{:x}\r\n", data.len())?;
-    writer.write_all(data)?;
-    writer.write_all(b"\r\n")?;
-    writer.flush()
-}
-
-/// Terminates a chunked response with the zero-size chunk.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying stream.
-pub fn finish_chunked(writer: &mut impl Write) -> io::Result<()> {
-    writer.write_all(b"0\r\n\r\n")?;
-    writer.flush()
-}
-
-/// Coalesces many small streamed payloads into fewer, larger chunk frames.
-///
-/// [`write_chunk`] costs three socket writes per call — ruinous for an
-/// NDJSON stream of tiny rows on a `TCP_NODELAY` socket, where every write
-/// is a syscall and a segment. A batcher accumulates rows until `threshold`
-/// payload bytes are pending, then emits them as **one** chunk frame with a
-/// single `write_all`. A threshold of `0` flushes on every push: one row
-/// per chunk, for paced streams that must hit the wire row by row.
+/// A frame per NDJSON row would be ruinous on a `TCP_NODELAY` socket, where
+/// every write is a syscall and a segment. A batcher accumulates rows until
+/// `threshold` payload bytes are pending, then emits them as **one** chunk
+/// frame with a single `write_all`. A threshold of `0` flushes on every
+/// push: one row per chunk, for paced streams that must hit the wire row by
+/// row. Worker jobs flush into a `Vec<u8>` and hand the framed bytes to the
+/// event loop, which writes them unchanged.
 ///
 /// The resulting byte stream is still standard chunked encoding — only the
 /// frame boundaries move, never the payload — so clients reassembling the
@@ -494,93 +471,6 @@ pub fn write_response(
 ) -> io::Result<()> {
     writer.write_all(&render_response(status, content_type, body, keep_alive))?;
     writer.flush()
-}
-
-/// [`write_response`] with extra response headers.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying stream.
-pub fn write_response_with(
-    writer: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-    extra_headers: &[(&str, &str)],
-) -> io::Result<()> {
-    writer.write_all(&render_response_with(
-        status,
-        content_type,
-        body,
-        keep_alive,
-        extra_headers,
-    ))?;
-    writer.flush()
-}
-
-/// A [`BufRead`] adapter that bounds how long one request may take to
-/// arrive — the slow-loris defense.
-///
-/// The wrapped stream must have a short socket read timeout (the server
-/// uses its idle-poll interval): each `WouldBlock`/`TimedOut` from the
-/// inner reader is retried until the wall-clock `deadline`, after which
-/// reads fail with [`io::ErrorKind::TimedOut`]. A peer that trickles one
-/// header byte per poll therefore cannot pin a connection handler for
-/// longer than the deadline, no matter how patient the socket timeout is.
-pub struct DeadlineReader<R> {
-    inner: R,
-    deadline: Instant,
-}
-
-impl<R: BufRead> DeadlineReader<R> {
-    /// Wraps `inner`; all reads must complete before `deadline`.
-    pub fn new(inner: R, deadline: Instant) -> DeadlineReader<R> {
-        DeadlineReader { inner, deadline }
-    }
-}
-
-impl<R: BufRead> Read for DeadlineReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let available = self.fill_buf()?;
-        let n = available.len().min(buf.len());
-        buf[..n].copy_from_slice(&available[..n]);
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl<R: BufRead> BufRead for DeadlineReader<R> {
-    fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        loop {
-            // Probe, then re-borrow: returning the borrow from inside the
-            // match would hold `self.inner` across the loop.
-            match self.inner.fill_buf() {
-                Ok(_) => break,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    if Instant::now() >= self.deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "request read deadline exceeded",
-                        ));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.inner.fill_buf()
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.inner.consume(amt);
-    }
 }
 
 /// Writes a complete request, with `Content-Length` framing when a body is
@@ -746,16 +636,13 @@ mod tests {
             .expect("one request");
         assert_eq!(req.header("x-lis-request-id"), Some("req-42"));
 
-        let mut wire = Vec::new();
-        write_response_with(
-            &mut wire,
+        let wire = render_response_with(
             200,
             "application/json",
             b"{}",
             true,
             &[("X-LIS-Request-Id", "req-42")],
-        )
-        .unwrap();
+        );
         let resp = read_response(&mut BufReader::new(&wire[..])).unwrap();
         assert_eq!(resp.header("x-lis-request-id"), Some("req-42"));
     }
@@ -771,11 +658,12 @@ mod tests {
             &[("X-LIS-Request-Id", "sweep-1")],
         )
         .unwrap();
-        write_chunk(&mut wire, b"{\"point\":0}\n").unwrap();
-        write_chunk(&mut wire, b"").unwrap(); // skipped, not a terminator
-        write_chunk(&mut wire, b"{\"point\":1}\n").unwrap();
-        write_chunk(&mut wire, b"{\"done\":true}\n").unwrap();
-        finish_chunked(&mut wire).unwrap();
+        let mut frames = ChunkBatcher::new(0);
+        frames.push(&mut wire, b"{\"point\":0}\n").unwrap();
+        frames.flush(&mut wire).unwrap(); // nothing pending: no empty frame
+        frames.push(&mut wire, b"{\"point\":1}\n").unwrap();
+        frames.push(&mut wire, b"{\"done\":true}\n").unwrap();
+        wire.extend_from_slice(LAST_CHUNK);
         let resp = read_response(&mut BufReader::new(&wire[..])).unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.header("transfer-encoding"), Some("chunked"));
@@ -788,8 +676,8 @@ mod tests {
 
     #[test]
     fn chunk_batcher_coalesces_without_changing_the_body() {
-        // Batched (threshold 32) and per-push (threshold 0) framings must
-        // reassemble to the same body the unbatched writer produces.
+        // Batched (threshold 32, 8192) and per-push (threshold 0) framings
+        // must reassemble to the same body.
         let rows: Vec<String> = (0..10).map(|i| format!("{{\"point\":{i}}}\n")).collect();
         let expected: String = rows.concat();
         for threshold in [0usize, 32, 8192] {
@@ -802,7 +690,7 @@ mod tests {
             batcher.push(&mut wire, b"").unwrap(); // empty push is harmless
             batcher.flush(&mut wire).unwrap();
             batcher.flush(&mut wire).unwrap(); // idempotent when drained
-            finish_chunked(&mut wire).unwrap();
+            wire.extend_from_slice(LAST_CHUNK);
             let resp = read_response(&mut BufReader::new(&wire[..])).unwrap();
             assert_eq!(resp.body, expected.as_bytes(), "threshold {threshold}");
             // Frame count: threshold 0 streams one frame per row; a large
@@ -879,41 +767,5 @@ mod tests {
             written,
             render_response(200, "application/json", b"{\"t\":1}", true)
         );
-    }
-
-    /// A reader that stalls forever, as a socket with a read timeout does.
-    struct Stall;
-
-    impl Read for Stall {
-        fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
-            Err(io::Error::new(io::ErrorKind::WouldBlock, "stall"))
-        }
-    }
-
-    impl BufRead for Stall {
-        fn fill_buf(&mut self) -> io::Result<&[u8]> {
-            Err(io::Error::new(io::ErrorKind::WouldBlock, "stall"))
-        }
-        fn consume(&mut self, _amt: usize) {}
-    }
-
-    #[test]
-    fn deadline_reader_times_out_a_stalled_peer() {
-        let deadline = Instant::now() + std::time::Duration::from_millis(10);
-        let mut reader = DeadlineReader::new(Stall, deadline);
-        let err = read_request(&mut reader).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-    }
-
-    #[test]
-    fn deadline_reader_passes_prompt_requests_through() {
-        let mut wire = Vec::new();
-        write_request(&mut wire, "POST", "/analyze", b"{\"x\":1}").unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        let mut reader = DeadlineReader::new(BufReader::new(&wire[..]), deadline);
-        let req = read_request(&mut reader).unwrap().expect("one request");
-        assert_eq!(req.path, "/analyze");
-        assert_eq!(req.body, b"{\"x\":1}");
-        assert!(read_request(&mut reader).unwrap().is_none(), "clean EOF");
     }
 }

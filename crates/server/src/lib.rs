@@ -99,7 +99,7 @@ pub use fault::{FaultPlan, WriteFault};
 pub use jobs::RequestKind;
 pub use metrics::{parse_metric, Metrics, NetStats, Route};
 pub use pool::{DrainReport, SubmitError, WorkerPool};
-pub use server::{FrontTier, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use store::{EntryMeta, ResultStore, Spiller};
 pub use wire::{Json, JsonError};
 

@@ -169,11 +169,10 @@ impl Histogram {
 pub const DEPTH_BUCKETS: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
 /// Counters the readiness event loop maintains. Shared as an `Arc`
-/// between the loop, the metrics registry, and migrated connections.
+/// between the loop and the metrics registry.
 #[derive(Debug, Default)]
 pub struct NetStats {
-    /// Connections currently open on the front tier (accept to close,
-    /// migrated `/sweep` connections included).
+    /// Connections currently open on the front tier (accept to close).
     pub connections_open: AtomicI64,
     /// Poller wakeups (one per `epoll_wait`/`poll` return).
     pub wakeups: AtomicU64,

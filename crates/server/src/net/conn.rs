@@ -3,10 +3,9 @@
 //! The event loop cannot block in the strict parsers of [`crate::http`],
 //! so each connection accumulates bytes in a growable buffer and a cheap
 //! incremental scanner ([`request_progress`]) decides when one *complete*
-//! request is buffered. The complete slice is then handed to the very same
-//! [`crate::http::read_request`] the threaded tier uses — every protocol
-//! decision (limits, smuggling rejections, error wording) is made by one
-//! parser, which is what keeps the two tiers byte-identical.
+//! request is buffered. The complete slice is then handed to the blocking
+//! [`crate::http::read_request`] — every protocol decision (limits,
+//! smuggling rejections, error wording) is made by that one parser.
 //!
 //! The client side gets the mirror image: [`ResponseProgress`] detects a
 //! complete response (Content-Length or chunked framing) in a growing
@@ -14,7 +13,7 @@
 //! [`crate::http::read_response`]. The gateway's multiplexed probes and
 //! hedge races and the loadgen open-loop driver are built on it.
 
-use std::io::{self, Cursor, Read};
+use std::io::{self, Cursor};
 
 use crate::http::{read_request, read_response, Request, Response, MAX_HEAD_BYTES};
 
@@ -40,7 +39,7 @@ pub enum RequestProgress {
 ///
 /// The scanner only decides *completeness*; parsing and every protocol
 /// check run through [`read_request`] on the complete prefix, so error
-/// taxonomy and wording are identical to the threaded tier. A head that
+/// taxonomy and wording are the blocking parser's. A head that
 /// exceeds [`MAX_HEAD_BYTES`] without terminating is handed to the parser
 /// early, which reports the same "request head too large" violation the
 /// blocking reader produces.
@@ -48,7 +47,7 @@ pub fn request_progress(buf: &[u8]) -> RequestProgress {
     // Leading blank lines are tolerated (`read_head` skips them) but they
     // still count toward the head budget there, so a blank flood larger
     // than the budget must reach the parser and fail exactly like the
-    // threaded tier — not sit in the buffer forever.
+    // blocking reader — not sit in the buffer forever.
     let mut start = 0usize;
     while start < buf.len() && matches!(buf[start], b'\r' | b'\n') {
         start += 1;
@@ -219,16 +218,6 @@ pub fn read_available(stream: &mut impl io::Read, buf: &mut Vec<u8>) -> io::Resu
     }
 }
 
-/// A [`BufRead`] over a consumed prefix plus a live stream: the threaded
-/// tier's reader for connections migrated out of the event loop (the
-/// residual loop buffer must be replayed before fresh socket bytes).
-pub type ResidualReader<R> = io::BufReader<io::Chain<Cursor<Vec<u8>>, R>>;
-
-/// Builds a [`ResidualReader`] over `residual` + `stream`.
-pub fn residual_reader<R: io::Read>(residual: Vec<u8>, stream: R) -> ResidualReader<R> {
-    io::BufReader::new(Cursor::new(residual).chain(stream))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,9 +312,10 @@ mod tests {
         let tail_start = wire.len();
         // A chunked response right behind it.
         crate::http::write_chunked_head(&mut wire, 200, "application/x-ndjson", true, &[]).unwrap();
-        crate::http::write_chunk(&mut wire, b"{\"row\":0}\n").unwrap();
-        crate::http::write_chunk(&mut wire, b"{\"row\":1}\n").unwrap();
-        crate::http::finish_chunked(&mut wire).unwrap();
+        let mut frames = crate::http::ChunkBatcher::new(0);
+        frames.push(&mut wire, b"{\"row\":0}\n").unwrap();
+        frames.push(&mut wire, b"{\"row\":1}\n").unwrap();
+        wire.extend_from_slice(crate::http::LAST_CHUNK);
 
         let ResponseProgress::Complete { response, consumed } = response_progress(&wire) else {
             panic!("first response should be complete");

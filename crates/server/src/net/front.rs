@@ -5,10 +5,8 @@
 //! ordering for pipelined requests, write-queue draining with re-armed
 //! write interest, and graceful drain. It does **no** application work:
 //! complete requests go to a [`Handler`], which answers immediately
-//! (control plane, cache hits, typed errors), asynchronously through the
-//! [`Completions`] channel (worker-pool jobs, streamed NDJSON), or by
-//! taking the connection over onto a dedicated thread (`/sweep`
-//! migration).
+//! (control plane, cache hits, typed errors) or asynchronously through the
+//! [`Completions`] channel (worker-pool jobs, streamed NDJSON).
 //!
 //! Responses are serialized in request arrival order no matter how the
 //! handler answers them: each parsed request gets a sequence number, and
@@ -20,19 +18,19 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use crate::fault::{WriteFault, GARBAGE_BYTES};
-use crate::http::{render_response_with, write_chunk, write_chunked_head, Request};
+use crate::http::{render_response_with, write_chunked_head, Request, LAST_CHUNK};
 use crate::metrics::NetStats;
 
 use super::conn::{read_available, request_progress, RequestProgress, WriteQueue};
 use super::poller::{Event, Interest, Poller};
 
-/// How long the loop sleeps at most, so the drain flag is observed at the
-/// same cadence as the threaded tier's idle poll.
+/// How long the loop sleeps at most, so the drain flag is observed within
+/// this interval even on an idle server.
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
 /// Unanswered requests allowed per connection before the loop stops
@@ -69,7 +67,7 @@ pub struct Rendered {
     /// Extra response headers (e.g. the echoed `X-LIS-Request-Id`).
     pub extra_headers: Vec<(String, String)>,
     /// Whether write-side fault injection may mangle this response
-    /// (analysis routes only, matching the threaded tier).
+    /// (analysis routes only).
     pub fault_eligible: bool,
     /// Close the connection after this response regardless of what the
     /// request asked (400/408/429 semantics).
@@ -100,17 +98,14 @@ pub enum Outcome {
         /// Deadline for the asynchronous answer, if any.
         timeout: Option<Duration>,
     },
-    /// The handler wants the connection migrated onto its own thread
-    /// (`/sweep` streams from a blocking handler). The request is handed
-    /// back; migration happens once all earlier responses have flushed.
-    TakeOver(Box<Request>),
 }
 
 /// An asynchronous answer for `key`.
 pub enum Completion {
     /// The complete response.
     Full(Rendered),
-    /// Start of a chunked stream (`/batch`): status line + headers.
+    /// Start of a chunked stream (`/batch`, `/sweep`): status line +
+    /// headers.
     StreamHead {
         /// HTTP status code.
         status: u16,
@@ -119,10 +114,18 @@ pub enum Completion {
         /// Extra response headers.
         extra_headers: Vec<(String, String)>,
     },
-    /// One chunk of stream payload (already row-coalesced by the worker).
+    /// Stream payload already in chunked transfer encoding: one or more
+    /// complete `<hex size>\r\n<data>\r\n` frames, as a
+    /// [`crate::http::ChunkBatcher`] flushes them. The loop writes these
+    /// bytes unchanged, so the producer alone decides frame boundaries;
+    /// it must never send an empty frame (that would end the body).
     StreamChunk(Vec<u8>),
-    /// End of the stream.
+    /// End of the stream: the loop writes the terminating zero chunk.
     StreamEnd,
+    /// The producer died mid-stream: the loop flushes what was already
+    /// sent, then closes the connection *without* the terminating chunk,
+    /// so the peer sees a truncated body instead of waiting forever.
+    StreamAbort,
 }
 
 /// The sending side of the completion channel, cloned into worker jobs.
@@ -139,20 +142,6 @@ impl Completions {
         let _ = self.tx.send((key, completion));
         // A full wake pipe means a wakeup is already pending.
         let _ = io::Write::write(&mut (&*self.wake), &[1u8]);
-    }
-}
-
-/// Keeps a migrated connection counted until its thread finishes, so
-/// drain and the connection cap see it.
-pub struct ConnPermit {
-    stats: Arc<NetStats>,
-    migrated: Arc<AtomicUsize>,
-}
-
-impl Drop for ConnPermit {
-    fn drop(&mut self) {
-        self.stats.connections_open.fetch_sub(1, Ordering::AcqRel);
-        self.migrated.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -173,7 +162,7 @@ pub struct FrontConfig {
 }
 
 /// Application logic the loop calls into. All methods run on the loop
-/// thread except what the handler itself moves onto workers.
+/// thread; the handler moves slow work onto workers itself.
 pub trait Handler {
     /// Routes one complete request.
     fn dispatch(&self, request: Request, key: SlotKey, completions: &Completions) -> Outcome;
@@ -191,10 +180,6 @@ pub trait Handler {
     }
     /// Whether the daemon is draining.
     fn shutting_down(&self) -> bool;
-    /// Takes ownership of a migrated connection: serve `request` (and any
-    /// keep-alive successors, starting from the `residual` buffered
-    /// bytes) on a dedicated thread; drop `permit` when done.
-    fn take_over(&self, stream: TcpStream, request: Request, residual: Vec<u8>, permit: ConnPermit);
 }
 
 struct StreamHeadData {
@@ -210,6 +195,7 @@ enum Answer {
         keep_alive: bool,
         chunks: VecDeque<Vec<u8>>,
         ended: bool,
+        aborted: bool,
     },
 }
 
@@ -230,7 +216,6 @@ struct Conn {
     awaiting_first_byte: bool,
     read_deadline_at: Option<Instant>,
     parse_gate_at: Option<Instant>,
-    takeover: Option<Box<Request>>,
     /// No more reads or parses; close once everything queued has flushed.
     poisoned: bool,
     peer_eof: bool,
@@ -243,10 +228,7 @@ impl Conn {
 
     fn desired_interest(&self) -> Interest {
         Interest {
-            readable: !self.poisoned
-                && !self.peer_eof
-                && self.takeover.is_none()
-                && self.unanswered() < PIPELINE_LIMIT,
+            readable: !self.poisoned && !self.peer_eof && self.unanswered() < PIPELINE_LIMIT,
             writable: !self.write.is_empty(),
         }
     }
@@ -259,7 +241,7 @@ impl Conn {
             return self.answers.is_empty();
         }
         if self.peer_eof {
-            return self.inflight.is_empty() && self.answers.is_empty() && self.takeover.is_none();
+            return self.inflight.is_empty() && self.answers.is_empty();
         }
         false
     }
@@ -299,7 +281,6 @@ impl Conn {
                     match fault {
                         WriteFault::None => self.write.push(wire),
                         WriteFault::Truncate => {
-                            // Same bytes the threaded tier truncates to.
                             self.write.push(wire[..wire.len() / 2].to_vec());
                             self.poisoned = true;
                         }
@@ -318,6 +299,7 @@ impl Conn {
                     mut keep_alive,
                     mut chunks,
                     ended,
+                    aborted,
                 } => {
                     if let Some(h) = head.take() {
                         let wants_close = self.wants_close.remove(&seq).unwrap_or(false);
@@ -337,13 +319,17 @@ impl Conn {
                         );
                         self.write.push(wire);
                     }
+                    // Chunks arrive framed by the producer: push them as-is.
                     while let Some(chunk) = chunks.pop_front() {
-                        let mut wire = Vec::new();
-                        let _ = write_chunk(&mut wire, &chunk);
-                        self.write.push(wire);
+                        self.write.push(chunk);
                     }
-                    if ended {
-                        self.write.push(b"0\r\n\r\n".to_vec());
+                    if aborted {
+                        // No terminating chunk: closing is the only honest
+                        // signal that the body is incomplete.
+                        self.poisoned = true;
+                        self.next_write_seq += 1;
+                    } else if ended {
+                        self.write.push(LAST_CHUNK.to_vec());
                         if !keep_alive {
                             self.poisoned = true;
                         }
@@ -358,6 +344,7 @@ impl Conn {
                                 keep_alive,
                                 chunks,
                                 ended,
+                                aborted,
                             },
                         );
                         return;
@@ -366,8 +353,7 @@ impl Conn {
             }
             if self.poisoned {
                 // A closing response ends the conversation; everything
-                // queued behind it is dropped, like the threaded tier
-                // closing after a `Connection: close` response.
+                // queued behind it is dropped.
                 self.answers.clear();
                 self.inflight.clear();
                 self.wants_close.clear();
@@ -400,7 +386,6 @@ pub struct EventLoop<H: Handler> {
     free: Vec<usize>,
     pending_free: Vec<usize>,
     timers: BinaryHeap<std::cmp::Reverse<(Instant, Timer)>>,
-    migrated: Arc<AtomicUsize>,
     next_gen: u64,
     drain_started: Option<Instant>,
 }
@@ -441,7 +426,6 @@ impl<H: Handler> EventLoop<H> {
             free: Vec::new(),
             pending_free: Vec::new(),
             timers: BinaryHeap::new(),
-            migrated: Arc::new(AtomicUsize::new(0)),
             next_gen: 0,
             drain_started: None,
         })
@@ -461,11 +445,9 @@ impl<H: Handler> EventLoop<H> {
                 self.begin_drain();
             }
             if let Some(started) = self.drain_started {
-                let idle = self.slots.iter().all(Option::is_none)
-                    && self.migrated.load(Ordering::Acquire) == 0;
+                let idle = self.slots.iter().all(Option::is_none);
                 if idle || Instant::now() >= started + self.config.drain_grace {
-                    // Past the grace: force-close stragglers, exactly like
-                    // the threaded tier abandoning its stragglers.
+                    // Past the grace: force-close stragglers.
                     for slot in 0..self.slots.len() {
                         self.close_slot(slot);
                     }
@@ -512,7 +494,7 @@ impl<H: Handler> EventLoop<H> {
         for slot in 0..self.slots.len() {
             let close = match &mut self.slots[slot] {
                 Some(conn) => {
-                    if conn.quiescent() && conn.takeover.is_none() && conn.read_buf.is_empty() {
+                    if conn.quiescent() && conn.read_buf.is_empty() {
                         conn.poisoned = true;
                     }
                     conn.should_close()
@@ -560,13 +542,11 @@ impl<H: Handler> EventLoop<H> {
                         awaiting_first_byte: true,
                         read_deadline_at: None,
                         parse_gate_at: None,
-                        takeover: None,
                         poisoned: false,
                         peer_eof: false,
                     };
                     if rejected {
-                        // Typed 429, written on the loop, then close — the
-                        // epoll translation of the accept-thread rejection.
+                        // Typed 429, written on the loop, then close.
                         let r = self.handler.reject_connection();
                         conn.wants_close.insert(0, true);
                         conn.answers.insert(0, Answer::Full(r));
@@ -624,7 +604,7 @@ impl<H: Handler> EventLoop<H> {
                         if let Some(delay) = self.config.slow_read {
                             // The injected trickle: parsing is gated,
                             // and the read deadline starts only after
-                            // the gate, matching the threaded sleep.
+                            // the gate.
                             conn.parse_gate_at = Some(now + delay);
                             self.timers.push(std::cmp::Reverse((
                                 now + delay,
@@ -656,15 +636,7 @@ impl<H: Handler> EventLoop<H> {
             let Some(conn) = self.slots[slot].as_mut() else {
                 return;
             };
-            let stream = match conn.stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => {
-                    self.close_slot(slot);
-                    return;
-                }
-            };
-            let mut stream = stream;
-            if conn.write.drain(&mut stream, cap).is_err() {
+            if conn.write.drain(&mut &conn.stream, cap).is_err() {
                 self.close_slot(slot);
                 return;
             }
@@ -681,7 +653,7 @@ impl<H: Handler> EventLoop<H> {
             let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
                 return;
             };
-            if conn.poisoned || conn.takeover.is_some() {
+            if conn.poisoned {
                 return;
             }
             if conn.unanswered() >= PIPELINE_LIMIT {
@@ -697,8 +669,8 @@ impl<H: Handler> EventLoop<H> {
                 RequestProgress::Empty => return,
                 RequestProgress::Partial => {
                     if conn.peer_eof {
-                        // EOF mid-request: the threaded tier closes
-                        // silently (UnexpectedEof), so do the same.
+                        // EOF mid-request: close silently, as the blocking
+                        // parser's UnexpectedEof would.
                         conn.read_buf.clear();
                         conn.poisoned = true;
                     }
@@ -742,14 +714,6 @@ impl<H: Handler> EventLoop<H> {
                                     .push(std::cmp::Reverse((now + t, Timer::JobTimeout(key))));
                             }
                         }
-                        Outcome::TakeOver(request) => {
-                            // Undo the sequence assignment; the migrated
-                            // thread serves this request itself.
-                            conn.next_seq -= 1;
-                            conn.wants_close.remove(&seq);
-                            conn.takeover = Some(request);
-                            return;
-                        }
                     }
                     // More pipelined bytes? The next request's read
                     // deadline starts now (its first byte is already
@@ -778,7 +742,7 @@ impl<H: Handler> EventLoop<H> {
     }
 
     /// Flush ready answers, drain the write queue, update interest, and
-    /// close or migrate if the connection reached that state.
+    /// close if the connection reached that state.
     fn after_change(&mut self, slot: usize) {
         // Flushing answers can unblock parsing (pipeline limit) and
         // parsing can produce answers, so pump until a fixed point.
@@ -789,20 +753,12 @@ impl<H: Handler> EventLoop<H> {
             let before = (conn.next_write_seq, conn.write.is_empty());
             conn.flush_answers(&self.handler);
             let cap = self.config.write_chunk_for_tests.unwrap_or(usize::MAX);
-            let mut stream = match conn.stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => {
-                    self.close_slot(slot);
-                    return;
-                }
-            };
-            if conn.write.drain(&mut stream, cap).is_err() {
+            if conn.write.drain(&mut &conn.stream, cap).is_err() {
                 self.close_slot(slot);
                 return;
             }
             let after = (conn.next_write_seq, conn.write.is_empty());
-            let could_parse =
-                !conn.poisoned && conn.takeover.is_none() && !conn.read_buf.is_empty();
+            let could_parse = !conn.poisoned && !conn.read_buf.is_empty();
             if after == before && !could_parse {
                 break;
             }
@@ -816,10 +772,6 @@ impl<H: Handler> EventLoop<H> {
         let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        if conn.takeover.is_some() && conn.quiescent() {
-            self.migrate(slot);
-            return;
-        }
         if conn.should_close() {
             self.close_slot(slot);
             return;
@@ -830,30 +782,6 @@ impl<H: Handler> EventLoop<H> {
             let fd = conn.stream.as_raw_fd();
             let _ = self.poller.modify(fd, TOKEN_BASE + slot, desired);
         }
-    }
-
-    fn migrate(&mut self, slot: usize) {
-        let Some(mut conn) = self.slots[slot].take() else {
-            return;
-        };
-        self.pending_free.push(slot);
-        self.poller.deregister(conn.stream.as_raw_fd());
-        let Some(request) = conn.takeover.take() else {
-            return;
-        };
-        let residual = std::mem::take(&mut conn.read_buf);
-        // The gauge stays up for the migrated connection; the permit
-        // releases it when the thread finishes.
-        if !conn.counted {
-            self.stats.connections_open.fetch_add(1, Ordering::AcqRel);
-        }
-        self.migrated.fetch_add(1, Ordering::AcqRel);
-        let permit = ConnPermit {
-            stats: Arc::clone(&self.stats),
-            migrated: Arc::clone(&self.migrated),
-        };
-        self.handler
-            .take_over(conn.stream, *request, residual, permit);
     }
 
     fn close_slot(&mut self, slot: usize) {
@@ -898,6 +826,7 @@ impl<H: Handler> EventLoop<H> {
                                 keep_alive: true,
                                 chunks: VecDeque::new(),
                                 ended: false,
+                                aborted: false,
                             },
                         );
                     }
@@ -910,6 +839,12 @@ impl<H: Handler> EventLoop<H> {
                 Completion::StreamEnd => {
                     if let Some(Answer::Stream { ended, .. }) = conn.answers.get_mut(&key.seq) {
                         *ended = true;
+                        conn.inflight.remove(&key.seq);
+                    }
+                }
+                Completion::StreamAbort => {
+                    if let Some(Answer::Stream { aborted, .. }) = conn.answers.get_mut(&key.seq) {
+                        *aborted = true;
                         conn.inflight.remove(&key.seq);
                     }
                 }
@@ -953,8 +888,7 @@ impl<H: Handler> EventLoop<H> {
                         continue;
                     }
                     conn.parse_gate_at = None;
-                    // The read deadline starts after the injected delay,
-                    // exactly like the threaded tier's post-sleep arming.
+                    // The read deadline starts after the injected delay.
                     conn.read_deadline_at = Some(now + self.config.read_deadline);
                     let gen = conn.gen;
                     self.timers.push(std::cmp::Reverse((
@@ -988,7 +922,9 @@ mod tests {
     use std::sync::atomic::AtomicBool;
 
     /// Echoes the request path; `/slow` answers through the completion
-    /// channel after a delay, so pipelined ordering is actually exercised.
+    /// channel after a delay, so pipelined ordering is actually exercised;
+    /// `/dies-mid-stream` starts a chunked stream from a job that panics
+    /// after its first chunk.
     struct EchoHandler {
         shutdown: Arc<AtomicBool>,
     }
@@ -1008,6 +944,25 @@ mod tests {
                 return Outcome::Pending {
                     timeout: Some(Duration::from_secs(5)),
                 };
+            }
+            if request.path == "/dies-mid-stream" {
+                let completions = completions.clone();
+                std::thread::spawn(move || {
+                    let send = |c| completions.send(key, c);
+                    let outcome = std::panic::catch_unwind(|| {
+                        send(Completion::StreamHead {
+                            status: 200,
+                            content_type: "application/x-ndjson".to_string(),
+                            extra_headers: Vec::new(),
+                        });
+                        send(Completion::StreamChunk(b"4\r\nrow\n\r\n".to_vec()));
+                        panic!("{} (stream job)", crate::fault::INJECTED_PANIC_MARKER);
+                    });
+                    if outcome.is_err() {
+                        send(Completion::StreamAbort);
+                    }
+                });
+                return Outcome::Pending { timeout: None };
             }
             Outcome::Respond(Rendered::json(200, request.path.into_bytes()))
         }
@@ -1036,16 +991,6 @@ mod tests {
 
         fn shutting_down(&self) -> bool {
             self.shutdown.load(Ordering::Acquire)
-        }
-
-        fn take_over(
-            &self,
-            _stream: TcpStream,
-            _request: Request,
-            _residual: Vec<u8>,
-            _permit: ConnPermit,
-        ) {
-            unreachable!("echo handler never migrates");
         }
     }
 
@@ -1120,6 +1065,31 @@ mod tests {
         let mut reader = BufReader::new(stream);
         let resp = read_response(&mut reader).expect("408");
         assert_eq!(resp.status, 408);
+        shutdown(addr);
+        handle.join().expect("loop exits");
+    }
+
+    #[test]
+    fn a_stream_whose_job_dies_is_closed_without_its_terminator() {
+        crate::fault::silence_injected_panics();
+        let (addr, handle) = spawn_echo(None, Duration::from_secs(5));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        // A pipelined follow-up must not be answered on the aborted stream.
+        let mut wire = Vec::new();
+        write_request(&mut wire, "GET", "/dies-mid-stream", b"").unwrap();
+        write_request(&mut wire, "GET", "/after", b"").unwrap();
+        stream.write_all(&wire).expect("pipeline");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut bytes = Vec::new();
+        // EOF, not a hang: read_to_end returns once the loop closes.
+        std::io::Read::read_to_end(&mut stream, &mut bytes).expect("EOF before the timeout");
+        let text = String::from_utf8_lossy(&bytes);
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+        assert!(text.ends_with("\r\n\r\n4\r\nrow\n\r\n"), "{text}");
+        let err = read_response(&mut BufReader::new(&bytes[..])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "a truncated body");
         shutdown(addr);
         handle.join().expect("loop exits");
     }

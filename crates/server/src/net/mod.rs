@@ -13,9 +13,9 @@
 //! * [`probe`] — thread-free concurrent health probes and hedged races
 //!   for the gateway.
 //!
-//! The loop replaces thread-per-connection accept/read/write in both
-//! daemons: a single front thread holds every keep-alive connection and
-//! hands complete requests to the existing bounded worker pool, which is
+//! The loop is the only connection front of both daemons: a single thread
+//! holds every keep-alive connection and hands complete requests to the
+//! bounded worker pool, which is
 //! the paper's own prescription — throughput is set by the slowest
 //! feedback loop, so the slow edge (client I/O) must be decoupled from
 //! the fast core (analysis workers).
@@ -27,12 +27,11 @@ pub mod probe;
 pub mod sys;
 
 pub use conn::{
-    read_available, request_progress, residual_reader, response_progress, RequestProgress,
-    ResponseProgress, WriteQueue,
+    read_available, request_progress, response_progress, RequestProgress, ResponseProgress,
+    WriteQueue,
 };
 pub use front::{
-    Completion, Completions, ConnPermit, EventLoop, FrontConfig, Handler, Outcome, Rendered,
-    SlotKey,
+    Completion, Completions, EventLoop, FrontConfig, Handler, Outcome, Rendered, SlotKey,
 };
 pub use poller::{Event, Interest, Poller};
 pub use probe::{probe_many, race, RaceAttempt, RaceOutcome, RaceResult};

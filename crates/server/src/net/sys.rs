@@ -14,7 +14,8 @@
 //! [`raise_nofile_limit`] bumps `RLIMIT_NOFILE`'s soft limit to the hard
 //! limit (best-effort), because holding 10k keep-alive connections needs
 //! more descriptors than the conservative default soft limit on most
-//! distributions and CI runners.
+//! distributions and CI runners. [`nice_this_thread`] lets worker threads
+//! yield the CPU to the event loop.
 
 #![allow(unsafe_code)]
 // Kernel ABI constants and structs mirror their C names; the man pages
@@ -140,6 +141,8 @@ extern "C" {
     fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
     #[cfg(target_os = "linux")]
     fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+    #[cfg(target_os = "linux")]
+    fn nice(inc: i32) -> i32;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -263,6 +266,22 @@ pub fn raise_nofile_limit() -> Option<u64> {
     {
         None
     }
+}
+
+/// Raises the calling thread's nice value by `increment` (the kernel caps
+/// it at 19), best-effort. On Linux niceness is per thread, and threads
+/// this one spawns inherit it; elsewhere `nice(3)` would renice the whole
+/// process, so this is a no-op there.
+pub fn nice_this_thread(increment: i32) {
+    #[cfg(target_os = "linux")]
+    // SAFETY: nice takes an integer and returns one; no pointers are
+    // involved. A -1 result is either a new nice value or an error, and
+    // both are acceptable outcomes of a best-effort call.
+    unsafe {
+        nice(increment);
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = increment;
 }
 
 #[cfg(test)]

@@ -30,6 +30,13 @@ use std::thread::JoinHandle;
 /// A queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// How much nicer than the process its workers run (and every thread a
+/// job spawns, which inherits the value). Computation yields the CPU to
+/// the event loop, so a saturated pool cannot hold back the loop's reads,
+/// writes and streamed chunks: the latency-insensitive shell is never
+/// starved by the pearl it wraps.
+const WORKER_NICE_INCREMENT: i32 = 10;
+
 /// Why a submission was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
@@ -177,7 +184,10 @@ fn spawn_worker(shared: &Arc<Shared>) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("lis-worker-{id}"))
-        .spawn(move || worker_loop(&shared))
+        .spawn(move || {
+            crate::net::sys::nice_this_thread(WORKER_NICE_INCREMENT);
+            worker_loop(&shared)
+        })
         .expect("spawn worker")
 }
 

@@ -1,81 +1,48 @@
-//! The `lis-server` daemon: accept loop, connection handlers, routing, and
-//! graceful shutdown.
+//! The `lis-server` daemon: the event-loop front, routing, the worker
+//! pool handoff, and graceful shutdown.
 //!
 //! Architecture (one box per thread kind):
 //!
 //! ```text
-//!  accept loop ──spawns──▶ connection handler (1/conn, keep-alive loop)
-//!                              │  cache hit ──▶ respond from ResultCache
-//!                              │  cache miss ─▶ WorkerPool (bounded queue)
-//!                              │                   │ analysis job
-//!                              ◀── recv_timeout ───┘ (result also cached)
+//!  event loop (1 thread, every connection)
+//!     │  control plane, cache hit, typed error ──▶ answered inline
+//!     │  cache miss ─▶ WorkerPool (bounded queue)
+//!     │                   │ analysis, /batch and /sweep jobs
+//!     ◀── completions ────┘ (full answers or streamed chunks; results cached)
 //! ```
 //!
-//! Handlers never run analysis themselves: they parse, consult the
-//! content-addressed cache, and otherwise wait (with a deadline) on a
-//! worker. A full queue is answered with a typed 503 immediately — the
-//! daemon sheds load instead of queueing unboundedly. `POST /shutdown`
-//! flips a flag: the accept loop stops, handlers finish their in-flight
-//! request and close, and the pool drains every queued job before
-//! [`Server::run`] returns.
+//! The loop never runs analysis itself: it parses, consults the
+//! content-addressed cache, and otherwise queues a pool job whose answer
+//! comes back through the completion channel (with a loop-side deadline for
+//! single-shot routes). A full queue is answered with a typed 503
+//! immediately — the daemon sheds load instead of queueing unboundedly.
+//! `POST /shutdown` flips a flag: the loop stops accepting, connections
+//! finish their in-flight requests and close, and the pool drains every
+//! queued job before [`Server::run`] returns.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use lis_core::parse_netlist;
+use lis_core::{parse_netlist, LisSystem};
+use lis_sweep::SweepSpec;
 
 use crate::cache::{CacheKey, CachedResponse, ResultCache};
 use crate::error::ServerError;
-use crate::fault::{FaultPlan, WriteFault, GARBAGE_BYTES};
-use crate::http::{
-    finish_chunked, read_request, render_response_with, write_chunked_head, write_response,
-    write_response_with, ChunkBatcher, DeadlineReader, Request, REQUEST_ID_HEADER,
-};
+use crate::fault::{FaultPlan, WriteFault};
+use crate::http::{ChunkBatcher, Request, REQUEST_ID_HEADER};
 use crate::jobs::{sweep_header_json, sweep_row_json, sweep_trailer_json, RequestKind};
 use crate::metrics::{Metrics, Route};
-use crate::net::{
-    residual_reader, Completion, Completions, ConnPermit, EventLoop, FrontConfig, Outcome,
-    Rendered, SlotKey,
-};
+use crate::net::{Completion, Completions, EventLoop, FrontConfig, Outcome, Rendered, SlotKey};
 use crate::pool::{DrainReport, SubmitError, WorkerPool};
 use crate::store::{key_hex, parse_key_hex, ResultStore, Spiller};
 use crate::wire::{obj, Json};
-
-/// How long an idle keep-alive connection sleeps between shutdown-flag
-/// checks while waiting for the next request.
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// Which connection front answers the listening socket.
-///
-/// Both fronts speak the same protocol byte-for-byte; they differ only in
-/// how many OS threads the connection count costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontTier {
-    /// One handler thread per connection. Simple, and fine up to a few
-    /// hundred concurrent peers.
-    Threaded,
-    /// A single readiness event loop ([`EventLoop`]) multiplexing every
-    /// connection, with requests dispatched onto the worker pool. Holds
-    /// tens of thousands of keep-alive peers on one thread.
-    #[default]
-    Epoll,
-}
-
-impl FrontTier {
-    /// Parses a CLI spelling (`"epoll"` / `"threaded"`).
-    pub fn parse(value: &str) -> Option<FrontTier> {
-        match value {
-            "epoll" => Some(FrontTier::Epoll),
-            "threaded" => Some(FrontTier::Threaded),
-            _ => None,
-        }
-    }
-}
 
 /// Tuning knobs for [`Server`].
 #[derive(Debug, Clone)]
@@ -92,18 +59,18 @@ pub struct ServerConfig {
     /// Maximum cached responses (content-addressed; 0 disables caching).
     pub cache_capacity: usize,
     /// Concurrent-connection cap; connections beyond it are answered with
-    /// a typed 429 and closed before a handler thread is spawned.
+    /// a typed 429 and closed.
     pub max_connections: usize,
     /// Wall-clock budget for one request to fully arrive once its first
     /// byte lands (slow-loris defense). Exceeding it answers a typed 408
     /// and closes the connection.
     pub read_deadline: Duration,
-    /// Concurrent `/sweep` jobs allowed. Sweeps run on their connection
-    /// handler (streaming rows as they are solved) and parallelize
-    /// internally, so a small cap keeps them from starving the worker
-    /// pool's cores; excess sweeps are shed with a typed 503 carrying a
-    /// `Retry-After` hint. `0` sheds every sweep — a kill switch for
-    /// operators (and a deterministic shed path for tests).
+    /// Concurrent `/sweep` jobs allowed. Each sweep runs as one worker-pool
+    /// job (streaming rows back through the event loop as they are solved)
+    /// and parallelizes internally, so a small cap keeps sweeps from
+    /// occupying every pool worker; excess sweeps are shed with a typed 503
+    /// carrying a `Retry-After` hint. `0` sheds every sweep — a kill switch
+    /// for operators (and a deterministic shed path for tests).
     pub max_concurrent_sweeps: usize,
     /// Deterministic fault-injection schedule, if chaos-testing. `None`
     /// (production) costs one pointer check per injection site.
@@ -112,8 +79,6 @@ pub struct ServerConfig {
     /// `None` in production; the end-to-end tests use it to exercise the
     /// overload-shed and timeout paths deterministically.
     pub job_delay_for_tests: Option<Duration>,
-    /// Which connection front serves the socket.
-    pub front: FrontTier,
     /// Test instrumentation: cap every event-loop socket write at this many
     /// bytes, forcing the partial-write/re-registration path.
     pub net_write_chunk_for_tests: Option<usize>,
@@ -141,7 +106,6 @@ impl Default for ServerConfig {
             max_concurrent_sweeps: 4,
             faults: None,
             job_delay_for_tests: None,
-            front: FrontTier::default(),
             net_write_chunk_for_tests: None,
             store_dir: None,
             store_capacity: 65536,
@@ -150,7 +114,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared by the accept loop and every connection handler.
+/// State shared by the event loop and every worker job.
 struct State {
     metrics: Metrics,
     cache: ResultCache,
@@ -158,7 +122,6 @@ struct State {
     store: Option<Spiller>,
     pool: WorkerPool,
     shutdown: AtomicBool,
-    active_connections: AtomicUsize,
     sweeps_in_flight: AtomicUsize,
     config: ServerConfig,
     started: Instant,
@@ -230,7 +193,6 @@ impl Server {
             store,
             pool,
             shutdown: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
             sweeps_in_flight: AtomicUsize::new(0),
             config,
             started: Instant::now(),
@@ -252,18 +214,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns fatal accept-loop errors; per-connection errors are handled
-    /// in the connection's own thread (threaded front) or swallowed per
-    /// connection by the event loop (epoll front).
+    /// Returns fatal accept/poll errors; per-connection errors close that
+    /// connection only.
     pub fn run(self) -> io::Result<DrainReport> {
-        match self.state.config.front {
-            FrontTier::Threaded => self.run_threaded(),
-            FrontTier::Epoll => self.run_event_loop(),
-        }
-    }
-
-    /// The readiness-event-loop front: one thread holds every connection.
-    fn run_event_loop(self) -> io::Result<DrainReport> {
         // Best effort: lift the fd soft limit toward the hard limit so the
         // loop's connection cap, not the process rlimit, is the ceiling.
         let _ = crate::net::raise_nofile_limit();
@@ -290,271 +243,11 @@ impl Server {
         }
         Ok(report)
     }
-
-    /// The classic thread-per-connection front.
-    fn run_threaded(self) -> io::Result<DrainReport> {
-        let mut handler_threads = Vec::new();
-        while !self.state.shutdown.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((mut stream, _peer)) => {
-                    let active = self.state.active_connections.load(Ordering::Acquire);
-                    if active >= self.state.config.max_connections {
-                        // At the cap: answer a typed 429 on the accept
-                        // thread and close, without spawning a handler.
-                        self.state
-                            .metrics
-                            .connections_rejected
-                            .fetch_add(1, Ordering::Relaxed);
-                        let e = ServerError::TooManyConnections {
-                            limit: self.state.config.max_connections,
-                        };
-                        let body = e.to_json().to_string();
-                        let _ = write_response(
-                            &mut stream,
-                            e.status(),
-                            "application/json",
-                            body.as_bytes(),
-                            false,
-                        );
-                        self.state
-                            .metrics
-                            .record_request(Route::Other, e.status(), Duration::ZERO);
-                        continue;
-                    }
-                    let state = Arc::clone(&self.state);
-                    state.active_connections.fetch_add(1, Ordering::AcqRel);
-                    state
-                        .metrics
-                        .net
-                        .connections_open
-                        .fetch_add(1, Ordering::Relaxed);
-                    handler_threads.push(std::thread::spawn(move || {
-                        let _ = handle_connection(stream, &state);
-                        state.active_connections.fetch_sub(1, Ordering::AcqRel);
-                        state
-                            .metrics
-                            .net
-                            .connections_open
-                            .fetch_sub(1, Ordering::Relaxed);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-            // Reap finished handlers so long-running servers don't
-            // accumulate joinable threads.
-            handler_threads.retain(|h| !h.is_finished());
-        }
-        // Drain: handlers notice the flag within IDLE_POLL and wind down
-        // after at most one more request each; give stragglers a deadline.
-        let deadline = Instant::now() + self.state.config.request_timeout + Duration::from_secs(5);
-        while self.state.active_connections.load(Ordering::Acquire) > 0 && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        for h in handler_threads {
-            if h.is_finished() {
-                let _ = h.join();
-            }
-        }
-        // Every queued job runs to completion before the pool stops, and
-        // every spill those jobs enqueued lands on disk before exit.
-        let mut report = self.state.pool.drain();
-        if let Some(spiller) = &self.state.store {
-            report.spilled = spiller.flush();
-        }
-        Ok(report)
-    }
 }
 
-/// Serves one connection's keep-alive request loop.
-fn handle_connection(stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(IDLE_POLL))?;
-    let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    serve_loop(reader, &mut writer, state, None)
-}
-
-/// The blocking request loop shared by the threaded front and event-loop
-/// takeovers. `pending` is a request already parsed elsewhere (the event
-/// loop migrates `/sweep` connections here with the parsed request and any
-/// residual pipelined bytes baked into `reader`).
-fn serve_loop<R: BufRead>(
-    mut reader: R,
-    writer: &mut TcpStream,
-    state: &Arc<State>,
-    mut pending: Option<Request>,
-) -> io::Result<()> {
-    let slow_read = state.config.faults.as_ref().and_then(|p| p.slow_read());
-    loop {
-        let request = match pending.take() {
-            Some(request) => request,
-            None => {
-                // Idle wait: poll for the first byte so the shutdown flag is
-                // observed between requests without dropping partial reads.
-                loop {
-                    match reader.fill_buf() {
-                        Ok([]) => return Ok(()), // clean EOF
-                        Ok(_) => break,
-                        Err(e)
-                            if matches!(
-                                e.kind(),
-                                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                            ) =>
-                        {
-                            if state.shutdown.load(Ordering::Acquire) {
-                                return Ok(());
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                if let Some(delay) = slow_read {
-                    // Fault injection: pretend the peer's bytes trickle in.
-                    std::thread::sleep(delay);
-                }
-                // The first byte arrived; the rest of the request must land
-                // within the read deadline. The socket keeps its short poll
-                // timeout — the DeadlineReader retries those polls until the
-                // wall-clock budget is spent, so a slow-loris peer cannot pin
-                // this handler.
-                let deadline = Instant::now() + state.config.read_deadline;
-                match read_request(&mut DeadlineReader::new(&mut reader, deadline)) {
-                    Ok(Some(request)) => request,
-                    Ok(None) => return Ok(()),
-                    Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                        // Protocol violation: answer 400 and hang up.
-                        let body = ServerError::BadRequest(e.to_string()).to_json().to_string();
-                        write_response(writer, 400, "application/json", body.as_bytes(), false)?;
-                        return Ok(());
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                        // Slow client: answer a typed 408 and hang up.
-                        let err = ServerError::SlowClient {
-                            deadline_ms: state.config.read_deadline.as_millis() as u64,
-                        };
-                        state.metrics.record_request(
-                            Route::Other,
-                            err.status(),
-                            state.config.read_deadline,
-                        );
-                        let body = err.to_json().to_string();
-                        write_response(
-                            writer,
-                            err.status(),
-                            "application/json",
-                            body.as_bytes(),
-                            false,
-                        )?;
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        };
-
-        let started = Instant::now();
-        // Correlate this exchange across tiers: a client- (or gateway-)
-        // supplied X-LIS-Request-Id is echoed verbatim in the response.
-        let request_id = request.header(REQUEST_ID_HEADER).map(str::to_string);
-        if request.method == "POST" && request.path == "/sweep" {
-            // Sweeps stream their rows, so they need the writer directly
-            // and bypass the buffered dispatch/worker-pool path entirely.
-            let keep_alive = !request.wants_close() && !state.shutdown.load(Ordering::Acquire);
-            sweep_request(
-                &request,
-                state,
-                writer,
-                keep_alive,
-                request_id.as_deref(),
-                started,
-            )?;
-            if !keep_alive {
-                return Ok(());
-            }
-            continue;
-        }
-        if request.method == "POST" && request.path == "/batch" {
-            // Batches stream one NDJSON row per item as items finish.
-            let keep_alive = !request.wants_close() && !state.shutdown.load(Ordering::Acquire);
-            batch_request(
-                &request,
-                state,
-                writer,
-                keep_alive,
-                request_id.as_deref(),
-                started,
-            )?;
-            if !keep_alive {
-                return Ok(());
-            }
-            continue;
-        }
-        let (route, status, content_type, body, cache_key) = dispatch(&request, state);
-        let shutting_down = state.shutdown.load(Ordering::Acquire);
-        let keep_alive = !request.wants_close() && !shutting_down;
-        state
-            .metrics
-            .record_request(route, status, started.elapsed());
-        let key_header = cache_key.map(key_hex);
-        let mut extra_headers: Vec<(&str, &str)> = request_id
-            .iter()
-            .map(|id| ("X-LIS-Request-Id", id.as_str()))
-            .collect();
-        if let Some(hex) = key_header.as_deref() {
-            // The content address of this answer — the gateway's
-            // replication write-back keys its /store/put on it.
-            extra_headers.push(("X-LIS-Cache-Key", hex));
-        }
-        // Fault injection on the write side, analysis routes only — the
-        // control plane (/metrics, /healthz, /shutdown) stays reliable so
-        // chaos runs can still observe and drain the daemon.
-        let analysis_route = matches!(
-            route,
-            Route::Analyze | Route::Qs | Route::Insert | Route::Dot
-        );
-        let write_fault = match &state.config.faults {
-            Some(plan) if analysis_route => plan.write_fault(),
-            _ => WriteFault::None,
-        };
-        match write_fault {
-            WriteFault::None => write_response_with(
-                &mut *writer,
-                status,
-                content_type,
-                &body,
-                keep_alive,
-                &extra_headers,
-            )?,
-            WriteFault::Truncate => {
-                let wire =
-                    render_response_with(status, content_type, &body, keep_alive, &extra_headers);
-                writer.write_all(&wire[..wire.len() / 2])?;
-                writer.flush()?;
-                return Ok(());
-            }
-            WriteFault::Garbage => {
-                writer.write_all(GARBAGE_BYTES)?;
-                writer.flush()?;
-                return Ok(());
-            }
-        }
-        if !keep_alive {
-            return Ok(());
-        }
-    }
-}
-
-/// Routes one request. Returns `(route label, status, content type, body,
-/// cache key)` — the key is `Some` only for answers with a content address
-/// (the analysis routes), and is echoed as `X-LIS-Cache-Key`.
-fn dispatch(
-    request: &Request,
-    state: &Arc<State>,
-) -> (Route, u16, &'static str, Vec<u8>, Option<CacheKey>) {
+/// Routes one control-plane or error request, answered inline on the loop.
+/// Returns `(route label, status, content type, body)`.
+fn dispatch(request: &Request, state: &Arc<State>) -> (Route, u16, &'static str, Vec<u8>) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/metrics") => {
             state
@@ -596,7 +289,6 @@ fn dispatch(
                 200,
                 "text/plain; version=0.0.4",
                 state.metrics.render().into_bytes(),
-                None,
             )
         }
         ("GET", "/healthz") => {
@@ -670,7 +362,6 @@ fn dispatch(
                 200,
                 "application/json",
                 body.to_string().into_bytes(),
-                None,
             )
         }
         ("POST", "/shutdown") => {
@@ -682,7 +373,6 @@ fn dispatch(
                 obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))])
                     .to_string()
                     .into_bytes(),
-                None,
             )
         }
         ("GET", "/store/index") => {
@@ -699,39 +389,15 @@ fn dispatch(
                 body.push_str(&key_hex(key));
                 body.push_str("\"}\n");
             }
-            (
-                Route::Store,
-                200,
-                "application/x-ndjson",
-                body.into_bytes(),
-                None,
-            )
+            (Route::Store, 200, "application/x-ndjson", body.into_bytes())
         }
         ("POST", "/store/get") => {
             let (status, body) = store_get(request, state);
-            (Route::Store, status, "application/json", body, None)
+            (Route::Store, status, "application/json", body)
         }
         ("POST", "/store/put") => {
             let (status, body) = store_put(request, state);
-            (Route::Store, status, "application/json", body, None)
-        }
-        ("POST", path @ ("/analyze" | "/qs" | "/insert" | "/dot")) => {
-            let route = match path {
-                "/analyze" => Route::Analyze,
-                "/qs" => Route::Qs,
-                "/insert" => Route::Insert,
-                _ => Route::Dot,
-            };
-            match analysis_request(&path[1..], request, state) {
-                Ok((status, body, key)) => (route, status, "application/json", body, Some(key)),
-                Err(e) => (
-                    route,
-                    e.status(),
-                    "application/json",
-                    e.to_json().to_string().into_bytes(),
-                    None,
-                ),
-            }
+            (Route::Store, status, "application/json", body)
         }
         (
             _,
@@ -744,7 +410,6 @@ fn dispatch(
                 e.status(),
                 "application/json",
                 e.to_json().to_string().into_bytes(),
-                None,
             )
         }
         (_, path) => {
@@ -754,7 +419,6 @@ fn dispatch(
                 e.status(),
                 "application/json",
                 e.to_json().to_string().into_bytes(),
-                None,
             )
         }
     }
@@ -853,287 +517,178 @@ fn store_put(request: &Request, state: &Arc<State>) -> (u16, Vec<u8>) {
     (200, reply.to_string().into_bytes())
 }
 
-/// Serves one analysis request: decode → cache probe → worker pool.
-fn analysis_request(
-    route: &str,
-    request: &Request,
-    state: &Arc<State>,
-) -> Result<(u16, Vec<u8>, CacheKey), ServerError> {
-    if state.shutdown.load(Ordering::Acquire) {
-        return Err(ServerError::ShuttingDown);
-    }
-    let text = std::str::from_utf8(&request.body)
-        .map_err(|_| ServerError::BadRequest("body is not UTF-8".into()))?;
-    let envelope = Json::parse(text).map_err(|e| ServerError::BadRequest(format!("body: {e}")))?;
-    let (netlist, kind) = RequestKind::decode(route, &envelope)?;
-    let sys = parse_netlist(&netlist)?;
-    let key = kind.cache_key(&sys);
+/// One of the `max_concurrent_sweeps` slots, held by a sweep job and
+/// released on drop — including when the job unwinds or is never queued.
+struct SweepSlot(Arc<State>);
 
-    if let Some(cached) = state.lookup(key) {
-        return Ok((cached.status, cached.body.clone(), key));
-    }
-
-    // Cache miss: hand the analysis to the pool and wait with a deadline.
-    // The worker populates the cache itself, so a computation whose
-    // handler timed out is still paid for only once.
-    let (tx, rx) = mpsc::sync_channel::<Arc<CachedResponse>>(1);
-    let job_state = Arc::clone(state);
-    let job = move || {
-        if let Some(d) = job_state.config.job_delay_for_tests {
-            std::thread::sleep(d);
+impl SweepSlot {
+    /// Takes a slot, or `None` when every slot is busy.
+    fn acquire(state: &Arc<State>) -> Option<SweepSlot> {
+        let limit = state.config.max_concurrent_sweeps;
+        if state.sweeps_in_flight.fetch_add(1, Ordering::AcqRel) >= limit {
+            state.sweeps_in_flight.fetch_sub(1, Ordering::AcqRel);
+            return None;
         }
-        let executed = Instant::now();
-        // Isolate the analysis: a panic (injected or real) answers the
-        // waiting handler with a typed 500 *before* re-raising, so the
-        // pool can count it and respawn the worker. Crash responses are
-        // deliberately not cached — the fault is not a property of the
-        // (system, kind) pair.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(plan) = &job_state.config.faults {
-                plan.maybe_panic();
-            }
-            kind.execute(&sys)
-        }));
-        let result = match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                let e = ServerError::WorkerCrashed;
-                let _ = tx.send(Arc::new(CachedResponse {
-                    status: e.status(),
-                    body: e.to_json().to_string().into_bytes(),
-                }));
-                std::panic::resume_unwind(payload);
-            }
-        };
-        let (status, body) = match result {
-            Ok(json) => (200, json.to_string().into_bytes()),
-            Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
-        };
-        // Per-engine analysis latency: cache misses only, so the histogram
-        // measures the engine and not the cache.
-        if let Some(label) = kind.engine_label() {
-            job_state.metrics.record_engine(label, executed.elapsed());
-        }
-        if let RequestKind::Analyze {
-            schedule, burst, ..
-        } = &kind
-        {
-            job_state
-                .metrics
-                .record_schedule(*schedule, burst.is_some());
-        }
-        // Results are deterministic in (system, kind), so failures are as
-        // cacheable as successes.
-        let response = Arc::new(CachedResponse { status, body });
-        job_state.remember(key, Arc::clone(&response));
-        // The handler may have timed out and dropped the receiver; the
-        // cache insert above already preserved the work.
-        let _ = tx.send(response);
-    };
-    match state.pool.submit(job) {
-        Ok(()) => {}
-        Err(SubmitError::Overloaded) => {
-            state.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
-            return Err(ServerError::Overloaded {
-                queue_capacity: state.pool.capacity(),
-            });
-        }
-        Err(SubmitError::ShuttingDown) => return Err(ServerError::ShuttingDown),
-    }
-    match rx.recv_timeout(state.config.request_timeout) {
-        Ok(response) => Ok((response.status, response.body.clone(), key)),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            state.metrics.timeouts_total.fetch_add(1, Ordering::Relaxed);
-            Err(ServerError::Timeout {
-                timeout_ms: state.config.request_timeout.as_millis() as u64,
-            })
-        }
-        // The worker dropped the sender without answering: it died outside
-        // the isolated section. Same contract as an isolated crash.
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServerError::WorkerCrashed),
+        Some(SweepSlot(Arc::clone(state)))
     }
 }
 
-/// Releases one sweep slot when the handler unwinds or returns.
-struct SweepSlot<'a>(&'a State);
-
-impl Drop for SweepSlot<'_> {
+impl Drop for SweepSlot {
     fn drop(&mut self) {
         self.0.sweeps_in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// Serves `POST /sweep`: decode → cache probe → stream NDJSON rows.
-///
-/// The response is chunked: one header line, one line per grid point (in
-/// dense point order, written as each row is solved), and a trailer line
-/// with the Pareto front. The concatenated lines are also cached under the
-/// sweep's content identity, so a repeat sweep — or a gateway failover
-/// replay — is answered from the cache byte-for-byte (with `Content-Length`
-/// framing, since the whole body is then known up front).
-fn sweep_request(
-    request: &Request,
-    state: &Arc<State>,
-    writer: &mut impl Write,
-    keep_alive: bool,
-    request_id: Option<&str>,
-    started: Instant,
-) -> io::Result<()> {
-    let extra_headers: Vec<(&str, &str)> = request_id
-        .iter()
-        .map(|id| ("X-LIS-Request-Id", *id))
-        .collect();
-    // Typed failures before the first streamed byte are ordinary
-    // Content-Length responses, exactly like the buffered routes.
-    let fail = |writer: &mut dyn Write, e: &ServerError, retry_after: bool| -> io::Result<()> {
-        state
-            .metrics
-            .record_request(Route::Sweep, e.status(), started.elapsed());
-        let mut headers = extra_headers.clone();
-        if retry_after {
-            headers.push(("Retry-After", "1"));
-        }
-        writer.write_all(&render_response_with(
-            e.status(),
-            "application/json",
-            e.to_json().to_string().as_bytes(),
-            keep_alive,
-            &headers,
-        ))?;
-        writer.flush()
-    };
+/// A pool job's end of a chunked response: rows coalesce in a
+/// [`ChunkBatcher`] and leave as framed [`Completion::StreamChunk`]s.
+struct ChunkSender<'a> {
+    batcher: ChunkBatcher,
+    framed: Vec<u8>,
+    send: &'a dyn Fn(Completion),
+}
 
-    let decoded = (|| -> Result<_, ServerError> {
-        if state.shutdown.load(Ordering::Acquire) {
-            return Err(ServerError::ShuttingDown);
+impl<'a> ChunkSender<'a> {
+    /// Coalesces up to `threshold` payload bytes per chunk frame (`0`
+    /// sends every row as its own frame).
+    fn new(threshold: usize, send: &'a dyn Fn(Completion)) -> ChunkSender<'a> {
+        ChunkSender {
+            batcher: ChunkBatcher::new(threshold),
+            framed: Vec::new(),
+            send,
         }
-        let text = std::str::from_utf8(&request.body)
-            .map_err(|_| ServerError::BadRequest("body is not UTF-8".into()))?;
-        let envelope =
-            Json::parse(text).map_err(|e| ServerError::BadRequest(format!("body: {e}")))?;
-        let (netlist, kind) = RequestKind::decode("sweep", &envelope)?;
-        let sys = parse_netlist(&netlist)?;
-        Ok((sys, kind))
-    })();
-    let (sys, kind) = match decoded {
-        Ok(d) => d,
-        Err(e) => return fail(writer, &e, false),
-    };
-    let RequestKind::Sweep { spec } = &kind else {
-        unreachable!("the sweep route decodes a sweep kind");
-    };
-    let key = kind.cache_key(&sys);
-    // Sweeps carry their content address too: a gateway can replicate the
-    // finished table to the runner-up exactly like a single-shot answer.
-    let key_header = key_hex(key);
-    let mut stream_headers = extra_headers.clone();
-    stream_headers.push(("X-LIS-Cache-Key", key_header.as_str()));
-
-    if let Some(cached) = state.lookup(key) {
-        // Replay the whole NDJSON body. Rows = lines minus header/trailer.
-        let lines = cached.body.iter().filter(|&&b| b == b'\n').count() as u64;
-        state.metrics.sweep_jobs.fetch_add(1, Ordering::Relaxed);
-        state
-            .metrics
-            .sweep_rows
-            .fetch_add(lines.saturating_sub(2), Ordering::Relaxed);
-        state.metrics.sweep_latency.observe(started.elapsed());
-        state
-            .metrics
-            .record_request(Route::Sweep, cached.status, started.elapsed());
-        return write_response_with(
-            writer,
-            cached.status,
-            "application/x-ndjson",
-            &cached.body,
-            keep_alive,
-            &stream_headers,
-        );
     }
 
-    // Sweeps parallelize internally and stream from this handler thread, so
-    // a small concurrency cap takes the place of the worker-pool queue.
-    let limit = state.config.max_concurrent_sweeps;
-    if state.sweeps_in_flight.fetch_add(1, Ordering::AcqRel) >= limit {
-        state.sweeps_in_flight.fetch_sub(1, Ordering::AcqRel);
-        state.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
-        return fail(writer, &ServerError::SweepsBusy { limit }, true);
+    fn push(&mut self, row: &[u8]) {
+        // Framing into a Vec cannot fail.
+        let _ = self.batcher.push(&mut self.framed, row);
+        self.emit();
     }
-    let _slot = SweepSlot(state);
 
-    let sweep = match lis_sweep::Sweep::new(sys, spec.clone()) {
-        Ok(sweep) => sweep,
-        Err(e) => return fail(writer, &ServerError::BadRequest(e.to_string()), false),
-    };
+    /// Sends the last partial frame, then ends the stream.
+    fn finish(mut self) {
+        let _ = self.batcher.flush(&mut self.framed);
+        self.emit();
+        (self.send)(Completion::StreamEnd);
+    }
 
-    // Test instrumentation: pace the stream so e2e tests can kill a shard
-    // mid-sweep deterministically.
-    let row_delay = std::env::var("LIS_SWEEP_ROW_DELAY_MS")
+    fn emit(&mut self) {
+        if !self.framed.is_empty() {
+            (self.send)(Completion::StreamChunk(std::mem::take(&mut self.framed)));
+        }
+    }
+}
+
+/// The per-row pause `LIS_SWEEP_ROW_DELAY_MS` asks for. Test
+/// instrumentation: it paces the stream (one chunk frame per row) so
+/// end-to-end tests can kill a shard mid-sweep deterministically.
+fn sweep_row_delay() -> Option<Duration> {
+    std::env::var("LIS_SWEEP_ROW_DELAY_MS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis);
+        .map(Duration::from_millis)
+}
 
-    write_chunked_head(
-        writer,
-        200,
-        "application/x-ndjson",
-        keep_alive,
-        &stream_headers,
-    )?;
-    // Rows coalesce into ~8 KiB chunk frames (one socket write apiece);
-    // paced test streams flush every row so a kill lands mid-stream.
-    let mut chunks = ChunkBatcher::new(if row_delay.is_some() { 0 } else { 8192 });
-    let mut body = sweep_header_json(&sweep).to_string();
-    body.push('\n');
-    // A dead client must not abort the sweep: the finished table is still
-    // cached, so the retry (or the gateway's failover replay) is free.
-    let mut write_err = chunks.push(writer, body.as_bytes()).err();
-    let executed = Instant::now();
-    let engine = spec.engine;
-    let mut objectives = Vec::with_capacity(sweep.point_count());
-    let mut sink = |row: lis_sweep::SweepRow| {
-        objectives.push(lis_sweep::objectives(&row));
-        let mut line = sweep_row_json(&row, engine).to_string();
-        line.push('\n');
-        if write_err.is_none() {
+/// The `/sweep` pool job. The header line, one NDJSON row per grid point
+/// (in dense point order, sent as rows are solved) and the Pareto trailer
+/// leave through `send` as one chunked stream. The concatenated lines are
+/// cached under the sweep's content address whether or not the client is
+/// still connected, so a repeat sweep — or a gateway failover replay — is
+/// answered from the cache byte for byte.
+///
+/// A panic before the stream head answers the typed 500; after it, the
+/// stream is aborted without its terminating chunk. The slot is released
+/// either way, and before the last completion of a finished sweep.
+fn sweep_job(
+    slot: SweepSlot,
+    sys: LisSystem,
+    spec: SweepSpec,
+    cache_key: CacheKey,
+    started: Instant,
+    request_id: &Option<String>,
+    send: &dyn Fn(Completion),
+) {
+    let state = Arc::clone(&slot.0);
+    let streaming = Cell::new(false);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        // Owned by the closure, so an unwind releases the slot as well.
+        let slot = slot;
+        if let Some(plan) = &state.config.faults {
+            plan.maybe_panic();
+        }
+        let sweep = match lis_sweep::Sweep::new(sys, spec) {
+            Ok(sweep) => sweep,
+            Err(e) => {
+                drop(slot);
+                let e = ServerError::BadRequest(e.to_string());
+                state
+                    .metrics
+                    .record_request(Route::Sweep, e.status(), started.elapsed());
+                send(Completion::Full(error_rendered(&e, request_id)));
+                return;
+            }
+        };
+        let row_delay = sweep_row_delay();
+        send(Completion::StreamHead {
+            status: 200,
+            content_type: "application/x-ndjson".to_string(),
+            extra_headers: id_key_headers(request_id, cache_key),
+        });
+        streaming.set(true);
+        let mut chunks = ChunkSender::new(if row_delay.is_some() { 0 } else { 8192 }, send);
+        let mut body = sweep_header_json(&sweep).to_string();
+        body.push('\n');
+        chunks.push(body.as_bytes());
+        let executed = Instant::now();
+        let engine = sweep.spec().engine;
+        let mut objectives = Vec::with_capacity(sweep.point_count());
+        let summary = sweep.run(&mut |row| {
+            objectives.push(lis_sweep::objectives(&row));
+            let mut line = sweep_row_json(&row, engine).to_string();
+            line.push('\n');
             if let Some(delay) = row_delay {
                 std::thread::sleep(delay);
             }
-            write_err = chunks.push(&mut *writer, line.as_bytes()).err();
-        }
-        state.metrics.sweep_rows.fetch_add(1, Ordering::Relaxed);
-        body.push_str(&line);
-    };
-    let summary = sweep.run(&mut sink);
-    state
-        .metrics
-        .record_engine(engine.as_str(), executed.elapsed());
-    let pareto = lis_sweep::pareto_front_objectives(&objectives);
-    let mut trailer = sweep_trailer_json(&pareto, &summary).to_string();
-    trailer.push('\n');
-    body.push_str(&trailer);
-    if write_err.is_none() {
-        write_err = chunks
-            .push(&mut *writer, trailer.as_bytes())
-            .and_then(|()| chunks.flush(&mut *writer))
-            .and_then(|()| finish_chunked(&mut *writer))
-            .err();
-    }
-    state.remember(
-        key,
-        Arc::new(CachedResponse {
-            status: 200,
-            body: body.into_bytes(),
-        }),
-    );
-    state.metrics.sweep_jobs.fetch_add(1, Ordering::Relaxed);
-    state.metrics.sweep_latency.observe(started.elapsed());
-    state
-        .metrics
-        .record_request(Route::Sweep, 200, started.elapsed());
-    match write_err {
-        None => Ok(()),
-        Some(e) => Err(e),
+            chunks.push(line.as_bytes());
+            state.metrics.sweep_rows.fetch_add(1, Ordering::Relaxed);
+            body.push_str(&line);
+        });
+        state
+            .metrics
+            .record_engine(engine.as_str(), executed.elapsed());
+        let pareto = lis_sweep::pareto_front_objectives(&objectives);
+        let mut trailer = sweep_trailer_json(&pareto, &summary).to_string();
+        trailer.push('\n');
+        chunks.push(trailer.as_bytes());
+        body.push_str(&trailer);
+        // Cache, count and free the slot before the stream ends: a client
+        // that has read the last byte finds all three already done.
+        state.remember(
+            cache_key,
+            Arc::new(CachedResponse {
+                status: 200,
+                body: body.into_bytes(),
+            }),
+        );
+        state.metrics.sweep_jobs.fetch_add(1, Ordering::Relaxed);
+        state.metrics.sweep_latency.observe(started.elapsed());
+        state
+            .metrics
+            .record_request(Route::Sweep, 200, started.elapsed());
+        drop(slot);
+        chunks.finish();
+    }));
+    if let Err(payload) = outcome {
+        let e = ServerError::WorkerCrashed;
+        state
+            .metrics
+            .record_request(Route::Sweep, e.status(), started.elapsed());
+        send(if streaming.get() {
+            Completion::StreamAbort
+        } else {
+            Completion::Full(error_rendered(&e, request_id))
+        });
+        // Re-raise so the pool counts the panic and respawns the worker.
+        resume_unwind(payload);
     }
 }
 
@@ -1227,58 +782,6 @@ fn batch_row(state: &Arc<State>, line: &str) -> (u16, Vec<u8>) {
         Ok(row) => row,
         Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
     }
-}
-
-/// Serves `POST /batch` on the threaded front: NDJSON request envelopes
-/// in, one chunked NDJSON row per item out.
-fn batch_request(
-    request: &Request,
-    state: &Arc<State>,
-    writer: &mut impl Write,
-    keep_alive: bool,
-    request_id: Option<&str>,
-    started: Instant,
-) -> io::Result<()> {
-    let extra_headers: Vec<(&str, &str)> = request_id
-        .iter()
-        .map(|id| ("X-LIS-Request-Id", *id))
-        .collect();
-    let lines = match batch_lines(state, &request.body) {
-        Ok(lines) => lines,
-        Err(e) => {
-            state
-                .metrics
-                .record_request(Route::Batch, e.status(), started.elapsed());
-            return write_response_with(
-                writer,
-                e.status(),
-                "application/json",
-                e.to_json().to_string().as_bytes(),
-                keep_alive,
-                &extra_headers,
-            );
-        }
-    };
-    write_chunked_head(
-        writer,
-        200,
-        "application/x-ndjson",
-        keep_alive,
-        &extra_headers,
-    )?;
-    // Rows coalesce into ~8 KiB chunk frames, like sweep streaming.
-    let mut chunks = ChunkBatcher::new(8192);
-    for line in &lines {
-        let (_status, mut row) = batch_row(state, line);
-        row.push(b'\n');
-        chunks.push(&mut *writer, &row)?;
-    }
-    chunks.flush(&mut *writer)?;
-    finish_chunked(&mut *writer)?;
-    state
-        .metrics
-        .record_request(Route::Batch, 200, started.elapsed());
-    Ok(())
 }
 
 /// FNV-1a over path + body, the fast-cache bucket key.
@@ -1395,9 +898,31 @@ fn id_key_headers(request_id: &Option<String>, key: CacheKey) -> Vec<(String, St
     headers
 }
 
-/// The event-loop face of the daemon: routing and worker handoff for the
-/// epoll front. It shares [`State`] (cache, pool, metrics, flags) with the
-/// threaded front, so the two tiers answer byte-identically.
+/// A typed-error JSON response echoing the request id.
+fn error_rendered(e: &ServerError, request_id: &Option<String>) -> Rendered {
+    Rendered {
+        status: e.status(),
+        content_type: "application/json".to_string(),
+        body: e.to_json().to_string().into_bytes(),
+        extra_headers: id_headers(request_id),
+        fault_eligible: false,
+        force_close: false,
+    }
+}
+
+/// Decodes an analysis or sweep request body (`route` without its slash)
+/// into the parsed system and the request kind.
+fn decode(route: &str, body: &[u8]) -> Result<(LisSystem, RequestKind), ServerError> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| ServerError::BadRequest("body is not UTF-8".into()))?;
+    let envelope = Json::parse(text).map_err(|e| ServerError::BadRequest(format!("body: {e}")))?;
+    let (netlist, kind) = RequestKind::decode(route, &envelope)?;
+    let sys = parse_netlist(&netlist)?;
+    Ok((sys, kind))
+}
+
+/// The daemon's event-loop handler: routing and worker handoff. Every
+/// route either answers inline or hands one job to the worker pool.
 struct ServerHandler {
     state: Arc<State>,
     pending: Arc<Mutex<HashMap<SlotKey, PendingJob>>>,
@@ -1418,12 +943,8 @@ impl ServerHandler {
             .metrics
             .record_request(route, e.status(), started.elapsed());
         Outcome::Respond(Rendered {
-            status: e.status(),
-            content_type: "application/json".to_string(),
-            body: e.to_json().to_string().into_bytes(),
-            extra_headers: id_headers(request_id),
             fault_eligible,
-            force_close: false,
+            ..error_rendered(e, request_id)
         })
     }
 
@@ -1466,16 +987,7 @@ impl ServerHandler {
                 });
             }
         }
-        let decoded = (|| -> Result<_, ServerError> {
-            let text = std::str::from_utf8(&request.body)
-                .map_err(|_| ServerError::BadRequest("body is not UTF-8".into()))?;
-            let envelope =
-                Json::parse(text).map_err(|e| ServerError::BadRequest(format!("body: {e}")))?;
-            let (netlist, kind) = RequestKind::decode(&request.path[1..], &envelope)?;
-            let sys = parse_netlist(&netlist)?;
-            Ok((sys, kind))
-        })();
-        let (sys, kind) = match decoded {
+        let (sys, kind) = match decode(&request.path[1..], &request.body) {
             Ok(d) => d,
             Err(e) => return self.respond_error(route, &e, started, &request_id, true),
         };
@@ -1627,73 +1139,133 @@ impl ServerHandler {
         let body = request.body.clone();
         let rid = request_id.clone();
         let job = move || {
+            let send = |c| completions.send(key, c);
             match batch_lines(&state, &body) {
                 Err(e) => {
                     state
                         .metrics
                         .record_request(Route::Batch, e.status(), started.elapsed());
-                    completions.send(
-                        key,
-                        Completion::Full(Rendered {
-                            status: e.status(),
-                            content_type: "application/json".to_string(),
-                            body: e.to_json().to_string().into_bytes(),
-                            extra_headers: id_headers(&rid),
-                            fault_eligible: false,
-                            force_close: false,
-                        }),
-                    );
+                    send(Completion::Full(error_rendered(&e, &rid)));
                 }
                 Ok(lines) => {
-                    completions.send(
-                        key,
-                        Completion::StreamHead {
-                            status: 200,
-                            content_type: "application/x-ndjson".to_string(),
-                            extra_headers: id_headers(&rid),
-                        },
-                    );
-                    // Rows coalesce into ~8 KiB frames, like sweep chunks.
-                    let mut buffer: Vec<u8> = Vec::new();
+                    send(Completion::StreamHead {
+                        status: 200,
+                        content_type: "application/x-ndjson".to_string(),
+                        extra_headers: id_headers(&rid),
+                    });
+                    let mut chunks = ChunkSender::new(8192, &send);
                     for line in &lines {
                         let (_status, mut row) = batch_row(&state, line);
                         row.push(b'\n');
-                        buffer.extend_from_slice(&row);
-                        if buffer.len() >= 8192 {
-                            completions
-                                .send(key, Completion::StreamChunk(std::mem::take(&mut buffer)));
-                        }
-                    }
-                    if !buffer.is_empty() {
-                        completions.send(key, Completion::StreamChunk(buffer));
+                        chunks.push(&row);
                     }
                     state
                         .metrics
                         .record_request(Route::Batch, 200, started.elapsed());
-                    completions.send(key, Completion::StreamEnd);
+                    chunks.finish();
                 }
             }
         };
-        match self.state.pool.submit(job) {
-            Ok(()) => Outcome::Pending { timeout: None },
+        self.submit(job, Route::Batch, started, &request_id)
+    }
+
+    /// `POST /sweep` on the loop. Decode errors, cache replays (framed with
+    /// `Content-Length`, the whole body being known) and busy-slot sheds
+    /// answer inline; a miss takes a sweep slot and queues one
+    /// [`sweep_job`] that streams the table back.
+    fn sweep(
+        &self,
+        request: &Request,
+        key: SlotKey,
+        completions: &Completions,
+        started: Instant,
+        request_id: Option<String>,
+    ) -> Outcome {
+        let state = &self.state;
+        let decoded = if state.shutdown.load(Ordering::Acquire) {
+            Err(ServerError::ShuttingDown)
+        } else {
+            decode("sweep", &request.body)
+        };
+        let (sys, kind) = match decoded {
+            Ok(d) => d,
+            Err(e) => return self.respond_error(Route::Sweep, &e, started, &request_id, false),
+        };
+        let cache_key = kind.cache_key(&sys);
+        let RequestKind::Sweep { spec } = kind else {
+            unreachable!("the sweep route decodes a sweep kind");
+        };
+        if let Some(cached) = state.lookup(cache_key) {
+            // Replay the whole NDJSON body. Rows = lines minus header/trailer.
+            let lines = cached.body.iter().filter(|&&b| b == b'\n').count() as u64;
+            state.metrics.sweep_jobs.fetch_add(1, Ordering::Relaxed);
+            state
+                .metrics
+                .sweep_rows
+                .fetch_add(lines.saturating_sub(2), Ordering::Relaxed);
+            state.metrics.sweep_latency.observe(started.elapsed());
+            state
+                .metrics
+                .record_request(Route::Sweep, cached.status, started.elapsed());
+            return Outcome::Respond(Rendered {
+                status: cached.status,
+                content_type: "application/x-ndjson".to_string(),
+                body: cached.body.clone(),
+                // Sweeps carry their content address too: a gateway can
+                // replicate the finished table like a single-shot answer.
+                extra_headers: id_key_headers(&request_id, cache_key),
+                fault_eligible: false,
+                force_close: false,
+            });
+        }
+        let Some(slot) = SweepSlot::acquire(state) else {
+            state.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
+            let e = ServerError::SweepsBusy {
+                limit: state.config.max_concurrent_sweeps,
+            };
+            state
+                .metrics
+                .record_request(Route::Sweep, e.status(), started.elapsed());
+            let mut rendered = error_rendered(&e, &request_id);
+            rendered
+                .extra_headers
+                .push(("Retry-After".to_string(), "1".to_string()));
+            return Outcome::Respond(rendered);
+        };
+        let completions = completions.clone();
+        let rid = request_id.clone();
+        let job = move || {
+            sweep_job(slot, sys, spec, cache_key, started, &rid, &|c| {
+                completions.send(key, c);
+            });
+        };
+        self.submit(job, Route::Sweep, started, &request_id)
+    }
+
+    /// Queues a streaming job (`/batch`, `/sweep`), which answers through
+    /// the completion channel with no loop-side deadline; a refused job
+    /// answers a typed 503 inline.
+    fn submit(
+        &self,
+        job: impl FnOnce() + Send + 'static,
+        route: Route,
+        started: Instant,
+        request_id: &Option<String>,
+    ) -> Outcome {
+        let e = match self.state.pool.submit(job) {
+            Ok(()) => return Outcome::Pending { timeout: None },
             Err(SubmitError::Overloaded) => {
                 self.state
                     .metrics
                     .shed_total
                     .fetch_add(1, Ordering::Relaxed);
-                let e = ServerError::Overloaded {
+                ServerError::Overloaded {
                     queue_capacity: self.state.pool.capacity(),
-                };
-                self.respond_error(Route::Batch, &e, started, &request_id, false)
+                }
             }
-            Err(SubmitError::ShuttingDown) => self.respond_error(
-                Route::Batch,
-                &ServerError::ShuttingDown,
-                started,
-                &request_id,
-                false,
-            ),
-        }
+            Err(SubmitError::ShuttingDown) => ServerError::ShuttingDown,
+        };
+        self.respond_error(route, &e, started, request_id, false)
     }
 }
 
@@ -1704,9 +1276,7 @@ impl crate::net::Handler for ServerHandler {
         let method = request.method.clone();
         let path = request.path.clone();
         match (method.as_str(), path.as_str()) {
-            // Sweeps stream from a blocking handler; migrate the whole
-            // connection onto its own thread.
-            ("POST", "/sweep") => Outcome::TakeOver(Box::new(request)),
+            ("POST", "/sweep") => self.sweep(&request, key, completions, started, request_id),
             ("POST", "/batch") => self.batch(&request, key, completions, started, request_id),
             ("POST", "/analyze" | "/qs" | "/insert" | "/dot") => {
                 let route = match path.as_str() {
@@ -1719,20 +1289,15 @@ impl crate::net::Handler for ServerHandler {
             }
             _ => {
                 // Control plane and error routes answer inline.
-                let (route, status, content_type, body, cache_key) =
-                    dispatch(&request, &self.state);
+                let (route, status, content_type, body) = dispatch(&request, &self.state);
                 self.state
                     .metrics
                     .record_request(route, status, started.elapsed());
-                let extra_headers = match cache_key {
-                    Some(key) => id_key_headers(&request_id, key),
-                    None => id_headers(&request_id),
-                };
                 Outcome::Respond(Rendered {
                     status,
                     content_type: content_type.to_string(),
                     body,
-                    extra_headers,
+                    extra_headers: id_headers(&request_id),
                     fault_eligible: false,
                     force_close: false,
                 })
@@ -1741,8 +1306,8 @@ impl crate::net::Handler for ServerHandler {
     }
 
     fn bad_request(&self, error: &io::Error) -> Rendered {
-        // Parity with the threaded front: protocol-violation 400s close
-        // the connection and are deliberately not recorded.
+        // Protocol-violation 400s close the connection and are
+        // deliberately not recorded.
         let e = ServerError::BadRequest(error.to_string());
         Rendered {
             status: 400,
@@ -1830,27 +1395,6 @@ impl crate::net::Handler for ServerHandler {
     fn shutting_down(&self) -> bool {
         self.state.shutdown.load(Ordering::Acquire)
     }
-
-    fn take_over(
-        &self,
-        stream: TcpStream,
-        request: Request,
-        residual: Vec<u8>,
-        permit: ConnPermit,
-    ) {
-        let state = Arc::clone(&self.state);
-        std::thread::spawn(move || {
-            let _permit = permit;
-            let _ = (|| -> io::Result<()> {
-                // Back to blocking I/O with the threaded front's idle poll.
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(Some(IDLE_POLL))?;
-                let mut writer = stream.try_clone()?;
-                let reader = residual_reader(residual, stream);
-                serve_loop(reader, &mut writer, &state, Some(request))
-            })();
-        });
-    }
 }
 
 #[cfg(test)]
@@ -1901,5 +1445,102 @@ mod tests {
         let reopened = ResultStore::open(&dir, 0).expect("reopen");
         assert_eq!(reopened.len(), 3, "flushed spills survive on disk");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn sweep_body() -> String {
+        obj([
+            (
+                "netlist",
+                Json::str("block A\nblock B\nchannel A -> B rs=1\nchannel A -> B\n"),
+            ),
+            (
+                "options",
+                obj([(
+                    "capacities",
+                    Json::Arr(vec![obj([
+                        ("channel", Json::Num(1.0)),
+                        ("values", Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)])),
+                    ])]),
+                )]),
+            ),
+        ])
+        .to_string()
+    }
+
+    /// A sweep job that dies before its stream head answers the typed 500
+    /// and gives its slot back: with a single slot, the next sweep runs.
+    #[test]
+    fn sweep_panic_before_the_head_answers_500_and_frees_the_slot() {
+        let config = ServerConfig {
+            max_concurrent_sweeps: 1,
+            faults: Some(Arc::new(FaultPlan::parse("burst:1").expect("spec"))),
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let daemon = std::thread::spawn(move || server.run());
+
+        let mut client = Client::connect(addr).expect("connect");
+        let crashed = client
+            .request("POST", "/sweep", sweep_body().as_bytes())
+            .expect("crashed sweep");
+        assert_eq!(crashed.status, 500);
+        assert_eq!(
+            crashed.body,
+            ServerError::WorkerCrashed
+                .to_json()
+                .to_string()
+                .into_bytes()
+        );
+        let retried = client
+            .request("POST", "/sweep", sweep_body().as_bytes())
+            .expect("retried sweep");
+        assert_eq!(retried.status, 200, "the crashed job released its slot");
+        let exposition = client.metrics().expect("metrics");
+        assert_eq!(
+            crate::metrics::parse_metric(&exposition, "lis_worker_panics_total"),
+            Some(1.0)
+        );
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("join").expect("run");
+    }
+
+    /// A sweep job that dies mid-stream aborts the stream (the loop then
+    /// closes the connection without the terminating chunk), releases its
+    /// slot, and re-raises so the pool can respawn the worker.
+    #[test]
+    fn sweep_panic_mid_stream_aborts_the_stream_and_frees_the_slot() {
+        crate::fault::silence_injected_panics();
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let state = Arc::clone(&server.state);
+        let (sys, kind) = decode("sweep", sweep_body().as_bytes()).expect("decode");
+        let key = kind.cache_key(&sys);
+        let RequestKind::Sweep { spec } = kind else {
+            panic!("a sweep kind");
+        };
+        let slot = SweepSlot::acquire(&state).expect("a free slot");
+        assert_eq!(state.sweeps_in_flight.load(Ordering::Acquire), 1);
+
+        // The first chunk send blows up, as a panic while rows stream.
+        let sent = std::cell::RefCell::new(Vec::new());
+        let send = |c: Completion| {
+            let name = match c {
+                Completion::Full(_) => "full",
+                Completion::StreamHead { .. } => "head",
+                Completion::StreamChunk(_) => "chunk",
+                Completion::StreamEnd => "end",
+                Completion::StreamAbort => "abort",
+            };
+            sent.borrow_mut().push(name);
+            if name == "chunk" {
+                panic!("{} (mid-stream)", crate::fault::INJECTED_PANIC_MARKER);
+            }
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            sweep_job(slot, sys, spec, key, Instant::now(), &None, &send);
+        }));
+        assert!(outcome.is_err(), "the panic is re-raised for the pool");
+        assert_eq!(*sent.borrow(), ["head", "chunk", "abort"]);
+        assert_eq!(state.sweeps_in_flight.load(Ordering::Acquire), 0);
     }
 }

@@ -1,8 +1,8 @@
-//! End-to-end tests for the epoll front tier: keep-alive pipelining
-//! order across hits/misses/errors, partial-write re-registration,
-//! `/batch` byte-identity against standalone requests, and byte parity
-//! between the epoll and threaded fronts on both the happy path and the
-//! 408/429 defense paths.
+//! End-to-end tests for the event-loop front: keep-alive pipelining order
+//! across hits, misses, errors and streamed `/sweep`s, partial-write
+//! re-registration on single-shot and streamed answers, `/batch`
+//! byte-identity against standalone requests, answers checked against the
+//! in-process oracle, and pinned wire bytes for the 408/429 defenses.
 
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -11,7 +11,27 @@ use std::time::Duration;
 
 use lis_server::http::{read_response, write_request};
 use lis_server::wire::{obj, Json};
-use lis_server::{parse_metric, Client, FrontTier, Server, ServerConfig};
+use lis_server::{parse_metric, Client, RequestKind, Server, ServerConfig, ServerError};
+
+/// The typed 408 a slow-loris peer receives (300 ms read deadline).
+const PINNED_408: &str = "HTTP/1.1 408 Request Timeout\r\n\
+    Content-Type: application/json\r\n\
+    Content-Length: 115\r\n\
+    Connection: close\r\n\
+    \r\n\
+    {\"error\":{\"kind\":\"slow_client\",\
+    \"message\":\"request not received within the 300 ms read deadline\",\
+    \"deadline_ms\":300}}";
+
+/// The typed 429 a connection over the cap of 1 receives.
+const PINNED_429: &str = "HTTP/1.1 429 Too Many Requests\r\n\
+    Content-Type: application/json\r\n\
+    Content-Length: 105\r\n\
+    Connection: close\r\n\
+    \r\n\
+    {\"error\":{\"kind\":\"too_many_connections\",\
+    \"message\":\"connection limit reached (1); retry later\",\
+    \"limit\":1}}";
 
 const FIG1: &str = "block A\nblock B\nchannel A -> B rs=1\nchannel A -> B\n";
 
@@ -40,6 +60,32 @@ fn envelope(netlist: &str) -> String {
 /// differs from every other netlist used in this file.
 fn variant(rs: u32) -> String {
     format!("block A\nblock B\nchannel A -> B rs={rs}\nchannel A -> B\n")
+}
+
+/// A small capacity grid: enough rows to span several chunk frames when
+/// they are written 7 bytes at a time.
+fn sweep_options() -> Json {
+    obj([
+        (
+            "capacities",
+            Json::Arr(vec![obj([
+                ("channel", Json::Num(1.0)),
+                (
+                    "values",
+                    Json::Arr((1..=4).map(|v| Json::Num(v as f64)).collect()),
+                ),
+            ])]),
+        ),
+        ("budget", Json::Num(2.0)),
+    ])
+}
+
+fn sweep_envelope(netlist: &str) -> String {
+    obj([
+        ("netlist", Json::str(netlist)),
+        ("options", sweep_options()),
+    ])
+    .to_string()
 }
 
 #[test]
@@ -116,6 +162,9 @@ fn short_writes_reregister_and_deliver_byte_identical_responses() {
         ("/analyze", envelope(FIG1)),
         ("/qs", envelope(FIG1)),
         ("/dot", envelope(FIG1)),
+        // Streamed: the head, every chunk frame and the terminator all
+        // cross the partial-write path.
+        ("/sweep", sweep_envelope(FIG1)),
     ] {
         let a = chunked
             .request("POST", route, body.as_bytes())
@@ -201,16 +250,101 @@ fn batch_rows_are_byte_identical_to_standalone_responses() {
     stop(addr, daemon);
 }
 
-/// Runs one request sequence against a server and returns the raw
-/// `(status, body)` answers, so both fronts can be compared byte-for-byte.
-fn collect_answers(addr: std::net::SocketAddr) -> Vec<(u16, Vec<u8>)> {
+#[test]
+fn pipelined_sweep_streams_in_order_and_matches_its_cached_replay() {
+    let (addr, daemon) = start(ServerConfig::default());
+
+    // Cold analysis, cold sweep, cold analysis — one burst on one socket.
+    // The trailing /analyze may finish on the pool before the sweep does;
+    // its answer must still wait for the sweep's last chunk.
+    let (before, after) = (variant(5), variant(6));
+    let mut wire = Vec::new();
+    write_request(&mut wire, "POST", "/analyze", envelope(&before).as_bytes()).unwrap();
+    write_request(&mut wire, "POST", "/sweep", sweep_envelope(FIG1).as_bytes()).unwrap();
+    write_request(&mut wire, "POST", "/analyze", envelope(&after).as_bytes()).unwrap();
+    let mut stream = TcpStream::connect(addr).expect("raw connect");
+    stream.write_all(&wire).expect("write pipeline burst");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let responses: Vec<_> = (0..3)
+        .map(|i| read_response(&mut reader).unwrap_or_else(|e| panic!("response {i}: {e}")))
+        .collect();
+    drop(reader);
+    drop(stream);
+
+    assert_eq!(
+        responses.iter().map(|r| r.status).collect::<Vec<_>>(),
+        vec![200, 200, 200]
+    );
+    assert_eq!(
+        responses[1].header("transfer-encoding"),
+        Some("chunked"),
+        "a cold sweep streams"
+    );
+    assert_eq!(
+        responses[1].header("content-type"),
+        Some("application/x-ndjson")
+    );
     let mut client = Client::connect(addr).expect("connect");
-    let mut out = Vec::new();
+    for (i, netlist) in [(0, &before), (2, &after)] {
+        let repeat = client
+            .request("POST", "/analyze", envelope(netlist).as_bytes())
+            .expect("analyze repeat");
+        assert_eq!(repeat.body, responses[i].body, "response {i} out of order");
+    }
+    // The repeat is a cache replay with Content-Length framing; the bytes
+    // must equal what the pipelined stream delivered.
+    let replay = client
+        .request("POST", "/sweep", sweep_envelope(FIG1).as_bytes())
+        .expect("sweep replay");
+    assert_eq!(replay.status, 200);
+    assert!(
+        replay.header("content-length").is_some(),
+        "replays are framed"
+    );
+    assert_eq!(replay.body, responses[1].body);
+    assert_eq!(
+        replay.header("x-lis-cache-key"),
+        responses[1].header("x-lis-cache-key")
+    );
+
+    // Both sweeps ran through the pool's accounting and freed their slot.
+    let exposition = client.metrics().expect("metrics");
+    assert_eq!(parse_metric(&exposition, "lis_sweep_jobs_total"), Some(2.0));
+    let health = client.request("GET", "/healthz", b"").expect("healthz");
+    let health = Json::parse(std::str::from_utf8(&health.body).unwrap()).expect("json");
+    assert_eq!(health.get("sweeps_in_flight").unwrap().as_u64(), Some(0));
+
+    stop(addr, daemon);
+}
+
+/// What the daemon must answer for one request, computed in-process with
+/// no server in the loop: the request decoder plus the job executor, and
+/// the typed error taxonomy for everything else.
+fn oracle(method: &str, route: &str, body: &str) -> (u16, Vec<u8>) {
+    let result = match (method, route) {
+        ("POST", "/analyze" | "/qs" | "/insert" | "/dot") => Json::parse(body)
+            .map_err(|e| ServerError::BadRequest(format!("body: {e}")))
+            .and_then(|envelope| RequestKind::decode(&route[1..], &envelope))
+            .and_then(|(netlist, kind)| kind.execute(&lis_core::parse_netlist(&netlist)?)),
+        (_, "/analyze" | "/qs" | "/insert" | "/dot") => Err(ServerError::MethodNotAllowed),
+        _ => Err(ServerError::NotFound(route.to_string())),
+    };
+    match result {
+        Ok(json) => (200, json.to_string().into_bytes()),
+        Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
+    }
+}
+
+#[test]
+fn answers_match_the_in_process_oracle() {
+    let (addr, daemon) = start(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
     for (method, route, body) in [
         ("POST", "/analyze", envelope(FIG1)),
         ("POST", "/analyze", envelope(&variant(2))),
         ("POST", "/qs", envelope(FIG1)),
         ("POST", "/dot", envelope(FIG1)),
+        ("POST", "/insert", envelope(FIG1)),
         (
             "POST",
             "/analyze",
@@ -219,39 +353,25 @@ fn collect_answers(addr: std::net::SocketAddr) -> Vec<(u16, Vec<u8>)> {
         ("GET", "/nope", String::new()),
         ("PUT", "/analyze", String::new()),
     ] {
-        let r = client
-            .request(method, route, body.as_bytes())
-            .unwrap_or_else(|e| panic!("{method} {route}: {e}"));
-        out.push((r.status, r.body));
+        let expected = oracle(method, route, &body);
+        // Twice: the cold answer and its cache replay.
+        for pass in ["cold", "cached"] {
+            let r = client
+                .request(method, route, body.as_bytes())
+                .unwrap_or_else(|e| panic!("{method} {route}: {e}"));
+            assert_eq!(r.status, expected.0, "{method} {route} ({pass})");
+            assert_eq!(
+                String::from_utf8_lossy(&r.body),
+                String::from_utf8_lossy(&expected.1),
+                "{method} {route} ({pass})"
+            );
+        }
     }
-    out
+    stop(addr, daemon);
 }
 
-#[test]
-fn epoll_and_threaded_fronts_answer_byte_identically() {
-    let (epoll_addr, epoll_daemon) = start(ServerConfig {
-        front: FrontTier::Epoll,
-        ..ServerConfig::default()
-    });
-    let (threaded_addr, threaded_daemon) = start(ServerConfig {
-        front: FrontTier::Threaded,
-        ..ServerConfig::default()
-    });
-
-    let epoll = collect_answers(epoll_addr);
-    let threaded = collect_answers(threaded_addr);
-    assert_eq!(epoll.len(), threaded.len());
-    for (i, (e, t)) in epoll.iter().zip(&threaded).enumerate() {
-        assert_eq!(e.0, t.0, "request {i}: status must match across fronts");
-        assert_eq!(e.1, t.1, "request {i}: body must match across fronts");
-    }
-
-    stop(epoll_addr, epoll_daemon);
-    stop(threaded_addr, threaded_daemon);
-}
-
-/// Reads everything until the peer closes, for comparing defense responses
-/// that force-close the connection.
+/// Reads everything until the peer closes, for defense responses that
+/// force-close the connection.
 fn read_to_close(stream: &mut TcpStream) -> Vec<u8> {
     let mut bytes = Vec::new();
     stream
@@ -261,9 +381,9 @@ fn read_to_close(stream: &mut TcpStream) -> Vec<u8> {
     bytes
 }
 
-fn slow_client_answer(front: FrontTier) -> Vec<u8> {
+#[test]
+fn slow_client_gets_the_pinned_408_bytes() {
     let (addr, daemon) = start(ServerConfig {
-        front,
         read_deadline: Duration::from_millis(300),
         ..ServerConfig::default()
     });
@@ -274,12 +394,12 @@ fn slow_client_answer(front: FrontTier) -> Vec<u8> {
         .expect("partial head");
     let bytes = read_to_close(&mut stream);
     stop(addr, daemon);
-    bytes
+    assert_eq!(String::from_utf8_lossy(&bytes), PINNED_408);
 }
 
-fn rejected_connection_answer(front: FrontTier) -> Vec<u8> {
+#[test]
+fn connection_over_the_cap_gets_the_pinned_429_bytes() {
     let (addr, daemon) = start(ServerConfig {
-        front,
         max_connections: 1,
         ..ServerConfig::default()
     });
@@ -309,34 +429,5 @@ fn rejected_connection_answer(front: FrontTier) -> Vec<u8> {
         }
     }
     daemon.join().expect("daemon thread").expect("clean exit");
-    bytes
-}
-
-#[test]
-fn defense_responses_are_byte_identical_across_fronts() {
-    let epoll_408 = slow_client_answer(FrontTier::Epoll);
-    let threaded_408 = slow_client_answer(FrontTier::Threaded);
-    assert!(
-        !epoll_408.is_empty(),
-        "epoll 408 must be written before close"
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&epoll_408),
-        String::from_utf8_lossy(&threaded_408),
-        "408 wire bytes must match across fronts"
-    );
-    assert!(epoll_408.starts_with(b"HTTP/1.1 408 "));
-
-    let epoll_429 = rejected_connection_answer(FrontTier::Epoll);
-    let threaded_429 = rejected_connection_answer(FrontTier::Threaded);
-    assert!(
-        !epoll_429.is_empty(),
-        "epoll 429 must be written before close"
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&epoll_429),
-        String::from_utf8_lossy(&threaded_429),
-        "429 wire bytes must match across fronts"
-    );
-    assert!(epoll_429.starts_with(b"HTTP/1.1 429 "));
+    assert_eq!(String::from_utf8_lossy(&bytes), PINNED_429);
 }
