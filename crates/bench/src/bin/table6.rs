@@ -50,6 +50,14 @@ fn main() {
         ]);
     }
     t.print();
+    // The paper's six cycles, in enumeration order: the 2/3 one is C5.
+    let means: Vec<Ratio> = inst
+        .cycles
+        .iter()
+        .map(|c| Ratio::new(c.tokens as i64, c.len as i64))
+        .collect();
+    let (r57, r23) = (Ratio::new(5, 7), Ratio::new(2, 3));
+    assert_eq!(means, [r57, r57, r57, r57, r23, r57]);
 
     println!();
     let report = solve(sys, Algorithm::Exact, &QsConfig::default()).expect("bounded");

@@ -34,6 +34,7 @@
 //! # Ok::<(), lis_core::ParseNetlistError>(())
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::error::Error as StdError;
 use std::fmt;
@@ -64,82 +65,82 @@ fn err(line: usize, message: impl Into<String>) -> ParseNetlistError {
     }
 }
 
-/// One token of a netlist line.
+/// One token of a netlist line, borrowed from the line. Only a quoted name
+/// with escapes needs an owned copy.
 #[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Word(String),
+enum Tok<'a> {
+    Word(Cow<'a, str>),
     Arrow,
-    KeyVal(String, String),
+    KeyVal(&'a str, &'a str),
 }
 
-fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>, ParseNetlistError> {
+fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok<'_>>, ParseNetlistError> {
     let mut toks = Vec::new();
-    let mut chars = line.chars().peekable();
-    while let Some(&c) = chars.peek() {
+    let mut rest = line.trim_start();
+    while let Some(c) = rest.chars().next() {
         match c {
             '#' => break,
-            c if c.is_whitespace() => {
-                chars.next();
-            }
             '"' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some('\\') => match chars.next() {
-                            Some('"') => s.push('"'),
-                            Some('\\') => s.push('\\'),
-                            other => {
-                                return Err(err(
-                                    lineno,
-                                    format!("invalid escape {other:?} in quoted name"),
-                                ))
-                            }
-                        },
-                        Some(c) => s.push(c),
-                        None => return Err(err(lineno, "unterminated quoted name")),
-                    }
-                }
-                toks.push(Tok::Word(s));
+                let (name, tail) = quoted(&rest[1..], lineno)?;
+                toks.push(Tok::Word(name));
+                rest = tail;
             }
-            '-' if matches!(line_rest(&mut chars.clone()), Some('>')) => {
-                chars.next();
-                chars.next();
+            '-' if rest[1..].starts_with('>') => {
                 toks.push(Tok::Arrow);
+                rest = &rest[2..];
             }
             _ => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_whitespace() || c == '#' {
-                        break;
-                    }
-                    if c == '-' {
-                        // Only stop for an arrow, not for hyphenated names.
-                        let mut look = chars.clone();
-                        look.next();
-                        if look.peek() == Some(&'>') {
-                            break;
-                        }
-                    }
-                    s.push(c);
-                    chars.next();
-                }
-                if let Some(eq) = s.find('=') {
-                    let (k, v) = s.split_at(eq);
-                    toks.push(Tok::KeyVal(k.to_string(), v[1..].to_string()));
-                } else {
-                    toks.push(Tok::Word(s));
-                }
+                let (word, tail) = rest.split_at(word_end(rest));
+                toks.push(match word.split_once('=') {
+                    Some((k, v)) => Tok::KeyVal(k, v),
+                    None => Tok::Word(Cow::Borrowed(word)),
+                });
+                rest = tail;
             }
         }
+        rest = rest.trim_start();
     }
     Ok(toks)
 }
 
-fn line_rest(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<char> {
-    chars.next();
-    chars.peek().copied()
+/// The byte length of the bare word starting `s`: it runs to whitespace, a
+/// comment or an arrow (a lone `-` belongs to hyphenated names).
+fn word_end(s: &str) -> usize {
+    let bytes = s.as_bytes();
+    s.char_indices()
+        .find(|&(i, c)| {
+            c.is_whitespace() || c == '#' || (c == '-' && bytes.get(i + 1) == Some(&b'>'))
+        })
+        .map_or(s.len(), |(i, _)| i)
+}
+
+/// Parses a quoted name whose opening quote precedes `s`, returning the name
+/// and the rest of the line after the closing quote.
+fn quoted(s: &str, lineno: usize) -> Result<(Cow<'_, str>, &str), ParseNetlistError> {
+    match s.find(['"', '\\']) {
+        Some(i) if s.as_bytes()[i] == b'"' => return Ok((Cow::Borrowed(&s[..i]), &s[i + 1..])),
+        Some(_) => {}
+        None => return Err(err(lineno, "unterminated quoted name")),
+    }
+    let mut name = String::new();
+    let mut chars = s.char_indices();
+    loop {
+        match chars.next() {
+            Some((i, '"')) => return Ok((Cow::Owned(name), &s[i + 1..])),
+            Some((_, '\\')) => match chars.next().map(|(_, c)| c) {
+                Some('"') => name.push('"'),
+                Some('\\') => name.push('\\'),
+                other => {
+                    return Err(err(
+                        lineno,
+                        format!("invalid escape {other:?} in quoted name"),
+                    ))
+                }
+            },
+            Some((_, c)) => name.push(c),
+            None => return Err(err(lineno, "unterminated quoted name")),
+        }
+    }
 }
 
 /// Parses a netlist into a [`LisSystem`].
@@ -150,17 +151,17 @@ fn line_rest(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<cha
 /// references to undeclared blocks, or invalid attribute values.
 pub fn parse_netlist(text: &str) -> Result<LisSystem, ParseNetlistError> {
     let mut sys = LisSystem::new();
-    let mut blocks: HashMap<String, crate::system::BlockId> = HashMap::new();
+    let mut blocks: HashMap<Cow<'_, str>, crate::system::BlockId> = HashMap::new();
     // Channels may reference blocks declared later: collect first, resolve
     // at the end.
-    struct PendingChannel {
+    struct PendingChannel<'a> {
         line: usize,
-        from: String,
-        to: String,
+        from: Cow<'a, str>,
+        to: Cow<'a, str>,
         rs: u32,
         q: u64,
     }
-    let mut pending: Vec<PendingChannel> = Vec::new();
+    let mut pending: Vec<PendingChannel<'_>> = Vec::new();
 
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -177,13 +178,13 @@ pub fn parse_netlist(text: &str) -> Result<LisSystem, ParseNetlistError> {
                     }
                     _ => return Err(err(lineno, "expected: block <name> [uninitialized]")),
                 };
-                if blocks.contains_key(name) {
+                if blocks.contains_key(name.as_ref()) {
                     return Err(err(lineno, format!("duplicate block {name:?}")));
                 }
                 let id = if uninitialized {
-                    sys.add_uninitialized_block(name.clone())
+                    sys.add_uninitialized_block(name.as_ref())
                 } else {
-                    sys.add_block(name.clone())
+                    sys.add_block(name.as_ref())
                 };
                 blocks.insert(name.clone(), id);
             }
@@ -203,12 +204,12 @@ pub fn parse_netlist(text: &str) -> Result<LisSystem, ParseNetlistError> {
                 let mut q = 1u64;
                 for attr in attrs {
                     match attr {
-                        Tok::KeyVal(k, v) if k == "rs" => {
+                        Tok::KeyVal("rs", v) => {
                             rs = v.parse().map_err(|_| {
                                 err(lineno, format!("rs wants a nonnegative integer, got {v:?}"))
                             })?;
                         }
-                        Tok::KeyVal(k, v) if k == "q" => {
+                        Tok::KeyVal("q", v) => {
                             q = v.parse().map_err(|_| {
                                 err(lineno, format!("q wants a positive integer, got {v:?}"))
                             })?;
@@ -235,10 +236,10 @@ pub fn parse_netlist(text: &str) -> Result<LisSystem, ParseNetlistError> {
 
     for p in pending {
         let from = *blocks
-            .get(&p.from)
+            .get(p.from.as_ref())
             .ok_or_else(|| err(p.line, format!("unknown block {:?}", p.from)))?;
         let to = *blocks
-            .get(&p.to)
+            .get(p.to.as_ref())
             .ok_or_else(|| err(p.line, format!("unknown block {:?}", p.to)))?;
         let c = sys.add_channel(from, to);
         for _ in 0..p.rs {
@@ -390,6 +391,87 @@ mod tests {
             );
             assert!(e.to_string().contains("netlist line"));
         }
+    }
+
+    #[test]
+    fn rendered_errors_are_pinned() {
+        // The server returns these strings verbatim in 400 bodies.
+        let cases = [
+            (
+                "blok A\n",
+                r#"netlist line 1: unknown directive Word("blok")"#,
+            ),
+            ("-> A\n", "netlist line 1: unknown directive Arrow"),
+            (
+                "rs=1 block\n",
+                r#"netlist line 1: unknown directive KeyVal("rs", "1")"#,
+            ),
+            (
+                "block A\nblock A\n",
+                r#"netlist line 2: duplicate block "A""#,
+            ),
+            (
+                "block \"x\\\"y\"\nblock \"x\\\"y\"\n",
+                r#"netlist line 2: duplicate block "x\"y""#,
+            ),
+            (
+                "block\tA\r\nblock A#c\n",
+                r#"netlist line 2: duplicate block "A""#,
+            ),
+            (
+                "channel A->B\nblock A\n",
+                r#"netlist line 1: unknown block "B""#,
+            ),
+            (
+                "block a=b\n",
+                "netlist line 1: expected: block <name> [uninitialized]",
+            ),
+            (
+                "block \u{3000}Ä\u{2028}x\nblock Ä\n",
+                "netlist line 1: expected: block <name> [uninitialized]",
+            ),
+            (
+                "block A\nchannel A ->\n",
+                "netlist line 2: expected: channel <from> -> <to> [rs=<n>] [q=<n>]",
+            ),
+            (
+                "block A\nchannel A -> B frob=1\nblock B\n",
+                r#"netlist line 2: unknown channel attribute KeyVal("frob", "1")"#,
+            ),
+            (
+                "channel \"q\\\\\" -> B x\n",
+                r#"netlist line 1: unknown channel attribute Word("x")"#,
+            ),
+            (
+                "channel A -> B rs=1 -> C\n",
+                "netlist line 1: unknown channel attribute Arrow",
+            ),
+            (
+                "block A\nblock B\nchannel A -> B rs=1 q=2 rs=\n",
+                r#"netlist line 3: rs wants a nonnegative integer, got """#,
+            ),
+            (
+                "block A\nblock B\nchannel A -> B q=-1\n",
+                r#"netlist line 3: q wants a positive integer, got "-1""#,
+            ),
+            (
+                "block \"a\\x\"\n",
+                "netlist line 1: invalid escape Some('x') in quoted name",
+            ),
+            (
+                "block \"a\\",
+                "netlist line 1: invalid escape None in quoted name",
+            ),
+            (
+                "block \"a\\\"\n",
+                "netlist line 1: unterminated quoted name",
+            ),
+        ];
+        for (text, expected) in cases {
+            assert_eq!(parse_netlist(text).unwrap_err().to_string(), expected);
+        }
+        // A quoted keyword is still the keyword.
+        assert_eq!(parse_netlist("\"block\" A\n").unwrap().block_count(), 1);
     }
 
     #[test]

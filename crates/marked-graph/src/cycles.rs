@@ -8,7 +8,7 @@
 //! initial listing of all the cycles ... may blow up fairly quickly".
 
 use crate::error::GraphError;
-use crate::graph::{MarkedGraph, PlaceId};
+use crate::graph::{MarkedGraph, PlaceId, TransitionId};
 
 /// Default cap on the number of enumerated cycles.
 pub const DEFAULT_CYCLE_LIMIT: usize = 1_000_000;
@@ -62,6 +62,18 @@ pub fn count_elementary_cycles(graph: &MarkedGraph, limit: usize) -> Result<usiz
     Ok(enumerator.count)
 }
 
+/// One level of Johnson's circuit search: a vertex on the current path,
+/// the index of its next output place to try, and whether a cycle through
+/// the start vertex was found below it.
+struct Frame {
+    v: usize,
+    next: usize,
+    found: bool,
+}
+
+/// Johnson's algorithm with explicit stacks instead of recursion, so a path
+/// as long as the graph (a deep reconvergent chain) needs heap, not thread
+/// stack. Emission order is that of the textbook recursive formulation.
 struct Johnson<'g> {
     graph: &'g MarkedGraph,
     limit: usize,
@@ -73,6 +85,13 @@ struct Johnson<'g> {
     b_sets: Vec<Vec<usize>>,
     /// Current DFS path as places.
     path: Vec<PlaceId>,
+    /// The DFS frames of the current path's vertices.
+    frames: Vec<Frame>,
+    /// Worklist of [`Johnson::unblock`].
+    unblocking: Vec<usize>,
+    /// Vertices whose `blocked` flag or `B` set may have changed since the
+    /// current start began; only these need resetting before the next one.
+    touched: Vec<usize>,
     start: usize,
 }
 
@@ -88,6 +107,9 @@ impl<'g> Johnson<'g> {
             blocked: vec![false; n],
             b_sets: vec![Vec::new(); n],
             path: Vec::new(),
+            frames: Vec::new(),
+            unblocking: Vec::new(),
+            touched: Vec::new(),
             start: 0,
         }
     }
@@ -96,21 +118,30 @@ impl<'g> Johnson<'g> {
         let n = self.graph.transition_count();
         for s in 0..n {
             self.start = s;
-            for v in s..n {
+            self.circuit(s)?;
+            // Every vertex is unblocked with an empty `B` set before each
+            // start, as Johnson's reset of the subgraph on vertices >= s
+            // requires, at the cost of what the last search touched.
+            for v in self.touched.drain(..) {
                 self.blocked[v] = false;
                 self.b_sets[v].clear();
             }
-            self.circuit(s)?;
         }
         Ok(())
     }
 
+    /// Unblocks `v` and, transitively, every blocked vertex in the `B` sets
+    /// of the vertices it unblocks. The resulting state does not depend on
+    /// the order of the walk, so a worklist replaces the recursion.
     fn unblock(&mut self, v: usize) {
         self.blocked[v] = false;
-        let pending = std::mem::take(&mut self.b_sets[v]);
-        for w in pending {
-            if self.blocked[w] {
-                self.unblock(w);
+        self.unblocking.push(v);
+        while let Some(u) = self.unblocking.pop() {
+            for w in std::mem::take(&mut self.b_sets[u]) {
+                if self.blocked[w] {
+                    self.blocked[w] = false;
+                    self.unblocking.push(w);
+                }
             }
         }
     }
@@ -126,47 +157,69 @@ impl<'g> Johnson<'g> {
         Ok(())
     }
 
-    fn circuit(&mut self, v: usize) -> Result<bool, GraphError> {
-        let mut found = false;
-        self.blocked[v] = true;
-        for i in 0..self.graph.outputs(crate::graph::TransitionId::new(v)).len() {
-            let p = self.graph.outputs(crate::graph::TransitionId::new(v))[i];
-            let w = self.graph.target(p).index();
-            if w < self.start {
-                continue; // restricted to the subgraph on vertices >= start
-            }
-            if w == self.start {
-                self.path.push(p);
-                self.record()?;
-                self.path.pop();
-                found = true;
-            } else if !self.blocked[w] {
-                self.path.push(p);
-                if self.circuit(w)? {
-                    found = true;
+    /// Johnson's `CIRCUIT(s)`: every elementary cycle through the start
+    /// vertex `s` in the subgraph on vertices `>= s`.
+    fn circuit(&mut self, s: usize) -> Result<(), GraphError> {
+        let graph = self.graph;
+        self.blocked[s] = true;
+        self.touched.push(s);
+        self.frames.push(Frame {
+            v: s,
+            next: 0,
+            found: false,
+        });
+        while let Some(top) = self.frames.last_mut() {
+            let v = top.v;
+            let outs = graph.outputs(TransitionId::new(v));
+            if let Some(&p) = outs.get(top.next) {
+                top.next += 1;
+                let w = graph.target(p).index();
+                if w < self.start {
+                    continue; // restricted to the subgraph on vertices >= start
                 }
+                if w == self.start {
+                    top.found = true;
+                    self.path.push(p);
+                    self.record()?;
+                    self.path.pop();
+                } else if !self.blocked[w] {
+                    self.path.push(p);
+                    self.blocked[w] = true;
+                    self.touched.push(w);
+                    self.frames.push(Frame {
+                        v: w,
+                        next: 0,
+                        found: false,
+                    });
+                }
+                continue;
+            }
+            // All outputs of `v` explored: return from its frame.
+            let found = top.found;
+            self.frames.pop();
+            if found {
+                self.unblock(v);
+            } else {
+                for &p in outs {
+                    let w = graph.target(p).index();
+                    if w >= self.start && !self.b_sets[w].contains(&v) {
+                        self.b_sets[w].push(v);
+                        self.touched.push(w);
+                    }
+                }
+            }
+            if let Some(parent) = self.frames.last_mut() {
+                parent.found |= found;
                 self.path.pop();
             }
         }
-        if found {
-            self.unblock(v);
-        } else {
-            for i in 0..self.graph.outputs(crate::graph::TransitionId::new(v)).len() {
-                let p = self.graph.outputs(crate::graph::TransitionId::new(v))[i];
-                let w = self.graph.target(p).index();
-                if w >= self.start && !self.b_sets[w].contains(&v) {
-                    self.b_sets[w].push(v);
-                }
-            }
-        }
-        Ok(found)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::TransitionId;
 
     fn ring(n: usize) -> MarkedGraph {
         let mut g = MarkedGraph::new();
@@ -295,5 +348,130 @@ mod tests {
         g.add_place(ts[5], ts[3], 1);
         let cs = elementary_cycles(&g, 100).unwrap();
         assert_eq!(cs.len(), 2);
+    }
+
+    #[test]
+    fn deep_path_does_not_need_a_deep_thread_stack() {
+        // t0 -> t(n-1) -> t(n-2) -> ... -> t1 -> t0: the search from t0 runs
+        // n levels deep; every later start sees its only output lead to a
+        // smaller vertex and stops at once.
+        const N: usize = 200_000;
+        let worker = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut g = MarkedGraph::new();
+                let ts: Vec<_> = (0..N).map(|i| g.add_transition(format!("t{i}"))).collect();
+                for i in 0..N {
+                    g.add_place(ts[i], ts[(i + N - 1) % N], 1);
+                }
+                let cs = elementary_cycles(&g, 10).unwrap();
+                (cs.len(), cs[0].len())
+            })
+            .expect("spawn small-stack thread");
+        assert_eq!(worker.join().expect("no stack overflow"), (1, N));
+    }
+
+    /// The textbook recursive formulation of Johnson's search, kept as the
+    /// reference for the emission order of [`elementary_cycles`].
+    struct Recursive<'g> {
+        graph: &'g MarkedGraph,
+        cycles: Vec<Vec<PlaceId>>,
+        blocked: Vec<bool>,
+        b_sets: Vec<Vec<usize>>,
+        path: Vec<PlaceId>,
+        start: usize,
+    }
+
+    impl Recursive<'_> {
+        fn enumerate(graph: &MarkedGraph) -> Vec<Vec<PlaceId>> {
+            let n = graph.transition_count();
+            let mut r = Recursive {
+                graph,
+                cycles: Vec::new(),
+                blocked: vec![false; n],
+                b_sets: vec![Vec::new(); n],
+                path: Vec::new(),
+                start: 0,
+            };
+            for s in 0..n {
+                r.start = s;
+                for v in s..n {
+                    r.blocked[v] = false;
+                    r.b_sets[v].clear();
+                }
+                r.circuit(s);
+            }
+            r.cycles
+        }
+
+        fn unblock(&mut self, v: usize) {
+            self.blocked[v] = false;
+            for w in std::mem::take(&mut self.b_sets[v]) {
+                if self.blocked[w] {
+                    self.unblock(w);
+                }
+            }
+        }
+
+        fn circuit(&mut self, v: usize) -> bool {
+            let mut found = false;
+            self.blocked[v] = true;
+            let outs = self.graph.outputs(TransitionId::new(v));
+            for &p in outs {
+                let w = self.graph.target(p).index();
+                if w < self.start {
+                    continue;
+                }
+                if w == self.start {
+                    self.path.push(p);
+                    self.cycles.push(self.path.clone());
+                    self.path.pop();
+                    found = true;
+                } else if !self.blocked[w] {
+                    self.path.push(p);
+                    found |= self.circuit(w);
+                    self.path.pop();
+                }
+            }
+            if found {
+                self.unblock(v);
+            } else {
+                for &p in outs {
+                    let w = self.graph.target(p).index();
+                    if w >= self.start && !self.b_sets[w].contains(&v) {
+                        self.b_sets[w].push(v);
+                    }
+                }
+            }
+            found
+        }
+    }
+
+    #[test]
+    fn emission_order_matches_the_recursive_formulation() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x10b5);
+        for trial in 0..300 {
+            let n: usize = rng.gen_range(1..8);
+            let mut g = MarkedGraph::new();
+            let ts: Vec<_> = (0..n).map(|i| g.add_transition(format!("t{i}"))).collect();
+            // Random multigraph: parallel places and self-loops included.
+            for _ in 0..rng.gen_range(0..3 * n + 1) {
+                let u = rng.gen_range(0..n);
+                let v = rng.gen_range(0..n);
+                g.add_place(ts[u], ts[v], rng.gen_range(0..3));
+            }
+            let expected = Recursive::enumerate(&g);
+            assert_eq!(
+                elementary_cycles(&g, usize::MAX).unwrap(),
+                expected,
+                "trial {trial}: {g:?}"
+            );
+            assert_eq!(
+                count_elementary_cycles(&g, usize::MAX).unwrap(),
+                expected.len()
+            );
+        }
     }
 }

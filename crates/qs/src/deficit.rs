@@ -42,9 +42,6 @@ pub struct QsInstance {
     pub practical: Ratio,
     /// All deficient cycles of the doubled graph.
     pub cycles: Vec<DeficientCycle>,
-    /// Total number of elementary cycles in the doubled graph (deficient or
-    /// not), for reporting.
-    pub total_cycles: usize,
 }
 
 impl QsInstance {
@@ -80,10 +77,13 @@ pub fn cycle_deficit(tokens: u64, len: u64, target: Ratio) -> u64 {
 /// `d[G]`, keeps the deficient ones, and annotates each with its deficit and
 /// adjustable channels.
 ///
+/// When `θ(d[G])` already reaches `θ(G)` no cycle can be deficient, so the
+/// instance is empty and nothing is enumerated.
+///
 /// # Errors
 ///
-/// Returns [`QsError::TooManyCycles`] if the doubled graph has more than
-/// `cycle_limit` elementary cycles.
+/// Returns [`QsError::TooManyCycles`] if the system is degraded and the
+/// doubled graph has more than `cycle_limit` elementary cycles.
 ///
 /// # Examples
 ///
@@ -110,8 +110,8 @@ pub fn extract_instance(sys: &LisSystem, cycle_limit: usize) -> Result<QsInstanc
 ///
 /// # Errors
 ///
-/// Returns [`QsError::TooManyCycles`] if the doubled graph has more than
-/// `cycle_limit` elementary cycles.
+/// Returns [`QsError::TooManyCycles`] if the system is degraded and the
+/// doubled graph has more than `cycle_limit` elementary cycles.
 pub fn extract_instance_with(
     sys: &LisSystem,
     cycle_limit: usize,
@@ -138,8 +138,8 @@ pub fn extract_from_model(
 ///
 /// # Errors
 ///
-/// Returns [`QsError::TooManyCycles`] if the doubled graph has more than
-/// `cycle_limit` elementary cycles.
+/// Returns [`QsError::TooManyCycles`] if `θ(d[G])` falls short of `target`
+/// and the doubled graph has more than `cycle_limit` elementary cycles.
 pub fn extract_from_model_with(
     _sys: &LisSystem,
     model: &LisModel,
@@ -149,10 +149,18 @@ pub fn extract_from_model_with(
 ) -> Result<QsInstance, QsError> {
     let graph = model.graph();
     let practical = lis_core::mst_with(graph, engine);
-    let all = elementary_cycles(graph, cycle_limit)?;
-    let total_cycles = all.len();
+    // θ(d[G]) = min(1, minimum cycle mean) ≤ every cycle's mean, so once it
+    // reaches the target every cycle has `tokens ≥ ⌈target · len⌉` and no
+    // cycle is deficient: skip the (possibly quadratic) enumeration.
+    if practical >= target {
+        return Ok(QsInstance {
+            target,
+            practical,
+            cycles: Vec::new(),
+        });
+    }
     let mut cycles = Vec::new();
-    for places in all {
+    for places in elementary_cycles(graph, cycle_limit)? {
         let tokens: u64 = places.iter().map(|&p| graph.tokens(p)).sum();
         let len = places.len() as u64;
         let deficit = cycle_deficit(tokens, len, target);
@@ -181,7 +189,6 @@ pub fn extract_from_model_with(
         target,
         practical,
         cycles,
-        total_cycles,
     })
 }
 
@@ -254,9 +261,31 @@ mod tests {
         sys.add_channel(b, c);
         sys.add_channel(c, a);
         sys.add_channel(a, c);
-        let inst = extract_instance(&sys, 10_000).unwrap();
+        // d[G] has many cycles, but a limit of one suffices: nothing is
+        // enumerated when θ(d[G]) = θ(G).
+        let inst = extract_instance(&sys, 1).unwrap();
         assert!(!inst.is_degraded());
-        assert!(inst.total_cycles > 0);
+        assert_eq!(inst.practical, inst.target);
+    }
+
+    #[test]
+    fn non_degraded_ring_extracts_without_enumerating() {
+        // A 300-block ring with two relay stations: d[G] has more than 300
+        // elementary cycles (every channel's 2-cycle plus the two ring
+        // directions), yet a limit of one is never hit.
+        let mut sys = LisSystem::new();
+        let blocks: Vec<_> = (0..300).map(|i| sys.add_block(format!("r{i}"))).collect();
+        for i in 0..300 {
+            let c = sys.add_channel(blocks[i], blocks[(i + 1) % 300]);
+            if i == 0 || i == 150 {
+                sys.add_relay_station(c);
+            }
+        }
+        let inst = extract_instance(&sys, 1).unwrap();
+        assert!(!inst.is_degraded());
+        assert_eq!(inst.target, Ratio::new(150, 151));
+        assert_eq!(inst.practical, inst.target);
+        assert!(inst.cycles.is_empty());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! 1. [`extract_instance`] — enumerate the cycles of `d[G]`, keep the
 //!    *deficient* ones (mean below the ideal MST), and record the shell
-//!    queues each one runs through;
+//!    queues each one runs through; a system with `θ(d[G]) = θ(G)` has
+//!    none, so it is not enumerated at all;
 //! 2. [`TdInstance::from_qs`] — abstract to the Token Deficit problem;
 //! 3. [`simplify`] / [`collapse_sccs`] — the paper's simplification rules
 //!    (subset sets, singleton cycles, SCC contraction);

@@ -85,8 +85,6 @@ pub struct QsReport {
     pub optimal: bool,
     /// Number of deficient cycles in the instance.
     pub deficient_cycles: usize,
-    /// Total elementary cycles enumerated in `d[G]`.
-    pub total_cycles: usize,
     /// Search nodes explored by the exact solver (0 for the heuristic).
     pub nodes: u64,
 }
@@ -179,7 +177,6 @@ fn solve_core(sys: &LisSystem, algo: Algorithm, cfg: &QsConfig) -> Result<QsRepo
         extra_tokens,
         optimal,
         deficient_cycles: inst.cycles.len(),
-        total_cycles: inst.total_cycles,
         nodes,
     })
 }

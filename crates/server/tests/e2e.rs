@@ -615,3 +615,53 @@ fn request_id_header_is_echoed_and_absent_when_not_sent() {
     assert_eq!(bad.header("x-lis-request-id"), Some("corr-9"));
     stop(addr, daemon);
 }
+
+/// A ring of `n` blocks with one relay station on each of two channels:
+/// non-degraded (a ring has no reconvergent paths), like the `cold-solve`
+/// benchmark's ring family.
+fn ring_netlist(n: usize) -> String {
+    let mut text = String::new();
+    for i in 0..n {
+        text.push_str(&format!("block r{i}\n"));
+    }
+    for i in 0..n {
+        let rs = if i == 0 || i == n / 2 { " rs=1" } else { "" };
+        text.push_str(&format!("channel r{i} -> r{}{rs}\n", (i + 1) % n));
+    }
+    text
+}
+
+#[test]
+fn qs_bodies_are_pinned_for_a_degraded_and_a_non_degraded_design() {
+    // Literal bodies: queue sizing may take a shortcut on non-degraded
+    // designs, but the answer bytes must not change.
+    const FIG1_HEURISTIC: &str = r#"{"engine":"howard","target_mst":{"num":1,"den":1},"practical_before":{"num":2,"den":3},"total_extra":1,"optimal":false,"deficient_cycles":1,"extra_tokens":[{"channel":1,"from":"A","to":"B","extra_slots":1,"new_capacity":2}]}"#;
+    const FIG1_EXACT: &str = r#"{"engine":"howard","target_mst":{"num":1,"den":1},"practical_before":{"num":2,"den":3},"total_extra":1,"optimal":true,"deficient_cycles":1,"extra_tokens":[{"channel":1,"from":"A","to":"B","extra_slots":1,"new_capacity":2}]}"#;
+    const RING300: &str = r#"{"engine":"howard","target_mst":{"num":150,"den":151},"practical_before":{"num":150,"den":151},"total_extra":0,"optimal":true,"deficient_cycles":0,"extra_tokens":[]}"#;
+
+    let (addr, daemon) = start(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let ring = ring_netlist(300);
+    let cases = [
+        (FIG1, false, FIG1_HEURISTIC),
+        (FIG1, true, FIG1_EXACT),
+        (ring.as_str(), false, RING300),
+        (ring.as_str(), true, RING300),
+    ];
+    for (netlist, exact, expected) in cases {
+        let body = obj([
+            ("netlist", Json::str(netlist)),
+            ("options", obj([("exact", Json::Bool(exact))])),
+        ]);
+        let resp = client
+            .request("POST", "/qs", body.to_string().as_bytes())
+            .expect("qs");
+        assert_eq!(resp.status, 200);
+        assert_eq!(
+            std::str::from_utf8(&resp.body).unwrap(),
+            expected,
+            "exact={exact}"
+        );
+    }
+    stop(addr, daemon);
+}

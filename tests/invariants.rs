@@ -25,6 +25,123 @@ fn arb_lis() -> impl Strategy<Value = LisSystem> {
         })
 }
 
+/// Strategy: a small random system from the paper's generator (degraded or
+/// not, depending on where its relay stations land).
+fn arb_generated_lis() -> impl Strategy<Value = LisSystem> {
+    (
+        4usize..13,
+        1usize..5,
+        1usize..4,
+        0usize..7,
+        (proptest::bool::ANY, proptest::bool::ANY, 1usize..5),
+        0u64..u64::MAX,
+    )
+        .prop_map(
+            |(vertices, sccs, cycles, stations, (rp, any_policy, inter), seed)| {
+                use lis::gen::{generate, GeneratorConfig, InsertionPolicy};
+                use rand::SeedableRng;
+                let cfg = GeneratorConfig {
+                    vertices,
+                    sccs: sccs.min(vertices / 2),
+                    min_cycles_per_scc: cycles,
+                    relay_stations: stations,
+                    reconvergent_paths: rp,
+                    policy: if any_policy {
+                        InsertionPolicy::Any
+                    } else {
+                        InsertionPolicy::Scc
+                    },
+                    extra_inter_edges: Some(inter),
+                };
+                generate(&cfg, &mut rand::rngs::StdRng::seed_from_u64(seed)).system
+            },
+        )
+}
+
+/// Strategy: a ring with random relay stations and queue capacities — an
+/// SCC without reconvergent paths, so never degraded (Table II).
+fn arb_ring_lis() -> impl Strategy<Value = LisSystem> {
+    (
+        2usize..40,
+        proptest::collection::vec((0usize..40, 1u32..3), 0..4),
+        proptest::collection::vec((0usize..40, 1u64..4), 0..4),
+    )
+        .prop_map(|(len, stations, queues)| {
+            let r = lis::gen::ring(len);
+            let mut sys = r.system;
+            for (at, count) in stations {
+                for _ in 0..count {
+                    sys.add_relay_station(r.channels[at % len]);
+                }
+            }
+            for (at, q) in queues {
+                sys.set_queue_capacity(r.channels[at % len], q)
+                    .expect("q >= 1");
+            }
+            sys
+        })
+}
+
+/// The queue-sizing instance of `sys` by definition: every elementary cycle
+/// of d[G] in enumeration order, keeping the deficient ones.
+fn deficient_filter(sys: &LisSystem) -> Vec<lis::qs::DeficientCycle> {
+    use lis::marked_graph::cycles::elementary_cycles;
+    let target = ideal_mst(sys);
+    let model = LisModel::doubled(sys);
+    let g = model.graph();
+    elementary_cycles(g, usize::MAX)
+        .expect("no limit")
+        .into_iter()
+        .filter_map(|places| {
+            let tokens: u64 = places.iter().map(|&p| g.tokens(p)).sum();
+            let len = places.len() as u64;
+            let deficit = lis::qs::cycle_deficit(tokens, len, target);
+            let mut adjustable: Vec<_> = places
+                .iter()
+                .filter_map(|&p| model.channel_of_queue_backedge(p))
+                .collect();
+            adjustable.sort();
+            adjustable.dedup();
+            (deficit > 0).then_some(lis::qs::DeficientCycle {
+                places,
+                tokens,
+                len,
+                deficit,
+                adjustable,
+            })
+        })
+        .collect()
+}
+
+/// `extract_instance` equals [`deficient_filter`]; on non-degraded systems
+/// both solvers report zero extra slots, proven optimal, with no search.
+fn check_qs_extract(sys: &LisSystem) -> Result<(), String> {
+    use lis::qs::{extract_instance, solve, Algorithm, QsConfig, QsReport, DEFAULT_CYCLE_LIMIT};
+    let inst = extract_instance(sys, DEFAULT_CYCLE_LIMIT).expect("bounded");
+    prop_assert_eq!(inst.target, ideal_mst(sys));
+    prop_assert_eq!(inst.practical, practical_mst(sys));
+    prop_assert_eq!(&inst.cycles, &deficient_filter(sys));
+    prop_assert_eq!(inst.is_degraded(), inst.practical < inst.target);
+    if !inst.is_degraded() {
+        for algo in [Algorithm::Heuristic, Algorithm::Exact] {
+            let expected = QsReport {
+                target: inst.target,
+                practical_before: inst.practical,
+                extra_tokens: Vec::new(),
+                total_extra: 0,
+                optimal: true,
+                deficient_cycles: 0,
+                nodes: 0,
+            };
+            prop_assert_eq!(
+                solve(sys, algo, &QsConfig::default()).expect("solves"),
+                expected
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Strategy: a random live marked graph (ring + chords, every place ≥ 0
 /// tokens with at least one token per ring).
 fn arb_marked_graph() -> impl Strategy<Value = MarkedGraph> {
@@ -288,5 +405,46 @@ proptest! {
         prop_assert_eq!(x < y, (x - y).numer() < 0);
         prop_assert_eq!(x == y, (x - y).numer() == 0);
         prop_assert_eq!((x + y) - y, x);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Extraction skips enumeration only when no cycle is deficient: on
+    /// random generated systems it returns exactly the deficient cycles of
+    /// the full enumeration, in order.
+    #[test]
+    fn qs_extract_is_the_deficient_filter_on_generated_systems(sys in arb_generated_lis()) {
+        check_qs_extract(&sys)?;
+    }
+
+    /// The same on the small ad-hoc systems (self-loops, parallel channels).
+    #[test]
+    fn qs_extract_is_the_deficient_filter_on_small_systems(sys in arb_lis()) {
+        check_qs_extract(&sys)?;
+    }
+
+    /// The same on rings, the non-degraded family the shortcut is for.
+    #[test]
+    fn qs_extract_is_the_deficient_filter_on_rings(sys in arb_ring_lis()) {
+        prop_assert!(practical_mst(&sys) == ideal_mst(&sys));
+        check_qs_extract(&sys)?;
+    }
+}
+
+/// The same on the paper's figures, degraded (Figs. 1, 6, 15) and not.
+#[test]
+fn qs_extract_is_the_deficient_filter_on_the_figure_corpus() {
+    use lis::core::figures;
+    let mut corpus = vec![
+        figures::fig1().0,
+        figures::fig2_right().0,
+        figures::fig6().0,
+        figures::fig15().0,
+    ];
+    corpus.extend((0..4).map(figures::fig2_family));
+    for sys in &corpus {
+        check_qs_extract(sys).unwrap();
     }
 }
