@@ -170,8 +170,7 @@ fn cold(g: &MarkedGraph, engine: McmEngine, samples: usize, reps: usize) -> (Rat
 /// touched component with its persisted policy. The first `verify` queries
 /// are cross-checked against from-scratch Karp on a patched clone.
 fn warm(g: &MarkedGraph, q: usize, samples: usize, verify: usize) -> Duration {
-    let base_result =
-        mcm::minimum_cycle_mean_serial_with(g, McmEngine::Howard).expect("cyclic graph");
+    let base_result = mcm::minimum_cycle_mean_with(g, McmEngine::Howard).expect("cyclic graph");
     let place = base_result.critical_cycle[0];
     let base_tokens = g.tokens(place);
     let mut inc = IncrementalMcm::new(g);

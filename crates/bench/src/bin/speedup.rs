@@ -1,8 +1,8 @@
-//! Records the wall-clock speedups of the parallel + incremental analysis
-//! engine into `results/parallel_speedup.txt`.
+//! Records the wall-clock speedups of the incremental analysis engine into
+//! `results/parallel_speedup.txt`.
 //!
-//! Three workloads, all bit-identical in their answers to the serial
-//! baselines they are measured against:
+//! Two workloads, both bit-identical in their answers to the baselines
+//! they are measured against:
 //!
 //! 1. **Incremental MCM vs from-scratch Karp** on the queue-sizing query
 //!    pattern (same doubled graph, different backedge tokens). The
@@ -10,8 +10,10 @@
 //!    components a query touches, and memoizes per-component deltas.
 //! 2. **Branch-and-bound with vs without the transposition memo** on dense
 //!    Token Deficit instances.
-//! 3. **Parallel vs serial SCC fan-out** of the minimum-cycle-mean kernel
-//!    (gains scale with available cores; the core count is recorded).
+//!
+//! The minimum-cycle-mean kernel no longer fans SCCs out across threads
+//! (a request already owns one worker), so the former parallel-vs-serial
+//! workload is gone with the parallel entry points it measured.
 //!
 //! Timings are the minimum of three runs each; answers are asserted equal
 //! before anything is written.
@@ -24,8 +26,8 @@ use lis_core::LisModel;
 use lis_gen::{generate, GeneratorConfig, InsertionPolicy};
 use lis_qs::{exact_solve_with, ExactOptions, TdInstance};
 use marked_graph::incremental::IncrementalMcm;
-use marked_graph::mcm::{karp, karp_parallel};
-use marked_graph::{PlaceId, Ratio};
+use marked_graph::mcm::karp;
+use marked_graph::PlaceId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -204,49 +206,16 @@ fn memo_vs_no_memo(report: &mut String) -> f64 {
     speedup
 }
 
-/// Workload 3: parallel SCC fan-out vs the serial loop.
-fn parallel_vs_serial(report: &mut String) -> f64 {
-    let mut rng = StdRng::seed_from_u64(7);
-    let lis = generate(&fig_cfg(400, 20), &mut rng);
-    let g = LisModel::doubled(&lis.system).into_graph();
-    let (serial, t_serial) = best_of_3(|| {
-        (0..16)
-            .map(|_| karp(&g).expect("cyclic"))
-            .collect::<Vec<Ratio>>()
-    });
-    let (parallel, t_par) = best_of_3(|| {
-        (0..16)
-            .map(|_| karp_parallel(&g).expect("cyclic"))
-            .collect::<Vec<Ratio>>()
-    });
-    assert_eq!(serial, parallel, "parallel Karp diverged");
-
-    let speedup = t_serial.as_secs_f64() / t_par.as_secs_f64();
-    writeln!(
-        report,
-        "parallel vs serial SCC fan-out (Karp, {} worker threads)\n  \
-         workload: 16 repeats, doubled graph of a random LIS (v=400, s=20)\n  \
-         serial:       {:>10.3} ms   parallel:    {:>10.3} ms   speedup: {:.2}x",
-        lis_par::max_threads(),
-        t_serial.as_secs_f64() * 1e3,
-        t_par.as_secs_f64() * 1e3,
-        speedup
-    )
-    .expect("write to String");
-    speedup
-}
-
 fn main() {
     let mut report = String::new();
     writeln!(
         report,
-        "Wall-clock speedups of the parallel + incremental MCM analysis engine\n\
-         ======================================================================\n\
-         machine: {} available core(s); timings are the minimum of 3 runs;\n\
-         every measured variant is asserted bit-identical to its serial baseline\n\
-         before the numbers are recorded. Regenerate with:\n\
-         \x20   cargo run --release -p lis-bench --bin speedup\n",
-        lis_par::max_threads()
+        "Wall-clock speedups of the incremental MCM analysis engine\n\
+         ==========================================================\n\
+         timings are the minimum of 3 runs; every measured variant is\n\
+         asserted bit-identical to its baseline before the numbers are\n\
+         recorded. Regenerate with:\n\
+         \x20   cargo run --release -p lis-bench --bin speedup\n"
     )
     .expect("write to String");
 
@@ -254,15 +223,12 @@ fn main() {
     report.push('\n');
     let s2 = memo_vs_no_memo(&mut report);
     report.push('\n');
-    let s3 = parallel_vs_serial(&mut report);
-    report.push('\n');
 
-    let best = s1.max(s2).max(s3);
+    let best = s1.max(s2);
     writeln!(
         report,
-        "best recorded speedup: {best:.2}x (target: >= 2x). Note: the SCC\n\
-         fan-out line tracks core count and is ~1x on single-core machines;\n\
-         the incremental-engine gain is algorithmic (memoized per-component\n\
+        "best recorded speedup: {best:.2}x (target: >= 2x). The\n\
+         incremental-engine gain is algorithmic (memoized per-component\n\
          re-solves) and holds at any core count."
     )
     .expect("write to String");

@@ -7,11 +7,11 @@
 
 use std::fmt;
 
-use marked_graph::sensitivity::bottleneck_places;
+use marked_graph::incremental::IncrementalMcm;
 use marked_graph::{McmEngine, PlaceId, Ratio};
 
 use crate::model::LisModel;
-use crate::mst::{ideal_mst_with, mst_with_critical_cycle_with};
+use crate::mst::ideal_mst_of;
 use crate::system::{ChannelId, LisSystem};
 use crate::topology::{classify, TopologyClass};
 
@@ -128,41 +128,87 @@ pub fn explain(sys: &LisSystem) -> AnalysisReport {
 
 /// [`explain`] with an explicit MCM engine choice. Every engine produces
 /// the identical report (modulo the `engine` field itself).
+///
+/// One doubled model `d[G]` answers everything: `θ(G)` is solved on its
+/// forward places, and `θ(d[G])`, the critical cycle and the bottlenecks
+/// come from one [`IncrementalMcm`] over it (see [`analysis_report`]).
 pub fn explain_with(sys: &LisSystem, engine: McmEngine) -> AnalysisReport {
     let class = classify(sys);
-    let ideal = ideal_mst_with(sys, engine);
     let model = LisModel::doubled(sys);
-    let (practical_raw, cycle) =
-        mst_with_critical_cycle_with(model.graph(), engine).unwrap_or((Ratio::ONE, None));
-    let practical = practical_raw.min(ideal);
-    let degraded = practical < ideal;
+    let ideal = ideal_mst_of(&model, engine);
+    let mut inc = IncrementalMcm::with_engine(model.graph(), engine);
+    analysis_report(&model, &mut inc, &[], ideal, class)
+}
 
-    let critical_cycle = if degraded {
-        cycle.map(|c| describe_cycle(&model, &c))
-    } else {
-        None
-    };
-
-    let bottleneck_queues = if degraded {
-        let bottlenecks = bottleneck_places(model.graph());
-        let mut chs: Vec<ChannelId> = bottlenecks
+/// The analysis report of a doubled model whose places in `overrides`
+/// carry the paired token counts instead of their own, given its ideal MST
+/// and topology class (neither depends on queue capacities).
+///
+/// `inc` must have been built on `model`'s graph; the report's engine is
+/// `inc`'s. With an empty `overrides` this is [`explain_with`] of the
+/// system `model` was built from. A design sweep passes each grid point's
+/// queue capacities as backedge overrides instead, so one warm solver
+/// serves every point with the cold path's exact bytes.
+///
+/// `θ(d[G])` is a mean-only query. Only a degraded design pays for the
+/// critical cycle and the bottleneck queues, which come from one shared
+/// potentials pass ([`IncrementalMcm::analysis_with_tokens`]).
+///
+/// # Examples
+///
+/// ```
+/// use lis_core::{analysis_report, classify, figures, ideal_mst, LisModel};
+/// use marked_graph::incremental::IncrementalMcm;
+/// use marked_graph::Ratio;
+///
+/// let (sys, _, lower) = figures::fig1();
+/// let model = LisModel::doubled(&sys);
+/// let mut inc = IncrementalMcm::new(model.graph());
+/// let class = classify(&sys);
+/// let report = analysis_report(&model, &mut inc, &[], ideal_mst(&sys), class);
+/// assert_eq!(report.practical, Ratio::new(2, 3));
+/// // A second slot on the lower queue: the Fig. 6 fix, without a rebuild.
+/// let queue = model.queue_backedge(lower).unwrap();
+/// let fixed = analysis_report(&model, &mut inc, &[(queue, 2)], ideal_mst(&sys), class);
+/// assert!(!fixed.is_degraded());
+/// ```
+pub fn analysis_report(
+    model: &LisModel,
+    inc: &mut IncrementalMcm,
+    overrides: &[(PlaceId, u64)],
+    ideal: Ratio,
+    class: TopologyClass,
+) -> AnalysisReport {
+    // An empty or acyclic graph has no cycle mean: θ(d[G]) = 1.
+    let practical = inc
+        .mcm_with_tokens(overrides)
+        .map_or(Ratio::ONE, |mean| mean.min(Ratio::ONE))
+        .min(ideal);
+    let (critical_cycle, bottleneck_queues) = if practical < ideal {
+        let analysis = inc
+            .analysis_with_tokens(overrides)
+            .expect("a degraded design has a cycle");
+        let mut queues: Vec<ChannelId> = analysis
+            .bottlenecks
             .into_iter()
             .filter_map(|p| model.channel_of_queue_backedge(p))
             .collect();
-        chs.sort();
-        chs.dedup();
-        chs
+        queues.sort();
+        queues.dedup();
+        (
+            Some(describe_cycle(model, &analysis.critical_cycle)),
+            queues,
+        )
     } else {
-        Vec::new()
+        (None, Vec::new())
     };
-
     AnalysisReport {
         class,
         ideal,
         practical,
         critical_cycle,
         bottleneck_queues,
-        engine,
+        engine: inc.engine(),
     }
 }
 
@@ -186,6 +232,57 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("critical cycle"));
         assert!(text.contains("bottleneck queues"));
+    }
+
+    /// The single-build report is the cold path's answer at every point:
+    /// overriding a queue backedge equals rebuilding with that capacity.
+    #[test]
+    fn overrides_equal_a_rebuilt_system() {
+        let (sys, _, lower) = figures::fig1();
+        let model = LisModel::doubled(&sys);
+        let mut inc = IncrementalMcm::new(model.graph());
+        let queue = model.queue_backedge(lower).unwrap();
+        for q in 1..4 {
+            let mut resized = sys.clone();
+            resized.set_queue_capacity(lower, q).unwrap();
+            let warm = analysis_report(
+                &model,
+                &mut inc,
+                &[(queue, q)],
+                crate::ideal_mst(&sys),
+                classify(&sys),
+            );
+            assert_eq!(format!("{warm:?}"), format!("{:?}", explain(&resized)));
+        }
+    }
+
+    #[test]
+    fn only_degraded_designs_extract_a_cycle_and_bottlenecks() {
+        // A four-block ring with a relay station: θ(G) = θ(d[G]) = 4/5 < 1,
+        // so the design is not degraded although its throughput is below 1.
+        let mut ring = LisSystem::new();
+        let blocks: Vec<_> = (0..4).map(|i| ring.add_block(format!("b{i}"))).collect();
+        for i in 0..4 {
+            let c = ring.add_channel(blocks[i], blocks[(i + 1) % 4]);
+            if i == 0 {
+                ring.add_relay_station(c);
+            }
+        }
+        let cases = [
+            (ring, false),
+            (figures::fig2_right().0, false),
+            (figures::fig1().0, true),
+            (figures::fig15().0, true),
+        ];
+        for (sys, degraded) in cases {
+            let model = LisModel::doubled(&sys);
+            let mut inc = IncrementalMcm::new(model.graph());
+            let ideal = ideal_mst_of(&model, McmEngine::Howard);
+            let report = analysis_report(&model, &mut inc, &[], ideal, classify(&sys));
+            assert_eq!(report.is_degraded(), degraded);
+            // One combined cycle + bottleneck pass when degraded, none else.
+            assert_eq!(inc.extraction_count(), u64::from(degraded));
+        }
     }
 
     #[test]

@@ -55,12 +55,12 @@ mod topology;
 pub use canonical::canonical_hash;
 pub use compose::{instantiate, Instantiation};
 pub use error::LisError;
-pub use explain::{describe_cycle, explain, explain_with, AnalysisReport};
+pub use explain::{analysis_report, describe_cycle, explain, explain_with, AnalysisReport};
 pub use marked_graph::McmEngine;
 pub use model::{LisModel, ModelKind};
 pub use mst::{
-    ideal_mst, ideal_mst_with, mst, mst_degradation, mst_with, mst_with_critical_cycle,
-    mst_with_critical_cycle_with, practical_mst, practical_mst_with,
+    ideal_mst, ideal_mst_of, ideal_mst_with, mst, mst_degradation, mst_with,
+    mst_with_critical_cycle, mst_with_critical_cycle_with, practical_mst, practical_mst_with,
 };
 pub use netlist::{parse_netlist, to_netlist, ParseNetlistError};
 pub use pipelining::{expand_block_latency, LatencyExpansion};

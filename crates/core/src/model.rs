@@ -63,16 +63,23 @@ pub struct LisModel {
     graph: MarkedGraph,
     kind: ModelKind,
     block_transition: Vec<TransitionId>,
-    /// Forward places per channel, ordered producer → consumer.
-    channel_forward: Vec<Vec<PlaceId>>,
-    /// Backedges per channel, `channel_backward[c][i]` pairing with
-    /// `channel_forward[c][i]`. Empty in the ideal model.
-    channel_backward: Vec<Vec<PlaceId>>,
+    /// Forward places of every channel, channel after channel, each
+    /// ordered producer → consumer. Channel `c` owns
+    /// `hop_start[c]..hop_start[c + 1]`.
+    forward: Vec<PlaceId>,
+    /// Backedges, index-paired with `forward`. Empty in the ideal model.
+    backward: Vec<PlaceId>,
+    /// Prefix offsets of each channel's hops (one hop per forward place).
+    /// A channel with `k` relay stations has `k + 1` hops, so `hop_start[c]`
+    /// is `c` plus the relay stations of the channels before `c`.
+    hop_start: Vec<u32>,
+    /// Relay-station transitions, channel after channel, each ordered
+    /// producer → consumer. Channel `c` owns
+    /// `hop_start[c] - c..hop_start[c + 1] - (c + 1)`.
+    relay: Vec<TransitionId>,
     /// The adjustable shell-queue backedge per channel (the one entering the
     /// consumer shell's input queue). `None` in the ideal model.
     queue_backedge: Vec<Option<PlaceId>>,
-    /// Relay-station transitions per channel, ordered producer → consumer.
-    relay_transitions: Vec<Vec<TransitionId>>,
     /// Per-place role flags, indexed by `PlaceId::index()`: bit 0 = forward
     /// edge, bit 1 = backedge. Critical-cycle descriptions query the role of
     /// every hop, so this must not be a per-channel scan.
@@ -95,89 +102,90 @@ impl LisModel {
     }
 
     fn build(sys: &LisSystem, kind: ModelKind) -> LisModel {
-        let mut graph = MarkedGraph::new();
+        let doubled = kind == ModelKind::Doubled;
+        let n_channels = sys.channel_count();
+        let n_relays = sys.relay_station_count() as usize;
+        let n_hops = n_channels + n_relays;
+        let n_places = if doubled { 2 * n_hops } else { n_hops };
+
+        let mut graph = MarkedGraph::with_capacity(sys.block_count() + n_relays, n_places);
         let block_transition: Vec<TransitionId> = sys
             .block_ids()
             .map(|b| graph.add_transition(sys.block_name(b)))
             .collect();
 
-        let n_channels = sys.channel_count();
-        let mut channel_forward = vec![Vec::new(); n_channels];
-        let mut channel_backward = vec![Vec::new(); n_channels];
+        let mut forward = Vec::with_capacity(n_hops);
+        let mut backward = Vec::with_capacity(if doubled { n_hops } else { 0 });
+        let mut hop_start = Vec::with_capacity(n_channels + 1);
+        let mut relay = Vec::with_capacity(n_relays);
         let mut queue_backedge = vec![None; n_channels];
-        let mut relay_transitions = vec![Vec::new(); n_channels];
+        let mut place_role = Vec::with_capacity(n_places);
+        let mut queue_channel = vec![None; n_places];
+        hop_start.push(0);
 
         for c in sys.channel_ids() {
-            let from = block_transition[sys.channel_from(c).index()];
-            let to = block_transition[sys.channel_to(c).index()];
-            let rs_count = sys.relay_stations_on(c);
+            let from = sys.channel_from(c);
+            let to = sys.channel_to(c);
             let q = sys.queue_capacity(c);
-
-            // Chain of hops: from -> rs_1 -> ... -> rs_k -> to.
-            let mut hops = vec![from];
-            for i in 0..rs_count {
-                let rs = graph.add_transition(format!(
+            let first_relay = relay.len();
+            for i in 0..sys.relay_stations_on(c) {
+                relay.push(graph.add_transition(format!(
                     "rs{}({}->{})",
                     i + 1,
-                    sys.block_name(sys.channel_from(c)),
-                    sys.block_name(sys.channel_to(c))
-                ));
-                relay_transitions[c.index()].push(rs);
-                hops.push(rs);
+                    sys.block_name(from),
+                    sys.block_name(to)
+                )));
             }
-            hops.push(to);
 
-            for w in 0..hops.len() - 1 {
-                let (src, dst) = (hops[w], hops[w + 1]);
-                let dst_is_shell = w + 1 == hops.len() - 1;
+            // Chain of hops: from -> rs_1 -> ... -> rs_k -> to.
+            let mut src = block_transition[from.index()];
+            for w in first_relay..=relay.len() {
+                let dst_is_shell = w == relay.len();
+                let dst = if dst_is_shell {
+                    block_transition[to.index()]
+                } else {
+                    relay[w]
+                };
                 // Forward place: one token iff the target fires in the first
                 // period — it is a shell whose output latch is initialized.
                 // (Uninitialized shells, like relay stations, emit void
                 // first and hold no incoming token.)
-                let fwd_tokens = u64::from(dst_is_shell && sys.is_initialized(sys.channel_to(c)));
-                let fwd = graph.add_place(src, dst, fwd_tokens);
-                channel_forward[c.index()].push(fwd);
-                if kind == ModelKind::Doubled {
+                let fwd_tokens = u64::from(dst_is_shell && sys.is_initialized(to));
+                forward.push(graph.add_place(src, dst, fwd_tokens));
+                place_role.push(ROLE_FORWARD);
+                if doubled {
                     // Backedge: free slots of the consumer's buffer.
                     let back_tokens = if dst_is_shell { q } else { 2 };
                     let back = graph.add_place(dst, src, back_tokens);
-                    channel_backward[c.index()].push(back);
+                    backward.push(back);
+                    place_role.push(ROLE_BACKWARD);
                     if dst_is_shell {
                         queue_backedge[c.index()] = Some(back);
+                        queue_channel[back.index()] = Some(c);
                     }
                 }
+                src = dst;
             }
-        }
-
-        let mut place_role = vec![0u8; graph.place_count()];
-        for places in &channel_forward {
-            for p in places {
-                place_role[p.index()] |= ROLE_FORWARD;
-            }
-        }
-        for places in &channel_backward {
-            for p in places {
-                place_role[p.index()] |= ROLE_BACKWARD;
-            }
-        }
-        let mut queue_channel = vec![None; graph.place_count()];
-        for (i, p) in queue_backedge.iter().enumerate() {
-            if let Some(p) = p {
-                queue_channel[p.index()] = Some(ChannelId::new(i));
-            }
+            hop_start.push(forward.len() as u32);
         }
 
         LisModel {
             graph,
             kind,
             block_transition,
-            channel_forward,
-            channel_backward,
+            forward,
+            backward,
+            hop_start,
+            relay,
             queue_backedge,
-            relay_transitions,
             place_role,
             queue_channel,
         }
+    }
+
+    /// The hop range of channel `c` in `forward`/`backward`.
+    fn hops(&self, c: ChannelId) -> std::ops::Range<usize> {
+        self.hop_start[c.index()] as usize..self.hop_start[c.index() + 1] as usize
     }
 
     /// The underlying marked graph.
@@ -208,18 +216,22 @@ impl LisModel {
 
     /// The relay-station transitions on a channel, producer → consumer order.
     pub fn relay_transitions(&self, c: ChannelId) -> &[TransitionId] {
-        &self.relay_transitions[c.index()]
+        let hops = self.hops(c);
+        &self.relay[hops.start - c.index()..hops.end - (c.index() + 1)]
     }
 
     /// The forward places of a channel, producer → consumer order.
     pub fn forward_places(&self, c: ChannelId) -> &[PlaceId] {
-        &self.channel_forward[c.index()]
+        &self.forward[self.hops(c)]
     }
 
     /// The backedges of a channel (empty in the ideal model), index-paired
     /// with [`forward_places`](LisModel::forward_places).
     pub fn backward_places(&self, c: ChannelId) -> &[PlaceId] {
-        &self.channel_backward[c.index()]
+        match self.kind {
+            ModelKind::Ideal => &[],
+            ModelKind::Doubled => &self.backward[self.hops(c)],
+        }
     }
 
     /// The adjustable shell-queue backedge of a channel (`None` in the ideal
@@ -251,6 +263,16 @@ impl LisModel {
     /// Whether a place is a forward edge.
     pub fn is_forward(&self, p: PlaceId) -> bool {
         self.place_role.get(p.index()).copied().unwrap_or(0) & ROLE_FORWARD != 0
+    }
+
+    /// One flag per place, set on the forward edges. Masking the doubled
+    /// graph with it leaves exactly the ideal graph `G` (paper §III: `G` is
+    /// `d[G]` without its backedges), with the same transitions and tokens.
+    pub(crate) fn forward_mask(&self) -> Vec<bool> {
+        self.place_role
+            .iter()
+            .map(|&role| role & ROLE_FORWARD != 0)
+            .collect()
     }
 }
 

@@ -109,6 +109,29 @@ pub fn ideal_mst_with(sys: &LisSystem, engine: McmEngine) -> Ratio {
     mst_with(LisModel::ideal(sys).graph(), engine)
 }
 
+/// The ideal MST `θ(G)` read off an already-built model of the system,
+/// equal to [`ideal_mst_with`] on the system it was built from.
+///
+/// It solves the model restricted to its forward places. On a doubled
+/// model that is `G` itself, so a caller holding `d[G]` never builds `G`.
+///
+/// # Examples
+///
+/// ```
+/// use lis_core::{figures, ideal_mst, ideal_mst_of, LisModel};
+/// use marked_graph::McmEngine;
+///
+/// let (sys, _) = figures::fig15();
+/// let doubled = LisModel::doubled(&sys);
+/// assert_eq!(ideal_mst_of(&doubled, McmEngine::Howard), ideal_mst(&sys));
+/// ```
+pub fn ideal_mst_of(model: &LisModel, engine: McmEngine) -> Ratio {
+    // Every place of an ideal model is a forward edge, so the mask keeps
+    // the whole graph there.
+    mcm::mcm_masked(model.graph(), engine, &model.forward_mask())
+        .map_or(Ratio::ONE, |m| m.min(Ratio::ONE))
+}
+
 /// The MST of the *practical* LIS (finite queues with backpressure), i.e.
 /// `θ(d[G])` for the system's current queue capacities.
 ///

@@ -14,7 +14,7 @@
 //! For any topology, the conservative uniform size `q = r + 1` (`r` = total
 //! relay stations) always suffices.
 
-use marked_graph::structure::{has_reconvergent_paths, is_forest};
+use marked_graph::structure::biconnected;
 use marked_graph::{MarkedGraph, Ratio, SccDecomposition};
 
 use crate::mst::{ideal_mst, practical_mst};
@@ -59,13 +59,12 @@ impl std::fmt::Display for TopologyClass {
 
 /// The block-level digraph of a system: one vertex per block, one edge per
 /// channel, ignoring relay stations and queue capacities (neither changes
-/// the topology class).
+/// the topology class). Block `b` is transition `b.index()` and channel `c`
+/// is place `c.index()`; transitions are unnamed, since only the structure
+/// is ever queried.
 pub fn block_graph(sys: &LisSystem) -> MarkedGraph {
-    let mut g = MarkedGraph::new();
-    let ts: Vec<_> = sys
-        .block_ids()
-        .map(|b| g.add_transition(sys.block_name(b)))
-        .collect();
+    let mut g = MarkedGraph::with_capacity(sys.block_count(), sys.channel_count());
+    let ts: Vec<_> = sys.block_ids().map(|_| g.add_transition("")).collect();
     for c in sys.channel_ids() {
         g.add_place(
             ts[sys.channel_from(c).index()],
@@ -97,9 +96,11 @@ pub fn block_graph(sys: &LisSystem) -> MarkedGraph {
 /// ```
 pub fn classify(sys: &LisSystem) -> TopologyClass {
     let g = block_graph(sys);
-    if is_forest(&g) {
+    // One biconnected decomposition answers both structural questions.
+    let bc = biconnected(&g);
+    if bc.is_forest(&g) {
         TopologyClass::Tree
-    } else if !has_reconvergent_paths(&g) {
+    } else if !bc.has_reconvergent_paths(&g) {
         if SccDecomposition::compute(&g).is_strongly_connected() {
             TopologyClass::SccNoReconvergence
         } else {

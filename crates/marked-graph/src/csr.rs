@@ -53,11 +53,18 @@ impl CsrScc {
     /// follows `graph.outputs`. This is the canonical order every kernel
     /// and the critical-cycle extraction share.
     pub fn build(graph: &MarkedGraph, scc: &SccDecomposition, comp: usize) -> CsrScc {
+        CsrScc::build_filtered(graph, scc, comp, |_| true)
+    }
+
+    /// [`CsrScc::build`] keeping only the places `keep` accepts, for a
+    /// decomposition computed over the same subgraph.
+    pub(crate) fn build_filtered(
+        graph: &MarkedGraph,
+        scc: &SccDecomposition,
+        comp: usize,
+        keep: impl Fn(PlaceId) -> bool,
+    ) -> CsrScc {
         let vertices: Vec<TransitionId> = scc.members(comp).to_vec();
-        let mut local_of = std::collections::HashMap::new();
-        for (i, &t) in vertices.iter().enumerate() {
-            local_of.insert(t, i);
-        }
         let mut row_offsets = Vec::with_capacity(vertices.len() + 1);
         let mut targets = Vec::new();
         let mut weights = Vec::new();
@@ -65,8 +72,9 @@ impl CsrScc {
         row_offsets.push(0);
         for &t in &vertices {
             for &p in graph.outputs(t) {
-                if let Some(&j) = local_of.get(&graph.target(p)) {
-                    targets.push(j as u32);
+                let w = graph.target(p);
+                if scc.component_of(w) == comp && keep(p) {
+                    targets.push(scc.local_index(w) as u32);
                     weights.push(graph.tokens(p) as i64);
                     places.push(p);
                 }

@@ -112,6 +112,16 @@ impl MarkedGraph {
         MarkedGraph::default()
     }
 
+    /// Creates an empty marked graph with room for `transitions`
+    /// transitions and `places` places, for callers that know the final
+    /// size up front.
+    pub fn with_capacity(transitions: usize, places: usize) -> MarkedGraph {
+        MarkedGraph {
+            transitions: Vec::with_capacity(transitions),
+            places: Vec::with_capacity(places),
+        }
+    }
+
     /// Adds a transition with unit delay and returns its id.
     ///
     /// The paper models synchronous systems, where every transition has delay

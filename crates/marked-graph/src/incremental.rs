@@ -110,9 +110,9 @@ pub struct CacheStats {
 pub struct IncrementalMcm {
     /// Cyclic components in ascending component-id order.
     comps: Vec<CompState>,
-    /// place → (slot in `comps`, CSR edge index), for every place internal
-    /// to a cyclic component.
-    place_index: HashMap<PlaceId, (usize, usize)>,
+    /// Per place id: (slot in `comps`, CSR edge index) for every place
+    /// internal to a cyclic component, [`NOT_ON_A_CYCLE`] for the rest.
+    place_index: Vec<(u32, u32)>,
     /// Whether the source graph had no transitions at all.
     graph_empty: bool,
     /// Which MCM algorithm runs the per-component re-solves.
@@ -121,7 +121,12 @@ pub struct IncrementalMcm {
     scratch: HowardScratch,
     hits: u64,
     misses: u64,
+    /// Critical-cycle or bottleneck extractions run so far.
+    extractions: u64,
 }
+
+/// [`IncrementalMcm::place_index`] entry of a place that lies on no cycle.
+const NOT_ON_A_CYCLE: (u32, u32) = (u32::MAX, u32::MAX);
 
 impl IncrementalMcm {
     /// Builds the engine with the default algorithm ([`McmEngine::Howard`]):
@@ -148,7 +153,7 @@ impl IncrementalMcm {
         }
         let scc = SccDecomposition::compute(graph);
         let mut comps = Vec::new();
-        let mut place_index = HashMap::new();
+        let mut place_index = vec![NOT_ON_A_CYCLE; graph.place_count()];
         let mut scratch = HowardScratch::new();
         for c in scc.component_ids() {
             if !scc.is_cyclic(graph, c) {
@@ -157,7 +162,7 @@ impl IncrementalMcm {
             let csr = CsrScc::build(graph, &scc, c);
             let slot = comps.len();
             for e in 0..csr.edge_count() {
-                place_index.insert(csr.place(e), (slot, e));
+                place_index[csr.place(e).index()] = (slot as u32, e as u32);
             }
             let mut policy = Vec::new();
             let base_mean = solve_csr(&csr, engine, &mut scratch, &mut policy);
@@ -177,6 +182,7 @@ impl IncrementalMcm {
             scratch,
             hits: 0,
             misses: 0,
+            extractions: 0,
         }
     }
 
@@ -239,6 +245,7 @@ impl IncrementalMcm {
         let (mean, slot) = best.ok_or(GraphError::Acyclic)?;
         let deltas = per_comp.get(&slot).map(Vec::as_slice).unwrap_or(&[]);
         let saved = self.apply(slot, deltas);
+        self.extractions += 1;
         let critical_cycle = critical_cycle_csr(&self.comps[slot].csr, mean);
         self.restore(slot, deltas, &saved);
         Ok(McmResult {
@@ -282,6 +289,7 @@ impl IncrementalMcm {
         }
         let deltas = per_comp.get(&slot).map(Vec::as_slice).unwrap_or(&[]);
         let saved = self.apply(slot, deltas);
+        self.extractions += 1;
         let mut places = crate::mcm::bottleneck_places_csr(&self.comps[slot].csr, mean);
         self.restore(slot, deltas, &saved);
         places.sort_unstable();
@@ -328,6 +336,7 @@ impl IncrementalMcm {
         let (mean, slot) = best.ok_or(GraphError::Acyclic)?;
         let deltas = per_comp.get(&slot).map(Vec::as_slice).unwrap_or(&[]);
         let saved = self.apply(slot, deltas);
+        self.extractions += 1;
         let csr = &self.comps[slot].csr;
         // A cross-component tie means no single place raises the global
         // minimum, so the bottleneck set is empty by construction and the
@@ -365,7 +374,15 @@ impl IncrementalMcm {
             scratch: HowardScratch::new(),
             hits: 0,
             misses: 0,
+            extractions: 0,
         }
+    }
+
+    /// How many critical-cycle or bottleneck extractions (potentials
+    /// passes over a component) this engine has run. Mean-only queries
+    /// never extract; callers use this to prove they skipped the work.
+    pub fn extraction_count(&self) -> u64 {
+        self.extractions
     }
 
     /// Hit/miss/occupancy counters for the per-component memo.
@@ -386,9 +403,11 @@ impl IncrementalMcm {
         }
         let mut per_comp: HashMap<usize, Vec<(PlaceId, u64)>> = HashMap::new();
         for (p, tokens) in latest {
-            let Some(&(slot, e)) = self.place_index.get(&p) else {
-                continue; // not on any cycle: cannot affect a mean
-            };
+            match self.place_index.get(p.index()) {
+                Some(&entry) if entry != NOT_ON_A_CYCLE => {}
+                _ => continue, // not on any cycle: cannot affect a mean
+            }
+            let (slot, e) = self.edge_of(p);
             if self.comps[slot].csr.weight(e) == tokens as i64 {
                 continue; // equal to the base marking: not a delta
             }
@@ -430,11 +449,17 @@ impl IncrementalMcm {
         mean
     }
 
+    /// (slot in `comps`, CSR edge index) of a place on a cycle.
+    fn edge_of(&self, p: PlaceId) -> (usize, usize) {
+        let (slot, e) = self.place_index[p.index()];
+        (slot as usize, e as usize)
+    }
+
     /// Patches the component's edge weights, returning the saved originals.
     fn apply(&mut self, slot: usize, deltas: &[(PlaceId, u64)]) -> Vec<i64> {
         let mut saved = Vec::with_capacity(deltas.len());
         for &(p, tokens) in deltas {
-            let (s, e) = self.place_index[&p];
+            let (s, e) = self.edge_of(p);
             debug_assert_eq!(s, slot);
             let weight = &mut self.comps[slot].csr.weights[e];
             saved.push(*weight);
@@ -446,7 +471,7 @@ impl IncrementalMcm {
     /// Undoes [`Self::apply`].
     fn restore(&mut self, slot: usize, deltas: &[(PlaceId, u64)], saved: &[i64]) {
         for (&(p, _), &w) in deltas.iter().zip(saved) {
-            let (s, e) = self.place_index[&p];
+            let (s, e) = self.edge_of(p);
             debug_assert_eq!(s, slot);
             self.comps[slot].csr.weights[e] = w;
         }
@@ -490,6 +515,20 @@ mod tests {
         let tail = g.add_transition("tail");
         places.push(g.add_place(ts[0], tail, rng.gen_range(0..4u64)));
         (g, places)
+    }
+
+    #[test]
+    fn only_cycle_and_bottleneck_queries_count_as_extractions() {
+        let (g, places) = random_graph(3);
+        let mut inc = IncrementalMcm::new(&g);
+        inc.mcm_with_tokens(&[]);
+        inc.mcm_with_tokens(&[(places[0], 3)]);
+        assert_eq!(inc.extraction_count(), 0);
+        inc.result_with_tokens(&[]).unwrap();
+        inc.bottlenecks_with_tokens(&[]);
+        inc.analysis_with_tokens(&[(places[0], 3)]).unwrap();
+        assert_eq!(inc.extraction_count(), 3);
+        assert_eq!(inc.fork().extraction_count(), 0);
     }
 
     #[test]

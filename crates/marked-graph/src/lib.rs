@@ -17,8 +17,9 @@
 //!   (the cross-validation oracle), and Lawler's parametric search. All
 //!   three return bit-identical exact rationals; the reciprocal of the
 //!   minimum cycle mean is the cycle time, capped at 1 it becomes the
-//!   maximal sustainable throughput of a LIS. Per-SCC solves fan out in
-//!   parallel; serial reference implementations are kept as oracles.
+//!   maximal sustainable throughput of a LIS. Components are solved one
+//!   after another on the calling thread; [`mcm::mcm_masked`] solves the
+//!   subgraph of selected places without building it.
 //! * [`csr`] — [`csr::CsrScc`], a flat compressed-sparse-row snapshot of
 //!   one SCC, built once and reused by every engine and query.
 //! * [`howard`] — Howard's policy iteration over the CSR snapshot, with

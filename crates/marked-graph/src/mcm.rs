@@ -24,15 +24,15 @@
 //! [`minimum_cycle_mean`] is the main entry point: it runs per strongly
 //! connected component and also extracts a *critical cycle* (a cycle whose
 //! mean attains the minimum) through shortest-path potentials and tight
-//! edges. Because the SCCs are independent, the per-component solves fan
-//! out in parallel (via `lis-par`); [`minimum_cycle_mean_serial`], [`karp`]
-//! and [`lawler`] remain single-threaded reference implementations.
-//! Parallel and serial paths are bit-identical: means are exact rationals
-//! reduced with `min` in component-id order, and ties between components
-//! with the same mean always resolve to the lowest component id, so the
-//! reported critical cycle never depends on scheduling. For repeated
-//! evaluation of the same graph under different token assignments, see
-//! [`crate::incremental::IncrementalMcm`].
+//! edges. Components are solved one after another on the calling thread:
+//! a request already owns one worker, so fanning its components out would
+//! add thread spawns but no capacity. Means are exact rationals reduced
+//! with `min` in component-id order, and ties between components with the
+//! same mean always resolve to the lowest component id, so the reported
+//! critical cycle is deterministic. [`mcm_masked`] answers the same
+//! question for the subgraph of selected places without building it. For
+//! repeated evaluation of the same graph under different token
+//! assignments, see [`crate::incremental::IncrementalMcm`].
 
 use crate::csr::CsrScc;
 use crate::error::GraphError;
@@ -178,39 +178,49 @@ pub fn minimum_cycle_mean_with(
         return Err(GraphError::Empty);
     }
     assert_unit_delays(graph);
-    let scc = SccDecomposition::compute(graph);
-    let cyclic: Vec<usize> = scc
-        .component_ids()
-        .filter(|&c| scc.is_cyclic(graph, c))
-        .collect();
-    // Fan the SCCs out in parallel; every component is independent. The
-    // results come back in component-id order (par_map is order-
-    // preserving), so the reduction below is identical to the serial loop.
-    // Each closure keeps its CSR snapshot so the winner's is reused for the
-    // critical-cycle extraction instead of being rebuilt.
-    let solved: Vec<(Ratio, usize, CsrScc)> = lis_par::par_map(&cyclic, |&c| {
-        let csr = CsrScc::build(graph, &scc, c);
-        let mut scratch = HowardScratch::new();
-        let mut policy = Vec::new();
-        let mean = solve_csr(&csr, engine, &mut scratch, &mut policy);
-        (mean, c, csr)
-    });
-    // Tie-break: the *lowest* component id among those attaining the
-    // minimum mean wins (only a strictly smaller mean displaces the
-    // incumbent). This is the documented deterministic choice of critical
-    // cycle, matching [`minimum_cycle_mean_serial`] bit for bit.
-    let mut best: Option<(Ratio, usize, CsrScc)> = None;
-    for (mean, c, csr) in solved {
-        if best.as_ref().is_none_or(|(m, _, _)| mean < *m) {
-            best = Some((mean, c, csr));
-        }
-    }
-    let (mean, _comp, csr) = best.ok_or(GraphError::Acyclic)?;
+    let (mean, csr) = solve_components(graph, engine, |_| true).ok_or(GraphError::Acyclic)?;
     let critical_cycle = critical_cycle_csr(&csr, mean);
     Ok(McmResult {
         mean,
         critical_cycle,
     })
+}
+
+/// Solves every cyclic component of the subgraph of the places `keep`
+/// accepts, in component-id order, reusing one set of Howard buffers.
+/// Returns the minimum mean and the CSR snapshot of the *lowest* component
+/// id attaining it (only a strictly smaller mean displaces the incumbent):
+/// the documented deterministic choice of critical cycle. `None` when that
+/// subgraph is acyclic.
+fn solve_components(
+    graph: &MarkedGraph,
+    engine: McmEngine,
+    keep: impl Fn(PlaceId) -> bool + Copy,
+) -> Option<(Ratio, CsrScc)> {
+    let scc = SccDecomposition::compute_filtered(graph, keep);
+    let mut scratch = HowardScratch::new();
+    let mut policy = Vec::new();
+    let mut best: Option<(Ratio, CsrScc)> = None;
+    for c in scc.component_ids() {
+        let members = scc.members(c);
+        let cyclic = members.len() > 1 || {
+            let t = members[0];
+            graph
+                .outputs(t)
+                .iter()
+                .any(|&p| graph.target(p) == t && keep(p))
+        };
+        if !cyclic {
+            continue;
+        }
+        let csr = CsrScc::build_filtered(graph, &scc, c, keep);
+        policy.clear();
+        let mean = solve_csr(&csr, engine, &mut scratch, &mut policy);
+        if best.as_ref().is_none_or(|(m, _)| mean < *m) {
+            best = Some((mean, csr));
+        }
+    }
+    best
 }
 
 /// Minimum cycle mean of one CSR snapshot under the chosen engine.
@@ -242,97 +252,48 @@ pub fn scc_mean_with(csr: &CsrScc, engine: McmEngine) -> Ratio {
     solve_csr(csr, engine, &mut scratch, &mut policy)
 }
 
-/// Serial reference implementation of [`minimum_cycle_mean`].
-///
-/// Iterates the SCCs one by one on the calling thread; kept as the oracle
-/// the parallel fan-out is validated against (`tests/invariants.rs`). The
-/// two are bit-identical on every input: same mean, same critical cycle
-/// under the same tie-break (lowest component id attaining the minimum).
-///
-/// # Errors
-///
-/// Returns [`GraphError::Acyclic`] if the graph has no cycles and
-/// [`GraphError::Empty`] if it has no transitions.
-pub fn minimum_cycle_mean_serial(graph: &MarkedGraph) -> Result<McmResult, GraphError> {
-    minimum_cycle_mean_serial_with(graph, McmEngine::default())
-}
-
-/// [`minimum_cycle_mean_serial`] with an explicit engine choice.
-///
-/// # Errors
-///
-/// Returns [`GraphError::Acyclic`] if the graph has no cycles and
-/// [`GraphError::Empty`] if it has no transitions.
-pub fn minimum_cycle_mean_serial_with(
-    graph: &MarkedGraph,
-    engine: McmEngine,
-) -> Result<McmResult, GraphError> {
-    if graph.is_empty() {
-        return Err(GraphError::Empty);
-    }
-    assert_unit_delays(graph);
-    let scc = SccDecomposition::compute(graph);
-    let mut scratch = HowardScratch::new();
-    let mut policy = Vec::new();
-    let mut best: Option<(Ratio, usize, CsrScc)> = None;
-    for c in scc.component_ids() {
-        if !scc.is_cyclic(graph, c) {
-            continue;
-        }
-        let csr = CsrScc::build(graph, &scc, c);
-        policy.clear();
-        let mean = solve_csr(&csr, engine, &mut scratch, &mut policy);
-        if best.as_ref().is_none_or(|(m, _, _)| mean < *m) {
-            best = Some((mean, c, csr));
-        }
-    }
-    let (mean, _comp, csr) = best.ok_or(GraphError::Acyclic)?;
-    let critical_cycle = critical_cycle_csr(&csr, mean);
-    Ok(McmResult {
-        mean,
-        critical_cycle,
-    })
-}
-
-/// Minimum cycle mean over the whole graph with the chosen engine, serially
-/// (minimum across SCCs on the calling thread). Returns `None` for acyclic
-/// graphs. Howard's scratch and policy buffers are reused across SCCs.
+/// Minimum cycle mean over the whole graph with the chosen engine
+/// (minimum across SCCs). Returns `None` for acyclic graphs. Howard's
+/// scratch and policy buffers are reused across SCCs.
 pub fn mcm_serial(graph: &MarkedGraph, engine: McmEngine) -> Option<Ratio> {
-    let scc = SccDecomposition::compute(graph);
-    let mut scratch = HowardScratch::new();
-    let mut policy = Vec::new();
-    let mut best: Option<Ratio> = None;
-    for c in scc.component_ids() {
-        if !scc.is_cyclic(graph, c) {
-            continue;
-        }
-        let csr = CsrScc::build(graph, &scc, c);
-        policy.clear();
-        let mean = solve_csr(&csr, engine, &mut scratch, &mut policy);
-        best = Some(best.map_or(mean, |m: Ratio| m.min(mean)));
-    }
-    best
+    solve_components(graph, engine, |_| true).map(|(mean, _)| mean)
 }
 
-/// [`mcm_serial`] with the per-SCC solves fanned out in parallel.
+/// Minimum cycle mean of the subgraph holding only the places `p` with
+/// `mask[p.index()]` set, with every transition kept. Equal to
+/// [`mcm_serial`] on that subgraph built as a graph of its own, but
+/// without building it: the SCC decomposition and the per-component
+/// snapshots skip the masked-out places. Returns `None` when the subgraph
+/// is acyclic.
 ///
-/// Returns exactly the same value on every input: cycle means are exact
-/// rationals and `min` is associative, so the reduction order (input order,
-/// preserved by the parallel map) cannot change the result.
-pub fn mcm_parallel(graph: &MarkedGraph, engine: McmEngine) -> Option<Ratio> {
-    let scc = SccDecomposition::compute(graph);
-    let cyclic: Vec<usize> = scc
-        .component_ids()
-        .filter(|&c| scc.is_cyclic(graph, c))
-        .collect();
-    lis_par::par_map(&cyclic, |&c| {
-        let csr = CsrScc::build(graph, &scc, c);
-        let mut scratch = HowardScratch::new();
-        let mut policy = Vec::new();
-        solve_csr(&csr, engine, &mut scratch, &mut policy)
-    })
-    .into_iter()
-    .reduce(Ratio::min)
+/// # Panics
+///
+/// Panics if `mask` is shorter than the place count.
+///
+/// # Examples
+///
+/// The forward places of a doubled graph form its ideal graph:
+///
+/// ```
+/// use marked_graph::mcm::{mcm_masked, McmEngine};
+/// use marked_graph::{MarkedGraph, Ratio};
+///
+/// let mut g = MarkedGraph::new();
+/// let a = g.add_transition("A");
+/// let b = g.add_transition("B");
+/// g.add_place(a, b, 1); // forward
+/// g.add_place(b, a, 1); // forward
+/// g.add_place(b, a, 0); // a backedge with no free slot
+/// assert_eq!(mcm_masked(&g, McmEngine::Karp, &[true, true, true]), Some(Ratio::new(1, 2)));
+/// assert_eq!(mcm_masked(&g, McmEngine::Karp, &[true, true, false]), Some(Ratio::ONE));
+/// assert_eq!(mcm_masked(&g, McmEngine::Karp, &[true, false, false]), None);
+/// ```
+pub fn mcm_masked(graph: &MarkedGraph, engine: McmEngine, mask: &[bool]) -> Option<Ratio> {
+    assert!(
+        mask.len() >= graph.place_count(),
+        "one mask entry per place"
+    );
+    solve_components(graph, engine, |p| mask[p.index()]).map(|(mean, _)| mean)
 }
 
 /// Karp's minimum cycle mean over the whole graph (minimum across SCCs).
@@ -374,26 +335,6 @@ pub fn karp(graph: &MarkedGraph) -> Option<Ratio> {
 /// ```
 pub fn howard(graph: &MarkedGraph) -> Option<Ratio> {
     mcm_serial(graph, McmEngine::Howard)
-}
-
-/// [`karp`] with the per-SCC dynamic programs fanned out in parallel.
-///
-/// Returns exactly the same value as [`karp`] on every input.
-///
-/// # Examples
-///
-/// ```
-/// use marked_graph::{mcm::{karp, karp_parallel}, MarkedGraph};
-///
-/// let mut g = MarkedGraph::new();
-/// let a = g.add_transition("A");
-/// let b = g.add_transition("B");
-/// g.add_place(a, b, 1);
-/// g.add_place(b, a, 0);
-/// assert_eq!(karp_parallel(&g), karp(&g));
-/// ```
-pub fn karp_parallel(graph: &MarkedGraph) -> Option<Ratio> {
-    mcm_parallel(graph, McmEngine::Karp)
 }
 
 /// Karp's dynamic program on one CSR snapshot.
@@ -746,15 +687,6 @@ pub fn lawler(graph: &MarkedGraph) -> Option<Ratio> {
     mcm_serial(graph, McmEngine::Lawler)
 }
 
-/// [`lawler`] with the per-SCC parametric searches fanned out in parallel.
-///
-/// Bit-identical to [`lawler`]: each SCC's Stern–Brocot walk is
-/// self-contained and the final `min` over exact rationals is
-/// order-insensitive.
-pub fn lawler_parallel(graph: &MarkedGraph) -> Option<Ratio> {
-    mcm_parallel(graph, McmEngine::Lawler)
-}
-
 /// Whether some cycle has mean strictly below `lambda` (num/den).
 fn has_cycle_below(csr: &CsrScc, num: i64, den: i64) -> bool {
     // Cycle mean < num/den  ⟺  Σ(den*w - num) < 0 over the cycle.
@@ -1075,7 +1007,7 @@ mod tests {
     }
 
     /// Random multi-SCC graphs: chains of rings joined by acyclic bridges,
-    /// so the parallel fan-out has several components to distribute.
+    /// so the component loop has several components to reduce over.
     fn random_multi_scc(seed: u64) -> MarkedGraph {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -1099,44 +1031,70 @@ mod tests {
     }
 
     #[test]
-    fn parallel_entry_points_match_serial_oracles() {
+    fn every_engine_agrees_on_multi_scc_graphs() {
         for seed in 0..40 {
             let g = random_multi_scc(seed);
-            assert_eq!(karp_parallel(&g), karp(&g), "seed {seed}");
-            assert_eq!(lawler_parallel(&g), lawler(&g), "seed {seed}");
+            let expected = minimum_cycle_mean(&g).unwrap();
+            assert_eq!(Some(expected.mean), karp(&g), "seed {seed}");
             for engine in McmEngine::ALL {
-                assert_eq!(
-                    mcm_parallel(&g, engine),
-                    mcm_serial(&g, engine),
-                    "seed {seed} engine {engine}"
-                );
-            }
-            let par = minimum_cycle_mean(&g).unwrap();
-            let ser = minimum_cycle_mean_serial(&g).unwrap();
-            assert_eq!(
-                par, ser,
-                "seed {seed}: parallel result must be bit-identical"
-            );
-            for engine in McmEngine::ALL {
+                assert_eq!(mcm_serial(&g, engine), karp(&g), "seed {seed} {engine}");
                 assert_eq!(
                     minimum_cycle_mean_with(&g, engine).unwrap(),
-                    par,
+                    expected,
                     "seed {seed} engine {engine}"
-                );
-                assert_eq!(
-                    minimum_cycle_mean_serial_with(&g, engine).unwrap(),
-                    ser,
-                    "seed {seed} engine {engine} (serial)"
                 );
             }
         }
     }
 
+    /// The subgraph of the masked places, built as a graph of its own.
+    fn masked_copy(g: &MarkedGraph, mask: &[bool]) -> MarkedGraph {
+        let mut h = MarkedGraph::new();
+        for t in g.transition_ids() {
+            h.add_transition(g.transition_name(t));
+        }
+        for p in g.place_ids().filter(|p| mask[p.index()]) {
+            h.add_place(g.source(p), g.target(p), g.tokens(p));
+        }
+        h
+    }
+
     #[test]
-    fn parallel_tie_break_picks_lowest_component() {
+    fn masked_mcm_equals_the_mcm_of_the_masked_subgraph() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for seed in 0..200 {
+            let mut g = random_multi_scc(seed);
+            // Chords and self-loops, some of them masked out below.
+            let n = g.transition_count();
+            for _ in 0..rng.gen_range(0..n + 2) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                g.add_place(
+                    TransitionId::new(u),
+                    TransitionId::new(v),
+                    rng.gen_range(0..3),
+                );
+            }
+            let mask: Vec<bool> = g.place_ids().map(|_| rng.gen_bool(0.7)).collect();
+            let h = masked_copy(&g, &mask);
+            for engine in McmEngine::ALL {
+                assert_eq!(
+                    mcm_masked(&g, engine, &mask),
+                    mcm_serial(&h, engine),
+                    "seed {seed} engine {engine}"
+                );
+            }
+            let all = vec![true; g.place_count()];
+            assert_eq!(mcm_masked(&g, McmEngine::Howard, &all), karp(&g));
+        }
+    }
+
+    #[test]
+    fn tie_break_picks_lowest_component() {
         // Two disconnected rings with the *same* mean 1/2; the critical
-        // cycle must come from the first (lowest-id) component under both
-        // entry points.
+        // cycle must come from the first (lowest-id) component under every
+        // engine.
         let mut g = MarkedGraph::new();
         let a0 = g.add_transition("a0");
         let a1 = g.add_transition("a1");
@@ -1146,12 +1104,12 @@ mod tests {
         let b1 = g.add_transition("b1");
         g.add_place(b0, b1, 0);
         g.add_place(b1, b0, 1);
-        let par = lis_par::with_threads(4, || minimum_cycle_mean(&g).unwrap());
-        let ser = minimum_cycle_mean_serial(&g).unwrap();
-        assert_eq!(par, ser);
-        // Both places of the winning cycle belong to the a-ring.
-        for &p in &par.critical_cycle {
-            assert!(g.source(p) == a0 || g.source(p) == a1);
+        for engine in McmEngine::ALL {
+            let r = minimum_cycle_mean_with(&g, engine).unwrap();
+            // Both places of the winning cycle belong to the a-ring.
+            for &p in &r.critical_cycle {
+                assert!(g.source(p) == a0 || g.source(p) == a1, "{engine}");
+            }
         }
     }
 }

@@ -32,12 +32,24 @@ pub struct SccDecomposition {
     comp_of: Vec<usize>,
     /// Transitions per component.
     members: Vec<Vec<TransitionId>>,
+    /// Position of each transition within its component's `members`.
+    local: Vec<u32>,
 }
 
 impl SccDecomposition {
     /// Runs Tarjan's algorithm (iteratively, so deep graphs cannot overflow
     /// the call stack) over the transition graph induced by the places.
     pub fn compute(graph: &MarkedGraph) -> SccDecomposition {
+        SccDecomposition::compute_filtered(graph, |_| true)
+    }
+
+    /// [`SccDecomposition::compute`] over the subgraph of the places `keep`
+    /// accepts; every transition stays a vertex. Component numbering and
+    /// member order are those of `compute` run on that subgraph.
+    pub(crate) fn compute_filtered(
+        graph: &MarkedGraph,
+        keep: impl Fn(PlaceId) -> bool,
+    ) -> SccDecomposition {
         let n = graph.transition_count();
         const UNVISITED: usize = usize::MAX;
         let mut index = vec![UNVISITED; n];
@@ -47,6 +59,7 @@ impl SccDecomposition {
         let mut next_index = 0usize;
         let mut members: Vec<Vec<TransitionId>> = Vec::new();
         let mut comp_of = vec![UNVISITED; n];
+        let mut local = vec![0u32; n];
 
         // Explicit DFS frame: (vertex, next output-place index).
         let mut call: Vec<(usize, usize)> = Vec::new();
@@ -65,6 +78,9 @@ impl SccDecomposition {
                 let outs = graph.outputs(TransitionId::new(v));
                 if out_idx < outs.len() {
                     call.last_mut().expect("frame exists").1 += 1;
+                    if !keep(outs[out_idx]) {
+                        continue;
+                    }
                     let w = graph.target(outs[out_idx]).index();
                     if index[w] == UNVISITED {
                         index[w] = next_index;
@@ -88,6 +104,7 @@ impl SccDecomposition {
                             let w = stack.pop().expect("tarjan stack underflow");
                             on_stack[w] = false;
                             comp_of[w] = comp_id;
+                            local[w] = comp.len() as u32;
                             comp.push(TransitionId::new(w));
                             if w == v {
                                 break;
@@ -99,7 +116,11 @@ impl SccDecomposition {
             }
         }
 
-        SccDecomposition { comp_of, members }
+        SccDecomposition {
+            comp_of,
+            members,
+            local,
+        }
     }
 
     /// Number of strongly connected components.
@@ -123,6 +144,12 @@ impl SccDecomposition {
     /// The transitions of component `c`.
     pub fn members(&self, c: usize) -> &[TransitionId] {
         &self.members[c]
+    }
+
+    /// The position of `t` within [`members`](SccDecomposition::members) of
+    /// its component.
+    pub(crate) fn local_index(&self, t: TransitionId) -> usize {
+        self.local[t.index()] as usize
     }
 
     /// Iterator over component indices.

@@ -22,6 +22,25 @@ pub struct Biconnected {
     pub articulation_points: Vec<TransitionId>,
 }
 
+impl Biconnected {
+    /// [`is_forest`] from this decomposition of `graph`: every component is
+    /// one place that is not a self-loop.
+    pub fn is_forest(&self, graph: &MarkedGraph) -> bool {
+        self.components
+            .iter()
+            .all(|c| c.len() == 1 && graph.source(c[0]) != graph.target(c[0]))
+    }
+
+    /// [`has_reconvergent_paths`] from this decomposition of `graph`: some
+    /// component of two or more places is not a single directed cycle.
+    pub fn has_reconvergent_paths(&self, graph: &MarkedGraph) -> bool {
+        let mut buffers = CycleBuffers::new(graph.transition_count());
+        self.components
+            .iter()
+            .any(|c| c.len() >= 2 && !buffers.is_single_directed_cycle(graph, c))
+    }
+}
+
 /// Computes biconnected components and articulation points of the undirected
 /// view of `graph` (Hopcroft–Tarjan, iterative).
 ///
@@ -50,19 +69,36 @@ pub struct Biconnected {
 /// ```
 pub fn biconnected(graph: &MarkedGraph) -> Biconnected {
     let n = graph.transition_count();
-    // Undirected adjacency: vertex -> (neighbor, place index).
-    let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+    // Undirected adjacency in CSR form: vertex v's (neighbor, place index)
+    // pairs are `adj[start[v]..start[v + 1]]`, in place-id order.
     let mut self_loops: Vec<PlaceId> = Vec::new();
+    let mut start = vec![0usize; n + 1];
+    for p in graph.place_ids() {
+        let u = graph.source(p).index();
+        let v = graph.target(p).index();
+        if u != v {
+            start[u + 1] += 1;
+            start[v + 1] += 1;
+        }
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut adj = vec![(0usize, 0usize); start[n]];
+    let mut fill = start[..n].to_vec();
     for p in graph.place_ids() {
         let u = graph.source(p).index();
         let v = graph.target(p).index();
         if u == v {
             self_loops.push(p);
         } else {
-            adj[u].push((v, p.index()));
-            adj[v].push((u, p.index()));
+            adj[fill[u]] = (v, p.index());
+            fill[u] += 1;
+            adj[fill[v]] = (u, p.index());
+            fill[v] += 1;
         }
     }
+    let adj = |v: usize| &adj[start[v]..start[v + 1]];
 
     const UNSET: usize = usize::MAX;
     let mut disc = vec![UNSET; n];
@@ -85,9 +121,9 @@ pub fn biconnected(graph: &MarkedGraph) -> Biconnected {
         let mut root_children = 0usize;
 
         while let Some(&(u, pe, i)) = frames.last() {
-            if i < adj[u].len() {
+            if i < adj(u).len() {
                 frames.last_mut().expect("frame").2 += 1;
-                let (v, e) = adj[u][i];
+                let (v, e) = adj(u)[i];
                 if e == pe {
                     continue; // do not traverse the entering edge backwards
                 }
@@ -200,12 +236,7 @@ pub fn bridges(graph: &MarkedGraph) -> Vec<PlaceId> {
 /// assert!(is_forest(&g));
 /// ```
 pub fn is_forest(graph: &MarkedGraph) -> bool {
-    biconnected(graph).components.iter().all(|c| {
-        c.len() == 1 && {
-            let p = c[0];
-            graph.source(p) != graph.target(p)
-        }
-    })
+    biconnected(graph).is_forest(graph)
 }
 
 /// Whether a set of places forms exactly one directed elementary cycle.
@@ -213,45 +244,70 @@ pub fn is_forest(graph: &MarkedGraph) -> bool {
 /// Used to decide if an undirected biconnected component is a plain directed
 /// cycle (not reconvergent) or a genuine reconvergence.
 pub fn is_single_directed_cycle(graph: &MarkedGraph, places: &[PlaceId]) -> bool {
-    if places.is_empty() {
-        return false;
-    }
-    use std::collections::HashMap;
-    let mut next: HashMap<TransitionId, TransitionId> = HashMap::new();
-    let mut indeg: HashMap<TransitionId, usize> = HashMap::new();
-    for &p in places {
-        let s = graph.source(p);
-        let t = graph.target(p);
-        if next.insert(s, t).is_some() {
-            return false; // out-degree > 1 inside the component
+    CycleBuffers::new(graph.transition_count()).is_single_directed_cycle(graph, places)
+}
+
+/// Dense per-transition buffers for [`is_single_directed_cycle`], reused
+/// across the components of one graph. Every query leaves them as it found
+/// them (all successors unset, all in-degrees zero).
+struct CycleBuffers {
+    /// The one successor of each transition inside the component.
+    next: Vec<u32>,
+    /// In-degree of each transition inside the component.
+    indeg: Vec<u32>,
+}
+
+impl CycleBuffers {
+    const UNSET: u32 = u32::MAX;
+
+    fn new(transitions: usize) -> CycleBuffers {
+        CycleBuffers {
+            next: vec![CycleBuffers::UNSET; transitions],
+            indeg: vec![0; transitions],
         }
-        *indeg.entry(t).or_insert(0) += 1;
     }
-    if next.len() != places.len() {
-        return false;
+
+    fn is_single_directed_cycle(&mut self, graph: &MarkedGraph, places: &[PlaceId]) -> bool {
+        let answer = self.check(graph, places);
+        for &p in places {
+            self.next[graph.source(p).index()] = CycleBuffers::UNSET;
+            self.indeg[graph.target(p).index()] = 0;
+        }
+        answer
     }
-    if indeg.values().any(|&d| d != 1) || indeg.len() != places.len() {
-        return false;
-    }
-    // Out-degree 1, in-degree 1 everywhere: functional permutation. One cycle
-    // iff following `next` from any vertex visits all vertices.
-    let start = graph.source(places[0]);
-    let mut cur = start;
-    for _ in 0..places.len() {
-        cur = match next.get(&cur) {
-            Some(&t) => t,
-            None => return false,
-        };
-    }
-    cur == start && {
+
+    fn check(&mut self, graph: &MarkedGraph, places: &[PlaceId]) -> bool {
+        if places.is_empty() {
+            return false;
+        }
+        for &p in places {
+            let s = graph.source(p).index();
+            let t = graph.target(p).index();
+            if self.next[s] != CycleBuffers::UNSET {
+                return false; // out-degree > 1 inside the component
+            }
+            self.next[s] = t as u32;
+            self.indeg[t] += 1;
+            if self.indeg[t] > 1 {
+                return false; // in-degree > 1 inside the component
+            }
+        }
+        // Sources and targets are each distinct and equally many, so they
+        // are the same set iff every target is also a source.
+        if places
+            .iter()
+            .any(|&p| self.next[graph.target(p).index()] == CycleBuffers::UNSET)
+        {
+            return false;
+        }
+        // Out-degree 1, in-degree 1 everywhere: a permutation. One cycle iff
+        // following `next` from any vertex visits every vertex.
+        let start = graph.source(places[0]).index() as u32;
+        let mut cur = self.next[start as usize];
         let mut visited = 1;
-        let mut cur = *next.get(&start).expect("start has a successor");
         while cur != start {
             visited += 1;
-            cur = match next.get(&cur) {
-                Some(&t) => t,
-                None => return false,
-            };
+            cur = self.next[cur as usize];
         }
         visited == places.len()
     }
@@ -291,10 +347,7 @@ pub fn is_single_directed_cycle(graph: &MarkedGraph, places: &[PlaceId]) -> bool
 /// assert!(!has_reconvergent_paths(&g));
 /// ```
 pub fn has_reconvergent_paths(graph: &MarkedGraph) -> bool {
-    biconnected(graph)
-        .components
-        .iter()
-        .any(|c| c.len() >= 2 && !is_single_directed_cycle(graph, c))
+    biconnected(graph).has_reconvergent_paths(graph)
 }
 
 #[cfg(test)]
@@ -441,6 +494,79 @@ mod tests {
         let q3 = h.add_place(y, z, 1);
         let q4 = h.add_place(z, y, 1);
         assert!(!is_single_directed_cycle(&h, &[q1, q2, q3, q4]));
+    }
+
+    /// The two-`HashMap` formulation the dense buffers replaced.
+    fn single_cycle_reference(graph: &MarkedGraph, places: &[PlaceId]) -> bool {
+        use std::collections::HashMap;
+        if places.is_empty() {
+            return false;
+        }
+        let mut next: HashMap<TransitionId, TransitionId> = HashMap::new();
+        let mut indeg: HashMap<TransitionId, usize> = HashMap::new();
+        for &p in places {
+            if next.insert(graph.source(p), graph.target(p)).is_some() {
+                return false;
+            }
+            *indeg.entry(graph.target(p)).or_insert(0) += 1;
+        }
+        if indeg.values().any(|&d| d != 1) || indeg.len() != places.len() {
+            return false;
+        }
+        let start = graph.source(places[0]);
+        let mut visited = 1;
+        let mut cur = next[&start];
+        while cur != start {
+            visited += 1;
+            cur = match next.get(&cur) {
+                Some(&t) => t,
+                None => return false,
+            };
+        }
+        visited == places.len()
+    }
+
+    #[test]
+    fn dense_single_cycle_check_matches_the_hash_map_formulation() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for trial in 0..2000 {
+            let n = rng.gen_range(1..7);
+            let mut g = MarkedGraph::new();
+            let ts: Vec<_> = (0..n).map(|i| g.add_transition(format!("t{i}"))).collect();
+            // Half the trials start from a permutation, so single cycles
+            // and unions of cycles both occur often.
+            if trial % 2 == 0 {
+                let mut perm: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    perm.swap(i, rng.gen_range(0..=i));
+                }
+                for (i, &j) in perm.iter().enumerate() {
+                    g.add_place(ts[i], ts[j], 1);
+                }
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                g.add_place(ts[rng.gen_range(0..n)], ts[rng.gen_range(0..n)], 1);
+            }
+            let places: Vec<PlaceId> = g.place_ids().collect();
+            let mut buffers = CycleBuffers::new(n);
+            for len in 0..=places.len() {
+                let subset = &places[..len];
+                let expected = single_cycle_reference(&g, subset);
+                assert_eq!(
+                    is_single_directed_cycle(&g, subset),
+                    expected,
+                    "trial {trial}"
+                );
+                // Reused buffers must answer the same, query after query.
+                assert_eq!(
+                    buffers.is_single_directed_cycle(&g, subset),
+                    expected,
+                    "trial {trial}"
+                );
+            }
+        }
     }
 
     #[test]

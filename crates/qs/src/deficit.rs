@@ -117,8 +117,9 @@ pub fn extract_instance_with(
     cycle_limit: usize,
     engine: McmEngine,
 ) -> Result<QsInstance, QsError> {
-    let ideal = lis_core::ideal_mst_with(sys, engine);
+    // G is d[G] without its backedges: solve θ(G) on the forward places.
     let model = LisModel::doubled(sys);
+    let ideal = lis_core::ideal_mst_of(&model, engine);
     extract_from_model_with(sys, &model, ideal, cycle_limit, engine)
 }
 

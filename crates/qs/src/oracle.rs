@@ -55,7 +55,12 @@ impl ThroughputOracle {
 
     /// [`ThroughputOracle::new`] with an explicit per-component MCM engine.
     pub fn with_engine(sys: &LisSystem, engine: McmEngine) -> ThroughputOracle {
-        let model = LisModel::doubled(sys);
+        ThroughputOracle::from_model(sys, &LisModel::doubled(sys), engine)
+    }
+
+    /// [`ThroughputOracle::with_engine`] over an already-built doubled
+    /// model of `sys`.
+    pub fn from_model(sys: &LisSystem, model: &LisModel, engine: McmEngine) -> ThroughputOracle {
         let backedges = sys
             .channel_ids()
             .map(|c| {

@@ -7,11 +7,11 @@
 
 use std::time::Duration;
 
-use lis_core::{ChannelId, LisSystem};
+use lis_core::{ideal_mst_of, ChannelId, LisModel, LisSystem};
 use marked_graph::{McmEngine, Ratio};
 
 use crate::collapse::collapse_sccs;
-use crate::deficit::{extract_instance_with, DEFAULT_CYCLE_LIMIT};
+use crate::deficit::{extract_from_model_with, DEFAULT_CYCLE_LIMIT};
 use crate::error::QsError;
 use crate::exact::{exact_solve_with, ExactOptions};
 use crate::heuristic::heuristic_solve;
@@ -113,9 +113,13 @@ pub struct QsReport {
 /// # Ok::<(), lis_qs::QsError>(())
 /// ```
 pub fn solve(sys: &LisSystem, algo: Algorithm, cfg: &QsConfig) -> Result<QsReport, QsError> {
-    let mut report = solve_core(sys, algo, cfg)?;
+    // One doubled model of the whole system serves every question asked
+    // about it: θ(G) on its forward places, θ(d[G]), the deficient cycles,
+    // and the oracle trim.
+    let model = LisModel::doubled(sys);
+    let mut report = solve_core(sys, &model, algo, cfg)?;
     if cfg.oracle_trim && report.total_extra > 0 {
-        let mut oracle = ThroughputOracle::with_engine(sys, cfg.engine);
+        let mut oracle = ThroughputOracle::from_model(sys, &model, cfg.engine);
         let mut weights: Vec<u64> = report.extra_tokens.iter().map(|&(_, w)| w).collect();
         let labels: Vec<ChannelId> = report.extra_tokens.iter().map(|&(c, _)| c).collect();
         trim_weights(&mut weights, &labels, &mut oracle, report.target);
@@ -129,8 +133,14 @@ pub fn solve(sys: &LisSystem, algo: Algorithm, cfg: &QsConfig) -> Result<QsRepor
     Ok(report)
 }
 
-/// The pipeline proper, without the oracle-trim post-pass.
-fn solve_core(sys: &LisSystem, algo: Algorithm, cfg: &QsConfig) -> Result<QsReport, QsError> {
+/// The pipeline proper, without the oracle-trim post-pass. `model` is the
+/// doubled model of `sys`.
+fn solve_core(
+    sys: &LisSystem,
+    model: &LisModel,
+    algo: Algorithm,
+    cfg: &QsConfig,
+) -> Result<QsReport, QsError> {
     // Rule 4: collapse SCCs when applicable, then solve on the smaller
     // system and map channels back.
     if cfg.collapse_sccs {
@@ -139,7 +149,8 @@ fn solve_core(sys: &LisSystem, algo: Algorithm, cfg: &QsConfig) -> Result<QsRepo
                 let mut sub_cfg = cfg.clone();
                 sub_cfg.collapse_sccs = false;
                 sub_cfg.oracle_trim = false;
-                let sub = solve_core(&col.system, algo, &sub_cfg)?;
+                let sub_model = LisModel::doubled(&col.system);
+                let sub = solve_core(&col.system, &sub_model, algo, &sub_cfg)?;
                 let extra_tokens = sub
                     .extra_tokens
                     .iter()
@@ -151,14 +162,15 @@ fn solve_core(sys: &LisSystem, algo: Algorithm, cfg: &QsConfig) -> Result<QsRepo
                 // shortens cycles, changing their means (not their deficits).
                 return Ok(QsReport {
                     extra_tokens,
-                    practical_before: lis_core::practical_mst_with(sys, cfg.engine),
+                    practical_before: lis_core::mst_with(model.graph(), cfg.engine),
                     ..sub
                 });
             }
         }
     }
 
-    let inst = extract_instance_with(sys, cfg.cycle_limit, cfg.engine)?;
+    let target = ideal_mst_of(model, cfg.engine);
+    let inst = extract_from_model_with(sys, model, target, cfg.cycle_limit, cfg.engine)?;
     let (td, labels) = TdInstance::from_qs(&inst);
 
     let (solution, optimal, nodes) = run_solver(&td, algo, cfg);

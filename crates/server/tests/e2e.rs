@@ -616,6 +616,39 @@ fn request_id_header_is_echoed_and_absent_when_not_sent() {
     stop(addr, daemon);
 }
 
+#[test]
+fn analyze_bodies_are_pinned_for_a_degraded_and_a_non_degraded_design() {
+    // Literal bodies: `/analyze` answers from one doubled model and one
+    // solve, skipping cycle and bottleneck extraction when nothing is
+    // degraded, but the answer bytes must not change under any engine.
+    const FIG1_ANALYZE: &str = r#"{"blocks":2,"channels":2,"relay_stations":1,"topology_class":"general","engine":"howard","ideal_mst":{"num":1,"den":1},"practical_mst":{"num":2,"den":3},"degraded":true,"critical_cycle":"A* -> rs1(A->B) -> B","bottleneck_queues":[{"channel":1,"from":"A","to":"B"}]}"#;
+    const RING300_ANALYZE: &str = r#"{"blocks":300,"channels":300,"relay_stations":2,"topology_class":"scc_no_reconvergence","engine":"howard","ideal_mst":{"num":150,"den":151},"practical_mst":{"num":150,"den":151},"degraded":false,"critical_cycle":null,"bottleneck_queues":[]}"#;
+
+    let (addr, daemon) = start(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let ring = ring_netlist(300);
+    for (netlist, pinned) in [(FIG1, FIG1_ANALYZE), (ring.as_str(), RING300_ANALYZE)] {
+        for engine in ["howard", "karp", "lawler"] {
+            let body = obj([
+                ("netlist", Json::str(netlist)),
+                ("options", obj([("engine", Json::str(engine))])),
+            ]);
+            let resp = client
+                .request("POST", "/analyze", body.to_string().as_bytes())
+                .expect("analyze");
+            assert_eq!(resp.status, 200);
+            let expected =
+                pinned.replace(r#""engine":"howard""#, &format!(r#""engine":"{engine}""#));
+            assert_eq!(
+                std::str::from_utf8(&resp.body).unwrap(),
+                expected,
+                "engine={engine}"
+            );
+        }
+    }
+    stop(addr, daemon);
+}
+
 /// A ring of `n` blocks with one relay station on each of two channels:
 /// non-degraded (a ring has no reconvergent paths), like the `cold-solve`
 /// benchmark's ring family.

@@ -19,7 +19,7 @@
 //! `--threads` setting.
 
 use lis_core::{
-    canonical_hash, classify, describe_cycle, ideal_mst_with, AnalysisReport, ChannelId, LisModel,
+    analysis_report, canonical_hash, classify, ideal_mst_of, AnalysisReport, ChannelId, LisModel,
     LisSystem, TopologyClass,
 };
 use lis_qs::{solve, verify_solution, Algorithm, QsConfig, QsReport};
@@ -147,10 +147,18 @@ pub struct Sweep {
 struct GroupCtx<'a> {
     group: &'a GroupPlan,
     sys: LisSystem,
+    /// Only built in analyze mode.
+    warm: Option<WarmGroup>,
+}
+
+/// The analyze-mode state of one station group.
+struct WarmGroup {
+    model: LisModel,
+    inc: IncrementalMcm,
+    /// Topology class and ideal MST ignore queue capacities, so they are
+    /// constants of the group, not of the point.
     class: TopologyClass,
     ideal: Ratio,
-    /// Doubled model + warm solver; only built in analyze mode.
-    warm: Option<(LisModel, IncrementalMcm)>,
 }
 
 impl Sweep {
@@ -248,25 +256,20 @@ impl Sweep {
                 sys.add_relay_station(c);
             }
         }
-        // Topology class and ideal MST ignore queue capacities, so they
-        // are constants of the group, not of the point.
-        let class = classify(&sys);
-        let ideal = ideal_mst_with(&sys, self.spec.engine);
         let warm = match self.spec.mode {
             SweepMode::Analyze => {
                 let model = LisModel::doubled(&sys);
                 let inc = IncrementalMcm::with_engine(model.graph(), self.spec.engine);
-                Some((model, inc))
+                Some(WarmGroup {
+                    class: classify(&sys),
+                    ideal: ideal_mst_of(&model, self.spec.engine),
+                    model,
+                    inc,
+                })
             }
             SweepMode::Qs { .. } => None,
         };
-        GroupCtx {
-            group,
-            sys,
-            class,
-            ideal,
-            warm,
-        }
+        GroupCtx { group, sys, warm }
     }
 
     fn eval_chunk(
@@ -275,7 +278,7 @@ impl Sweep {
         start: usize,
         end: usize,
     ) -> (Vec<SweepRow>, u64, u64) {
-        let mut fork = ctx.warm.as_ref().map(|(model, inc)| (model, inc.fork()));
+        let mut fork = ctx.warm.as_ref().map(|warm| (warm, warm.inc.fork()));
         let mut rows = Vec::with_capacity(end - start);
         for local in start..end {
             let caps = self.plan.capacities_at(local);
@@ -286,10 +289,8 @@ impl Sweep {
             }
             let outcome = match self.spec.mode {
                 SweepMode::Analyze => {
-                    let (model, inc) = fork.as_mut().expect("analyze mode builds a warm solver");
-                    Ok(PointReport::Analyze(warm_analyze(
-                        ctx, model, inc, &caps, &self.spec,
-                    )))
+                    let (warm, inc) = fork.as_mut().expect("analyze mode builds a warm solver");
+                    Ok(PointReport::Analyze(warm_analyze(warm, inc, &caps)))
                 }
                 SweepMode::Qs { exact } => qs_point(&sys, exact, &self.spec).map(PointReport::Qs),
             };
@@ -385,80 +386,27 @@ impl Sweep {
     }
 }
 
-/// Replicates [`lis_core::explain_with`] on the point system *without*
-/// building it: the point differs from the group base only in queue
-/// capacities, and each capacity is exactly the token count of that
-/// channel's queue backedge in the doubled graph. Every branch below
-/// mirrors a branch of `explain_with`, so the report is byte-identical.
+/// [`lis_core::explain_with`] of the point system *without* building it:
+/// the point differs from the group base only in queue capacities, and
+/// each capacity is exactly the token count of that channel's queue
+/// backedge in the doubled graph. Both paths run [`analysis_report`], so
+/// the report is byte-identical.
 fn warm_analyze(
-    ctx: &GroupCtx<'_>,
-    model: &LisModel,
+    warm: &WarmGroup,
     inc: &mut IncrementalMcm,
     caps: &[(ChannelId, u64)],
-    spec: &SweepSpec,
 ) -> AnalysisReport {
     let overrides: Vec<(PlaceId, u64)> = caps
         .iter()
         .map(|&(c, q)| {
-            let p = model
+            let p = warm
+                .model
                 .queue_backedge(c)
                 .expect("every channel has a queue backedge in the doubled model");
             (p, q)
         })
         .collect();
-
-    // `mst_with_critical_cycle_with(graph).unwrap_or((ONE, None))`:
-    // Empty and Acyclic both collapse to (1, no cycle); otherwise the
-    // incremental solver's lowest-component tie-break matches the serial
-    // solver bit for bit. The combined query also yields the bottleneck
-    // places off the same Bellman–Ford pass, so a degraded point pays for
-    // one potentials computation instead of two.
-    let (practical_raw, cycle, bottlenecks) = match inc.analysis_with_tokens(&overrides) {
-        Ok(a) => (
-            a.mean.min(Ratio::ONE),
-            Some(a.critical_cycle),
-            a.bottlenecks,
-        ),
-        Err(_) => (Ratio::ONE, None, Vec::new()),
-    };
-    let practical = practical_raw.min(ctx.ideal);
-    let degraded = practical < ctx.ideal;
-
-    let bottleneck_queues = if degraded {
-        bottleneck_channels(model, bottlenecks)
-    } else {
-        Vec::new()
-    };
-
-    let critical_cycle = if degraded {
-        cycle.map(|c| describe_cycle(model, &c))
-    } else {
-        None
-    };
-
-    AnalysisReport {
-        class: ctx.class,
-        ideal: ctx.ideal,
-        practical,
-        critical_cycle,
-        bottleneck_queues,
-        engine: spec.engine,
-    }
-}
-
-/// Replicates `bottleneck_places(graph) → channel_of_queue_backedge →
-/// sort → dedup` from `explain_with`, given the bottleneck places the
-/// combined warm query already computed. The places come from the same
-/// structural computation the cold path runs, on the same weighted
-/// snapshot, so the channel list is identical to the cold report.
-fn bottleneck_channels(model: &LisModel, places: Vec<PlaceId>) -> Vec<ChannelId> {
-    let mut chs: Vec<ChannelId> = places
-        .into_iter()
-        .filter_map(|p| model.channel_of_queue_backedge(p))
-        .collect();
-    chs.sort();
-    chs.dedup();
-    chs
+    analysis_report(&warm.model, inc, &overrides, warm.ideal, warm.class)
 }
 
 /// Replicates the server's `/qs` job on one point system, including its

@@ -276,16 +276,6 @@ proptest! {
         }
     }
 
-    /// The parallel MCM entry points (per-SCC fan-out through `lis-par`)
-    /// return exactly what the serial Karp and Lawler oracles return.
-    #[test]
-    fn parallel_mcm_matches_serial(g in arb_marked_graph()) {
-        use lis::marked_graph::mcm;
-        prop_assert_eq!(mcm::karp_parallel(&g), mcm::karp(&g));
-        prop_assert_eq!(mcm::lawler_parallel(&g), mcm::lawler(&g));
-        prop_assert_eq!(mcm::minimum_cycle_mean(&g), mcm::minimum_cycle_mean_serial(&g));
-    }
-
     /// The incremental engine answers token-override queries exactly like
     /// patching a clone and rerunning Karp (and Lawler) from scratch.
     #[test]
@@ -313,19 +303,16 @@ proptest! {
 
     /// Howard policy iteration is bit-identical to the Karp and Lawler
     /// oracles — same mean AND same critical cycle — on arbitrary live
-    /// marked graphs, both through the serial entry point and the
-    /// per-SCC parallel fan-out.
+    /// marked graphs.
     #[test]
     fn howard_equals_karp_and_lawler(g in arb_marked_graph()) {
-        use lis::marked_graph::mcm::{
-            minimum_cycle_mean_serial_with, minimum_cycle_mean_with, McmEngine,
-        };
-        let karp = minimum_cycle_mean_serial_with(&g, McmEngine::Karp);
-        let lawler = minimum_cycle_mean_serial_with(&g, McmEngine::Lawler);
-        let howard = minimum_cycle_mean_serial_with(&g, McmEngine::Howard);
+        use lis::marked_graph::mcm::{minimum_cycle_mean_with, McmEngine};
+        let karp = minimum_cycle_mean_with(&g, McmEngine::Karp);
+        let lawler = minimum_cycle_mean_with(&g, McmEngine::Lawler);
+        let howard = minimum_cycle_mean_with(&g, McmEngine::Howard);
         prop_assert_eq!(&karp, &lawler);
         prop_assert_eq!(&karp, &howard);
-        prop_assert_eq!(&karp, &minimum_cycle_mean_with(&g, McmEngine::Howard));
+        prop_assert_eq!(karp.map(|r| r.mean).ok(), lis::marked_graph::mcm::karp(&g));
     }
 
     /// Warm-started Howard inside the incremental engine stays exact under
@@ -369,7 +356,7 @@ proptest! {
         use lis::gen::ring;
         use lis::marked_graph::csr::CsrScc;
         use lis::marked_graph::howard::{howard_csr, HowardScratch};
-        use lis::marked_graph::mcm::{self, minimum_cycle_mean_serial_with, McmEngine};
+        use lis::marked_graph::mcm::{self, minimum_cycle_mean_with, McmEngine};
         use lis::marked_graph::SccDecomposition;
         let r = ring(len);
         let mut sys = r.system;
@@ -392,8 +379,8 @@ proptest! {
         prop_assert!(stats.rounds <= 4, "{:?}", stats);
         prop_assert!(stats.relaxations <= 4 * csr.edge_count() as u64, "{:?}", stats);
         prop_assert_eq!(
-            minimum_cycle_mean_serial_with(&g, McmEngine::Howard),
-            minimum_cycle_mean_serial_with(&g, McmEngine::Karp)
+            minimum_cycle_mean_with(&g, McmEngine::Howard),
+            minimum_cycle_mean_with(&g, McmEngine::Karp)
         );
     }
 
@@ -446,5 +433,122 @@ fn qs_extract_is_the_deficient_filter_on_the_figure_corpus() {
     corpus.extend((0..4).map(figures::fig2_family));
     for sys in &corpus {
         check_qs_extract(sys).unwrap();
+    }
+}
+
+/// The pre-single-build `explain_with`, kept as the reference: the class,
+/// θ(G) on a freshly built G, θ(d[G]) with its critical cycle from the
+/// from-scratch solver, and the bottlenecks from a second solver over the
+/// same d[G].
+fn explain_reference(sys: &LisSystem, engine: lis::marked_graph::McmEngine) -> String {
+    use lis::core::{
+        classify, describe_cycle, ideal_mst_with, mst_with_critical_cycle_with, AnalysisReport,
+    };
+    use lis::marked_graph::sensitivity::bottleneck_places;
+    let class = classify(sys);
+    let ideal = ideal_mst_with(sys, engine);
+    let model = LisModel::doubled(sys);
+    let (practical_raw, cycle) =
+        mst_with_critical_cycle_with(model.graph(), engine).unwrap_or((Ratio::ONE, None));
+    let practical = practical_raw.min(ideal);
+    let degraded = practical < ideal;
+    let critical_cycle = if degraded {
+        cycle.map(|c| describe_cycle(&model, &c))
+    } else {
+        None
+    };
+    let bottleneck_queues = if degraded {
+        let mut chs: Vec<_> = bottleneck_places(model.graph())
+            .into_iter()
+            .filter_map(|p| model.channel_of_queue_backedge(p))
+            .collect();
+        chs.sort();
+        chs.dedup();
+        chs
+    } else {
+        Vec::new()
+    };
+    // AnalysisReport has no PartialEq; Debug shows every field.
+    format!(
+        "{:?}",
+        AnalysisReport {
+            class,
+            ideal,
+            practical,
+            critical_cycle,
+            bottleneck_queues,
+            engine,
+        }
+    )
+}
+
+/// The single-build `explain_with` equals [`explain_reference`] under
+/// every engine, and the forward-mask θ(G) equals θ of a freshly built G.
+fn check_single_build(sys: &LisSystem) -> Result<(), String> {
+    use lis::core::{explain_with, ideal_mst_of, mst};
+    use lis::marked_graph::McmEngine;
+    for engine in McmEngine::ALL {
+        prop_assert_eq!(
+            format!("{:?}", explain_with(sys, engine)),
+            explain_reference(sys, engine),
+            "engine {}",
+            engine
+        );
+        prop_assert_eq!(
+            ideal_mst_of(&LisModel::doubled(sys), engine),
+            mst(LisModel::ideal(sys).graph())
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One d[G] and one solve per `/analyze` answer exactly what the
+    /// separate G build, d[G] solve and bottleneck solve answered.
+    #[test]
+    fn single_build_explain_matches_the_reference_on_generated_systems(sys in arb_generated_lis()) {
+        check_single_build(&sys)?;
+    }
+
+    /// The same on the small ad-hoc systems (self-loops, parallel channels).
+    #[test]
+    fn single_build_explain_matches_the_reference_on_small_systems(sys in arb_lis()) {
+        check_single_build(&sys)?;
+    }
+
+    /// The same on rings, where θ(G) itself is below one.
+    #[test]
+    fn single_build_explain_matches_the_reference_on_rings(sys in arb_ring_lis()) {
+        check_single_build(&sys)?;
+    }
+
+    /// θ(G) solved on d[G]'s forward places equals θ of G built on its own.
+    #[test]
+    fn forward_mask_ideal_mst_equals_the_ideal_model(sys in arb_lis()) {
+        use lis::core::{ideal_mst_of, mst};
+        use lis::marked_graph::McmEngine;
+        let doubled = LisModel::doubled(&sys);
+        let ideal = LisModel::ideal(&sys);
+        prop_assert_eq!(ideal_mst_of(&doubled, McmEngine::Howard), mst(ideal.graph()));
+        prop_assert_eq!(ideal_mst_of(&ideal, McmEngine::Howard), mst(ideal.graph()));
+    }
+}
+
+/// The same on every design of the paper's figures.
+#[test]
+fn single_build_explain_matches_the_reference_on_the_figure_corpus() {
+    use lis::core::figures;
+    let mut corpus = vec![
+        figures::fig1().0,
+        figures::fig2_right().0,
+        figures::fig6().0,
+        figures::fig15().0,
+        figures::uplink_downlink().0,
+    ];
+    corpus.extend((0..4).map(figures::fig2_family));
+    for sys in &corpus {
+        check_single_build(sys).unwrap();
     }
 }
