@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lis_core::LisModel;
-use lis_gen::{generate, GeneratorConfig, InsertionPolicy};
+use lis_gen::{generate, reconvergent, GeneratorConfig, InsertionPolicy};
 use marked_graph::incremental::IncrementalMcm;
 use marked_graph::mcm::{karp, lawler, mcm_serial};
 use marked_graph::{McmEngine, PlaceId, Ratio};
@@ -127,5 +127,30 @@ fn bench_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_mcm, bench_incremental);
+/// The bottleneck pass on long degraded critical cycles: two reconvergent
+/// paths of `k` blocks (critical cycle ≈ 2k places). `howard` is a cold
+/// solve for scale; `cycle` is the warm query for the potentials and the
+/// critical cycle, and `cycle_bottlenecks` adds the bottleneck pass, so
+/// the last two rows differ by the pass alone. Linear in `k`: about 2× per
+/// doubling.
+fn bench_bottlenecks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mcm_bottlenecks");
+    group.sample_size(10);
+    for k in [150usize, 300, 600] {
+        let model = LisModel::doubled(&reconvergent(k).system);
+        let mut inc = IncrementalMcm::new(model.graph());
+        group.bench_function(BenchmarkId::new("howard", k), |b| {
+            b.iter(|| mcm_serial(model.graph(), McmEngine::Howard))
+        });
+        group.bench_function(BenchmarkId::new("cycle", k), |b| {
+            b.iter(|| inc.result_with_tokens(&[]).expect("cyclic"))
+        });
+        group.bench_function(BenchmarkId::new("cycle_bottlenecks", k), |b| {
+            b.iter(|| inc.analysis_with_tokens(&[]).expect("cyclic"))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_mcm, bench_incremental, bench_bottlenecks);
 criterion_main!(benches);

@@ -33,19 +33,29 @@ use crate::topology::{classify, TopologyClass};
 /// # Ok::<(), marked_graph::GraphError>(())
 /// ```
 pub fn describe_cycle(model: &LisModel, cycle: &[PlaceId]) -> String {
+    const ARROW: &str = " -> ";
     let g = model.graph();
-    let hops: Vec<String> = cycle
+    let hop = |p: PlaceId| (g.transition_name(g.target(p)), model.is_backedge(p));
+    let len: usize = cycle
         .iter()
         .map(|&p| {
-            let name = g.transition_name(g.target(p));
-            if model.is_backedge(p) {
-                format!("{name}*")
-            } else {
-                name.to_string()
-            }
+            let (name, marked) = hop(p);
+            name.len() + usize::from(marked)
         })
-        .collect();
-    hops.join(" -> ")
+        .sum::<usize>()
+        + ARROW.len() * cycle.len().saturating_sub(1);
+    let mut text = String::with_capacity(len);
+    for (i, &p) in cycle.iter().enumerate() {
+        if i > 0 {
+            text.push_str(ARROW);
+        }
+        let (name, marked) = hop(p);
+        text.push_str(name);
+        if marked {
+            text.push('*');
+        }
+    }
+    text
 }
 
 /// A structured throughput-analysis report for one system.
@@ -232,6 +242,38 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("critical cycle"));
         assert!(text.contains("bottleneck queues"));
+    }
+
+    #[test]
+    fn describe_cycle_joins_hops_with_arrows_and_marks_backedges() {
+        let systems = [
+            figures::fig1().0,
+            figures::fig15().0,
+            figures::fig2_family(3),
+            figures::uplink_downlink().0,
+        ];
+        for sys in systems {
+            let model = LisModel::doubled(&sys);
+            let g = model.graph();
+            let cycle = crate::mst_with_critical_cycle(g)
+                .unwrap()
+                .1
+                .expect("cyclic");
+            let hops: Vec<String> = cycle
+                .iter()
+                .map(|&p| {
+                    let name = g.transition_name(g.target(p));
+                    let mark = if model.is_backedge(p) { "*" } else { "" };
+                    format!("{name}{mark}")
+                })
+                .collect();
+            let text = describe_cycle(&model, &cycle);
+            assert_eq!(text, hops.join(" -> "));
+        }
+        assert_eq!(
+            describe_cycle(&LisModel::doubled(&figures::fig1().0), &[]),
+            ""
+        );
     }
 
     /// The single-build report is the cold path's answer at every point:

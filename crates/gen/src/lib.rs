@@ -34,5 +34,8 @@ mod vc;
 
 pub use ds::{ds_to_td, DsInstance};
 pub use generator::{generate, GeneratedLis, GeneratorConfig, InsertionPolicy};
-pub use topologies::{butterfly, mesh, pipeline, ring, torus, Butterfly, Mesh, Pipeline, Ring};
+pub use topologies::{
+    butterfly, mesh, pipeline, reconvergent, ring, torus, Butterfly, Mesh, Pipeline, Reconvergent,
+    Ring,
+};
 pub use vc::{vc_to_qs, VcInstance, VcReduction};

@@ -239,6 +239,66 @@ pub fn ring(len: usize) -> Ring {
     }
 }
 
+/// Two reconvergent paths between the same pair of blocks.
+#[derive(Debug, Clone)]
+pub struct Reconvergent {
+    /// The system.
+    pub system: LisSystem,
+    /// Source block `A`.
+    pub source: BlockId,
+    /// Sink block `B`.
+    pub sink: BlockId,
+    /// `paths[j][i]`: hop `i` of path `j` (`k + 1` hops each, from `A`).
+    pub paths: [Vec<ChannelId>; 2],
+}
+
+/// Builds `A → x0 → … → x(k−1) → B` and `A → y0 → … → y(k−1) → B`, with
+/// one relay station on the second path's first hop.
+///
+/// The station unbalances the two paths, so the design is degraded and
+/// the critical cycle of its doubled graph runs forward along one path and
+/// back along the other: about `2k` places, long enough to expose any
+/// per-edge cost in critical-cycle analyses.
+///
+/// # Examples
+///
+/// ```
+/// use lis_gen::reconvergent;
+/// use lis_core::explain;
+///
+/// let r = reconvergent(10);
+/// assert_eq!(r.system.block_count(), 22);
+/// assert!(explain(&r.system).is_degraded());
+/// ```
+///
+/// # Panics
+///
+/// Panics if `k` is zero.
+pub fn reconvergent(k: usize) -> Reconvergent {
+    assert!(k > 0, "each path needs at least one block");
+    let mut sys = LisSystem::new();
+    let source = sys.add_block("A");
+    let sink = sys.add_block("B");
+    let paths = ["x", "y"].map(|prefix| {
+        let mut hops = Vec::with_capacity(k + 1);
+        let mut prev = source;
+        for i in 0..k {
+            let block = sys.add_block(format!("{prefix}{i}"));
+            hops.push(sys.add_channel(prev, block));
+            prev = block;
+        }
+        hops.push(sys.add_channel(prev, sink));
+        hops
+    });
+    sys.add_relay_station(paths[1][0]);
+    Reconvergent {
+        system: sys,
+        source,
+        sink,
+        paths,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +316,40 @@ mod tests {
         sys.add_relay_station(p.channels[2]);
         sys.add_relay_station(p.channels[2]);
         assert_eq!(practical_mst(&sys), Ratio::ONE);
+    }
+
+    /// The structural bottleneck pass against the definition — every place
+    /// probed with one extra token — on long degraded critical cycles.
+    #[test]
+    fn reconvergent_bottlenecks_match_exhaustive_probing() {
+        use lis_core::{explain, LisModel};
+        use marked_graph::incremental::IncrementalMcm;
+        for k in [2, 10, 150] {
+            let r = reconvergent(k);
+            let model = LisModel::doubled(&r.system);
+            let g = model.graph();
+            let mut inc = IncrementalMcm::new(g);
+            let mean = inc.mcm_with_tokens(&[]).expect("cyclic");
+            let analysis = inc.analysis_with_tokens(&[]).expect("cyclic");
+            assert_eq!(analysis.mean, mean);
+            assert!(analysis.critical_cycle.len() >= 2 * k, "k = {k}");
+            let probed: Vec<_> = g
+                .place_ids()
+                .filter(|&p| inc.mcm_with_tokens(&[(p, g.tokens(p) + 1)]) > Some(mean))
+                .collect();
+            assert!(!probed.is_empty(), "k = {k}");
+            assert_eq!(analysis.bottlenecks, probed, "k = {k}");
+            assert_eq!(inc.bottlenecks_with_tokens(&[]), probed, "k = {k}");
+            let report = explain(&r.system);
+            assert!(report.is_degraded(), "k = {k}");
+            let mut queues: Vec<_> = probed
+                .iter()
+                .filter_map(|&p| model.channel_of_queue_backedge(p))
+                .collect();
+            queues.sort();
+            queues.dedup();
+            assert_eq!(report.bottleneck_queues, queues, "k = {k}");
+        }
     }
 
     #[test]

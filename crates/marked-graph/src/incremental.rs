@@ -62,6 +62,26 @@ struct CompState {
     policy: Vec<u32>,
 }
 
+/// A query's overrides, normalized: per component slot, the sorted,
+/// deduplicated, base-differing delta vector that keys its memo.
+struct Deltas {
+    /// Every slot's deltas, sorted by (slot, place).
+    deltas: Vec<(PlaceId, u64)>,
+    /// `(slot, start, end)`: the `deltas` range of each slot that has any,
+    /// ascending by slot.
+    spans: Vec<(usize, usize, usize)>,
+}
+
+impl Deltas {
+    /// The deltas of component slot `slot` (empty = base marking).
+    fn of(&self, slot: usize) -> &[(PlaceId, u64)] {
+        self.spans
+            .iter()
+            .find(|span| span.0 == slot)
+            .map_or(&[], |&(_, start, end)| &self.deltas[start..end])
+    }
+}
+
 /// Everything [`IncrementalMcm::analysis_with_tokens`] computes in one
 /// query: the pieces of [`McmResult`] plus the bottleneck places.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,7 +229,7 @@ impl IncrementalMcm {
         let per_comp = self.normalize(overrides);
         let mut best: Option<Ratio> = None;
         for slot in 0..self.comps.len() {
-            let mean = self.comp_mean(slot, per_comp.get(&slot).map(Vec::as_slice));
+            let mean = self.comp_mean(slot, per_comp.of(slot));
             best = Some(best.map_or(mean, |b: Ratio| b.min(mean)));
         }
         best
@@ -234,7 +254,7 @@ impl IncrementalMcm {
         let per_comp = self.normalize(overrides);
         let mut best: Option<(Ratio, usize)> = None;
         for slot in 0..self.comps.len() {
-            let mean = self.comp_mean(slot, per_comp.get(&slot).map(Vec::as_slice));
+            let mean = self.comp_mean(slot, per_comp.of(slot));
             // comps are in ascending component-id order, so "only strictly
             // smaller displaces" picks the lowest component id on a tie —
             // the same rule as minimum_cycle_mean.
@@ -243,7 +263,7 @@ impl IncrementalMcm {
             }
         }
         let (mean, slot) = best.ok_or(GraphError::Acyclic)?;
-        let deltas = per_comp.get(&slot).map(Vec::as_slice).unwrap_or(&[]);
+        let deltas = per_comp.of(slot);
         let saved = self.apply(slot, deltas);
         self.extractions += 1;
         let critical_cycle = critical_cycle_csr(&self.comps[slot].csr, mean);
@@ -267,7 +287,7 @@ impl IncrementalMcm {
         let mut best: Option<(Ratio, usize)> = None;
         let mut ties = 0u32;
         for slot in 0..self.comps.len() {
-            let mean = self.comp_mean(slot, per_comp.get(&slot).map(Vec::as_slice));
+            let mean = self.comp_mean(slot, per_comp.of(slot));
             match best {
                 None => {
                     best = Some((mean, slot));
@@ -287,7 +307,7 @@ impl IncrementalMcm {
         if ties > 1 {
             return Vec::new();
         }
-        let deltas = per_comp.get(&slot).map(Vec::as_slice).unwrap_or(&[]);
+        let deltas = per_comp.of(slot);
         let saved = self.apply(slot, deltas);
         self.extractions += 1;
         let mut places = crate::mcm::bottleneck_places_csr(&self.comps[slot].csr, mean);
@@ -317,7 +337,7 @@ impl IncrementalMcm {
         let mut best: Option<(Ratio, usize)> = None;
         let mut ties = 0u32;
         for slot in 0..self.comps.len() {
-            let mean = self.comp_mean(slot, per_comp.get(&slot).map(Vec::as_slice));
+            let mean = self.comp_mean(slot, per_comp.of(slot));
             match best {
                 // Strict `<` keeps the lowest slot on a tie — the cycle
                 // tie-break shared with minimum_cycle_mean.
@@ -334,7 +354,7 @@ impl IncrementalMcm {
             }
         }
         let (mean, slot) = best.ok_or(GraphError::Acyclic)?;
-        let deltas = per_comp.get(&slot).map(Vec::as_slice).unwrap_or(&[]);
+        let deltas = per_comp.of(slot);
         let saved = self.apply(slot, deltas);
         self.extractions += 1;
         let csr = &self.comps[slot].csr;
@@ -396,39 +416,52 @@ impl IncrementalMcm {
 
     /// Groups overrides by component slot as sorted, deduplicated,
     /// base-differing delta vectors — the canonical memo keys.
-    fn normalize(&self, overrides: &[(PlaceId, u64)]) -> HashMap<usize, Vec<(PlaceId, u64)>> {
-        let mut latest: HashMap<PlaceId, u64> = HashMap::new();
-        for &(p, tokens) in overrides {
-            latest.insert(p, tokens);
-        }
-        let mut per_comp: HashMap<usize, Vec<(PlaceId, u64)>> = HashMap::new();
-        for (p, tokens) in latest {
-            match self.place_index.get(p.index()) {
-                Some(&entry) if entry != NOT_ON_A_CYCLE => {}
-                _ => continue, // not on any cycle: cannot affect a mean
+    fn normalize(&self, overrides: &[(PlaceId, u64)]) -> Deltas {
+        // Sorting by (slot, place, input index) keeps one place's entries
+        // adjacent and in input order, so the last of each run wins.
+        let mut keyed: Vec<(u32, PlaceId, usize, u64)> = overrides
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(p, tokens))| {
+                // A place on no cycle cannot affect a mean.
+                let &(slot, _) = self
+                    .place_index
+                    .get(p.index())
+                    .filter(|&&entry| entry != NOT_ON_A_CYCLE)?;
+                Some((slot, p, i, tokens))
+            })
+            .collect();
+        keyed.sort_unstable();
+        let mut out = Deltas {
+            deltas: Vec::with_capacity(keyed.len()),
+            spans: Vec::new(),
+        };
+        for (j, &(_, p, _, tokens)) in keyed.iter().enumerate() {
+            if keyed.get(j + 1).is_some_and(|next| next.1 == p) {
+                continue; // overridden again later
             }
             let (slot, e) = self.edge_of(p);
             if self.comps[slot].csr.weight(e) == tokens as i64 {
                 continue; // equal to the base marking: not a delta
             }
-            per_comp.entry(slot).or_default().push((p, tokens));
+            match out.spans.last_mut() {
+                Some(span) if span.0 == slot => span.2 += 1,
+                _ => out
+                    .spans
+                    .push((slot, out.deltas.len(), out.deltas.len() + 1)),
+            }
+            out.deltas.push((p, tokens));
         }
-        for deltas in per_comp.values_mut() {
-            deltas.sort_unstable_by_key(|&(p, _)| p);
-        }
-        per_comp
+        out
     }
 
-    /// Mean of one component under `deltas` (`None`/empty = base marking),
-    /// via the memo when possible.
-    fn comp_mean(&mut self, slot: usize, deltas: Option<&[(PlaceId, u64)]>) -> Ratio {
-        let deltas = match deltas {
-            None | Some([]) => {
-                self.hits += 1;
-                return self.comps[slot].base_mean;
-            }
-            Some(d) => d,
-        };
+    /// Mean of one component under `deltas` (empty = base marking), via
+    /// the memo when possible.
+    fn comp_mean(&mut self, slot: usize, deltas: &[(PlaceId, u64)]) -> Ratio {
+        if deltas.is_empty() {
+            self.hits += 1;
+            return self.comps[slot].base_mean;
+        }
         if let Some(&mean) = self.comps[slot].cache.get(deltas) {
             self.hits += 1;
             return mean;

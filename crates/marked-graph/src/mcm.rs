@@ -536,8 +536,9 @@ fn critical_cycle_edges_from(csr: &CsrScc, mean: Ratio, phi: &[i64]) -> Vec<usiz
 /// *tight subgraph* (edges with `phi(u) + r(e) == phi(v)`; any such cycle
 /// telescopes to reduced total 0), so `p` qualifies iff the tight subgraph
 /// minus `p` is acyclic. Only the edges of one extracted critical cycle
-/// can pass that test, which bounds the per-place DFS count by one cycle
-/// length. Returned in critical-cycle order; callers sort as needed.
+/// can pass that test, and [`bottleneck_places_from`] decides all of them
+/// in one linear pass. Returned in critical-cycle order; callers sort as
+/// needed.
 pub(crate) fn bottleneck_places_csr(csr: &CsrScc, mean: Ratio) -> Vec<PlaceId> {
     let phi = potentials_csr(csr, mean);
     let cycle_edges = critical_cycle_edges_from(csr, mean, &phi);
@@ -556,107 +557,149 @@ pub(crate) fn cycle_and_bottlenecks_csr(csr: &CsrScc, mean: Ratio) -> (Vec<Place
     (cycle, bottlenecks)
 }
 
-/// The tight-subgraph acyclicity filter of [`bottleneck_places_csr`], with
-/// the potentials and candidate cycle edges already in hand.
+/// The places of the edges of the critical cycle `C = v₀ → … → v_{k−1} → v₀`
+/// whose removal leaves the tight subgraph acyclic, in cycle order and in
+/// O(V + E).
+///
+/// Let `H` be the tight subgraph without `C`'s edges, and call a tight path
+/// `v_a ⇝ v_b` whose inner vertices are off `C` a *bridge* (a chord is one).
+/// A bridge together with `C`'s arc from `v_b` back to `v_a` is a cycle
+/// avoiding exactly the cycle edges in the cyclic range `[a, b)`, so it
+/// *jumps* them. Conversely, when `H` is acyclic every cycle of the tight
+/// subgraph other than `C` is a sequence of `C` edges and bridges, and one
+/// that avoids edge `i` must contain a bridge jumping it (cutting `C` at
+/// `i`, `C` edges and non-jumping bridges only move forward). So edge `i`
+/// is a bottleneck iff `H` is acyclic and no bridge jumps it.
+///
+/// Kahn's algorithm tests `H` and orders it. Over that order a forward
+/// dynamic program gives every vertex the highest and lowest cycle position
+/// its bridges first hit, and a backward one the highest position a bridge
+/// into it starts from. Forward bridges from `v_a` then jump `[a, max)`;
+/// the wrapping ones collapse to `[min source, k) ∪ [0, max target)`; a
+/// prefix sum over positions marks every jumped edge.
 fn bottleneck_places_from(
     csr: &CsrScc,
     mean: Ratio,
     phi: &[i64],
     cycle_edges: &[usize],
 ) -> Vec<PlaceId> {
+    const OFF: i32 = -1;
     let n = csr.n();
+    let k = cycle_edges.len();
     let num = mean.numer();
     let den = mean.denom();
     let reduced = |w: i64| den * w - num;
 
-    // Tight adjacency in flat CSR form (offsets + parallel target/edge-id
-    // arrays), so the per-candidate DFS below touches no allocator.
-    let mut offsets = vec![0u32; n + 1];
-    for v in 0..n {
-        for e in csr.out(v) {
-            if phi[v] + reduced(csr.weight(e)) == phi[csr.target(e)] {
-                offsets[v + 1] += 1;
-            }
-        }
+    // `pos[v]`: cycle position of `v` (`v_i` is the tail of cycle edge
+    // `i`), `OFF` for vertices off the cycle.
+    let mut pos = vec![OFF; n];
+    for (i, &e) in cycle_edges.iter().enumerate() {
+        pos[csr.target(e)] = ((i + 1) % k) as i32;
     }
+    // `H` in flat CSR form: the tight edges that are not cycle edges.
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets: Vec<u32> = Vec::with_capacity(csr.edge_count());
+    let mut indegree = vec![0u32; n];
+    offsets.push(0u32);
     for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
-    let m = offsets[n] as usize;
-    let mut targets = vec![0u32; m];
-    let mut edge_ids = vec![0u32; m];
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    for v in 0..n {
+        let cycle_edge = (pos[v] != OFF).then(|| cycle_edges[pos[v] as usize]);
         for e in csr.out(v) {
             let w = csr.target(e);
-            if phi[v] + reduced(csr.weight(e)) == phi[w] {
-                let slot = cursor[v] as usize;
-                targets[slot] = w as u32;
-                edge_ids[slot] = e as u32;
-                cursor[v] += 1;
+            if phi[v] + reduced(csr.weight(e)) == phi[w] && cycle_edge != Some(e) {
+                targets.push(w as u32);
+                indegree[w] += 1;
+            }
+        }
+        offsets.push(targets.len() as u32);
+    }
+    let h_out = |v: usize| &targets[offsets[v] as usize..offsets[v + 1] as usize];
+
+    // Kahn's algorithm; `order` doubles as its queue.
+    let mut order: Vec<u32> = (0..n as u32)
+        .filter(|&v| indegree[v as usize] == 0)
+        .collect();
+    order.reserve(n - order.len());
+    let mut head = 0;
+    while head < order.len() {
+        let v = order[head] as usize;
+        head += 1;
+        for &w in h_out(v) {
+            indegree[w as usize] -= 1;
+            if indegree[w as usize] == 0 {
+                order.push(w);
+            }
+        }
+    }
+    if order.len() < n {
+        return Vec::new(); // a tight cycle avoids every edge of `C`
+    }
+
+    // Forward: the highest and lowest positions `v`'s bridges first hit
+    // (for `v` on the cycle, the targets of the bridges it starts).
+    let mut hit_hi = vec![OFF; n];
+    let mut hit_lo = vec![i32::MAX; n];
+    for &v in order.iter().rev() {
+        let v = v as usize;
+        let (mut hi, mut lo) = (OFF, i32::MAX);
+        for &w in h_out(v) {
+            let w = w as usize;
+            let (whi, wlo) = if pos[w] != OFF {
+                (pos[w], pos[w])
+            } else {
+                (hit_hi[w], hit_lo[w])
+            };
+            hi = hi.max(whi);
+            lo = lo.min(wlo);
+        }
+        hit_hi[v] = hi;
+        hit_lo[v] = lo;
+    }
+    // Backward: the highest position a bridge into `v` starts from.
+    let mut from_hi = vec![OFF; n];
+    for &v in &order {
+        let v = v as usize;
+        let s = if pos[v] != OFF { pos[v] } else { from_hi[v] };
+        if s != OFF {
+            for &w in h_out(v) {
+                from_hi[w as usize] = from_hi[w as usize].max(s);
             }
         }
     }
 
-    let mut color = vec![0u8; n];
-    let mut stack: Vec<(u32, u32)> = Vec::with_capacity(n);
+    // Cover the jumped positions with a difference array.
+    let mut cover = vec![0i32; k + 1];
+    let mut wrap_from = k;
+    let mut wrap_to = 0;
+    for (i, &e) in cycle_edges.iter().enumerate() {
+        // `v` sits at position `i + 1` (mod k).
+        let at = (i + 1) % k;
+        let v = csr.target(e);
+        if hit_hi[v] > at as i32 {
+            cover[at] += 1;
+            cover[hit_hi[v] as usize] -= 1;
+        }
+        if hit_lo[v] < at as i32 {
+            wrap_from = wrap_from.min(at);
+        }
+        if from_hi[v] > at as i32 {
+            wrap_to = wrap_to.max(at);
+        }
+    }
+    if wrap_from < k {
+        cover[wrap_from] += 1;
+        cover[k] -= 1;
+        cover[0] += 1;
+        cover[wrap_to] -= 1;
+    }
+    let mut jumped = 0;
     cycle_edges
         .iter()
-        .filter(|&&skip| {
-            tight_subgraph_is_acyclic_without(
-                &offsets, &targets, &edge_ids, skip, &mut color, &mut stack,
-            )
+        .zip(&cover)
+        .filter_map(|(&e, &delta)| {
+            jumped += delta;
+            (jumped == 0).then(|| csr.place(e))
         })
-        .map(|&e| csr.place(e))
         .collect()
-}
-
-/// Whether the tight subgraph minus the edge `skip` has no cycle
-/// (iterative three-color DFS over the flat adjacency; `color`/`stack` are
-/// caller-owned scratch, reset here).
-fn tight_subgraph_is_acyclic_without(
-    offsets: &[u32],
-    targets: &[u32],
-    edge_ids: &[u32],
-    skip: usize,
-    color: &mut [u8],
-    stack: &mut Vec<(u32, u32)>,
-) -> bool {
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-    let n = color.len();
-    color.fill(WHITE);
-    stack.clear();
-    for root in 0..n as u32 {
-        if color[root as usize] != WHITE {
-            continue;
-        }
-        color[root as usize] = GRAY;
-        stack.push((root, offsets[root as usize]));
-        while let Some(&mut (v, ref mut next)) = stack.last_mut() {
-            if *next >= offsets[v as usize + 1] {
-                color[v as usize] = BLACK;
-                stack.pop();
-                continue;
-            }
-            let slot = *next as usize;
-            *next += 1;
-            if edge_ids[slot] as usize == skip {
-                continue;
-            }
-            let w = targets[slot];
-            match color[w as usize] {
-                WHITE => {
-                    color[w as usize] = GRAY;
-                    stack.push((w, offsets[w as usize]));
-                }
-                GRAY => return false,
-                _ => {}
-            }
-        }
-    }
-    true
 }
 
 /// Lawler's algorithm: exact minimum cycle mean via parametric search.
@@ -1088,6 +1131,165 @@ mod tests {
             let all = vec![true; g.place_count()];
             assert_eq!(mcm_masked(&g, McmEngine::Howard, &all), karp(&g));
         }
+    }
+
+    /// The per-edge reference the linear [`bottleneck_places_from`]
+    /// replaced: one acyclicity DFS over the tight subgraph per cycle edge,
+    /// O(|cycle|·|E|).
+    fn bottleneck_places_by_probing(
+        csr: &CsrScc,
+        mean: Ratio,
+        phi: &[i64],
+        cycle_edges: &[usize],
+    ) -> Vec<PlaceId> {
+        let tight = |e: usize, v: usize| {
+            phi[v] + mean.denom() * csr.weight(e) - mean.numer() == phi[csr.target(e)]
+        };
+        cycle_edges
+            .iter()
+            .filter(|&&skip| {
+                // Three-color DFS over the tight edges other than `skip`.
+                let mut color = vec![0u8; csr.n()];
+                for root in 0..csr.n() {
+                    if color[root] != 0 {
+                        continue;
+                    }
+                    color[root] = 1;
+                    let mut stack = vec![(root, csr.out(root))];
+                    while let Some((v, edges)) = stack.last_mut() {
+                        let v = *v;
+                        let Some(e) = edges.next() else {
+                            color[v] = 2;
+                            stack.pop();
+                            continue;
+                        };
+                        if e == skip || !tight(e, v) {
+                            continue;
+                        }
+                        let w = csr.target(e);
+                        match color[w] {
+                            0 => {
+                                color[w] = 1;
+                                stack.push((w, csr.out(w)));
+                            }
+                            1 => return false,
+                            _ => {}
+                        }
+                    }
+                }
+                true
+            })
+            .map(|&e| csr.place(e))
+            .collect()
+    }
+
+    /// A random graph shaped to stress the bottleneck pass: small token
+    /// counts (so minimum-mean cycles tie often), chords, parallel places
+    /// and self-loops, and optionally a twin of the first ring joined to it
+    /// both ways — two tight SCCs inside one component when the joins are
+    /// heavy, or two tied components when there is only one join.
+    fn random_bottleneck_graph(rng: &mut rand::rngs::StdRng) -> MarkedGraph {
+        use rand::Rng;
+        let mut g = MarkedGraph::new();
+        let n = rng.gen_range(1..14usize);
+        let max_tokens = rng.gen_range(1..4u64);
+        let ts: Vec<_> = (0..n).map(|i| g.add_transition(format!("t{i}"))).collect();
+        for i in 0..n {
+            g.add_place(ts[i], ts[(i + 1) % n], rng.gen_range(0..max_tokens));
+        }
+        for _ in 0..rng.gen_range(0..2 * n) {
+            let u = rng.gen_range(0..n);
+            let v = match rng.gen_range(0..4) {
+                0 => u,           // self-loop
+                1 => (u + 1) % n, // parallel to a ring place
+                _ => rng.gen_range(0..n),
+            };
+            g.add_place(ts[u], ts[v], rng.gen_range(0..max_tokens + 1));
+        }
+        if rng.gen_bool(0.4) {
+            // The twin copies the ring's tokens, so both rings share its mean.
+            let twin: Vec<_> = (0..n).map(|i| g.add_transition(format!("u{i}"))).collect();
+            for i in 0..n {
+                let tokens = g.tokens(PlaceId::new(i));
+                g.add_place(twin[i], twin[(i + 1) % n], tokens);
+            }
+            let heavy = 4 * max_tokens + 4;
+            g.add_place(ts[0], twin[0], heavy);
+            if rng.gen_bool(0.5) {
+                g.add_place(twin[n - 1], ts[n - 1], heavy);
+            }
+        }
+        g
+    }
+
+    /// Per-component answers of the linear pass and the per-edge reference,
+    /// plus the incremental engine's global answer against the reference
+    /// under the cross-component tie rule. Returns how many components had
+    /// a bottleneck set that was neither empty nor the whole cycle.
+    fn check_bottlenecks_against_probing(g: &MarkedGraph) -> Result<usize, String> {
+        let scc = SccDecomposition::compute(g);
+        let mut partial = 0;
+        let mut best: Option<(Ratio, Vec<PlaceId>)> = None;
+        let mut ties = 0;
+        for comp in scc.component_ids().filter(|&c| scc.is_cyclic(g, c)) {
+            let csr = CsrScc::build(g, &scc, comp);
+            let mean = karp_csr(&csr);
+            let phi = potentials_csr(&csr, mean);
+            let cycle = critical_cycle_edges_from(&csr, mean, &phi);
+            let linear = bottleneck_places_from(&csr, mean, &phi, &cycle);
+            let probed = bottleneck_places_by_probing(&csr, mean, &phi, &cycle);
+            if linear != probed {
+                return Err(format!("component {comp}: {linear:?} != {probed:?}"));
+            }
+            if !probed.is_empty() && probed.len() < cycle.len() {
+                partial += 1;
+            }
+            match &best {
+                Some((m, _)) if mean > *m => {}
+                Some((m, _)) if mean == *m => ties += 1,
+                _ => {
+                    best = Some((mean, probed));
+                    ties = 1;
+                }
+            }
+        }
+        let mut expected = match best {
+            Some((_, places)) if ties == 1 => places,
+            _ => Vec::new(),
+        };
+        expected.sort_unstable();
+        let got = crate::incremental::IncrementalMcm::new(g).bottlenecks_with_tokens(&[]);
+        if got != expected {
+            return Err(format!("global: {got:?} != {expected:?}"));
+        }
+        Ok(partial)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn linear_bottleneck_pass_equals_per_edge_probing(seed in 0u64..u64::MAX) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let g = random_bottleneck_graph(&mut rng);
+            if let Err(msg) = check_bottlenecks_against_probing(&g) {
+                return Err(format!("{msg}\n{g:?}"));
+            }
+        }
+    }
+
+    /// The property above is only as strong as its cases: the generator
+    /// must reach bottleneck sets that are neither empty nor the whole
+    /// cycle, where an off-by-one in the cover would show.
+    #[test]
+    fn bottleneck_generator_reaches_partial_sets() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let partial: usize = (0..500)
+            .map(|_| check_bottlenecks_against_probing(&random_bottleneck_graph(&mut rng)).unwrap())
+            .sum();
+        assert!(partial >= 25, "only {partial} partial bottleneck sets");
     }
 
     #[test]

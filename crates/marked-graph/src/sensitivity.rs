@@ -80,8 +80,9 @@ pub fn token_sensitivity(graph: &MarkedGraph) -> Vec<PlaceSensitivity> {
 /// Computed structurally via [`IncrementalMcm::bottlenecks_with_tokens`]:
 /// a token on `p` leaves every cycle avoiding `p` unchanged, so `p` is a
 /// bottleneck iff the tight subgraph of minimum-mean cycles minus `p` is
-/// acyclic — one solve per component and a few DFS passes, identical in
-/// output to probing every place but with no per-place re-solves.
+/// acyclic — one solve per component and one linear pass over the tight
+/// subgraph, identical in output to probing every place but with no
+/// per-place re-solves.
 ///
 /// # Examples
 ///

@@ -555,7 +555,9 @@ fn burst_json(sys: &LisSystem, report: &lis_schedule::BurstReport) -> Json {
 
 /// Renders an [`AnalysisReport`] exactly as the `/analyze` route does — the
 /// single source of the body layout, shared by the sweep row renderer so a
-/// sweep point is byte-identical to an individual round trip.
+/// sweep point is byte-identical to an individual round trip. It reads only
+/// names and counts from `sys`, none of which depend on queue capacities,
+/// so a sweep row passes its group's system.
 pub(crate) fn analyze_report_json(sys: &LisSystem, report: &AnalysisReport) -> Json {
     let bottlenecks: Vec<Json> = report
         .bottleneck_queues
@@ -605,12 +607,24 @@ fn qs(sys: &LisSystem, exact: bool, engine: McmEngine) -> Result<Json, ServerErr
             "queue-sizing solution failed verification".into(),
         ));
     }
-    Ok(qs_report_json(sys, engine, &report))
+    Ok(qs_report_json(
+        sys,
+        |c| sys.queue_capacity(c),
+        engine,
+        &report,
+    ))
 }
 
 /// Renders a [`QsReport`] exactly as the `/qs` route does (see
-/// [`analyze_report_json`] for why this is shared).
-pub(crate) fn qs_report_json(sys: &LisSystem, engine: McmEngine, report: &QsReport) -> Json {
+/// [`analyze_report_json`] for why this is shared). Names come from `sys`,
+/// queue capacities from `capacity`: a sweep row shares its group's system
+/// and carries only its capacity overrides.
+pub(crate) fn qs_report_json(
+    sys: &LisSystem,
+    capacity: impl Fn(lis_core::ChannelId) -> u64,
+    engine: McmEngine,
+    report: &QsReport,
+) -> Json {
     let extra: Vec<Json> = report
         .extra_tokens
         .iter()
@@ -620,10 +634,7 @@ pub(crate) fn qs_report_json(sys: &LisSystem, engine: McmEngine, report: &QsRepo
                 _ => unreachable!("channel_json returns an object"),
             };
             entry.push(("extra_slots".into(), Json::num(w as f64)));
-            entry.push((
-                "new_capacity".into(),
-                Json::num((sys.queue_capacity(c) + w) as f64),
-            ));
+            entry.push(("new_capacity".into(), Json::num((capacity(c) + w) as f64)));
             Json::Obj(entry)
         })
         .collect();
@@ -711,15 +722,16 @@ pub(crate) fn sweep_header_json(sweep: &Sweep) -> Json {
 }
 
 /// One streamed sweep row. The `result` field is rendered by the same
-/// functions as the single-shot `/analyze` and `/qs` routes, applied to the
-/// row's fully-modified system, so it is byte-identical to the body an
-/// individual round trip on that design point would return.
+/// functions as the single-shot `/analyze` and `/qs` routes, with names
+/// from the row's group system and capacities from the row, so it is
+/// byte-identical to the body an individual round trip on that design
+/// point would return.
 pub(crate) fn sweep_row_json(row: &SweepRow, engine: McmEngine) -> Json {
     let stations: Vec<Json> = row
         .placements
         .iter()
         .map(|&(c, n)| {
-            let mut entry = match channel_json(&row.sys, c) {
+            let mut entry = match channel_json(&row.group_sys, c) {
                 Json::Obj(pairs) => pairs,
                 _ => unreachable!("channel_json returns an object"),
             };
@@ -749,10 +761,14 @@ pub(crate) fn sweep_row_json(row: &SweepRow, engine: McmEngine) -> Json {
     ];
     match &row.outcome {
         Ok(PointReport::Analyze(report)) => {
-            fields.push(("result".into(), analyze_report_json(&row.sys, report)))
+            fields.push(("result".into(), analyze_report_json(&row.group_sys, report)))
         }
         Ok(PointReport::Qs(report)) => {
-            fields.push(("result".into(), qs_report_json(&row.sys, engine, report)))
+            let capacity = |c| row.capacity(c);
+            fields.push((
+                "result".into(),
+                qs_report_json(&row.group_sys, capacity, engine, report),
+            ))
         }
         Err(msg) => fields.push(("error".into(), Json::str(msg))),
     }

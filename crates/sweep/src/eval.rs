@@ -18,6 +18,8 @@
 //! by the plan, not by the thread count, so rows are identical at any
 //! `--threads` setting.
 
+use std::sync::Arc;
+
 use lis_core::{
     analysis_report, canonical_hash, classify, ideal_mst_of, AnalysisReport, ChannelId, LisModel,
     LisSystem, TopologyClass,
@@ -74,6 +76,12 @@ pub struct BurstPoint {
 }
 
 /// One evaluated grid point.
+///
+/// A row does not carry its own system: every row of a station group
+/// shares the group's [`LisSystem`] and keeps only its capacity overrides.
+/// Block and channel names and counts do not depend on capacities, so
+/// renderers read them from [`SweepRow::group_sys`] and capacities from
+/// [`SweepRow::capacity`].
 #[derive(Debug, Clone)]
 pub struct SweepRow {
     /// Global point index (dense, `0..plan.points`).
@@ -84,12 +92,13 @@ pub struct SweepRow {
     pub inserted: u32,
     /// Per-channel station additions of this point's group.
     pub placements: Vec<(ChannelId, u32)>,
-    /// This point's capacity assignment, in axis order.
+    /// This point's capacity assignment, in axis order: the overrides
+    /// that turn [`SweepRow::group_sys`] into the point system.
     pub capacities: Vec<(ChannelId, u64)>,
-    /// The fully modified system (stations + capacities applied) — what a
-    /// client would have posted to get this row from a single-shot route.
-    pub sys: LisSystem,
-    /// Total queue capacity of `sys` (a Pareto objective).
+    /// The station group's system (the base plus this group's stations, at
+    /// the base capacities), shared by every row of the group.
+    pub group_sys: Arc<LisSystem>,
+    /// Total queue capacity of the point system (a Pareto objective).
     pub total_capacity: u64,
     /// The computed report, or the error string the equivalent single-shot
     /// request would have produced.
@@ -101,6 +110,15 @@ pub struct SweepRow {
 }
 
 impl SweepRow {
+    /// Queue capacity of channel `c` at this point: its override, else the
+    /// group system's capacity.
+    pub fn capacity(&self, c: ChannelId) -> u64 {
+        self.capacities
+            .iter()
+            .find(|&&(ch, _)| ch == c)
+            .map_or_else(|| self.group_sys.queue_capacity(c), |&(_, q)| q)
+    }
+
     /// The throughput objective: the practical MST for analyze rows, the
     /// restored target for queue-sizing rows. `None` for error rows.
     pub fn throughput(&self) -> Option<Ratio> {
@@ -146,7 +164,7 @@ pub struct Sweep {
 /// computed once here and shared by every point of the group.
 struct GroupCtx<'a> {
     group: &'a GroupPlan,
-    sys: LisSystem,
+    sys: Arc<LisSystem>,
     /// Only built in analyze mode.
     warm: Option<WarmGroup>,
 }
@@ -269,7 +287,11 @@ impl Sweep {
             }
             SweepMode::Qs { .. } => None,
         };
-        GroupCtx { group, sys, warm }
+        GroupCtx {
+            group,
+            sys: Arc::new(sys),
+            warm,
+        }
     }
 
     fn eval_chunk(
@@ -280,31 +302,41 @@ impl Sweep {
     ) -> (Vec<SweepRow>, u64, u64) {
         let mut fork = ctx.warm.as_ref().map(|warm| (warm, warm.inc.fork()));
         let mut rows = Vec::with_capacity(end - start);
+        let group_total = ctx.sys.total_queue_capacity();
+        // The point system is built only for the paths that compute on it.
+        let needs_sys = matches!(self.spec.mode, SweepMode::Qs { .. })
+            || self.spec.stalls.is_some()
+            || self.spec.bursts.is_some();
         for local in start..end {
             let caps = self.plan.capacities_at(local);
-            let mut sys = ctx.sys.clone();
-            for &(c, q) in &caps {
-                sys.set_queue_capacity(c, q)
-                    .expect("capacities are validated at plan time");
-            }
+            let sys = needs_sys.then(|| point_system(&ctx.sys, &caps));
             let outcome = match self.spec.mode {
                 SweepMode::Analyze => {
                     let (warm, inc) = fork.as_mut().expect("analyze mode builds a warm solver");
                     Ok(PointReport::Analyze(warm_analyze(warm, inc, &caps)))
                 }
-                SweepMode::Qs { exact } => qs_point(&sys, exact, &self.spec).map(PointReport::Qs),
+                SweepMode::Qs { exact } => {
+                    let sys = sys.as_ref().expect("qs mode builds the point system");
+                    qs_point(sys, exact, &self.spec).map(PointReport::Qs)
+                }
             };
             let point = ctx.group.first_point + local;
-            let sim = self.sim_axis(&sys, point);
-            let burst = self.burst_axis(&sys, point);
+            let (sim, burst) = match &sys {
+                Some(sys) => (self.sim_axis(sys, point), self.burst_axis(sys, point)),
+                None => (Vec::new(), Vec::new()),
+            };
+            // Axis channels are distinct (the plan rejects duplicates).
+            let total_capacity = caps.iter().fold(group_total, |total, &(c, q)| {
+                total - ctx.sys.queue_capacity(c) + q
+            });
             rows.push(SweepRow {
                 point,
                 group: ctx.group.group,
                 inserted: ctx.group.inserted,
                 placements: ctx.group.placements.clone(),
                 capacities: caps,
-                total_capacity: sys.total_queue_capacity(),
-                sys,
+                group_sys: Arc::clone(&ctx.sys),
+                total_capacity,
                 outcome,
                 sim,
                 burst,
@@ -407,6 +439,16 @@ fn warm_analyze(
         })
         .collect();
     analysis_report(&warm.model, inc, &overrides, warm.ideal, warm.class)
+}
+
+/// `group` with the capacity overrides `caps` applied.
+fn point_system(group: &LisSystem, caps: &[(ChannelId, u64)]) -> LisSystem {
+    let mut sys = group.clone();
+    for &(c, q) in caps {
+        sys.set_queue_capacity(c, q)
+            .expect("capacities are validated at plan time");
+    }
+    sys
 }
 
 /// Replicates the server's `/qs` job on one point system, including its

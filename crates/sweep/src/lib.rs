@@ -97,7 +97,17 @@ mod tests {
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.point, i, "rows arrive in dense point order");
             let cold = cold_system(base, row);
-            assert_eq!(to_netlist(&cold), to_netlist(&row.sys));
+            // The shared group system carries the stations; the row's
+            // capacities complete the point system.
+            let mut shared = (*row.group_sys).clone();
+            for &(c, q) in &row.capacities {
+                shared.set_queue_capacity(c, q).unwrap();
+            }
+            assert_eq!(to_netlist(&cold), to_netlist(&shared));
+            assert_eq!(row.total_capacity, cold.total_queue_capacity());
+            for c in cold.channel_ids() {
+                assert_eq!(row.capacity(c), cold.queue_capacity(c), "point {i}");
+            }
             let expected = explain_with(&cold, McmEngine::default());
             let PointReport::Analyze(got) = row.outcome.as_ref().unwrap() else {
                 panic!("analyze mode row");

@@ -64,7 +64,7 @@ mod tests {
             placements: Vec::new(),
             capacities: Vec::new(),
             total_capacity: point as u64 + 1,
-            sys: sys.clone(),
+            group_sys: std::sync::Arc::new(sys.clone()),
             outcome: Ok(PointReport::Analyze(report)),
             sim: Vec::new(),
             burst: Vec::new(),
