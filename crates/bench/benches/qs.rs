@@ -1,7 +1,6 @@
 //! Queue-sizing solver benchmarks: heuristic vs exact, with and without the
 //! simplification rules — the CPU-time story of Tables IV and V — plus the
-//! exact solver's search-tree variants (memoization on/off, parallel root
-//! branching on/off).
+//! exact solver's search-tree variants (memoization on/off).
 
 use std::time::Duration;
 
@@ -43,14 +42,14 @@ fn dense_td(seed: u64) -> TdInstance {
 }
 
 /// Exact-solver search variants on one dense instance: full pruning with
-/// the transposition memo (default), memo disabled, and parallel root
-/// branching. All three return the same optimum.
+/// the transposition memo (default) and memo disabled. Both return the same
+/// optimum.
 fn bench_exact_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("qs_exact_variants");
     group.sample_size(10);
     let td = dense_td(5);
     let budget = Some(Duration::from_secs(5));
-    let cases: [(&str, ExactOptions); 3] = [
+    let cases: [(&str, ExactOptions); 2] = [
         (
             "memo",
             ExactOptions {
@@ -63,14 +62,6 @@ fn bench_exact_variants(c: &mut Criterion) {
             ExactOptions {
                 budget,
                 memo: false,
-                ..ExactOptions::default()
-            },
-        ),
-        (
-            "parallel_root",
-            ExactOptions {
-                budget,
-                parallel_root: true,
                 ..ExactOptions::default()
             },
         ),

@@ -121,7 +121,6 @@ fn main() {
                     disjoint_bound: bound,
                     symmetry_breaking: sym,
                     memo: false,
-                    ..ExactOptions::default()
                 },
             );
             if out.optimal {

@@ -114,9 +114,9 @@ server commands (analysis as a service):
   client <addr> shutdown                 drain the daemon and stop it
 
 global options:
-  --threads N    cap the worker/analysis thread pool at N threads
-                 (default: LIS_THREADS env var, then available parallelism);
-                 `serve` uses this as its worker-pool size
+  --threads N    worker threads for `serve` (its pool size) and the
+                 default `--shard-threads` of `gateway`
+                 (default: LIS_THREADS env var, then available parallelism)
   --engine E     MCM algorithm for throughput analysis: howard (default),
                  karp, or lawler; all three give identical answers.
                  `client` forwards the choice to the daemon

@@ -21,8 +21,8 @@
 //! lis client   <addr> <cmd> <netlist> one request against a daemon
 //! ```
 //!
-//! A global `--threads N` flag caps the analysis thread pool; `lis serve`
-//! uses it as the worker-pool size.
+//! A global `--threads N` flag sets the worker-pool size of `lis serve`
+//! (and the default shard pool size of `lis gateway`).
 //!
 //! Netlists use the `lis-core` text format (see `lis_core::parse_netlist`):
 //!

@@ -381,10 +381,10 @@ impl IncrementalMcm {
     /// one-sweep warm solves instead of cold re-solves.
     ///
     /// Forks share no mutable state with the original — each side may
-    /// query (and grow its memo) concurrently. This is the fan-out
-    /// primitive for parallel design-space sweeps: warm one engine on a
-    /// component, then fork it per worker chunk. Hit/miss counters start
-    /// at zero in the fork so per-worker cache effectiveness is visible.
+    /// query (and grow its memo) concurrently. Design-space sweeps warm
+    /// one engine per station group, then fork it per evaluation chunk.
+    /// Hit/miss counters start at zero in the fork so per-chunk cache
+    /// effectiveness is visible.
     pub fn fork(&self) -> IncrementalMcm {
         IncrementalMcm {
             comps: self.comps.clone(),

@@ -1,14 +1,18 @@
-//! Deterministic fork-join parallelism for the analysis engine.
+//! Deterministic fork-join parallelism and the process-wide thread budget.
 //!
 //! The workspace cannot depend on rayon (offline builds), so this crate
-//! provides the small parallel surface the analysis and experiment code
-//! needs, built on [`std::thread::scope`]:
+//! provides the small parallel surface the experiment binaries need, built
+//! on [`std::thread::scope`]:
 //!
 //! * [`par_map`] / [`par_map_indexed`] — order-preserving parallel map over
 //!   a slice or index range with work stealing via an atomic cursor;
 //! * [`max_threads`] / [`set_max_threads`] — a process-wide thread cap
 //!   (also settable with the `LIS_THREADS` environment variable), used by
-//!   the determinism tests to force serial execution.
+//!   the determinism tests to force serial execution. It also sizes the
+//!   daemon's worker pool.
+//!
+//! The analysis libraries themselves are serial: the daemon runs requests
+//! in parallel across its worker pool, never inside one.
 //!
 //! Every function here is *deterministic by construction*: results are
 //! collected by input index, so the output is identical to the serial map

@@ -11,15 +11,11 @@
 //! the paper did the same ("the exact program was halted after running for
 //! more than an hour").
 //!
-//! Two further sound accelerations (see [`ExactOptions`]): refuted search
+//! A further sound acceleration (see [`ExactOptions`]): refuted search
 //! states are memoized and reused *across* the binary search's probes (the
-//! probes revisit the same residual states with different budgets), and the
-//! root branches of a probe can be explored on worker threads with the
-//! lowest-index feasible branch winning — which keeps the reported solution
-//! bit-identical to the serial search.
+//! probes revisit the same residual states with different budgets).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::heuristic::heuristic_solve;
@@ -49,13 +45,6 @@ pub struct ExactOptions {
     /// outcome is already known are skipped; subtrees that timed out are
     /// never recorded.
     pub memo: bool,
-    /// Explore the root branches of each probe on worker threads (via
-    /// `lis-par`). The reported solution is identical to the serial search
-    /// — the lowest-index feasible branch wins, which is exactly the branch
-    /// the serial depth-first search would commit to — so this changes
-    /// wall-clock time only (node counts may differ, and with a time budget
-    /// the point of interruption may differ).
-    pub parallel_root: bool,
 }
 
 impl Default for ExactOptions {
@@ -65,7 +54,6 @@ impl Default for ExactOptions {
             disjoint_bound: true,
             symmetry_breaking: true,
             memo: true,
-            parallel_root: false,
         }
     }
 }
@@ -129,15 +117,12 @@ pub fn exact_solve_with(td: &TdInstance, options: &ExactOptions) -> ExactOutcome
         deadline,
         nodes: 0,
         timed_out: false,
-        aborted: false,
         weights: vec![0; td.set_count()],
         residual: (0..td.cycle_count()).map(|c| td.deficit(c)).collect(),
         found: None,
         disjoint_bound: options.disjoint_bound,
         symmetry_breaking: options.symmetry_breaking,
         memo: options.memo.then(HashMap::new),
-        parallel_root: options.parallel_root,
-        abort: None,
     };
 
     // Binary search on K: feasible(K) is monotone. Invariants:
@@ -176,20 +161,11 @@ enum Probe {
     TimedOut,
 }
 
-/// Outcome of one parallel root branch.
-struct Branch {
-    found: Option<TdSolution>,
-    timed_out: bool,
-    aborted: bool,
-    nodes: u64,
-}
-
 struct Search<'a> {
     td: &'a TdInstance,
     deadline: Option<Instant>,
     nodes: u64,
     timed_out: bool,
-    aborted: bool,
     weights: Vec<u64>,
     residual: Vec<u64>,
     found: Option<TdSolution>,
@@ -197,13 +173,9 @@ struct Search<'a> {
     symmetry_breaking: bool,
     /// `(residual, min_set)` → largest budget proven insufficient.
     memo: Option<HashMap<(Vec<u64>, usize), u64>>,
-    parallel_root: bool,
-    /// `(my branch index, winner cell)` when running as a parallel root
-    /// branch: give up once a lower-index branch has found a solution.
-    abort: Option<(usize, &'a AtomicUsize)>,
 }
 
-impl<'a> Search<'a> {
+impl Search<'_> {
     fn probe(&mut self, k: u64) -> Probe {
         self.weights.iter_mut().for_each(|w| *w = 0);
         for c in 0..self.td.cycle_count() {
@@ -211,9 +183,6 @@ impl<'a> Search<'a> {
         }
         self.found = None;
         self.timed_out = false;
-        if self.parallel_root {
-            return self.probe_parallel(k);
-        }
         self.dfs(k, 0);
         if self.timed_out {
             Probe::TimedOut
@@ -222,100 +191,6 @@ impl<'a> Search<'a> {
         } else {
             Probe::Infeasible
         }
-    }
-
-    /// Expands the root branches of one probe on worker threads.
-    ///
-    /// Each branch places the first token on one covering set of the first
-    /// uncovered cycle and then runs the ordinary serial search below it.
-    /// The *lowest-index* branch holding a solution wins — the same branch
-    /// the serial depth-first loop would have committed to — so the probe's
-    /// answer (and hence the final solution) is identical to the serial
-    /// search. Higher-index branches abort early once a lower branch has
-    /// found a solution; that only discards work the serial search would
-    /// never have done.
-    fn probe_parallel(&mut self, k: u64) -> Probe {
-        self.nodes += 1;
-        let Some(c) = (0..self.residual.len()).find(|&c| self.residual[c] > 0) else {
-            return Probe::Feasible(TdSolution {
-                weights: self.weights.clone(),
-            });
-        };
-        if k == 0 {
-            return Probe::Infeasible;
-        }
-        if self.disjoint_bound && self.remaining_bound() > k {
-            return Probe::Infeasible;
-        }
-        let covering: Vec<usize> = self.td.covering_sets(c).to_vec();
-        let winner = AtomicUsize::new(usize::MAX);
-        let branches: Vec<Branch> = lis_par::par_map_indexed(covering.len(), |i| {
-            if winner.load(Ordering::Relaxed) < i {
-                return Branch {
-                    found: None,
-                    timed_out: false,
-                    aborted: true,
-                    nodes: 0,
-                };
-            }
-            let s = covering[i];
-            let mut weights = self.weights.clone();
-            weights[s] += 1;
-            let mut residual: Vec<u64> = (0..self.td.cycle_count())
-                .map(|cc| self.td.deficit(cc))
-                .collect();
-            for &cc in self.td.set(s) {
-                residual[cc] = residual[cc].saturating_sub(1);
-            }
-            let next_min = if self.symmetry_breaking && residual[c] > 0 {
-                s
-            } else {
-                0
-            };
-            let mut sub = Search {
-                td: self.td,
-                deadline: self.deadline,
-                nodes: 0,
-                timed_out: false,
-                aborted: false,
-                weights,
-                residual,
-                found: None,
-                disjoint_bound: self.disjoint_bound,
-                symmetry_breaking: self.symmetry_breaking,
-                memo: self.memo.is_some().then(HashMap::new),
-                parallel_root: false,
-                abort: Some((i, &winner)),
-            };
-            sub.dfs(k - 1, next_min);
-            if sub.found.is_some() {
-                winner.fetch_min(i, Ordering::Relaxed);
-            }
-            Branch {
-                found: sub.found,
-                timed_out: sub.timed_out,
-                aborted: sub.aborted,
-                nodes: sub.nodes,
-            }
-        });
-        self.nodes += branches.iter().map(|b| b.nodes).sum::<u64>();
-        // Scan in branch order, mirroring the serial loop: a timeout stops
-        // the scan (the serial search would have been interrupted there),
-        // the first solution wins. An aborted branch can only sit behind a
-        // feasible lower-index branch, so it is never reached.
-        for b in branches {
-            // A branch only aborts once a lower-index branch has found a
-            // solution, so the scan always returns before reaching one.
-            debug_assert!(!b.aborted, "aborted branch reached in scan order");
-            if b.timed_out {
-                self.timed_out = true;
-                return Probe::TimedOut;
-            }
-            if let Some(sol) = b.found {
-                return Probe::Feasible(sol);
-            }
-        }
-        Probe::Infeasible
     }
 
     /// Places one token at a time; `min_set` enforces non-decreasing set
@@ -327,12 +202,6 @@ impl<'a> Search<'a> {
                 if Instant::now() >= d {
                     self.timed_out = true;
                     return true; // unwind
-                }
-            }
-            if let Some((i, winner)) = self.abort {
-                if winner.load(Ordering::Relaxed) < i {
-                    self.aborted = true;
-                    return true; // unwind; result discarded by the caller
                 }
             }
         }
@@ -397,8 +266,8 @@ impl<'a> Search<'a> {
             }
         }
         // Every branch below this state was explored and refuted (a timeout
-        // or abort unwinds through `done == true`, so it cannot reach this
-        // point): record the refutation for later probes.
+        // unwinds through `done == true`, so it cannot reach this point):
+        // record the refutation for later probes.
         if let Some(memo) = &mut self.memo {
             if memo.len() < MEMO_CAP {
                 let entry = memo.entry((self.residual.clone(), min_set)).or_insert(0);
@@ -584,7 +453,7 @@ mod tests {
         assert_eq!(brute_force_optimum(&td, 3).unwrap().total(), 3);
     }
 
-    /// Random coverable instances shared by the memo / parallel tests.
+    /// Random coverable instances for the memo test.
     /// Dense enough that the disjoint-cycle bound stays loose — the regime
     /// where the transposition memo earns its keep.
     fn random_instances(seed: u64, count: usize) -> Vec<TdInstance> {
@@ -633,44 +502,6 @@ mod tests {
             memo_ever_smaller |= with.nodes < without.nodes;
         }
         assert!(memo_ever_smaller, "memo never pruned anything");
-    }
-
-    #[test]
-    fn parallel_root_matches_serial_exactly() {
-        for (trial, td) in random_instances(123, 25).iter().enumerate() {
-            let serial = exact_solve_with(td, &ExactOptions::default());
-            let parallel = lis_par::with_threads(4, || {
-                exact_solve_with(
-                    td,
-                    &ExactOptions {
-                        parallel_root: true,
-                        ..ExactOptions::default()
-                    },
-                )
-            });
-            assert!(serial.optimal && parallel.optimal, "trial {trial}");
-            assert_eq!(
-                serial.solution.weights, parallel.solution.weights,
-                "trial {trial}: parallel root must reproduce the serial solution"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_root_single_thread_degrades_to_serial() {
-        for td in random_instances(7, 5) {
-            let serial = exact_solve_with(&td, &ExactOptions::default());
-            let one = lis_par::with_threads(1, || {
-                exact_solve_with(
-                    &td,
-                    &ExactOptions {
-                        parallel_root: true,
-                        ..ExactOptions::default()
-                    },
-                )
-            });
-            assert_eq!(serial.solution.weights, one.solution.weights);
-        }
     }
 }
 

@@ -17,7 +17,7 @@
 //! 4. [`heuristic_solve`] (the paper's polynomial trim-down),
 //!    [`greedy_cover_solve`] (a max-coverage baseline), or [`exact_solve`]
 //!    (binary search + depth-K branch and bound with a wall-clock budget,
-//!    optionally memoized and with parallel root branching);
+//!    optionally memoized);
 //! 5. [`verify_solution`] — recompute `θ(d[G])` with Karp's algorithm, the
 //!    polynomial certificate of the NP-membership argument.
 //!

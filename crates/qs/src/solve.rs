@@ -38,10 +38,6 @@ pub struct QsConfig {
     pub collapse_sccs: bool,
     /// Wall-clock budget for the exact solver (`None` = run to completion).
     pub budget: Option<Duration>,
-    /// Explore the exact search's root branches on worker threads
-    /// ([`ExactOptions::parallel_root`]). Results are identical to the
-    /// serial search; only wall-clock time changes.
-    pub parallel: bool,
     /// After solving, trim the solution against the real throughput with
     /// the incremental [`ThroughputOracle`]. Never breaks feasibility (each
     /// removal is verified); can go below the Token Deficit optimum when
@@ -61,7 +57,6 @@ impl Default for QsConfig {
             simplify: true,
             collapse_sccs: true,
             budget: None,
-            parallel: false,
             oracle_trim: false,
             engine: McmEngine::default(),
         }
@@ -224,7 +219,6 @@ fn run_solver(td: &TdInstance, algo: Algorithm, cfg: &QsConfig) -> (TdSolution, 
 fn exact_options(cfg: &QsConfig) -> ExactOptions {
     ExactOptions {
         budget: cfg.budget,
-        parallel_root: cfg.parallel,
         ..ExactOptions::default()
     }
 }
@@ -379,26 +373,6 @@ mod tests {
             assert!(*c == up || *c == down || c.index() < 6);
         }
         assert!(verify_solution(&sys, &report));
-    }
-
-    #[test]
-    fn parallel_config_reproduces_serial_reports() {
-        let (sys, _) = figures::fig15();
-        let serial = solve(&sys, Algorithm::Exact, &QsConfig::default()).unwrap();
-        let parallel = lis_par::with_threads(4, || {
-            solve(
-                &sys,
-                Algorithm::Exact,
-                &QsConfig {
-                    parallel: true,
-                    ..QsConfig::default()
-                },
-            )
-            .unwrap()
-        });
-        assert_eq!(serial.total_extra, parallel.total_extra);
-        assert_eq!(serial.extra_tokens, parallel.extra_tokens);
-        assert_eq!(serial.optimal, parallel.optimal);
     }
 
     #[test]

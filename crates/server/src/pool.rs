@@ -30,11 +30,10 @@ use std::thread::JoinHandle;
 /// A queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// How much nicer than the process its workers run (and every thread a
-/// job spawns, which inherits the value). Computation yields the CPU to
-/// the event loop, so a saturated pool cannot hold back the loop's reads,
-/// writes and streamed chunks: the latency-insensitive shell is never
-/// starved by the pearl it wraps.
+/// How much nicer than the process its workers run. Computation yields the
+/// CPU to the event loop, so a saturated pool cannot hold back the loop's
+/// reads, writes and streamed chunks: the latency-insensitive shell is
+/// never starved by the pearl it wraps.
 const WORKER_NICE_INCREMENT: i32 = 10;
 
 /// Why a submission was rejected.

@@ -67,10 +67,10 @@ pub struct ServerConfig {
     pub read_deadline: Duration,
     /// Concurrent `/sweep` jobs allowed. Each sweep runs as one worker-pool
     /// job (streaming rows back through the event loop as they are solved)
-    /// and parallelizes internally, so a small cap keeps sweeps from
-    /// occupying every pool worker; excess sweeps are shed with a typed 503
-    /// carrying a `Retry-After` hint. `0` sheds every sweep — a kill switch
-    /// for operators (and a deterministic shed path for tests).
+    /// and holds its worker for the whole grid, so a small cap keeps sweeps
+    /// from occupying every pool worker; excess sweeps are shed with a typed
+    /// 503 carrying a `Retry-After` hint. `0` sheds every sweep — a kill
+    /// switch for operators (and a deterministic shed path for tests).
     pub max_concurrent_sweeps: usize,
     /// Deterministic fault-injection schedule, if chaos-testing. `None`
     /// (production) costs one pointer check per injection site.

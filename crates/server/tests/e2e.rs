@@ -463,7 +463,7 @@ fn row_netlist(base: &str, row: &Json) -> String {
 /// The headline property of the sweep subsystem: an N-point `/sweep` is
 /// byte-identical to N individual `/analyze` round trips over the
 /// reconstructed per-point netlists, and the whole stream is identical at
-/// any analysis thread count.
+/// any worker-pool size.
 #[test]
 fn sweep_grid_matches_individual_round_trips_at_any_thread_count() {
     let grid = obj([
@@ -481,7 +481,7 @@ fn sweep_grid_matches_individual_round_trips_at_any_thread_count() {
     ]);
 
     // Each run gets a fresh daemon (fresh cache) under a different
-    // process-wide analysis thread cap.
+    // process-wide thread budget, which sizes its worker pool.
     let run = |threads: usize| -> Vec<u8> {
         let previous = lis_par::set_max_threads(threads);
         let (addr, daemon) = start(ServerConfig::default());
@@ -696,5 +696,46 @@ fn qs_bodies_are_pinned_for_a_degraded_and_a_non_degraded_design() {
             "exact={exact}"
         );
     }
+    stop(addr, daemon);
+}
+
+#[test]
+fn sweep_bodies_are_pinned_for_an_analyze_and_a_qs_grid() {
+    // Literal bodies. The analyze grid has 20 points in one station group,
+    // so it spans two 16-point chunks; each chunk solves on its own fork of
+    // the warm solver, and the trailer's `warm_hits`/`warm_misses` pin that
+    // memo scope. The qs grid has two station groups.
+    const ANALYZE: &str = include_str!("pins/sweep_fig1_analyze.ndjson");
+    const QS: &str = include_str!("pins/sweep_fig1_qs.ndjson");
+
+    let axis = |channel: u64, values: std::ops::RangeInclusive<u64>| {
+        obj([
+            ("channel", Json::Num(channel as f64)),
+            (
+                "values",
+                Json::Arr(values.map(|v| Json::Num(v as f64)).collect()),
+            ),
+        ])
+    };
+    let analyze = obj([(
+        "capacities",
+        Json::Arr(vec![axis(0, 1..=5), axis(1, 1..=4)]),
+    )]);
+    let qs = obj([
+        ("mode", Json::str("qs")),
+        ("exact", Json::Bool(true)),
+        ("capacities", Json::Arr(vec![axis(1, 1..=3)])),
+        ("budget", Json::Num(1.0)),
+    ]);
+
+    let (addr, daemon) = start(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    for (grid, expected) in [(analyze, ANALYZE), (qs, QS)] {
+        let (status, body) = client.sweep(FIG1, grid).expect("sweep");
+        assert_eq!(status, 200);
+        assert_eq!(std::str::from_utf8(&body).unwrap(), expected);
+    }
+    let (_, _, trailer) = parse_sweep_body(ANALYZE.as_bytes());
+    assert!(trailer.get("warm_hits").unwrap().as_u64() > Some(0));
     stop(addr, daemon);
 }

@@ -14,7 +14,7 @@
 //! cycle)` drawn through the vendored [`rand`] generator, so a packed run is
 //! bit-identical to 64 single-trial runs with the same derived seeds
 //! ([`single_trial`] *is* that reference path, and a proptest holds the two
-//! together), and a multi-word sweep is byte-identical at any thread count.
+//! together).
 //!
 //! Stalls only ever *remove* firings, so measured throughput can never
 //! exceed the analytical MCM bound `θ` — the cross-check the analysis side
@@ -357,8 +357,7 @@ impl BitCounter {
 ///
 /// Built from a finite-queue [`CompiledProgram`] and a [`StallSpec`];
 /// [`run`](McKernel::run) advances `trials` independent seeded trials for
-/// `cycles` periods each, 64 trials per schedule pass, fanning trial words
-/// out across the `lis-par` pool (byte-identical at any thread count).
+/// `cycles` periods each, 64 trials per schedule pass.
 ///
 /// # Examples
 ///
@@ -449,9 +448,9 @@ impl McKernel {
     pub fn run(&self, trials: usize, cycles: u64) -> McReport {
         assert!(trials > 0, "at least one trial required");
         let words = trials.div_ceil(LANES);
-        let per_word: Vec<Vec<BitCounter>> = lis_par::par_map_indexed(words, |w| {
-            self.run_word(w as u64, cycles, &mut |_, _| {}, None)
-        });
+        let per_word: Vec<Vec<BitCounter>> = (0..words)
+            .map(|w| self.run_word(w as u64, cycles, &mut |_, _| {}, None))
+            .collect();
         self.collect_report(trials, cycles, &per_word)
     }
 
@@ -471,18 +470,19 @@ impl McKernel {
         assert!(trials > 0, "at least one trial required");
         let words = trials.div_ceil(LANES);
         let nc = self.prog.channel_count();
-        let per_word: Vec<(Vec<BitCounter>, Vec<u64>)> = lis_par::par_map_indexed(words, |w| {
-            let mut occ = vec![0u64; nc * LANES];
-            let counters = self.run_word(w as u64, cycles, &mut |_, _| {}, Some(&mut occ));
-            (counters, occ)
-        });
-        let counters: Vec<Vec<BitCounter>> = per_word.iter().map(|(c, _)| c.clone()).collect();
+        let (counters, occ): (Vec<Vec<BitCounter>>, Vec<Vec<u64>>) = (0..words)
+            .map(|w| {
+                let mut occ = vec![0u64; nc * LANES];
+                let counters = self.run_word(w as u64, cycles, &mut |_, _| {}, Some(&mut occ));
+                (counters, occ)
+            })
+            .unzip();
         let report = self.collect_report(trials, cycles, &counters);
         let mut occupancy = vec![0u64; nc];
         for trial in 0..trials {
             let (w, lane) = (trial / LANES, trial % LANES);
             for (c, max) in occupancy.iter_mut().enumerate() {
-                *max = (*max).max(per_word[w].1[c * LANES + lane]);
+                *max = (*max).max(occ[w][c * LANES + lane]);
             }
         }
         (report, occupancy)
@@ -918,22 +918,6 @@ mod tests {
         assert!(report.max_system_rate() <= theta + 1e-9);
         assert!(report.min_system_rate() > 0.0, "system must not deadlock");
         assert!(report.mean_system_rate() < theta, "stalls must cost rate");
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let (sys, _, _) = figures::fig1();
-        let prog = CompiledProgram::compile(&sys, QueueMode::Finite);
-        let spec = StallSpec::uniform(&prog, 0.05);
-        let kernel = McKernel::new(prog, spec, 5);
-        let a = lis_par::with_threads(1, || kernel.run(200, 500));
-        let b = lis_par::with_threads(4, || kernel.run(200, 500));
-        for blk in 0..kernel.program().block_count() {
-            let blk = lis_core::BlockId::new(blk);
-            for trial in 0..200 {
-                assert_eq!(a.block_firings(blk, trial), b.block_firings(blk, trial));
-            }
-        }
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //! path ([`lis_core::explain_with`] on a per-point modified system) — the
 //! solvers are exact, so warmth changes only wall-clock time.
 //!
-//! Parallel evaluation splits each group's points into fixed chunks; each
-//! chunk runs on a [`IncrementalMcm::fork`] of the group's warm solver via
-//! [`lis_par::par_map`], which preserves order. Chunk boundaries are fixed
-//! by the plan, not by the thread count, so rows are identical at any
-//! `--threads` setting.
+//! Each group's points are evaluated in fixed chunks on the calling thread;
+//! each chunk runs on its own [`IncrementalMcm::fork`] of the group's warm
+//! solver, so the chunk is the memo scope behind the reported
+//! `warm_hits`/`warm_misses`. Chunk boundaries are fixed by the plan.
 
 use std::sync::Arc;
 
@@ -33,8 +32,7 @@ use crate::plan::{plan, GroupPlan, SweepError, SweepPlan};
 use crate::spec::{SweepMode, SweepSpec};
 
 /// Points per evaluation chunk. Each chunk gets one fork of the group's
-/// warm solver; the constant is part of the deterministic plan (chunk
-/// boundaries never depend on the thread count).
+/// warm solver; the constant is part of the deterministic plan.
 pub const CHUNK: usize = 16;
 
 /// What one grid point computed, by [`SweepMode`].
@@ -223,9 +221,9 @@ impl Sweep {
     }
 
     /// Evaluates the whole grid, delivering rows **in point order** to
-    /// `sink` as waves complete. Memory stays bounded by the wave size
-    /// (`max_threads × CHUNK` points), so arbitrarily large grids can
-    /// stream without buffering the full table.
+    /// `sink` as chunks complete. Memory stays bounded by one chunk
+    /// ([`CHUNK`] points), so arbitrarily large grids can stream without
+    /// buffering the full table.
     pub fn run(&self, sink: &mut dyn FnMut(SweepRow)) -> SweepSummary {
         let mut summary = SweepSummary {
             points: 0,
@@ -236,24 +234,14 @@ impl Sweep {
         let per_group = self.plan.points_per_group.max(1);
         for group in &self.plan.groups {
             let ctx = self.group_ctx(group);
-            // Fixed chunking; waves of `max_threads` chunks bound memory
-            // while keeping every worker busy.
-            let chunks: Vec<(usize, usize)> = (0..per_group)
-                .step_by(CHUNK)
-                .map(|s| (s, (s + CHUNK).min(per_group)))
-                .collect();
-            let wave = lis_par::max_threads().max(1);
-            for wave_chunks in chunks.chunks(wave) {
-                let results = lis_par::par_map(wave_chunks, |&(start, end)| {
-                    self.eval_chunk(&ctx, start, end)
-                });
-                for (rows, hits, misses) in results {
-                    summary.warm_hits += hits;
-                    summary.warm_misses += misses;
-                    for row in rows {
-                        summary.points += 1;
-                        sink(row);
-                    }
+            for start in (0..per_group).step_by(CHUNK) {
+                let end = (start + CHUNK).min(per_group);
+                let (rows, hits, misses) = self.eval_chunk(&ctx, start, end);
+                summary.warm_hits += hits;
+                summary.warm_misses += misses;
+                for row in rows {
+                    summary.points += 1;
+                    sink(row);
                 }
             }
         }

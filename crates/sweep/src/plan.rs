@@ -4,8 +4,7 @@
 //! groups (relay-station configurations) in specification order, and within
 //! each group the cartesian product of the capacity axes with the **last
 //! axis varying fastest** (odometer order). Point numbering is global and
-//! dense, so a plan of `P` points always yields rows `0..P` in that order —
-//! regardless of how many worker threads evaluate them.
+//! dense, so a plan of `P` points always yields rows `0..P` in that order.
 
 use lis_core::{ChannelId, LisSystem};
 use lis_rsopt::greedy_frontier;

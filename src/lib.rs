@@ -19,8 +19,9 @@
 //! * [`sim`] (`lis-sim`) — the value-level cycle-accurate LIS simulator
 //!   (traces, latency equivalence, measured throughput);
 //! * [`cofdm`] (`lis-cofdm`) — the COFDM UWB transmitter case study;
-//! * [`par`] (`lis-par`) — the scoped-thread work-stealing pool behind the
-//!   parallel MCM fan-out and the experiment sweeps;
+//! * [`par`] (`lis-par`) — the process-wide thread budget that sizes the
+//!   daemon's worker pool, and the scoped-thread pool behind the
+//!   experiment binaries' across-trial fan-out;
 //! * [`schedule`] (`lis-schedule`) — explicit periodic firing schedules
 //!   (balanced binary words per transition) and queue-occupancy bounds per
 //!   channel, plus bursty-source scenario analysis on the packed kernel;
