@@ -48,6 +48,28 @@ impl Fnv1a {
     }
 }
 
+/// 64-bit FNV-1a of `bytes`: the one copy of the hash behind the daemon's
+/// cache-key request tokens and fast-path buckets and the gateway's shard
+/// identities and raw-body routing. Pure and platform-independent, so
+/// values derived from it may be stored on disk.
+///
+/// # Examples
+///
+/// The published test vectors:
+///
+/// ```
+/// use lis_core::fnv1a;
+///
+/// assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+/// ```
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.0
+}
+
 /// Deterministic 64-bit structural hash of a system.
 ///
 /// Equal systems hash equal on every platform and in every process; the

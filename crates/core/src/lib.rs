@@ -52,7 +52,7 @@ mod pipelining;
 mod system;
 mod topology;
 
-pub use canonical::canonical_hash;
+pub use canonical::{canonical_hash, fnv1a};
 pub use compose::{instantiate, Instantiation};
 pub use error::LisError;
 pub use explain::{analysis_report, describe_cycle, explain, explain_with, AnalysisReport};

@@ -31,7 +31,7 @@ use lis_server::net::{
     RaceOutcome, Rendered, SlotKey,
 };
 use lis_server::wire::{obj, Json};
-use lis_server::{ServerError, WorkerPool};
+use lis_server::{Route, ServerError, WorkerPool};
 
 use crate::error::GatewayError;
 use crate::hedge::{HedgeConfig, Hedger};
@@ -329,47 +329,15 @@ fn schedule_handoff_to(state: &Arc<GwState>, target: usize, shards: &[Arc<Shard>
     }
 }
 
-/// Routes one control-plane or error request, answered inline on the loop.
-/// Returns `(status, content type, body)`.
-fn dispatch(request: &Request, state: &Arc<GwState>) -> (u16, &'static str, Vec<u8>) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => (200, "application/json", healthz_body(state).into_bytes()),
-        ("GET", "/metrics") => (
-            200,
-            "text/plain; version=0.0.4",
-            state.metrics.render(&state.table).into_bytes(),
-        ),
-        ("POST", "/shutdown") => {
-            state.shutdown.store(true, Ordering::Release);
-            (
-                200,
-                "application/json",
-                obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))])
-                    .to_string()
-                    .into_bytes(),
-            )
-        }
-        (
-            _,
-            "/metrics" | "/healthz" | "/shutdown" | "/analyze" | "/qs" | "/insert" | "/dot"
-            | "/sweep",
-        ) => {
-            let e = ServerError::MethodNotAllowed;
-            (
-                e.status(),
-                "application/json",
-                e.to_json().to_string().into_bytes(),
-            )
-        }
-        (_, path) => {
-            let e = ServerError::NotFound(path.to_string());
-            (
-                e.status(),
-                "application/json",
-                e.to_json().to_string().into_bytes(),
-            )
-        }
-    }
+/// The routes the gateway serves: the analysis and sweep routes it
+/// forwards and the control plane it answers itself. `/batch` and the
+/// `/store/*` peer routes are shard-local, so the gateway answers 404 to
+/// them for every method.
+fn serves(route: Route) -> bool {
+    !matches!(
+        route,
+        Route::Batch | Route::StoreIndex | Route::StoreGet | Route::StorePut
+    )
 }
 
 /// The gateway's own readiness document: cluster topology and health.
@@ -455,12 +423,7 @@ fn routing_key(body: &[u8]) -> u64 {
             }
         }
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in body {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    rendezvous::mix(h)
+    rendezvous::mix(lis_core::fnv1a(body))
 }
 
 /// One attempt against one shard over a pooled connection.
@@ -663,6 +626,32 @@ impl GwHandler {
     fn id_headers(request_id: &str) -> Vec<(String, String)> {
         vec![("X-LIS-Request-Id".to_string(), request_id.to_string())]
     }
+
+    /// Records and renders one typed-error response answered on the loop.
+    fn respond_error(&self, request_id: &str, started: Instant, e: &ServerError) -> Outcome {
+        let body = e.to_json().to_string().into_bytes();
+        self.respond(request_id, started, e.status(), "application/json", body)
+    }
+
+    /// Records and renders one response answered on the loop.
+    fn respond(
+        &self,
+        request_id: &str,
+        started: Instant,
+        status: u16,
+        content_type: &str,
+        body: Vec<u8>,
+    ) -> Outcome {
+        self.state.metrics.record_request(status, started.elapsed());
+        Outcome::Respond(Rendered {
+            status,
+            content_type: content_type.to_string(),
+            body,
+            extra_headers: GwHandler::id_headers(request_id),
+            fault_eligible: false,
+            force_close: false,
+        })
+    }
 }
 
 impl lis_server::net::Handler for GwHandler {
@@ -674,24 +663,37 @@ impl lis_server::net::Handler for GwHandler {
             .header(REQUEST_ID_HEADER)
             .map(str::to_string)
             .unwrap_or_else(|| format!("gw-{seq:08x}"));
-        let method = request.method.clone();
-        let path = request.path.clone();
-        match (method.as_str(), path.as_str()) {
-            // Sweeps ride the same rendezvous-affinity + failover path. The
-            // shard streams chunked NDJSON; the forwarding client reassembles
+        let route = match Route::resolve(&request.method, &request.path, serves) {
+            Ok(route) => route,
+            Err(e) => return self.respond_error(&request_id, started, &e),
+        };
+        let (content_type, body) = match route {
+            Route::Healthz => ("application/json", healthz_body(state).into_bytes()),
+            Route::Metrics => (
+                "text/plain; version=0.0.4",
+                state.metrics.render(&state.table).into_bytes(),
+            ),
+            Route::Shutdown => {
+                state.shutdown.store(true, Ordering::Release);
+                let body = obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))]);
+                ("application/json", body.to_string().into_bytes())
+            }
+            // The analysis and sweep routes go to the forwarding pool. Sweeps
+            // ride the same rendezvous-affinity + failover path: the shard
+            // streams chunked NDJSON and the forwarding client reassembles
             // it, so a mid-stream shard death is retried on the next shard
             // from scratch (results are cached server-side, so the replay of
             // an interrupted sweep costs one warm evaluation at most) and
             // relayed to the caller with Content-Length framing.
-            ("POST", "/analyze" | "/qs" | "/insert" | "/dot" | "/sweep") => {
+            _ => {
                 let job = {
                     let state = Arc::clone(state);
                     let completions = completions.clone();
-                    let body = request.body;
                     let request_id = request_id.clone();
                     move || {
-                        let (status, body) = forward(&state, &path, &body, seq, &request_id);
-                        let content_type = if path == "/sweep" && status == 200 {
+                        let (status, body) =
+                            forward(&state, &request.path, &request.body, seq, &request_id);
+                        let content_type = if route == Route::Sweep && status == 200 {
                             "application/x-ndjson"
                         } else {
                             "application/json"
@@ -710,35 +712,20 @@ impl lis_server::net::Handler for GwHandler {
                         );
                     }
                 };
-                match self.pool.submit(job) {
-                    // Forwarding has no loop-side deadline: RACE_TIMEOUT and
-                    // the pooled client's own timeouts bound the round trip.
+                // Forwarding has no loop-side deadline: RACE_TIMEOUT and the
+                // pooled client's own timeouts bound the round trip.
+                return match self.pool.submit(job) {
                     Ok(()) => Outcome::Pending { timeout: None },
                     Err(_) => {
                         let e = ServerError::Overloaded {
                             queue_capacity: self.pool.capacity(),
                         };
-                        state.metrics.record_request(e.status(), started.elapsed());
-                        let mut rendered =
-                            Rendered::json(e.status(), e.to_json().to_string().into_bytes());
-                        rendered.extra_headers = GwHandler::id_headers(&request_id);
-                        Outcome::Respond(rendered)
+                        self.respond_error(&request_id, started, &e)
                     }
-                }
+                };
             }
-            _ => {
-                let (status, content_type, body) = dispatch(&request, state);
-                state.metrics.record_request(status, started.elapsed());
-                Outcome::Respond(Rendered {
-                    status,
-                    content_type: content_type.to_string(),
-                    body,
-                    extra_headers: GwHandler::id_headers(&request_id),
-                    fault_eligible: false,
-                    force_close: false,
-                })
-            }
-        }
+        };
+        self.respond(&request_id, started, 200, content_type, body)
     }
 
     fn bad_request(&self, error: &io::Error) -> Rendered {

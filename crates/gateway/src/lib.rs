@@ -2,9 +2,20 @@
 //! daemon.
 //!
 //! One gateway owns a set of shard backends — child `lis serve` processes
-//! it spawns and supervises, or remote daemons it `--join`s — and speaks
-//! the exact same wire protocol on one port, so every existing client
-//! works unchanged against a cluster:
+//! it spawns and supervises, or remote daemons it `--join`s — and serves
+//! the daemon's client-facing routes on one port, so existing clients work
+//! unchanged against a cluster. It resolves requests through the daemon's
+//! own route table ([`lis_server::Route::resolve`]), limited to:
+//!
+//! * **forwarded** to a shard: `POST /analyze`, `/qs`, `/insert`, `/dot`
+//!   and `/sweep` (the sweep's stream relayed with `Content-Length`);
+//! * **answered by the gateway itself**: `GET /metrics` (`lis_gateway_*`
+//!   series), `GET /healthz` (cluster topology) and `POST /shutdown`;
+//! * **404 for every method**: `/batch` and the `/store/*` peer routes,
+//!   which are shard-local.
+//!
+//! A served path under another method answers 405, as on a shard. What
+//! the gateway adds:
 //!
 //! * **Rendezvous routing** ([`rendezvous`]): requests are routed on the
 //!   [`lis_core::canonical_hash`] of the parsed netlist by

@@ -28,12 +28,7 @@ pub fn mix(z: u64) -> u64 {
 /// Names, not addresses, so a shard that respawns on a new ephemeral port
 /// keeps its slice of the keyspace (and its warm cache stays relevant).
 pub fn name_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    lis_core::fnv1a(name.as_bytes())
 }
 
 /// The HRW score of one (shard, key) pair.
@@ -124,5 +119,12 @@ mod tests {
     fn name_hash_distinguishes_names() {
         assert_ne!(name_hash("shard-0"), name_hash("shard-1"));
         assert_eq!(name_hash("shard-0"), name_hash("shard-0"));
+    }
+
+    /// Shard placement follows from these identities: a drift would move
+    /// every key to a cold shard.
+    #[test]
+    fn name_hash_is_pinned() {
+        assert_eq!(name_hash("shard-0"), 0x8ae4_8b73_fa64_ed46);
     }
 }

@@ -12,7 +12,9 @@
 //! underneath are deterministic), which is what makes the responses safe
 //! to cache by content hash.
 
-use lis_core::{canonical_hash, explain_with, AnalysisReport, LisModel, LisSystem, TopologyClass};
+use lis_core::{
+    canonical_hash, explain_with, fnv1a, AnalysisReport, LisModel, LisSystem, TopologyClass,
+};
 use lis_qs::{solve, verify_solution, Algorithm, QsConfig, QsReport};
 use lis_rsopt::{exhaustive_insertion, greedy_insertion};
 use lis_schedule::{burst_report, BurstParams, Schedule};
@@ -180,13 +182,9 @@ impl RequestKind {
 
     /// The content-addressed cache key for this kind applied to `sys`.
     pub fn cache_key(&self, sys: &LisSystem) -> CacheKey {
-        let token = self.token();
-        let request = token.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
         CacheKey {
             system: canonical_hash(sys),
-            request,
+            request: fnv1a(self.token().as_bytes()),
         }
     }
 
@@ -1019,6 +1017,25 @@ mod tests {
         assert_ne!(qs_h.cache_key(&sys), qs_x.cache_key(&sys));
         // Different engines must not share cache entries.
         assert_ne!(analyze.cache_key(&sys), analyze_karp.cache_key(&sys));
+    }
+
+    /// Cache keys are durable: store entries and replicas on disk are
+    /// addressed by them, so the FNV-1a request hash must never drift.
+    #[test]
+    fn fig1_cache_keys_are_pinned() {
+        let envelope = Json::parse(&format!(r#"{{"netlist": {}}}"#, Json::str(FIG1))).unwrap();
+        for (route, request) in [
+            ("analyze", 0x8704_a6f6_04a1_7c5b),
+            ("qs", 0xf672_2c62_d91d_84ba),
+        ] {
+            let (_, kind) = RequestKind::decode(route, &envelope).unwrap();
+            let key = kind.cache_key(&fig1());
+            assert_eq!(
+                (key.system, key.request),
+                (0xeaf1_b589_bf00_fbb7, request),
+                "{route}"
+            );
+        }
     }
 
     #[test]

@@ -38,6 +38,10 @@
 //! POST /sweep   {"netlist": "...", "options": {"capacities": [...], "budget": 2}}
 //!                             design-space exploration; streams NDJSON rows
 //!                             (chunked) ending in a Pareto-front trailer
+//! POST /batch   NDJSON, one {"route": "qs", "netlist": ...} envelope per line
+//!                             ("route" defaults to analyze; analyze, qs,
+//!                             insert and dot only); streams one NDJSON row per
+//!                             line, each byte-identical to the standalone answer
 //! GET  /metrics               Prometheus text exposition
 //! GET  /healthz               JSON readiness: role, workers, queue depth,
 //!                             cache entries, uptime — the lis-gateway probe
@@ -47,6 +51,10 @@
 //! POST /shutdown              drain in-flight work (flushing pending store
 //!                             spills), then exit
 //! ```
+//!
+//! Every request resolves through one table, [`metrics::ROUTES`], with
+//! [`Route::resolve`]: a path the table lacks answers 404, and a path it
+//! has under another method answers 405.
 //!
 //! Requests may carry an `X-LIS-Request-Id` header; the server echoes it in
 //! the response so one request can be correlated across tiers (client →

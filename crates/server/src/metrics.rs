@@ -11,8 +11,11 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
-/// The request routes tracked per-counter. `Other` aggregates 404s and
-/// anything unrecognized.
+use crate::error::ServerError;
+
+/// The request routes. Each known path resolves to one of them through
+/// [`ROUTES`]; `Other` counts what resolves to none (404, 405) and the
+/// connection-level defenses (408, 429).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// `POST /analyze`.
@@ -33,40 +36,91 @@ pub enum Route {
     Healthz,
     /// `POST /shutdown`.
     Shutdown,
-    /// The `/store/*` peer routes (index, get, put).
-    Store,
+    /// `GET /store/index`.
+    StoreIndex,
+    /// `POST /store/get`.
+    StoreGet,
+    /// `POST /store/put`.
+    StorePut,
     /// Anything else.
     Other,
 }
 
-impl Route {
-    const ALL: [Route; 11] = [
-        Route::Analyze,
-        Route::Qs,
-        Route::Insert,
-        Route::Dot,
-        Route::Sweep,
-        Route::Batch,
-        Route::Metrics,
-        Route::Healthz,
-        Route::Shutdown,
-        Route::Store,
-        Route::Other,
-    ];
+/// Every `(method, path)` the daemon serves and the route it resolves to.
+/// This is the only such list: the daemon, the gateway and `/batch` rows
+/// all resolve through it with [`Route::resolve`].
+pub const ROUTES: [(&str, &str, Route); 12] = [
+    ("POST", "/analyze", Route::Analyze),
+    ("POST", "/qs", Route::Qs),
+    ("POST", "/insert", Route::Insert),
+    ("POST", "/dot", Route::Dot),
+    ("POST", "/sweep", Route::Sweep),
+    ("POST", "/batch", Route::Batch),
+    ("GET", "/metrics", Route::Metrics),
+    ("GET", "/healthz", Route::Healthz),
+    ("POST", "/shutdown", Route::Shutdown),
+    ("GET", "/store/index", Route::StoreIndex),
+    ("POST", "/store/get", Route::StoreGet),
+    ("POST", "/store/put", Route::StorePut),
+];
 
-    fn label(self) -> &'static str {
+/// The `route` labels of `lis_requests_total`, indexed by [`Route::slot`].
+const LABELS: [&str; 11] = [
+    "analyze", "qs", "insert", "dot", "sweep", "batch", "metrics", "healthz", "shutdown", "store",
+    "other",
+];
+
+impl Route {
+    /// Resolves a request line through [`ROUTES`], among the routes for
+    /// which `serves` is true. A path no served route has is
+    /// [`ServerError::NotFound`]; a served path with another method is
+    /// [`ServerError::MethodNotAllowed`].
+    ///
+    /// # Errors
+    ///
+    /// The 404 or 405 to answer, as above.
+    pub fn resolve(
+        method: &str,
+        path: &str,
+        serves: impl Fn(Route) -> bool,
+    ) -> Result<Route, ServerError> {
+        let mut known = false;
+        for &(m, p, route) in &ROUTES {
+            if p == path && serves(route) {
+                if m == method {
+                    return Ok(route);
+                }
+                known = true;
+            }
+        }
+        Err(if known {
+            ServerError::MethodNotAllowed
+        } else {
+            ServerError::NotFound(path.to_string())
+        })
+    }
+
+    /// The route's name: its path without the leading slash, as
+    /// [`crate::RequestKind::decode`] takes it. It is also the `route`
+    /// label of `lis_requests_total`, where the three `/store/*` routes
+    /// share `store`.
+    pub fn name(self) -> &'static str {
+        LABELS[self.slot()]
+    }
+
+    fn slot(self) -> usize {
         match self {
-            Route::Analyze => "analyze",
-            Route::Qs => "qs",
-            Route::Insert => "insert",
-            Route::Dot => "dot",
-            Route::Sweep => "sweep",
-            Route::Batch => "batch",
-            Route::Metrics => "metrics",
-            Route::Healthz => "healthz",
-            Route::Shutdown => "shutdown",
-            Route::Store => "store",
-            Route::Other => "other",
+            Route::Analyze => 0,
+            Route::Qs => 1,
+            Route::Insert => 2,
+            Route::Dot => 3,
+            Route::Sweep => 4,
+            Route::Batch => 5,
+            Route::Metrics => 6,
+            Route::Healthz => 7,
+            Route::Shutdown => 8,
+            Route::StoreIndex | Route::StoreGet | Route::StorePut => 9,
+            Route::Other => 10,
         }
     }
 }
@@ -256,7 +310,7 @@ pub const ENGINE_LABELS: [&str; 3] = ["howard", "karp", "lawler"];
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// `requests[route][status]`.
-    requests: [[AtomicU64; STATUSES.len()]; Route::ALL.len()],
+    requests: [[AtomicU64; STATUSES.len()]; LABELS.len()],
     /// Cache lookups that were answered without running analysis.
     pub cache_hits: AtomicU64,
     /// Cache lookups that had to run analysis.
@@ -319,8 +373,7 @@ impl Metrics {
 
     /// Counts one finished request.
     pub fn record_request(&self, route: Route, status: u16, elapsed: Duration) {
-        let r = Route::ALL.iter().position(|&x| x == route).expect("route");
-        self.requests[r][status_slot(status)].fetch_add(1, Ordering::Relaxed);
+        self.requests[route.slot()][status_slot(status)].fetch_add(1, Ordering::Relaxed);
         self.latency.observe(elapsed);
     }
 
@@ -362,8 +415,7 @@ impl Metrics {
 
     /// Requests counted for one route/status cell (test observability).
     pub fn requests_for(&self, route: Route, status: u16) -> u64 {
-        let r = Route::ALL.iter().position(|&x| x == route).expect("route");
-        self.requests[r][status_slot(status)].load(Ordering::Relaxed)
+        self.requests[route.slot()][status_slot(status)].load(Ordering::Relaxed)
     }
 
     /// Renders everything in the Prometheus text exposition format.
@@ -371,14 +423,13 @@ impl Metrics {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(4096);
         let _ = writeln!(out, "# TYPE lis_requests_total counter");
-        for (r, route) in Route::ALL.iter().enumerate() {
+        for (r, route) in LABELS.iter().enumerate() {
             for (s, status) in STATUSES.iter().enumerate() {
                 let n = self.requests[r][s].load(Ordering::Relaxed);
                 if n > 0 {
                     let _ = writeln!(
                         out,
-                        "lis_requests_total{{route=\"{}\",status=\"{status}\"}} {n}",
-                        route.label()
+                        "lis_requests_total{{route=\"{route}\",status=\"{status}\"}} {n}"
                     );
                 }
             }

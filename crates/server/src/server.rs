@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use lis_core::{parse_netlist, LisSystem};
+use lis_core::{fnv1a, parse_netlist, LisSystem};
 use lis_sweep::SweepSpec;
 
 use crate::cache::{CacheKey, CachedResponse, ResultCache};
@@ -245,183 +245,119 @@ impl Server {
     }
 }
 
-/// Routes one control-plane or error request, answered inline on the loop.
-/// Returns `(route label, status, content type, body)`.
-fn dispatch(request: &Request, state: &Arc<State>) -> (Route, u16, &'static str, Vec<u8>) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/metrics") => {
-            state
-                .metrics
-                .queue_depth
-                .store(state.pool.queue_depth() as i64, Ordering::Relaxed);
-            // Pool- and plan-owned counters are mirrored at scrape time.
-            state
-                .metrics
-                .worker_panics
-                .store(state.pool.panics(), Ordering::Relaxed);
-            state
-                .metrics
-                .worker_respawns
-                .store(state.pool.respawns(), Ordering::Relaxed);
-            if let Some(plan) = &state.config.faults {
+/// Serves `GET /metrics`: mirrors the pool-, plan- and store-owned
+/// counters into the registry, then renders it.
+fn metrics_body(state: &State) -> Vec<u8> {
+    let m = &state.metrics;
+    m.queue_depth
+        .store(state.pool.queue_depth() as i64, Ordering::Relaxed);
+    m.worker_panics
+        .store(state.pool.panics(), Ordering::Relaxed);
+    m.worker_respawns
+        .store(state.pool.respawns(), Ordering::Relaxed);
+    if let Some(plan) = &state.config.faults {
+        m.faults_injected.store(plan.injected(), Ordering::Relaxed);
+    }
+    if let Some(spiller) = &state.store {
+        let store = spiller.store();
+        m.store_spills.store(store.spills(), Ordering::Relaxed);
+        m.store_disk_hits
+            .store(store.disk_hits(), Ordering::Relaxed);
+        m.store_warm_loaded
+            .store(store.warm_loaded(), Ordering::Relaxed);
+        m.store_quarantined
+            .store(store.quarantined(), Ordering::Relaxed);
+        m.store_gc_evictions
+            .store(store.gc_evictions(), Ordering::Relaxed);
+        m.store_entries.store(store.len() as u64, Ordering::Relaxed);
+        m.store_bytes.store(store.bytes(), Ordering::Relaxed);
+    }
+    m.render().into_bytes()
+}
+
+/// Serves `GET /healthz`, the gateway's readiness probe and useful
+/// standalone: one JSON object summarizing load and configuration. `ok`
+/// stays first for humans; machines should key on the named fields.
+fn healthz_body(state: &State) -> Vec<u8> {
+    let mut body = obj([
+        ("ok", Json::Bool(true)),
+        ("role", Json::str("server")),
+        (
+            "engine",
+            Json::str(marked_graph::McmEngine::default().as_str()),
+        ),
+        ("workers", Json::num(state.pool.workers() as f64)),
+        ("queue_depth", Json::num(state.pool.queue_depth() as f64)),
+        ("queue_capacity", Json::num(state.pool.capacity() as f64)),
+        ("cache_entries", Json::num(state.cache.len() as f64)),
+        (
+            "cache_capacity",
+            Json::num(state.config.cache_capacity as f64),
+        ),
+        (
+            "sweeps_in_flight",
+            Json::num(state.sweeps_in_flight.load(Ordering::Acquire) as f64),
+        ),
+        (
+            "sweep_rows_streamed",
+            Json::num(state.metrics.sweep_rows.load(Ordering::Relaxed) as f64),
+        ),
+        (
+            "connections_open",
+            Json::num(
                 state
                     .metrics
-                    .faults_injected
-                    .store(plan.injected(), Ordering::Relaxed);
-            }
-            if let Some(spiller) = &state.store {
-                let store = spiller.store();
-                let m = &state.metrics;
-                m.store_spills.store(store.spills(), Ordering::Relaxed);
-                m.store_disk_hits
-                    .store(store.disk_hits(), Ordering::Relaxed);
-                m.store_warm_loaded
-                    .store(store.warm_loaded(), Ordering::Relaxed);
-                m.store_quarantined
-                    .store(store.quarantined(), Ordering::Relaxed);
-                m.store_gc_evictions
-                    .store(store.gc_evictions(), Ordering::Relaxed);
-                m.store_entries.store(store.len() as u64, Ordering::Relaxed);
-                m.store_bytes.store(store.bytes(), Ordering::Relaxed);
-            }
-            (
-                Route::Metrics,
-                200,
-                "text/plain; version=0.0.4",
-                state.metrics.render().into_bytes(),
-            )
-        }
-        ("GET", "/healthz") => {
-            // The gateway's readiness probe, also useful standalone: one
-            // JSON object summarizing load and configuration. `ok` stays
-            // first for humans; machines should key on the named fields.
-            let body = obj([
-                ("ok", Json::Bool(true)),
-                ("role", Json::str("server")),
-                (
-                    "engine",
-                    Json::str(marked_graph::McmEngine::default().as_str()),
-                ),
-                ("workers", Json::num(state.pool.workers() as f64)),
-                ("queue_depth", Json::num(state.pool.queue_depth() as f64)),
-                ("queue_capacity", Json::num(state.pool.capacity() as f64)),
-                ("cache_entries", Json::num(state.cache.len() as f64)),
-                (
-                    "cache_capacity",
-                    Json::num(state.config.cache_capacity as f64),
-                ),
-                (
-                    "sweeps_in_flight",
-                    Json::num(state.sweeps_in_flight.load(Ordering::Acquire) as f64),
-                ),
-                (
-                    "sweep_rows_streamed",
-                    Json::num(state.metrics.sweep_rows.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "connections_open",
-                    Json::num(
-                        state
-                            .metrics
-                            .net
-                            .connections_open
-                            .load(Ordering::Relaxed)
-                            .max(0) as f64,
-                    ),
-                ),
-                (
-                    "uptime_ms",
-                    Json::num(state.started.elapsed().as_millis() as f64),
-                ),
-                (
-                    "draining",
-                    Json::Bool(state.shutdown.load(Ordering::Acquire)),
-                ),
-            ]);
-            let mut body = body;
-            if let (Json::Obj(fields), Some(spiller)) = (&mut body, &state.store) {
-                let store = spiller.store();
-                fields.push(("store_entries".to_string(), Json::num(store.len() as f64)));
-                fields.push(("store_bytes".to_string(), Json::num(store.bytes() as f64)));
-                fields.push(("store_spills".to_string(), Json::num(store.spills() as f64)));
-                fields.push((
-                    "store_warm_loaded".to_string(),
-                    Json::num(store.warm_loaded() as f64),
-                ));
-                fields.push((
-                    "store_quarantined".to_string(),
-                    Json::num(store.quarantined() as f64),
-                ));
-                fields.push((
-                    "store_pending_spills".to_string(),
-                    Json::num(spiller.pending() as f64),
-                ));
-            }
-            (
-                Route::Healthz,
-                200,
-                "application/json",
-                body.to_string().into_bytes(),
-            )
-        }
-        ("POST", "/shutdown") => {
-            state.shutdown.store(true, Ordering::Release);
-            (
-                Route::Shutdown,
-                200,
-                "application/json",
-                obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))])
-                    .to_string()
-                    .into_bytes(),
-            )
-        }
-        ("GET", "/store/index") => {
-            // NDJSON: one content address per line — the warm-handoff diff
-            // document. With a durable store the index is the store's;
-            // RAM-only servers expose the cache so handoff still works.
-            let keys = match &state.store {
-                Some(spiller) => spiller.store().keys(),
-                None => state.cache.keys(),
-            };
-            let mut body = String::with_capacity(keys.len() * 44);
-            for key in keys {
-                body.push_str("{\"key\":\"");
-                body.push_str(&key_hex(key));
-                body.push_str("\"}\n");
-            }
-            (Route::Store, 200, "application/x-ndjson", body.into_bytes())
-        }
-        ("POST", "/store/get") => {
-            let (status, body) = store_get(request, state);
-            (Route::Store, status, "application/json", body)
-        }
-        ("POST", "/store/put") => {
-            let (status, body) = store_put(request, state);
-            (Route::Store, status, "application/json", body)
-        }
+                    .net
+                    .connections_open
+                    .load(Ordering::Relaxed)
+                    .max(0) as f64,
+            ),
+        ),
         (
-            _,
-            "/metrics" | "/healthz" | "/shutdown" | "/analyze" | "/qs" | "/insert" | "/dot"
-            | "/sweep" | "/batch" | "/store/index" | "/store/get" | "/store/put",
-        ) => {
-            let e = ServerError::MethodNotAllowed;
-            (
-                Route::Other,
-                e.status(),
-                "application/json",
-                e.to_json().to_string().into_bytes(),
-            )
-        }
-        (_, path) => {
-            let e = ServerError::NotFound(path.to_string());
-            (
-                Route::Other,
-                e.status(),
-                "application/json",
-                e.to_json().to_string().into_bytes(),
-            )
-        }
+            "uptime_ms",
+            Json::num(state.started.elapsed().as_millis() as f64),
+        ),
+        (
+            "draining",
+            Json::Bool(state.shutdown.load(Ordering::Acquire)),
+        ),
+    ]);
+    if let (Json::Obj(fields), Some(spiller)) = (&mut body, &state.store) {
+        let store = spiller.store();
+        fields.push(("store_entries".to_string(), Json::num(store.len() as f64)));
+        fields.push(("store_bytes".to_string(), Json::num(store.bytes() as f64)));
+        fields.push(("store_spills".to_string(), Json::num(store.spills() as f64)));
+        fields.push((
+            "store_warm_loaded".to_string(),
+            Json::num(store.warm_loaded() as f64),
+        ));
+        fields.push((
+            "store_quarantined".to_string(),
+            Json::num(store.quarantined() as f64),
+        ));
+        fields.push((
+            "store_pending_spills".to_string(),
+            Json::num(spiller.pending() as f64),
+        ));
     }
+    body.to_string().into_bytes()
+}
+
+/// Serves `GET /store/index`: NDJSON, one content address per line — the
+/// warm-handoff diff document. With a durable store the index is the
+/// store's; RAM-only servers expose the cache so handoff still works.
+fn store_index_body(state: &State) -> Vec<u8> {
+    let keys = match &state.store {
+        Some(spiller) => spiller.store().keys(),
+        None => state.cache.keys(),
+    };
+    let mut body = String::with_capacity(keys.len() * 44);
+    for key in keys {
+        body.push_str("{\"key\":\"");
+        body.push_str(&key_hex(key));
+        body.push_str("\"}\n");
+    }
+    body.into_bytes()
 }
 
 /// Serves `POST /store/get`: `{"key":"<hex>"}` → the cached entry at that
@@ -714,90 +650,86 @@ fn batch_lines(state: &Arc<State>, body: &[u8]) -> Result<Vec<String>, ServerErr
     Ok(lines)
 }
 
-/// Serves one batch item. Returns the exact `(status, body)` the item's
-/// standalone route would answer, so batch rows are byte-identical to
-/// individual responses. Items share the result cache with the standalone
-/// routes, and crashes are isolated per item: a poisoned line answers the
-/// typed 500 row and the rest of the batch carries on.
-fn batch_row(state: &Arc<State>, line: &str) -> (u16, Vec<u8>) {
-    let result = (|| -> Result<(u16, Vec<u8>), ServerError> {
+/// Serves one batch item. Returns the exact body the item's standalone
+/// route would answer, so batch rows are byte-identical to individual
+/// responses. Items share the result cache with the standalone routes, and
+/// crashes are isolated per item: a poisoned line answers the typed 500 row
+/// and the rest of the batch carries on.
+fn batch_row(state: &State, line: &str) -> Vec<u8> {
+    let result = (|| -> Result<Arc<CachedResponse>, ServerError> {
         let envelope =
             Json::parse(line).map_err(|e| ServerError::BadRequest(format!("batch line: {e}")))?;
-        let route = match envelope.get("route") {
-            None => "analyze",
+        let name = match envelope.get("route") {
+            None => Route::Analyze.name(),
             Some(v) => v.as_str().ok_or_else(|| {
                 ServerError::BadRequest("batch \"route\" must be a string".into())
             })?,
         };
-        if !matches!(route, "analyze" | "qs" | "insert" | "dot") {
-            return Err(ServerError::BadRequest(format!(
-                "route {route:?} is not batchable"
-            )));
-        }
-        let (netlist, kind) = RequestKind::decode(route, &envelope)?;
-        let sys = parse_netlist(&netlist)?;
+        let route = Route::resolve("POST", &format!("/{name}"), is_analysis)
+            .map_err(|_| ServerError::BadRequest(format!("route {name:?} is not batchable")))?;
+        let (sys, kind) = decode_envelope(route, &envelope)?;
         let key = kind.cache_key(&sys);
         if let Some(cached) = state.lookup(key) {
-            return Ok((cached.status, cached.body.clone()));
+            return Ok(cached);
         }
-        if let Some(d) = state.config.job_delay_for_tests {
-            std::thread::sleep(d);
-        }
-        let executed = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(plan) = &state.config.faults {
-                plan.maybe_panic();
-            }
-            kind.execute(&sys)
-        }));
-        let result = match outcome {
-            Ok(result) => result,
-            // Crash rows are not cached — the fault is not a property of
-            // the (system, kind) pair.
-            Err(_) => return Err(ServerError::WorkerCrashed),
-        };
-        let (status, body) = match result {
-            Ok(json) => (200, json.to_string().into_bytes()),
-            Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
-        };
-        if let Some(label) = kind.engine_label() {
-            state.metrics.record_engine(label, executed.elapsed());
-        }
-        if let RequestKind::Analyze {
-            schedule, burst, ..
-        } = &kind
-        {
-            state.metrics.record_schedule(*schedule, burst.is_some());
-        }
-        state.remember(
-            key,
-            Arc::new(CachedResponse {
-                status,
-                body: body.clone(),
-            }),
-        );
-        Ok((status, body))
+        run_analysis(state, &sys, &kind, key).map_err(|_| ServerError::WorkerCrashed)
     })();
     match result {
-        Ok(row) => row,
-        Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
+        Ok(response) => response.body.clone(),
+        Err(e) => e.to_json().to_string().into_bytes(),
     }
 }
 
-/// FNV-1a over path + body, the fast-cache bucket key.
-fn fnv(path: &str, body: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in path.as_bytes().iter().chain(body) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
+/// The single-shot analysis routes, the only ones a `/batch` line may name.
+fn is_analysis(route: Route) -> bool {
+    matches!(
+        route,
+        Route::Analyze | Route::Qs | Route::Insert | Route::Dot
+    )
+}
+
+/// Runs one decoded analysis request on a pool worker — the test delay,
+/// then [`RequestKind::execute`] behind the fault hook under
+/// `catch_unwind`, then the engine and schedule metrics — and caches the
+/// answer under `key`. A panic returns its payload and caches nothing:
+/// the fault is not a property of the `(system, kind)` pair.
+fn run_analysis(
+    state: &State,
+    sys: &LisSystem,
+    kind: &RequestKind,
+    key: CacheKey,
+) -> std::thread::Result<Arc<CachedResponse>> {
+    if let Some(d) = state.config.job_delay_for_tests {
+        std::thread::sleep(d);
     }
-    h
+    let executed = Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        if let Some(plan) = &state.config.faults {
+            plan.maybe_panic();
+        }
+        kind.execute(sys)
+    }))?;
+    let (status, body) = match result {
+        Ok(json) => (200, json.to_string().into_bytes()),
+        Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
+    };
+    if let Some(label) = kind.engine_label() {
+        state.metrics.record_engine(label, executed.elapsed());
+    }
+    if let RequestKind::Analyze {
+        schedule, burst, ..
+    } = kind
+    {
+        state.metrics.record_schedule(*schedule, burst.is_some());
+    }
+    let response = Arc::new(CachedResponse { status, body });
+    state.remember(key, Arc::clone(&response));
+    Ok(response)
 }
 
 struct FastEntry {
     path: String,
     body: Vec<u8>,
-    route: Route,
     /// Canonical content address of the shadowed cache entry, echoed as
     /// `X-LIS-Cache-Key` so fast-path hits replicate like canonical hits.
     key: CacheKey,
@@ -812,6 +744,8 @@ struct FastEntry {
 /// textually different requests with the same canonical identity simply
 /// fall through to the canonical cache, never diverge.
 struct FastCache {
+    /// Keyed by the FNV-1a of the body: entries for one body on different
+    /// routes share a bucket and are told apart by their path.
     buckets: HashMap<u64, Vec<FastEntry>>,
     order: VecDeque<u64>,
     capacity: usize,
@@ -828,30 +762,22 @@ impl FastCache {
         }
     }
 
-    fn get(&self, path: &str, body: &[u8]) -> Option<(Route, CacheKey, Arc<CachedResponse>)> {
-        let entries = self.buckets.get(&fnv(path, body))?;
+    fn get(&self, path: &str, body: &[u8]) -> Option<(CacheKey, Arc<CachedResponse>)> {
+        let entries = self.buckets.get(&fnv1a(body))?;
         entries
             .iter()
             .find(|e| e.path == path && e.body == body)
-            .map(|e| (e.route, e.key, Arc::clone(&e.response)))
+            .map(|e| (e.key, Arc::clone(&e.response)))
     }
 
-    fn insert(
-        &mut self,
-        path: &str,
-        body: &[u8],
-        route: Route,
-        key: CacheKey,
-        response: Arc<CachedResponse>,
-    ) {
+    fn insert(&mut self, path: &str, body: &[u8], key: CacheKey, response: Arc<CachedResponse>) {
         if self.capacity == 0 || self.get(path, body).is_some() {
             return;
         }
-        let hash = fnv(path, body);
+        let hash = fnv1a(body);
         self.buckets.entry(hash).or_default().push(FastEntry {
             path: path.to_string(),
             body: body.to_vec(),
-            route,
             key,
             response,
         });
@@ -910,13 +836,19 @@ fn error_rendered(e: &ServerError, request_id: &Option<String>) -> Rendered {
     }
 }
 
-/// Decodes an analysis or sweep request body (`route` without its slash)
-/// into the parsed system and the request kind.
-fn decode(route: &str, body: &[u8]) -> Result<(LisSystem, RequestKind), ServerError> {
+/// Decodes an analysis or sweep request body for `route` into the parsed
+/// system and the request kind.
+fn decode(route: Route, body: &[u8]) -> Result<(LisSystem, RequestKind), ServerError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| ServerError::BadRequest("body is not UTF-8".into()))?;
     let envelope = Json::parse(text).map_err(|e| ServerError::BadRequest(format!("body: {e}")))?;
-    let (netlist, kind) = RequestKind::decode(route, &envelope)?;
+    decode_envelope(route, &envelope)
+}
+
+/// Decodes one parsed request envelope for `route`: the request kind, then
+/// its netlist. Shared by single requests and `/batch` lines.
+fn decode_envelope(route: Route, envelope: &Json) -> Result<(LisSystem, RequestKind), ServerError> {
+    let (netlist, kind) = RequestKind::decode(route.name(), envelope)?;
     let sys = parse_netlist(&netlist)?;
     Ok((sys, kind))
 }
@@ -972,7 +904,7 @@ impl ServerHandler {
         // Fast path: these exact request bytes were answered before.
         if state.config.cache_capacity > 0 {
             let hit = self.fast.lock().unwrap().get(&request.path, &request.body);
-            if let Some((_route, fast_key, cached)) = hit {
+            if let Some((fast_key, cached)) = hit {
                 state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
                 state
                     .metrics
@@ -987,7 +919,7 @@ impl ServerHandler {
                 });
             }
         }
-        let (sys, kind) = match decode(&request.path[1..], &request.body) {
+        let (sys, kind) = match decode(route, &request.body) {
             Ok(d) => d,
             Err(e) => return self.respond_error(route, &e, started, &request_id, true),
         };
@@ -1000,7 +932,6 @@ impl ServerHandler {
                 self.fast.lock().unwrap().insert(
                     &request.path,
                     &request.body,
-                    route,
                     cache_key,
                     Arc::clone(&cached),
                 );
@@ -1031,16 +962,6 @@ impl ServerHandler {
         let raw_path = request.path.clone();
         let raw_body = request.body.clone();
         let job = move || {
-            if let Some(d) = job_state.config.job_delay_for_tests {
-                std::thread::sleep(d);
-            }
-            let executed = Instant::now();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(plan) = &job_state.config.faults {
-                    plan.maybe_panic();
-                }
-                kind.execute(&sys)
-            }));
             let answer = |status: u16, body: Vec<u8>| {
                 // Whoever removes the pending entry records the request; if
                 // the loop's 504 timer won the race this answer is dropped
@@ -1063,42 +984,26 @@ impl ServerHandler {
                     );
                 }
             };
-            let result = match outcome {
-                Ok(result) => result,
+            match run_analysis(&job_state, &sys, &kind, cache_key) {
+                Ok(response) => {
+                    if job_state.config.cache_capacity > 0 {
+                        fast.lock().unwrap().insert(
+                            &raw_path,
+                            &raw_body,
+                            cache_key,
+                            Arc::clone(&response),
+                        );
+                    }
+                    answer(response.status, response.body.clone());
+                }
                 Err(payload) => {
                     // Answer the typed 500 *before* re-raising so the pool
                     // can count the panic and respawn the worker.
                     let e = ServerError::WorkerCrashed;
                     answer(e.status(), e.to_json().to_string().into_bytes());
-                    std::panic::resume_unwind(payload);
+                    resume_unwind(payload);
                 }
-            };
-            let (status, body) = match result {
-                Ok(json) => (200, json.to_string().into_bytes()),
-                Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
-            };
-            if let Some(label) = kind.engine_label() {
-                job_state.metrics.record_engine(label, executed.elapsed());
             }
-            if let RequestKind::Analyze {
-                schedule, burst, ..
-            } = &kind
-            {
-                job_state
-                    .metrics
-                    .record_schedule(*schedule, burst.is_some());
-            }
-            let response = Arc::new(CachedResponse {
-                status,
-                body: body.clone(),
-            });
-            job_state.remember(cache_key, Arc::clone(&response));
-            if job_state.config.cache_capacity > 0 {
-                fast.lock()
-                    .unwrap()
-                    .insert(&raw_path, &raw_body, route, cache_key, response);
-            }
-            answer(status, body);
         };
         match state.pool.submit(job) {
             Ok(()) => Outcome::Pending {
@@ -1155,7 +1060,7 @@ impl ServerHandler {
                     });
                     let mut chunks = ChunkSender::new(8192, &send);
                     for line in &lines {
-                        let (_status, mut row) = batch_row(&state, line);
+                        let mut row = batch_row(&state, line);
                         row.push(b'\n');
                         chunks.push(&row);
                     }
@@ -1185,7 +1090,7 @@ impl ServerHandler {
         let decoded = if state.shutdown.load(Ordering::Acquire) {
             Err(ServerError::ShuttingDown)
         } else {
-            decode("sweep", &request.body)
+            decode(Route::Sweep, &request.body)
         };
         let (sys, kind) = match decoded {
             Ok(d) => d,
@@ -1273,36 +1178,48 @@ impl crate::net::Handler for ServerHandler {
     fn dispatch(&self, request: Request, key: SlotKey, completions: &Completions) -> Outcome {
         let started = Instant::now();
         let request_id = request.header(REQUEST_ID_HEADER).map(str::to_string);
-        let method = request.method.clone();
-        let path = request.path.clone();
-        match (method.as_str(), path.as_str()) {
-            ("POST", "/sweep") => self.sweep(&request, key, completions, started, request_id),
-            ("POST", "/batch") => self.batch(&request, key, completions, started, request_id),
-            ("POST", "/analyze" | "/qs" | "/insert" | "/dot") => {
-                let route = match path.as_str() {
-                    "/analyze" => Route::Analyze,
-                    "/qs" => Route::Qs,
-                    "/insert" => Route::Insert,
-                    _ => Route::Dot,
-                };
-                self.analysis(route, &request, key, completions, started, request_id)
+        let route = match Route::resolve(&request.method, &request.path, |_| true) {
+            Ok(route) => route,
+            Err(e) => return self.respond_error(Route::Other, &e, started, &request_id, false),
+        };
+        let state = &self.state;
+        // Analysis, batch and sweep requests go to the pool; the control
+        // plane answers inline.
+        let (status, content_type, body) = match route {
+            Route::Analyze | Route::Qs | Route::Insert | Route::Dot => {
+                return self.analysis(route, &request, key, completions, started, request_id)
             }
-            _ => {
-                // Control plane and error routes answer inline.
-                let (route, status, content_type, body) = dispatch(&request, &self.state);
-                self.state
-                    .metrics
-                    .record_request(route, status, started.elapsed());
-                Outcome::Respond(Rendered {
-                    status,
-                    content_type: content_type.to_string(),
-                    body,
-                    extra_headers: id_headers(&request_id),
-                    fault_eligible: false,
-                    force_close: false,
-                })
+            Route::Sweep => return self.sweep(&request, key, completions, started, request_id),
+            Route::Batch => return self.batch(&request, key, completions, started, request_id),
+            Route::Metrics => (200, "text/plain; version=0.0.4", metrics_body(state)),
+            Route::Healthz => (200, "application/json", healthz_body(state)),
+            Route::Shutdown => {
+                state.shutdown.store(true, Ordering::Release);
+                let body = obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))]);
+                (200, "application/json", body.to_string().into_bytes())
             }
-        }
+            Route::StoreIndex => (200, "application/x-ndjson", store_index_body(state)),
+            Route::StoreGet => {
+                let (status, body) = store_get(&request, state);
+                (status, "application/json", body)
+            }
+            Route::StorePut => {
+                let (status, body) = store_put(&request, state);
+                (status, "application/json", body)
+            }
+            Route::Other => unreachable!("the route table never resolves to `Other`"),
+        };
+        state
+            .metrics
+            .record_request(route, status, started.elapsed());
+        Outcome::Respond(Rendered {
+            status,
+            content_type: content_type.to_string(),
+            body,
+            extra_headers: id_headers(&request_id),
+            fault_eligible: false,
+            force_close: false,
+        })
     }
 
     fn bad_request(&self, error: &io::Error) -> Rendered {
@@ -1513,7 +1430,7 @@ mod tests {
         crate::fault::silence_injected_panics();
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
         let state = Arc::clone(&server.state);
-        let (sys, kind) = decode("sweep", sweep_body().as_bytes()).expect("decode");
+        let (sys, kind) = decode(Route::Sweep, sweep_body().as_bytes()).expect("decode");
         let key = kind.cache_key(&sys);
         let RequestKind::Sweep { spec } = kind else {
             panic!("a sweep kind");

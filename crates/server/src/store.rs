@@ -1,4 +1,5 @@
-//! The durable, content-addressed result store behind [`ResultCache`].
+//! The durable, content-addressed result store behind
+//! [`ResultCache`](crate::ResultCache).
 //!
 //! Carloni's observation makes persistence semantically free: a correct
 //! analysis answer is a pure function of the canonical netlist and the
@@ -642,7 +643,7 @@ impl Spiller {
         &self.store
     }
 
-    /// Enqueues one write-through spill. Beyond [`SPILL_QUEUE_LIMIT`]
+    /// Enqueues one write-through spill. Beyond `SPILL_QUEUE_LIMIT`
     /// pending writes the spill is dropped and counted — the RAM cache
     /// still holds the entry, so only durability (not correctness) lags.
     pub fn spill(&self, key: CacheKey, response: Arc<CachedResponse>) {

@@ -3,7 +3,7 @@
 //! The workspace builds fully offline, so — mirroring the vendored-shim
 //! approach of `crates/rand` — this module implements the small JSON
 //! surface the server's wire protocol needs: a value type ([`Json`]), a
-//! compact serializer ([`Json::to_string`] via [`fmt::Display`]), and a
+//! compact serializer (`Json::to_string`, via [`fmt::Display`]), and a
 //! strict recursive-descent parser ([`Json::parse`]).
 //!
 //! Guarantees the rest of the crate relies on:

@@ -1,17 +1,19 @@
 //! End-to-end tests for the event-loop front: keep-alive pipelining order
 //! across hits, misses, errors and streamed `/sweep`s, partial-write
 //! re-registration on single-shot and streamed answers, `/batch`
-//! byte-identity against standalone requests, answers checked against the
+//! byte-identity against standalone requests and per-row crash isolation,
+//! answers checked against the
 //! in-process oracle, and pinned wire bytes for the 408/429 defenses.
 
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lis_server::http::{read_response, write_request};
 use lis_server::wire::{obj, Json};
-use lis_server::{parse_metric, Client, RequestKind, Server, ServerConfig, ServerError};
+use lis_server::{parse_metric, Client, FaultPlan, RequestKind, Server, ServerConfig, ServerError};
 
 /// The typed 408 a slow-loris peer receives (300 ms read deadline).
 const PINNED_408: &str = "HTTP/1.1 408 Request Timeout\r\n\
@@ -248,6 +250,77 @@ fn batch_rows_are_byte_identical_to_standalone_responses() {
     );
 
     stop(addr, daemon);
+}
+
+/// A batch row whose solve panics answers the typed 500 row while the rest
+/// of the batch carries on: the crash is caught per row, so no worker dies,
+/// and the row is not cached, so the same batch answers it once the fault
+/// has passed.
+#[test]
+fn a_crashed_batch_row_answers_500_and_is_not_cached() {
+    let (addr, daemon) = start(ServerConfig {
+        faults: Some(Arc::new(FaultPlan::parse("burst:1").expect("fault spec"))),
+        ..ServerConfig::default()
+    });
+    let (plain_addr, plain_daemon) = start(ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let mut plain = Client::connect(plain_addr).expect("connect plain");
+
+    let lines = [envelope(&variant(11)), envelope(&variant(12)), {
+        let mut line = envelope(&variant(13));
+        line.insert_str(1, "\"route\": \"qs\", ");
+        line
+    }];
+    let standalone: Vec<Vec<u8>> = [("/analyze", variant(12)), ("/qs", variant(13))]
+        .iter()
+        .map(|(route, netlist)| {
+            let r = plain
+                .request("POST", route, envelope(netlist).as_bytes())
+                .expect("standalone request");
+            assert_eq!(r.status, 200);
+            r.body
+        })
+        .collect();
+    let ndjson = format!("{}\n", lines.join("\n"));
+
+    let batch = client
+        .request("POST", "/batch", ndjson.as_bytes())
+        .expect("batch");
+    assert_eq!(batch.status, 200);
+    let text = String::from_utf8(batch.body).expect("utf-8 NDJSON");
+    let rows: Vec<&str> = text.lines().collect();
+    assert_eq!(rows.len(), 3, "one response row per request line");
+    assert_eq!(
+        rows[0],
+        ServerError::WorkerCrashed.to_json().to_string(),
+        "the first solve takes the injected panic"
+    );
+    assert_eq!(rows[1].as_bytes(), &standalone[0][..]);
+    assert_eq!(rows[2].as_bytes(), &standalone[1][..]);
+    let exposition = client.metrics().expect("metrics");
+    assert_eq!(
+        parse_metric(&exposition, "lis_worker_panics_total"),
+        Some(0.0),
+        "a row crash is isolated inside the batch job"
+    );
+
+    let repeat = client
+        .request("POST", "/batch", ndjson.as_bytes())
+        .expect("batch repeat");
+    let text = String::from_utf8(repeat.body).expect("utf-8 NDJSON");
+    let first = text.lines().next().expect("first row");
+    let solved = Json::parse(first).expect("row 0 is JSON");
+    assert!(
+        solved.get("error").is_none(),
+        "the crashed row was not cached: {first}"
+    );
+    let analyze = plain
+        .request("POST", "/analyze", lines[0].as_bytes())
+        .expect("standalone row 0");
+    assert_eq!(first.as_bytes(), &analyze.body[..]);
+
+    stop(addr, daemon);
+    stop(plain_addr, plain_daemon);
 }
 
 #[test]
