@@ -23,8 +23,9 @@
 //!    `--require-failover` additionally demands the gateway actually
 //!    exercised its failover path, not just never routed to the corpse.
 //!
-//! The shard binary is `$LIS_BIN` when set, else `target/release/lis`
-//! (build it first: `cargo build --release`).
+//! `--quick` shrinks the workload for CI and leaves the results file
+//! untouched. The shard binary is `$LIS_BIN` when set, else
+//! `target/release/lis` (build it first: `cargo build --release`).
 
 use std::fmt::Write as _;
 use std::net::SocketAddr;
@@ -445,9 +446,14 @@ fn main() {
     )
     .expect("write to String");
 
-    std::fs::write(OUT_PATH, &report).expect("write results/cluster_loadgen.txt");
     print!("{report}");
-    eprintln!("\nwrote {OUT_PATH}");
+    if quick {
+        // Quick gate runs (CI) must not clobber the committed reference file.
+        eprintln!("\n--quick: leaving {OUT_PATH} untouched");
+    } else {
+        std::fs::write(OUT_PATH, &report).expect("write results/cluster_loadgen.txt");
+        eprintln!("\nwrote {OUT_PATH}");
+    }
 
     let mut failed = false;
     if speedup < min_speedup {

@@ -16,7 +16,8 @@
 //! answer before any number is recorded, so the speedup is for the exact
 //! same payload.
 //!
-//! Flags: `--quick` (smaller base system — the CI smoke mode),
+//! Flags: `--quick` (smaller base system, and the results file is left
+//! untouched — the CI smoke mode),
 //! `--min-speedup X` (gate; exit 1 below it), `--axes N`, `--seed S`.
 
 use std::fmt::Write as _;
@@ -237,9 +238,14 @@ fn main() {
     )
     .expect("write to String");
 
-    std::fs::write(OUT_PATH, &report).expect("write results/sweep_speedup.txt");
     print!("{report}");
-    eprintln!("\nwrote {OUT_PATH}");
+    if quick {
+        // Quick gate runs (CI) must not clobber the committed reference file.
+        eprintln!("\n--quick: leaving {OUT_PATH} untouched");
+    } else {
+        std::fs::write(OUT_PATH, &report).expect("write results/sweep_speedup.txt");
+        eprintln!("\nwrote {OUT_PATH}");
+    }
 
     if speedup < min_speedup {
         eprintln!("FAIL: sweep speedup {speedup:.2}x below the required {min_speedup:.2}x");

@@ -15,6 +15,15 @@
 //! strings with `\"` and `\\` escapes. Channels may reference blocks before
 //! their `block` line; referencing a block that never appears is an error.
 //!
+//! [`parse_netlist`] reads the text once, line by line, pulling tokens off
+//! each line as it needs them instead of collecting them. Names are
+//! borrowed from the text until they are copied into the system's name
+//! arena (see [`LisSystem`]); only a quoted name with escapes needs a copy
+//! of its own. With every buffer sized from the line count up front, a
+//! netlist of any size costs the same handful of allocations, which
+//! matters to the daemon: its event loop parses every cold request and a
+//! worker frees the system.
+//!
 //! # Examples
 //!
 //! ```
@@ -35,11 +44,12 @@
 //! ```
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::error::Error as StdError;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
-use crate::system::LisSystem;
+use crate::system::{BlockId, LisSystem};
 
 /// An error produced while parsing a netlist, with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +76,8 @@ fn err(line: usize, message: impl Into<String>) -> ParseNetlistError {
 }
 
 /// One token of a netlist line, borrowed from the line. Only a quoted name
-/// with escapes needs an owned copy.
+/// with escapes needs an owned copy. The derived `Debug` is part of the
+/// rendered errors (`unknown directive Word("blok")`).
 #[derive(Debug, Clone, PartialEq)]
 enum Tok<'a> {
     Word(Cow<'a, str>),
@@ -74,59 +85,153 @@ enum Tok<'a> {
     KeyVal(&'a str, &'a str),
 }
 
-fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok<'_>>, ParseNetlistError> {
-    let mut toks = Vec::new();
-    let mut rest = line.trim_start();
-    while let Some(c) = rest.chars().next() {
-        match c {
-            '#' => break,
-            '"' => {
-                let (name, tail) = quoted(&rest[1..], lineno)?;
-                toks.push(Tok::Word(name));
-                rest = tail;
-            }
-            '-' if rest[1..].starts_with('>') => {
-                toks.push(Tok::Arrow);
-                rest = &rest[2..];
-            }
-            _ => {
-                let (word, tail) = rest.split_at(word_end(rest));
-                toks.push(match word.split_once('=') {
-                    Some((k, v)) => Tok::KeyVal(k, v),
-                    None => Tok::Word(Cow::Borrowed(word)),
-                });
-                rest = tail;
+/// Bytes that continue a bare word with no further look: ASCII other than
+/// whitespace, `#`, `-` and `=`.
+const PLAIN: [bool; 256] = {
+    let mut plain = [false; 256];
+    let mut b = 0;
+    while b < 0x80 {
+        plain[b] = !matches!(
+            b as u8,
+            b' ' | b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r' | b'#' | b'-' | b'='
+        );
+        b += 1;
+    }
+    plain
+};
+
+/// A cursor over the netlist text that hands out the tokens of the current
+/// line on demand: one pass over the bytes, no per-line buffer.
+struct Cursor<'a> {
+    text: &'a str,
+    /// Byte offset of the next unread byte, never past the current line's
+    /// `\n`.
+    pos: usize,
+    /// 1-based number of the current line.
+    line: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next token of the current line, `None` at its end or at a
+    /// comment.
+    fn next(&mut self) -> Result<Option<Tok<'a>>, ParseNetlistError> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        // Skip whitespace as `str::trim_start` would; a `\r` before the
+        // line's `\n` is whitespace too, as `str::lines` would drop it.
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b' ' | b'\t' | b'\x0b' | b'\x0c' | b'\r' => self.pos += 1,
+                0..=0x7f => break,
+                _ => match text[self.pos..].chars().next() {
+                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                    _ => break,
+                },
             }
         }
-        rest = rest.trim_start();
+        let start = self.pos;
+        let tok = match bytes.get(start) {
+            None | Some(b'\n') => return Ok(None),
+            Some(b'#') => {
+                self.pos = self.line_end();
+                return Ok(None);
+            }
+            Some(b'"') => {
+                // The name ends on this line; `str::lines` would have cut a
+                // `\r` right before the `\n`.
+                let end = self.line_end();
+                let line = &text[start + 1..end];
+                let line = match bytes.get(end) {
+                    Some(b'\n') => line.strip_suffix('\r').unwrap_or(line),
+                    _ => line,
+                };
+                let (name, len) = quoted(line, self.line)?;
+                self.pos = start + 1 + len;
+                Tok::Word(name)
+            }
+            Some(b'-') if bytes.get(start + 1) == Some(&b'>') => {
+                self.pos = start + 2;
+                Tok::Arrow
+            }
+            Some(_) => {
+                // A bare word runs to whitespace, a comment or an arrow (a
+                // lone `-` belongs to hyphenated names).
+                let mut eq = None;
+                while let Some(&b) = bytes.get(self.pos) {
+                    if PLAIN[usize::from(b)] {
+                        self.pos += 1;
+                        continue;
+                    }
+                    match b {
+                        b' ' | b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r' | b'#' => break,
+                        b'-' if bytes.get(self.pos + 1) == Some(&b'>') => break,
+                        b'=' => {
+                            eq = eq.or(Some(self.pos));
+                            self.pos += 1;
+                        }
+                        0..=0x7f => self.pos += 1,
+                        _ => match text[self.pos..].chars().next() {
+                            Some(c) if !c.is_whitespace() => self.pos += c.len_utf8(),
+                            _ => break,
+                        },
+                    }
+                }
+                match eq {
+                    Some(eq) => Tok::KeyVal(&text[start..eq], &text[eq + 1..self.pos]),
+                    None => Tok::Word(Cow::Borrowed(&text[start..self.pos])),
+                }
+            }
+        };
+        Ok(Some(tok))
     }
-    Ok(toks)
+
+    /// The error for a malformed line. A syntax error later on the same
+    /// line (a bad quoted name) takes precedence, as it would if the line
+    /// were tokenized in full before being read.
+    fn fail(&mut self, message: impl Into<String>) -> ParseNetlistError {
+        loop {
+            match self.next() {
+                Ok(Some(_)) => {}
+                Ok(None) => return err(self.line, message),
+                Err(e) => return e,
+            }
+        }
+    }
+
+    /// The offset of the current line's `\n`, or the end of the text.
+    fn line_end(&self) -> usize {
+        self.text[self.pos..]
+            .find('\n')
+            .map_or(self.text.len(), |i| self.pos + i)
+    }
+
+    /// Moves to the start of the next line, once the current one has been
+    /// read to its end; false at the end of the text.
+    fn next_line(&mut self) -> bool {
+        if self.pos >= self.text.len() {
+            return false;
+        }
+        self.pos += 1;
+        self.line += 1;
+        self.pos < self.text.len()
+    }
 }
 
-/// The byte length of the bare word starting `s`: it runs to whitespace, a
-/// comment or an arrow (a lone `-` belongs to hyphenated names).
-fn word_end(s: &str) -> usize {
-    let bytes = s.as_bytes();
-    s.char_indices()
-        .find(|&(i, c)| {
-            c.is_whitespace() || c == '#' || (c == '-' && bytes.get(i + 1) == Some(&b'>'))
-        })
-        .map_or(s.len(), |(i, _)| i)
-}
-
-/// Parses a quoted name whose opening quote precedes `s`, returning the name
-/// and the rest of the line after the closing quote.
-fn quoted(s: &str, lineno: usize) -> Result<(Cow<'_, str>, &str), ParseNetlistError> {
+/// Parses a quoted name whose opening quote precedes `s` (the rest of its
+/// line), returning the name and the number of bytes of `s` it took,
+/// closing quote included.
+fn quoted(s: &str, lineno: usize) -> Result<(Cow<'_, str>, usize), ParseNetlistError> {
     match s.find(['"', '\\']) {
-        Some(i) if s.as_bytes()[i] == b'"' => return Ok((Cow::Borrowed(&s[..i]), &s[i + 1..])),
+        Some(i) if s.as_bytes()[i] == b'"' => return Ok((Cow::Borrowed(&s[..i]), i + 1)),
         Some(_) => {}
         None => return Err(err(lineno, "unterminated quoted name")),
     }
-    let mut name = String::new();
+    // One allocation: the name is no longer than the rest of the line.
+    let mut name = String::with_capacity(s.len());
     let mut chars = s.char_indices();
     loop {
         match chars.next() {
-            Some((i, '"')) => return Ok((Cow::Owned(name), &s[i + 1..])),
+            Some((i, '"')) => return Ok((Cow::Owned(name), i + 1)),
             Some((_, '\\')) => match chars.next().map(|(_, c)| c) {
                 Some('"') => name.push('"'),
                 Some('\\') => name.push('\\'),
@@ -143,15 +248,99 @@ fn quoted(s: &str, lineno: usize) -> Result<(Cow<'_, str>, &str), ParseNetlistEr
     }
 }
 
+/// Builds the hasher of the parser's name map: a folded multiply keyed from
+/// std's per-process random seed. Names come from requests, so the keys
+/// keep them from being chosen to collide (what std's SipHash default is
+/// for) at a fraction of SipHash's cost on short names.
+#[derive(Clone, Copy)]
+struct NameHash {
+    seed: u64,
+    multiplier: u64,
+}
+
+impl NameHash {
+    fn new() -> NameHash {
+        let keys = RandomState::new();
+        NameHash {
+            seed: keys.hash_one(0u64),
+            // Nonzero, or every name would hash alike.
+            multiplier: keys.hash_one(1u64) | 1,
+        }
+    }
+}
+
+impl BuildHasher for NameHash {
+    type Hasher = NameHasher;
+
+    fn build_hasher(&self) -> NameHasher {
+        NameHasher {
+            state: self.seed,
+            multiplier: self.multiplier,
+        }
+    }
+}
+
+struct NameHasher {
+    state: u64,
+    multiplier: u64,
+}
+
+impl NameHasher {
+    fn mix(&mut self, word: u64) {
+        let p = u128::from(self.state ^ word) * u128::from(self.multiplier);
+        self.state = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        // The tail, with the length so that no two inputs share a last word.
+        let tail = words
+            .remainder()
+            .iter()
+            .rev()
+            .fold(0u64, |w, &b| (w << 8) | u64::from(b));
+        self.mix(tail ^ ((bytes.len() as u64) << 56));
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
 /// Parses a netlist into a [`LisSystem`].
+///
+/// One pass over the bytes, tokenized in place. Names stay borrowed from
+/// `text` (only a quoted name with escapes is copied) and resolve through
+/// one map. Every buffer is sized up front from the text's length, so a
+/// netlist without escaped names costs a constant number of allocations
+/// whatever its size: the system's three buffers, the name map and the
+/// pending-channel list.
 ///
 /// # Errors
 ///
 /// Returns [`ParseNetlistError`] on syntax errors, duplicate block names,
-/// references to undeclared blocks, or invalid attribute values.
+/// references to undeclared blocks, or invalid attribute values. The first
+/// malformed line wins; undeclared names are reported after the last line,
+/// for the first channel in file order that has one.
 pub fn parse_netlist(text: &str) -> Result<LisSystem, ParseNetlistError> {
+    // Bounds from the text's length alone: the shortest block line is
+    // `block a` and the shortest channel line `channel a->b`, each with its
+    // `\n` unless it is the last, and no name is longer than the text.
+    let max_blocks = (text.len() + 1) / 8;
+    let max_channels = (text.len() + 1) / 13;
     let mut sys = LisSystem::new();
-    let mut blocks: HashMap<Cow<'_, str>, crate::system::BlockId> = HashMap::new();
+    sys.reserve(text.len(), max_blocks, 0);
+    let mut blocks: HashMap<Cow<'_, str>, BlockId, NameHash> =
+        HashMap::with_capacity_and_hasher(max_blocks, NameHash::new());
     // Channels may reference blocks declared later: collect first, resolve
     // at the end.
     struct PendingChannel<'a> {
@@ -161,66 +350,71 @@ pub fn parse_netlist(text: &str) -> Result<LisSystem, ParseNetlistError> {
         rs: u32,
         q: u64,
     }
-    let mut pending: Vec<PendingChannel<'_>> = Vec::new();
+    let mut pending: Vec<PendingChannel<'_>> = Vec::with_capacity(max_channels);
 
-    for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let toks = tokenize(raw, lineno)?;
-        if toks.is_empty() {
-            continue;
-        }
-        match &toks[0] {
-            Tok::Word(w) if w == "block" => {
-                let (name, uninitialized) = match &toks[..] {
-                    [_, Tok::Word(name)] => (name, false),
-                    [_, Tok::Word(name), Tok::Word(attr)] if attr == "uninitialized" => {
-                        (name, true)
-                    }
-                    _ => return Err(err(lineno, "expected: block <name> [uninitialized]")),
+    let mut toks = Cursor {
+        text,
+        pos: 0,
+        line: 1,
+    };
+    loop {
+        let lineno = toks.line;
+        match toks.next()? {
+            None => {}
+            Some(Tok::Word(w)) if w == "block" => {
+                const EXPECTED: &str = "expected: block <name> [uninitialized]";
+                let Some(Tok::Word(name)) = toks.next()? else {
+                    return Err(toks.fail(EXPECTED));
                 };
-                if blocks.contains_key(name.as_ref()) {
-                    return Err(err(lineno, format!("duplicate block {name:?}")));
+                let uninitialized = match toks.next()? {
+                    None => false,
+                    Some(Tok::Word(attr)) if attr == "uninitialized" => true,
+                    Some(_) => return Err(toks.fail(EXPECTED)),
+                };
+                if uninitialized && toks.next()?.is_some() {
+                    return Err(toks.fail(EXPECTED));
                 }
-                let id = if uninitialized {
-                    sys.add_uninitialized_block(name.as_ref())
-                } else {
-                    sys.add_block(name.as_ref())
+                let slot = match blocks.entry(name) {
+                    Entry::Occupied(e) => {
+                        return Err(err(lineno, format!("duplicate block {:?}", e.key())))
+                    }
+                    Entry::Vacant(slot) => slot,
                 };
-                blocks.insert(name.clone(), id);
+                let id = if uninitialized {
+                    sys.add_uninitialized_block(slot.key())
+                } else {
+                    sys.add_block(slot.key())
+                };
+                slot.insert(id);
             }
-            Tok::Word(w) if w == "channel" => {
-                let (from, to, attrs) = match &toks[1..] {
-                    [Tok::Word(from), Tok::Arrow, Tok::Word(to), rest @ ..] => {
-                        (from.clone(), to.clone(), rest)
-                    }
-                    _ => {
-                        return Err(err(
-                            lineno,
-                            "expected: channel <from> -> <to> [rs=<n>] [q=<n>]",
-                        ))
-                    }
+            Some(Tok::Word(w)) if w == "channel" => {
+                let (Some(Tok::Word(from)), Some(Tok::Arrow), Some(Tok::Word(to))) =
+                    (toks.next()?, toks.next()?, toks.next()?)
+                else {
+                    return Err(toks.fail("expected: channel <from> -> <to> [rs=<n>] [q=<n>]"));
                 };
                 let mut rs = 0u32;
                 let mut q = 1u64;
-                for attr in attrs {
-                    match attr {
-                        Tok::KeyVal("rs", v) => {
-                            rs = v.parse().map_err(|_| {
-                                err(lineno, format!("rs wants a nonnegative integer, got {v:?}"))
-                            })?;
-                        }
-                        Tok::KeyVal("q", v) => {
-                            q = v.parse().map_err(|_| {
-                                err(lineno, format!("q wants a positive integer, got {v:?}"))
-                            })?;
-                            if q == 0 {
-                                return Err(err(lineno, "queue capacity must be at least 1"));
+                while let Some(attr) = toks.next()? {
+                    let problem = match attr {
+                        Tok::KeyVal("rs", v) => match v.parse() {
+                            Ok(n) => {
+                                rs = n;
+                                continue;
                             }
-                        }
-                        other => {
-                            return Err(err(lineno, format!("unknown channel attribute {other:?}")))
-                        }
-                    }
+                            Err(_) => format!("rs wants a nonnegative integer, got {v:?}"),
+                        },
+                        Tok::KeyVal("q", v) => match v.parse() {
+                            Ok(0) => "queue capacity must be at least 1".to_string(),
+                            Ok(n) => {
+                                q = n;
+                                continue;
+                            }
+                            Err(_) => format!("q wants a positive integer, got {v:?}"),
+                        },
+                        other => format!("unknown channel attribute {other:?}"),
+                    };
+                    return Err(toks.fail(problem));
                 }
                 pending.push(PendingChannel {
                     line: lineno,
@@ -230,23 +424,24 @@ pub fn parse_netlist(text: &str) -> Result<LisSystem, ParseNetlistError> {
                     q,
                 });
             }
-            other => return Err(err(lineno, format!("unknown directive {other:?}"))),
+            Some(other) => return Err(toks.fail(format!("unknown directive {other:?}"))),
+        }
+        if !toks.next_line() {
+            break;
         }
     }
 
-    for p in pending {
-        let from = *blocks
-            .get(p.from.as_ref())
-            .ok_or_else(|| err(p.line, format!("unknown block {:?}", p.from)))?;
-        let to = *blocks
-            .get(p.to.as_ref())
-            .ok_or_else(|| err(p.line, format!("unknown block {:?}", p.to)))?;
-        let c = sys.add_channel(from, to);
-        for _ in 0..p.rs {
-            sys.add_relay_station(c);
-        }
-        sys.set_queue_capacity(c, p.q)
-            .expect("q validated during parsing");
+    let lookup = |line: usize, name: &Cow<'_, str>| {
+        blocks
+            .get(name.as_ref())
+            .copied()
+            .ok_or_else(|| err(line, format!("unknown block {name:?}")))
+    };
+    sys.reserve(0, 0, pending.len());
+    for p in &pending {
+        let from = lookup(p.line, &p.from)?;
+        let to = lookup(p.line, &p.to)?;
+        sys.push_channel(from, to, p.rs, p.q);
     }
     Ok(sys)
 }

@@ -56,7 +56,9 @@ impl fmt::Debug for ChannelId {
 
 #[derive(Debug, Clone)]
 struct Block {
-    name: String,
+    /// End of this block's name in `LisSystem::names`; the name starts
+    /// where the previous block's ends.
+    name_end: usize,
     /// Whether the shell's output latch holds valid data at reset (true for
     /// ordinary cores; false for internal pipeline stages, which emit void
     /// until real data reaches them — the paper's footnote-3 cores with
@@ -73,6 +75,11 @@ struct Channel {
 }
 
 /// A latency-insensitive system: shell-encapsulated blocks and channels.
+///
+/// Block names live back to back in one `String` (the name arena), each
+/// block recording where its name ends, so a system of any size owns three
+/// heap buffers — names, blocks, channels — and cloning, moving to another
+/// thread or dropping it costs three allocations, not one per block.
 ///
 /// # Examples
 ///
@@ -93,6 +100,8 @@ struct Channel {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LisSystem {
+    /// Every block name, in id order, with no separators.
+    names: String,
     blocks: Vec<Block>,
     channels: Vec<Channel>,
 }
@@ -103,14 +112,27 @@ impl LisSystem {
         LisSystem::default()
     }
 
-    /// Adds a shell-encapsulated block and returns its id.
-    pub fn add_block(&mut self, name: impl Into<String>) -> BlockId {
+    /// Reserves room for `name_bytes` more bytes of block names, `blocks`
+    /// more blocks and `channels` more channels.
+    pub(crate) fn reserve(&mut self, name_bytes: usize, blocks: usize, channels: usize) {
+        self.names.reserve_exact(name_bytes);
+        self.blocks.reserve_exact(blocks);
+        self.channels.reserve_exact(channels);
+    }
+
+    fn push_block(&mut self, name: &str, initialized: bool) -> BlockId {
         let id = BlockId::new(self.blocks.len());
+        self.names.push_str(name);
         self.blocks.push(Block {
-            name: name.into(),
-            initialized: true,
+            name_end: self.names.len(),
+            initialized,
         });
         id
+    }
+
+    /// Adds a shell-encapsulated block and returns its id.
+    pub fn add_block(&mut self, name: impl AsRef<str>) -> BlockId {
+        self.push_block(name.as_ref(), true)
     }
 
     /// Adds a block whose output is **void at reset**: it transfers nothing
@@ -119,13 +141,8 @@ impl LisSystem {
     /// paper's footnote 3) are modeled this way; an uninitialized
     /// single-input/single-output block with queue capacity 2 behaves
     /// exactly like a relay station.
-    pub fn add_uninitialized_block(&mut self, name: impl Into<String>) -> BlockId {
-        let id = BlockId::new(self.blocks.len());
-        self.blocks.push(Block {
-            name: name.into(),
-            initialized: false,
-        });
-        id
+    pub fn add_uninitialized_block(&mut self, name: impl AsRef<str>) -> BlockId {
+        self.push_block(name.as_ref(), false)
     }
 
     /// Whether a block's output latch holds valid data at reset.
@@ -140,14 +157,27 @@ impl LisSystem {
     ///
     /// Panics if `from` or `to` is not a block of this system.
     pub fn add_channel(&mut self, from: BlockId, to: BlockId) -> ChannelId {
+        self.push_channel(from, to, 0, 1)
+    }
+
+    /// [`add_channel`](Self::add_channel) with its relay stations and its
+    /// (nonzero) queue capacity already set.
+    pub(crate) fn push_channel(
+        &mut self,
+        from: BlockId,
+        to: BlockId,
+        relay_stations: u32,
+        queue_capacity: u64,
+    ) -> ChannelId {
         assert!(from.index() < self.blocks.len(), "unknown source block");
         assert!(to.index() < self.blocks.len(), "unknown target block");
+        assert!(queue_capacity > 0, "queue capacity must be at least one");
         let id = ChannelId::new(self.channels.len());
         self.channels.push(Channel {
             from,
             to,
-            relay_stations: 0,
-            queue_capacity: 1,
+            relay_stations,
+            queue_capacity,
         });
         id
     }
@@ -173,15 +203,17 @@ impl LisSystem {
     ///
     /// Panics if `b` is out of range.
     pub fn block_name(&self, b: BlockId) -> &str {
-        &self.blocks[b.index()].name
+        let i = b.index();
+        let start = match i {
+            0 => 0,
+            _ => self.blocks[i - 1].name_end,
+        };
+        &self.names[start..self.blocks[i].name_end]
     }
 
     /// Looks up a block by name (linear scan; for tests and small systems).
     pub fn block_by_name(&self, name: &str) -> Option<BlockId> {
-        self.blocks
-            .iter()
-            .position(|b| b.name == name)
-            .map(BlockId::new)
+        self.block_ids().find(|&b| self.block_name(b) == name)
     }
 
     /// The producer block of a channel.

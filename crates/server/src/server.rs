@@ -762,22 +762,32 @@ impl FastCache {
         }
     }
 
-    fn get(&self, path: &str, body: &[u8]) -> Option<(CacheKey, Arc<CachedResponse>)> {
-        let entries = self.buckets.get(&fnv1a(body))?;
+    /// The answer stored for `body` on `path`; `hash` is `fnv1a(body)`,
+    /// computed by the caller before it takes the lock.
+    fn get(&self, hash: u64, path: &str, body: &[u8]) -> Option<(CacheKey, Arc<CachedResponse>)> {
+        let entries = self.buckets.get(&hash)?;
         entries
             .iter()
             .find(|e| e.path == path && e.body == body)
             .map(|e| (e.key, Arc::clone(&e.response)))
     }
 
-    fn insert(&mut self, path: &str, body: &[u8], key: CacheKey, response: Arc<CachedResponse>) {
-        if self.capacity == 0 || self.get(path, body).is_some() {
+    /// Stores an answer, taking ownership of the request's path and body;
+    /// `hash` is `fnv1a(&body)`.
+    fn insert(
+        &mut self,
+        hash: u64,
+        path: String,
+        body: Vec<u8>,
+        key: CacheKey,
+        response: Arc<CachedResponse>,
+    ) {
+        if self.capacity == 0 || self.get(hash, &path, &body).is_some() {
             return;
         }
-        let hash = fnv1a(body);
         self.buckets.entry(hash).or_default().push(FastEntry {
-            path: path.to_string(),
-            body: body.to_vec(),
+            path,
+            body,
             key,
             response,
         });
@@ -901,9 +911,15 @@ impl ServerHandler {
                 true,
             );
         }
-        // Fast path: these exact request bytes were answered before.
+        // Fast path: these exact request bytes were answered before. The
+        // body is hashed once, here, outside the lock the workers share.
+        let body_hash = fnv1a(&request.body);
         if state.config.cache_capacity > 0 {
-            let hit = self.fast.lock().unwrap().get(&request.path, &request.body);
+            let hit = self
+                .fast
+                .lock()
+                .expect("no thread panics holding the fast cache")
+                .get(body_hash, &request.path, &request.body);
             if let Some((fast_key, cached)) = hit {
                 state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
                 state
@@ -929,12 +945,11 @@ impl ServerHandler {
                 .metrics
                 .record_request(route, cached.status, started.elapsed());
             if state.config.cache_capacity > 0 {
-                self.fast.lock().unwrap().insert(
-                    &request.path,
-                    &request.body,
-                    cache_key,
-                    Arc::clone(&cached),
-                );
+                let (path, body) = (request.path.clone(), request.body.clone());
+                self.fast
+                    .lock()
+                    .expect("no thread panics holding the fast cache")
+                    .insert(body_hash, path, body, cache_key, Arc::clone(&cached));
             }
             return Outcome::Respond(Rendered {
                 status: cached.status,
@@ -987,12 +1002,15 @@ impl ServerHandler {
             match run_analysis(&job_state, &sys, &kind, cache_key) {
                 Ok(response) => {
                     if job_state.config.cache_capacity > 0 {
-                        fast.lock().unwrap().insert(
-                            &raw_path,
-                            &raw_body,
-                            cache_key,
-                            Arc::clone(&response),
-                        );
+                        fast.lock()
+                            .expect("no thread panics holding the fast cache")
+                            .insert(
+                                body_hash,
+                                raw_path,
+                                raw_body,
+                                cache_key,
+                                Arc::clone(&response),
+                            );
                     }
                     answer(response.status, response.body.clone());
                 }
