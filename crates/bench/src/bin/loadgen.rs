@@ -358,8 +358,10 @@ fn connect_retry(addr: std::net::SocketAddr) -> std::net::TcpStream {
 
 /// Drives `conns` keep-alive connections against `addr`, each holding
 /// `depth` pipelined requests in flight, for `duration` (after a short
-/// unmeasured ramp). Every request is the same hot (pre-warmed, cached)
-/// `/analyze`, so the number measures the connection tier, not the solver.
+/// unmeasured ramp); only requests issued inside the window count, in
+/// throughput and latency. Every request is the same hot (pre-warmed,
+/// cached) `/analyze`, so the number measures the connection tier, not the
+/// solver.
 fn run_net_row(
     addr: std::net::SocketAddr,
     conns: usize,
@@ -428,7 +430,6 @@ fn run_net_row(
         if poller.wait(&mut events, Some(wait)).is_err() {
             break 'outer;
         }
-        let measuring = Instant::now() >= measure_start;
         for ev in &events {
             let slot = ev.token;
             let Some(conn) = table.get_mut(slot).and_then(Option::as_mut) else {
@@ -465,8 +466,11 @@ fn run_net_row(
                                 ResponseProgress::Complete { response, consumed } => {
                                     assert_eq!(response.status, 200, "load request failed");
                                     consumed_total += consumed;
+                                    // Only requests issued inside the window count:
+                                    // the first ones are stamped while the connect
+                                    // loop still runs, so their wait is the loop's.
                                     if let Some(t) = conn.sent_at.pop_front() {
-                                        if measuring {
+                                        if t >= measure_start {
                                             done += 1;
                                             latencies_us.push(
                                                 t.elapsed().as_micros().min(u64::MAX as u128)
@@ -578,7 +582,7 @@ fn net_main(args: &[String]) {
          (depth requests in flight, topped up as responses land). The\n\
          workload is one pre-warmed cached /analyze, so rows measure the\n\
          connection front, not the solver. {:.1} s window per row after a\n\
-         0.2 s ramp. Regenerate with:\n\
+         0.2 s ramp; only requests issued inside the window count. Regenerate with:\n\
          \x20   cargo run --release -p lis-bench --bin loadgen -- --scale\n",
         duration.as_secs_f64(),
     )

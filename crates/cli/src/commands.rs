@@ -72,6 +72,11 @@ server commands (analysis as a service):
                                          (e.g. 127.0.0.1:7171): one readiness
                                          event loop holds every connection
                                          and hands work to the worker pool;
+                                         --cache N bounds the result cache
+                                         at N answers (default 4096, 0 turns
+                                         caching off), each holding at most
+                                         one copy of a request that repeated
+                                         it, for exact-bytes replays;
                                          --faults (or
                                          the LIS_FAULTS env var) arms
                                          deterministic fault injection, e.g.

@@ -46,11 +46,14 @@ struct TestShard {
     daemon: JoinHandle<std::io::Result<lis_server::DrainReport>>,
 }
 
-fn start_shard(store_dir: PathBuf) -> TestShard {
+/// Starts a shard on `store_dir`; `spill_delay` holds every background
+/// store write back that long, so answers sit in the spill queue.
+fn start_shard(store_dir: PathBuf, spill_delay: Option<Duration>) -> TestShard {
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
             store_dir: Some(store_dir),
+            spill_delay_for_tests: spill_delay,
             ..ServerConfig::default()
         },
     )
@@ -114,8 +117,11 @@ fn store_get(addr: SocketAddr, key: &str) -> Option<(u16, Vec<u8>)> {
 /// entries, byte-identically, and skip the one the target already has.
 #[test]
 fn warm_handoff_streams_only_the_missing_entries() {
-    let donor = start_shard(scratch("handoff-donor"));
-    let target = start_shard(scratch("handoff-target"));
+    // Both stores lag their caches for the whole test: the index must list
+    // what `/store/get` answers, spilled to disk or not.
+    let spill_delay = Some(Duration::from_millis(500));
+    let donor = start_shard(scratch("handoff-donor"), spill_delay);
+    let target = start_shard(scratch("handoff-target"), spill_delay);
 
     // Five answers on the donor; the first is also computed on the
     // target, so the diff must skip it.
@@ -169,7 +175,7 @@ fn killing_a_shard_leaves_every_answer_warm_on_its_runner_up() {
     const DESIGNS: u64 = 8;
 
     let shards: Vec<TestShard> = (0..3)
-        .map(|i| start_shard(scratch(&format!("kill-{i}"))))
+        .map(|i| start_shard(scratch(&format!("kill-{i}")), None))
         .collect();
     let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr).collect();
     let gw = start_gateway(

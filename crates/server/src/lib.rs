@@ -100,7 +100,7 @@ mod server;
 pub mod store;
 pub mod wire;
 
-pub use cache::{CacheKey, CachedResponse, ResultCache};
+pub use cache::{CacheKey, CachedResponse, ExactRequest, ResultCache};
 pub use client::{Client, RetryPolicy, RetryingClient};
 pub use error::ServerError;
 pub use fault::{FaultPlan, WriteFault};

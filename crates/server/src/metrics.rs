@@ -16,7 +16,7 @@ use crate::error::ServerError;
 /// The request routes. Each known path resolves to one of them through
 /// [`ROUTES`]; `Other` counts what resolves to none (404, 405) and the
 /// connection-level defenses (408, 429).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Route {
     /// `POST /analyze`.
     Analyze,

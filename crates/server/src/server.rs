@@ -21,7 +21,7 @@
 //! queued job before [`Server::run`] returns.
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -30,10 +30,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use lis_core::{fnv1a, parse_netlist, LisSystem};
+use lis_core::{parse_netlist, LisSystem};
 use lis_sweep::SweepSpec;
 
-use crate::cache::{CacheKey, CachedResponse, ResultCache};
+use crate::cache::{CacheKey, CachedResponse, ExactRequest, ResultCache};
 use crate::error::ServerError;
 use crate::fault::{FaultPlan, WriteFault};
 use crate::http::{ChunkBatcher, Request, REQUEST_ID_HEADER};
@@ -56,7 +56,9 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Per-request deadline: a job not finished by then answers 504.
     pub request_timeout: Duration,
-    /// Maximum cached responses (content-addressed; 0 disables caching).
+    /// Maximum cached responses (0 disables caching). It bounds both
+    /// indexes of the one [`ResultCache`]: each entry holds at most one
+    /// alias, a copy of the last request bytes that repeated it.
     pub cache_capacity: usize,
     /// Concurrent-connection cap; connections beyond it are answered with
     /// a typed 429 and closed.
@@ -232,7 +234,6 @@ impl Server {
         let handler = ServerHandler {
             state: Arc::clone(&state),
             pending: Arc::new(Mutex::new(HashMap::new())),
-            fast: Arc::new(Mutex::new(FastCache::new(state.config.cache_capacity))),
         };
         EventLoop::new(listener, handler, config, stats)?.run()?;
         // Every queued job runs to completion before the pool stops, and
@@ -344,13 +345,16 @@ fn healthz_body(state: &State) -> Vec<u8> {
 }
 
 /// Serves `GET /store/index`: NDJSON, one content address per line — the
-/// warm-handoff diff document. With a durable store the index is the
-/// store's; RAM-only servers expose the cache so handoff still works.
+/// warm-handoff diff document. It lists what `/store/get` answers: the
+/// durable store's keys in store order, then the RAM cache's other keys in
+/// insertion order (answers still queued for the spiller among them).
 fn store_index_body(state: &State) -> Vec<u8> {
-    let keys = match &state.store {
+    let mut keys = match &state.store {
         Some(spiller) => spiller.store().keys(),
-        None => state.cache.keys(),
+        None => Vec::new(),
     };
+    let mut listed: HashSet<CacheKey> = keys.iter().copied().collect();
+    keys.extend(state.cache.keys().into_iter().filter(|&k| listed.insert(k)));
     let mut body = String::with_capacity(keys.len() * 44);
     for key in keys {
         body.push_str("{\"key\":\"");
@@ -727,89 +731,6 @@ fn run_analysis(
     Ok(response)
 }
 
-struct FastEntry {
-    path: String,
-    body: Vec<u8>,
-    /// Canonical content address of the shadowed cache entry, echoed as
-    /// `X-LIS-Cache-Key` so fast-path hits replicate like canonical hits.
-    key: CacheKey,
-    response: Arc<CachedResponse>,
-}
-
-/// Loop-side fast path: exact request bytes → finished response, bounded
-/// FIFO. A hit skips UTF-8/JSON/netlist decoding entirely, which is what
-/// lets the event loop answer hot repeat queries at connection scale. Only
-/// canonical-cache-backed responses are stored, so a fast hit counts in
-/// the metrics exactly like the canonical cache hit it shadows — and two
-/// textually different requests with the same canonical identity simply
-/// fall through to the canonical cache, never diverge.
-struct FastCache {
-    /// Keyed by the FNV-1a of the body: entries for one body on different
-    /// routes share a bucket and are told apart by their path.
-    buckets: HashMap<u64, Vec<FastEntry>>,
-    order: VecDeque<u64>,
-    capacity: usize,
-    len: usize,
-}
-
-impl FastCache {
-    fn new(capacity: usize) -> FastCache {
-        FastCache {
-            buckets: HashMap::new(),
-            order: VecDeque::new(),
-            capacity,
-            len: 0,
-        }
-    }
-
-    /// The answer stored for `body` on `path`; `hash` is `fnv1a(body)`,
-    /// computed by the caller before it takes the lock.
-    fn get(&self, hash: u64, path: &str, body: &[u8]) -> Option<(CacheKey, Arc<CachedResponse>)> {
-        let entries = self.buckets.get(&hash)?;
-        entries
-            .iter()
-            .find(|e| e.path == path && e.body == body)
-            .map(|e| (e.key, Arc::clone(&e.response)))
-    }
-
-    /// Stores an answer, taking ownership of the request's path and body;
-    /// `hash` is `fnv1a(&body)`.
-    fn insert(
-        &mut self,
-        hash: u64,
-        path: String,
-        body: Vec<u8>,
-        key: CacheKey,
-        response: Arc<CachedResponse>,
-    ) {
-        if self.capacity == 0 || self.get(hash, &path, &body).is_some() {
-            return;
-        }
-        self.buckets.entry(hash).or_default().push(FastEntry {
-            path,
-            body,
-            key,
-            response,
-        });
-        self.order.push_back(hash);
-        self.len += 1;
-        while self.len > self.capacity {
-            let Some(old) = self.order.pop_front() else {
-                break;
-            };
-            if let Some(bucket) = self.buckets.get_mut(&old) {
-                if !bucket.is_empty() {
-                    bucket.remove(0);
-                }
-                if bucket.is_empty() {
-                    self.buckets.remove(&old);
-                }
-            }
-            self.len -= 1;
-        }
-    }
-}
-
 /// Bookkeeping for one in-flight event-loop analysis job. Whoever removes
 /// the entry — the worker on completion or the loop's 504 timer — records
 /// the request, so each request is recorded exactly once.
@@ -832,6 +753,24 @@ fn id_key_headers(request_id: &Option<String>, key: CacheKey) -> Vec<(String, St
     let mut headers = id_headers(request_id);
     headers.push(("X-LIS-Cache-Key".to_string(), key_hex(key)));
     headers
+}
+
+/// An analysis answer: JSON echoing the request id and carrying its content
+/// address as `X-LIS-Cache-Key`, so a gateway can replicate it.
+fn answer_rendered(
+    status: u16,
+    body: Vec<u8>,
+    request_id: &Option<String>,
+    key: CacheKey,
+) -> Rendered {
+    Rendered {
+        status,
+        content_type: "application/json".to_string(),
+        body,
+        extra_headers: id_key_headers(request_id, key),
+        fault_eligible: true,
+        force_close: false,
+    }
 }
 
 /// A typed-error JSON response echoing the request id.
@@ -868,7 +807,6 @@ fn decode_envelope(route: Route, envelope: &Json) -> Result<(LisSystem, RequestK
 struct ServerHandler {
     state: Arc<State>,
     pending: Arc<Mutex<HashMap<SlotKey, PendingJob>>>,
-    fast: Arc<Mutex<FastCache>>,
 }
 
 impl ServerHandler {
@@ -890,7 +828,23 @@ impl ServerHandler {
         })
     }
 
-    /// One analysis request on the loop: fast-path probe → decode →
+    /// Records and renders one cache hit, from either index.
+    fn replay(
+        &self,
+        route: Route,
+        key: CacheKey,
+        cached: &CachedResponse,
+        started: Instant,
+        request_id: &Option<String>,
+    ) -> Outcome {
+        self.state
+            .metrics
+            .record_request(route, cached.status, started.elapsed());
+        let body = cached.body.clone();
+        Outcome::Respond(answer_rendered(cached.status, body, request_id, key))
+    }
+
+    /// One analysis request on the loop: exact-bytes probe → decode →
     /// canonical cache probe → worker-pool job with a loop-side deadline.
     fn analysis(
         &self,
@@ -911,29 +865,10 @@ impl ServerHandler {
                 true,
             );
         }
-        // Fast path: these exact request bytes were answered before. The
-        // body is hashed once, here, outside the lock the workers share.
-        let body_hash = fnv1a(&request.body);
-        if state.config.cache_capacity > 0 {
-            let hit = self
-                .fast
-                .lock()
-                .expect("no thread panics holding the fast cache")
-                .get(body_hash, &request.path, &request.body);
-            if let Some((fast_key, cached)) = hit {
-                state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                state
-                    .metrics
-                    .record_request(route, cached.status, started.elapsed());
-                return Outcome::Respond(Rendered {
-                    status: cached.status,
-                    content_type: "application/json".to_string(),
-                    body: cached.body.clone(),
-                    extra_headers: id_key_headers(&request_id, fast_key),
-                    fault_eligible: true,
-                    force_close: false,
-                });
-            }
+        // These exact bytes were answered before: no decode at all.
+        let exact = ExactRequest::new(route, &request.body);
+        if let Some((cache_key, cached)) = state.cache.get_exact(&exact, &state.metrics) {
+            return self.replay(route, cache_key, &cached, started, &request_id);
         }
         let (sys, kind) = match decode(route, &request.body) {
             Ok(d) => d,
@@ -941,24 +876,10 @@ impl ServerHandler {
         };
         let cache_key = kind.cache_key(&sys);
         if let Some(cached) = state.lookup(cache_key) {
-            state
-                .metrics
-                .record_request(route, cached.status, started.elapsed());
-            if state.config.cache_capacity > 0 {
-                let (path, body) = (request.path.clone(), request.body.clone());
-                self.fast
-                    .lock()
-                    .expect("no thread panics holding the fast cache")
-                    .insert(body_hash, path, body, cache_key, Arc::clone(&cached));
-            }
-            return Outcome::Respond(Rendered {
-                status: cached.status,
-                content_type: "application/json".to_string(),
-                body: cached.body.clone(),
-                extra_headers: id_key_headers(&request_id, cache_key),
-                fault_eligible: true,
-                force_close: false,
-            });
+            // A repeat: the only place the exact-bytes index is filled, so
+            // cold bodies that never come again are never copied.
+            state.cache.alias(cache_key, &exact);
+            return self.replay(route, cache_key, &cached, started, &request_id);
         }
         // Cache miss: queue the job; the worker answers through the
         // completion channel and the loop re-sequences pipelined replies.
@@ -972,10 +893,7 @@ impl ServerHandler {
         );
         let job_state = Arc::clone(state);
         let pending = Arc::clone(&self.pending);
-        let fast = Arc::clone(&self.fast);
         let completions = completions.clone();
-        let raw_path = request.path.clone();
-        let raw_body = request.body.clone();
         let job = move || {
             let answer = |status: u16, body: Vec<u8>| {
                 // Whoever removes the pending entry records the request; if
@@ -986,34 +904,12 @@ impl ServerHandler {
                     job_state
                         .metrics
                         .record_request(entry.route, status, entry.started.elapsed());
-                    completions.send(
-                        key,
-                        Completion::Full(Rendered {
-                            status,
-                            content_type: "application/json".to_string(),
-                            body,
-                            extra_headers: id_key_headers(&entry.request_id, cache_key),
-                            fault_eligible: true,
-                            force_close: false,
-                        }),
-                    );
+                    let rendered = answer_rendered(status, body, &entry.request_id, cache_key);
+                    completions.send(key, Completion::Full(rendered));
                 }
             };
             match run_analysis(&job_state, &sys, &kind, cache_key) {
-                Ok(response) => {
-                    if job_state.config.cache_capacity > 0 {
-                        fast.lock()
-                            .expect("no thread panics holding the fast cache")
-                            .insert(
-                                body_hash,
-                                raw_path,
-                                raw_body,
-                                cache_key,
-                                Arc::clone(&response),
-                            );
-                    }
-                    answer(response.status, response.body.clone());
-                }
+                Ok(response) => answer(response.status, response.body.clone()),
                 Err(payload) => {
                     // Answer the typed 500 *before* re-raising so the pool
                     // can count the panic and respawn the worker.

@@ -4,17 +4,21 @@
 //! just-evicted keys, and lookups race constantly. Invariants checked:
 //!
 //! * the cache never exceeds its capacity — during the storm or after;
-//! * hit/miss accounting is exact: every `get` increments exactly one of
-//!   the two counters, so `hits + misses == gets` regardless of
-//!   interleaving;
+//! * hit/miss accounting is exact: every lookup (an exact-bytes probe,
+//!   then `get` if that misses) increments exactly one of the two
+//!   counters, so `hits + misses == gets` regardless of interleaving;
 //! * values never tear: a hit for key `k` always carries the body that
 //!   was inserted under `k`, even if `k` was evicted and re-inserted by
 //!   another thread mid-lookup.
+//!
+//! The exact-bytes index races in the same storm: each lookup probes it
+//! first, and a canonical hit aliases the entry with the request's bytes,
+//! so an exact hit must carry key `k` and `k`'s body too.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lis_server::{CacheKey, CachedResponse, Metrics, ResultCache};
+use lis_server::{CacheKey, CachedResponse, ExactRequest, Metrics, ResultCache, Route};
 
 const CAPACITY: usize = 64;
 /// 1.5× capacity: at steady state a third of the working set is always
@@ -35,11 +39,26 @@ fn body(k: u64) -> Vec<u8> {
     format!("{{\"key\": {k}, \"payload\": \"{}\"}}", "x".repeat(64)).into_bytes()
 }
 
+/// The request bytes answered by key `k`: keys `2j` and `2j + 1` share
+/// one body on two routes, as `/analyze` and `/qs` of one design do.
+fn request(k: u64) -> (Route, Vec<u8>) {
+    let route = if k.is_multiple_of(2) {
+        Route::Analyze
+    } else {
+        Route::Qs
+    };
+    (
+        route,
+        format!("{{\"netlist\": \"design {}\"}}", k / 2).into_bytes(),
+    )
+}
+
 #[test]
 fn eviction_boundary_survives_a_parallel_storm() {
     let cache = Arc::new(ResultCache::new(CAPACITY));
     let metrics = Arc::new(Metrics::default());
     let gets = Arc::new(AtomicU64::new(0));
+    let exact_hits = Arc::new(AtomicU64::new(0));
     let torn = Arc::new(AtomicU64::new(0));
     let over_capacity = Arc::new(AtomicU64::new(0));
 
@@ -52,19 +71,26 @@ fn eviction_boundary_survives_a_parallel_storm() {
             for _ in 0..ROUNDS * KEYS as usize / THREADS {
                 k = (k + stride) % KEYS;
                 gets.fetch_add(1, Ordering::Relaxed);
-                match cache.get(key(k), &metrics) {
-                    Some(resp) => {
-                        if resp.status != 200 || resp.body != body(k) {
-                            torn.fetch_add(1, Ordering::Relaxed);
-                        }
+                let (route, bytes) = request(k);
+                let exact = ExactRequest::new(route, &bytes);
+                if let Some((hit_key, resp)) = cache.get_exact(&exact, &metrics) {
+                    exact_hits.fetch_add(1, Ordering::Relaxed);
+                    if hit_key != key(k) || resp.status != 200 || resp.body != body(k) {
+                        torn.fetch_add(1, Ordering::Relaxed);
                     }
-                    None => cache.insert(
+                } else if let Some(resp) = cache.get(key(k), &metrics) {
+                    if resp.status != 200 || resp.body != body(k) {
+                        torn.fetch_add(1, Ordering::Relaxed);
+                    }
+                    cache.alias(key(k), &exact);
+                } else {
+                    cache.insert(
                         key(k),
                         Arc::new(CachedResponse {
                             status: 200,
                             body: body(k),
                         }),
-                    ),
+                    );
                 }
                 if cache.len() > CAPACITY {
                     over_capacity.fetch_add(1, Ordering::Relaxed);
@@ -96,6 +122,10 @@ fn eviction_boundary_survives_a_parallel_storm() {
         "no hits in a {KEYS}-key storm over {CAPACITY} slots"
     );
     assert!(misses > 0, "no misses with a working set over capacity");
+    assert!(
+        exact_hits.load(Ordering::Relaxed) > 0,
+        "no exact-bytes hits in the storm"
+    );
     assert_eq!(
         hits + misses,
         gets.load(Ordering::Relaxed),
