@@ -5,8 +5,9 @@
 //! * **Legacy closed-loop** (default): `--clients` worker threads each run
 //!   a blocking request loop against an in-process daemon, with a mixed
 //!   hot/cold workload. Measures throughput, cache effectiveness, and shed
-//!   behavior into `results/server_loadgen.txt`. Gates: `--min-rps`,
-//!   `--min-hit-rate`, `--min-success`.
+//!   behavior into `results/server_loadgen.txt` (`--quick` leaves the
+//!   file untouched). Gates: `--min-rps`, `--min-hit-rate`,
+//!   `--min-success`.
 //! * **Connection-scale** (`--connections N [--pipeline D]` or `--scale`):
 //!   a single poller drives N concurrent keep-alive connections, each with
 //!   a closed pipeline of depth D (D requests in flight per connection,
@@ -248,9 +249,14 @@ fn legacy_main(args: &[String]) {
     )
     .expect("write to String");
 
-    std::fs::write(OUT_PATH, &report).expect("write results/server_loadgen.txt");
     print!("{report}");
-    eprintln!("\nwrote {OUT_PATH}");
+    if args.iter().any(|a| a == "--quick") {
+        // Gate runs (CI) must not clobber the committed reference file.
+        eprintln!("\n--quick: leaving {OUT_PATH} untouched");
+    } else {
+        std::fs::write(OUT_PATH, &report).expect("write results/server_loadgen.txt");
+        eprintln!("\nwrote {OUT_PATH}");
+    }
 
     let mut failed = false;
     for (name, value, floor) in [

@@ -5,19 +5,23 @@
 //!  client ──▶ gateway event loop ──▶ forwarding pool job
 //!                                       │ route on canonical_hash(netlist)
 //!                                       ▼
-//!                          rendezvous-ranked shard list
-//!                    1st choice ──── timeout? ──▶ hedge to 2nd choice
-//!                        │ transport error / 5xx              │
-//!                        ▼                                    │
-//!                    next shard in rank  ◀── first answer wins┘
+//!                 one race down the rendezvous order (every shard a leg)
+//!      1st choice ── starts at once
+//!      2nd choice ── starts at the hedge deadline (if this request hedges)
+//!      3rd, 4th … ── no deadline
+//!      any leg ───── also starts the moment every started leg has failed
+//!                    (transport error / 5xx): failover
+//!                                       │ first answer outside 5xx wins;
+//!                                       ▼ its stream returns to the pool
+//!                                relayed verbatim
 //! ```
 //!
-//! The gateway forwards the client's body **verbatim** and relays the
-//! shard's body verbatim, so an answer obtained through any shard — or
-//! through failover — is byte-identical to what a single `lis-server`
-//! would have produced for the same request.
+//! Every leg takes an idle keep-alive stream from its shard's pool when
+//! there is one. The gateway forwards the client's body **verbatim** and
+//! relays the shard's body verbatim, so an answer obtained through any
+//! shard — by hedge or by failover — is byte-identical to what a single
+//! `lis-server` would have produced for the same request.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,8 +31,8 @@ use std::time::{Duration, Instant};
 use lis_core::parse_netlist;
 use lis_server::http::{write_request_with, Request, Response, REQUEST_ID_HEADER};
 use lis_server::net::{
-    probe_many, race, Completion, Completions, EventLoop, FrontConfig, Outcome, RaceAttempt,
-    RaceOutcome, Rendered, SlotKey,
+    probe_many, race, Completion, Completions, EventLoop, FrontConfig, Launch, Outcome,
+    RaceAttempt, RaceOutcome, Rendered, SlotKey,
 };
 use lis_server::wire::{obj, Json};
 use lis_server::{Route, ServerError, WorkerPool};
@@ -41,16 +45,16 @@ use crate::replicate::Replicator;
 use crate::supervise::{ChildShard, ChildSpec};
 use crate::table::{Shard, ShardTable};
 
-/// Forwarding threads behind the event loop: each runs one shard round
-/// trip (hedge race or sequential failover) at a time.
-const FORWARD_WORKERS: usize = 32;
+/// Forwarding threads behind the event loop: each runs one shard race at
+/// a time.
+pub(crate) const FORWARD_WORKERS: usize = 32;
 
 /// Queue slots for forwarded requests awaiting a worker; beyond this the
 /// gateway sheds with a typed 503 instead of buffering unboundedly.
 const FORWARD_QUEUE: usize = 4096;
 
-/// Overall wall-clock budget for one hedged race (both legs). Generous on
-/// purpose: it bounds a wedged shard hop, not normal latency.
+/// Overall wall-clock budget for one forward's race (every leg). Generous
+/// on purpose: it bounds a wedged shard hop, not normal latency.
 const RACE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Shard responses that trigger failover to the next shard in rendezvous
@@ -149,12 +153,6 @@ impl Gateway {
     ) -> io::Result<Gateway> {
         let (shards, children) = match backends {
             Backends::Join(addrs) => {
-                if addrs.is_empty() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "gateway needs at least one shard",
-                    ));
-                }
                 let shards = addrs
                     .into_iter()
                     .enumerate()
@@ -163,12 +161,6 @@ impl Gateway {
                 (shards, None)
             }
             Backends::Spawn { spec, count } => {
-                if count == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "gateway needs at least one shard",
-                    ));
-                }
                 let mut shards = Vec::with_capacity(count);
                 let mut children = Vec::with_capacity(count);
                 for i in 0..count {
@@ -180,6 +172,12 @@ impl Gateway {
                 (shards, Some(ChildSet { spec, children }))
             }
         };
+        if shards.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "gateway needs at least one shard",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let metrics = GatewayMetrics::new();
@@ -426,20 +424,6 @@ fn routing_key(body: &[u8]) -> u64 {
     rendezvous::mix(lis_core::fnv1a(body))
 }
 
-/// One attempt against one shard over a pooled connection.
-fn try_shard(shard: &Shard, path: &str, body: &[u8], id: &str) -> io::Result<Response> {
-    shard.requests.fetch_add(1, Ordering::Relaxed);
-    let mut client = shard.checkout()?;
-    let response = client.request_with("POST", path, &[("X-LIS-Request-Id", id)], body)?;
-    shard.checkin(client);
-    Ok(response)
-}
-
-/// Whether a shard's answer should trigger failover instead of relaying.
-fn is_failover_status(status: u16) -> bool {
-    FAILOVER_STATUSES.contains(&status)
-}
-
 /// Queues write-back of a winning answer to the runner-up shard: the
 /// first healthy shard in rendezvous order for `key` that is not the
 /// winner. Only deterministic answers replicate (200, or a cached 422),
@@ -466,8 +450,9 @@ fn replicate_answer(state: &Arc<GwState>, key: u64, winner: &Shard, response: &R
 }
 
 /// Forwards one analysis request with rendezvous routing, hedging, and
-/// failover. Returns the relayed (status, body) — byte-identical to the
-/// winning shard's answer — or a gateway-typed error.
+/// failover: one race with every shard as a leg, in rendezvous order.
+/// Returns the relayed (status, body) — byte-identical to the winning
+/// shard's answer — or a gateway-typed error.
 fn forward(
     state: &Arc<GwState>,
     path: &str,
@@ -476,137 +461,98 @@ fn forward(
     request_id: &str,
 ) -> (u16, Vec<u8>) {
     let key = routing_key(body);
-    let mut queue: VecDeque<Arc<Shard>> = state.table.ranked(key).into();
-    if queue.is_empty() {
+    let shards = state.table.ranked(key);
+    if shards.is_empty() {
         let e = GatewayError::NoShards;
         return (e.status(), e.to_json().to_string().into_bytes());
     }
-
-    let mut attempts = 0usize;
-    let mut last_answer: Option<Response> = None;
-
-    // Phase 1 — hedged first attempt, when eligible and a runner-up exists.
-    let hedged = state
+    // The primary starts at once; the runner-up at the hedge deadline when
+    // this request may hedge. Without a deadline a leg starts only by
+    // failover, the moment every leg before it has failed.
+    let hedge_at = state
         .hedger
         .as_ref()
-        .filter(|_| queue.len() >= 2)
-        .filter(|h| h.decide(seq));
-    if let Some(hedger) = hedged {
-        let primary = queue.pop_front().expect("len >= 2");
-        let runner = queue.pop_front().expect("len >= 2");
-        // Render the shard hop once; both race legs transmit these bytes.
-        // The race runs on one poller — no thread per attempt: the
-        // runner-up's connect is armed at the hedge deadline and the first
-        // answer outside FAILOVER_STATUSES wins.
-        let mut wire = Vec::with_capacity(body.len() + 128);
-        write_request_with(
-            &mut wire,
-            "POST",
-            path,
-            &[("X-LIS-Request-Id", request_id)],
-            body,
-        )
-        .expect("rendering to a Vec cannot fail");
-        let legs = vec![
-            RaceAttempt {
-                addr: primary.addr(),
-                wire: wire.clone(),
-                delay: Duration::ZERO,
+        .filter(|_| shards.len() >= 2)
+        .filter(|h| h.decide(seq))
+        .map(Hedger::deadline);
+    let legs: Vec<RaceAttempt> = shards
+        .iter()
+        .enumerate()
+        .map(|(rank, shard)| RaceAttempt {
+            addr: shard.addr(),
+            delay: match rank {
+                0 => Some(Duration::ZERO),
+                1 => hedge_at,
+                _ => None,
             },
-            RaceAttempt {
-                addr: runner.addr(),
-                wire,
-                delay: hedger.deadline(),
-            },
-        ];
-        let result = race(legs, &FAILOVER_STATUSES, RACE_TIMEOUT);
-        let launched_hedge = result.launched[1];
-        if launched_hedge {
-            state
-                .metrics
-                .hedges_launched
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let shards = [&primary, &runner];
-        let mut winner_response = None;
-        for (i, outcome) in result.outcomes.into_iter().enumerate() {
-            let shard = shards[i];
-            if result.launched[i] {
-                shard.requests.fetch_add(1, Ordering::Relaxed);
-                attempts += 1;
-            }
-            match outcome {
-                RaceOutcome::Response { response, elapsed } if result.winner == Some(i) => {
-                    hedger.record(elapsed);
-                    shard.mark_success();
-                    if i == 1 {
-                        state.metrics.hedges_won.fetch_add(1, Ordering::Relaxed);
-                    }
-                    replicate_answer(state, key, shard, &response);
-                    winner_response = Some(response);
-                }
-                RaceOutcome::Response { response, .. } => {
-                    // A coherent but transient answer: the shard is up (let
-                    // the prober keep it routable) and the answer relays as
-                    // a last resort.
-                    shard.failures.fetch_add(1, Ordering::Relaxed);
-                    last_answer = Some(response);
-                }
-                RaceOutcome::Failed => {
-                    shard.failures.fetch_add(1, Ordering::Relaxed);
-                    if shard.mark_failure(state.config.eject_after) {
-                        state.metrics.ejections.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                // Never connected (delay unexpired) or abandoned in flight
-                // once the race was decided — neither is a shard failure.
-                RaceOutcome::NotStarted => {}
-            }
-        }
-        if let Some(response) = winner_response {
-            return (response.status, response.body);
-        }
-        // Both hedge legs failed; fall through to sequential failover. If
-        // the hedge never launched, the runner-up is still untried.
-        if !launched_hedge {
-            queue.push_front(runner);
-        }
-    }
+            pool: Some(&shard.pool),
+        })
+        .collect();
+    // Render the shard hop once; every leg transmits these bytes.
+    let mut wire = Vec::with_capacity(body.len() + 128);
+    write_request_with(
+        &mut wire,
+        "POST",
+        path,
+        &[("X-LIS-Request-Id", request_id)],
+        body,
+    )
+    .expect("rendering to a Vec cannot fail");
+    let result = race(&wire, &legs, &FAILOVER_STATUSES, RACE_TIMEOUT);
 
-    // Phase 2 — sequential failover down the rendezvous order.
-    while let Some(shard) = queue.pop_front() {
-        if attempts > 0 {
-            state.metrics.failovers.fetch_add(1, Ordering::Relaxed);
+    let metrics = &state.metrics;
+    let mut attempts = 0usize;
+    let mut answer: Option<Response> = None;
+    let mut last_answer: Option<Response> = None;
+    for (rank, (shard, (outcome, launch))) in shards
+        .iter()
+        .zip(result.outcomes.into_iter().zip(result.launched))
+        .enumerate()
+    {
+        let Some(launch) = launch else {
+            continue;
+        };
+        // A leg past the primary that started at its deadline is a hedge.
+        let hedged = launch == Launch::Deadline && rank > 0;
+        if hedged {
+            metrics.hedges_launched.fetch_add(1, Ordering::Relaxed);
+        } else if launch == Launch::Failover {
+            metrics.failovers.fetch_add(1, Ordering::Relaxed);
         }
+        shard.requests.fetch_add(1, Ordering::Relaxed);
         attempts += 1;
-        let started = Instant::now();
-        match try_shard(&shard, path, body, request_id) {
-            Ok(response) if !is_failover_status(response.status) => {
-                shard.mark_success();
+        match outcome {
+            RaceOutcome::Response { response, elapsed } if result.winner == Some(rank) => {
                 if let Some(hedger) = &state.hedger {
-                    hedger.record(started.elapsed());
+                    hedger.record(elapsed);
                 }
-                replicate_answer(state, key, &shard, &response);
-                return (response.status, response.body);
+                shard.mark_success();
+                if hedged {
+                    metrics.hedges_won.fetch_add(1, Ordering::Relaxed);
+                }
+                replicate_answer(state, key, shard, &response);
+                answer = Some(response);
             }
-            Ok(response) => {
-                // A coherent but transient answer: the shard is up (let
-                // the prober keep it routable) — try the next one anyway.
+            RaceOutcome::Response { response, .. } => {
+                // A coherent but transient answer: the shard is up (let the
+                // prober keep it routable) and the answer relays as a last
+                // resort.
                 shard.failures.fetch_add(1, Ordering::Relaxed);
                 last_answer = Some(response);
             }
-            Err(_) => {
+            RaceOutcome::Failed => {
                 shard.failures.fetch_add(1, Ordering::Relaxed);
                 if shard.mark_failure(state.config.eject_after) {
-                    state.metrics.ejections.fetch_add(1, Ordering::Relaxed);
+                    metrics.ejections.fetch_add(1, Ordering::Relaxed);
                 }
             }
+            // Abandoned in flight once the race was decided: no failure.
+            RaceOutcome::NotStarted => {}
         }
     }
-
-    // Every shard was tried. A relayed transient answer beats a synthetic
-    // 502 — it is what a single server would have said.
-    if let Some(response) = last_answer {
+    // With no winner, a relayed transient answer beats a synthetic 502 —
+    // it is what a single server would have said.
+    if let Some(response) = answer.or(last_answer) {
         return (response.status, response.body);
     }
     let e = GatewayError::AllShardsFailed { attempts };
@@ -679,9 +625,9 @@ impl lis_server::net::Handler for GwHandler {
                 ("application/json", body.to_string().into_bytes())
             }
             // The analysis and sweep routes go to the forwarding pool. Sweeps
-            // ride the same rendezvous-affinity + failover path: the shard
-            // streams chunked NDJSON and the forwarding client reassembles
-            // it, so a mid-stream shard death is retried on the next shard
+            // ride the same rendezvous-affinity + failover race: the shard
+            // streams chunked NDJSON and the race leg reassembles it, so a
+            // mid-stream shard death fails over to the next shard
             // from scratch (results are cached server-side, so the replay of
             // an interrupted sweep costs one warm evaluation at most) and
             // relayed to the caller with Content-Length framing.
@@ -712,8 +658,8 @@ impl lis_server::net::Handler for GwHandler {
                         );
                     }
                 };
-                // Forwarding has no loop-side deadline: RACE_TIMEOUT and the
-                // pooled client's own timeouts bound the round trip.
+                // Forwarding has no loop-side deadline: RACE_TIMEOUT bounds
+                // the round trip.
                 return match self.pool.submit(job) {
                     Ok(()) => Outcome::Pending { timeout: None },
                     Err(_) => {

@@ -22,16 +22,19 @@
 //!   highest-random-weight hashing, so repeat analyses of one design land
 //!   on the same shard's warm content-addressed cache, and adding or
 //!   removing a shard remaps only that shard's slice of the keyspace.
-//! * **Failover** ([`Gateway`]): transport errors and transient shard
-//!   statuses (500/502/503/504) fall through to the next shard in
-//!   rendezvous order. Bodies are forwarded and relayed verbatim, so a
-//!   failover answer is byte-identical to a single server's answer.
+//! * **One race per request** ([`Gateway`]): every forward is one
+//!   [`lis_server::net::race`] with every shard as a leg, in rendezvous
+//!   order, each leg on an idle keep-alive stream from its shard's pool
+//!   when there is one. **Failover**: when every started leg has failed —
+//!   a transport error or a transient status (500/502/503/504) — the next
+//!   shard starts at once. Bodies are forwarded and relayed verbatim, so
+//!   a failover answer is byte-identical to a single server's answer.
 //! * **Health checking** ([`table`]): every shard is probed on `/healthz`;
 //!   a failure streak ejects it from routing until it recovers, and
 //!   supervised child shards that die are respawned on fresh ports.
 //! * **Hedged tail requests** ([`hedge`]): when the first-choice shard
-//!   runs past a latency-percentile deadline, the request is resent to
-//!   the runner-up and the first answer wins. Eligibility is a pure
+//!   runs past a latency-percentile deadline, the runner-up's leg starts
+//!   alongside it and the first answer wins. Eligibility is a pure
 //!   function of a seed and the request sequence number — the same
 //!   replayable-decision discipline as [`lis_server::FaultPlan`].
 //! * **Read replication & warm handoff** ([`replicate`]): deterministic
@@ -41,9 +44,11 @@
 //!   failover hop away; respawned or recovered shards are caught up by a
 //!   donor-streamed store-index diff before they take traffic cold.
 //! * **Observability** ([`metrics`]): `lis_gateway_*` Prometheus series —
-//!   failovers, hedges launched/won, ejections, respawns, per-shard
-//!   request/failure counters and health gauges — plus `X-LIS-Request-Id`
-//!   minting so one request correlates across tiers.
+//!   failovers (legs started because every earlier leg failed), hedges
+//!   launched (legs started by the hedge deadline) and won, ejections,
+//!   respawns, per-shard request/failure counters and health gauges —
+//!   plus `X-LIS-Request-Id` minting so one request correlates across
+//!   tiers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -33,11 +33,13 @@ fn status_slot(status: u16) -> usize {
 pub struct GatewayMetrics {
     /// Finished client requests by status.
     requests: [AtomicU64; STATUSES.len()],
-    /// Attempts routed past the first-choice shard after a failure.
+    /// Failovers: race legs started because every earlier-started leg had
+    /// failed (transport error or a 5xx), not by their deadline.
     pub failovers: AtomicU64,
-    /// Hedge requests actually launched (deadline expired).
+    /// Hedges: race legs past the primary started by their deadline (the
+    /// hedge deadline expired with the primary still in flight).
     pub hedges_launched: AtomicU64,
-    /// Hedges whose answer beat the primary's.
+    /// Hedges whose answer won the race.
     pub hedges_won: AtomicU64,
     /// Shard health transitions healthy → ejected.
     pub ejections: AtomicU64,

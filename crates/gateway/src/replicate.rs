@@ -234,15 +234,12 @@ fn push_once(addr: SocketAddr, payload: &str) -> bool {
     let mut wire = Vec::with_capacity(payload.len() + 128);
     write_request_with(&mut wire, "POST", "/store/put", &[], payload.as_bytes())
         .expect("rendering to a Vec cannot fail");
-    let result = race(
-        vec![RaceAttempt {
-            addr,
-            wire,
-            delay: Duration::ZERO,
-        }],
-        &[],
-        PUSH_TIMEOUT,
-    );
+    let leg = RaceAttempt {
+        addr,
+        delay: Some(Duration::ZERO),
+        pool: None,
+    };
+    let result = race(&wire, &[leg], &[], PUSH_TIMEOUT);
     matches!(
         result.outcomes.first(),
         Some(RaceOutcome::Response { response, .. }) if response.status == 200

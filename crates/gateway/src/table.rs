@@ -1,18 +1,18 @@
 //! The shard table: every backend the gateway can route to, with its
-//! health state, per-shard counters, and a small keep-alive connection
-//! pool.
+//! health state, per-shard counters, and its pool of idle keep-alive
+//! streams.
 //!
 //! A shard's **name** is its routing identity (see [`crate::rendezvous`]);
 //! its **address** is mutable state — a supervised child that crashes
 //! respawns on a fresh ephemeral port without moving its keyspace slice.
 
-use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use lis_server::Client;
+use lis_server::net::StreamPool;
 
+use crate::gateway::FORWARD_WORKERS;
 use crate::rendezvous;
 
 /// One backend `lis-server`, shared between the router, the health
@@ -30,8 +30,10 @@ pub struct Shard {
     pub failures: AtomicU64,
     /// Times this shard's health flipped healthy → ejected.
     pub ejections: AtomicU64,
-    /// Idle keep-alive connections, reused across requests.
-    idle: Mutex<Vec<Client>>,
+    /// Idle keep-alive streams, reused by every race that reaches this
+    /// shard. It keeps one per forwarding worker: no more forwards than
+    /// that can be in flight at once.
+    pub pool: StreamPool,
 }
 
 impl Shard {
@@ -48,7 +50,7 @@ impl Shard {
             requests: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             ejections: AtomicU64::new(0),
-            idle: Mutex::new(Vec::new()),
+            pool: StreamPool::new(FORWARD_WORKERS),
         }
     }
 
@@ -66,7 +68,7 @@ impl Shard {
     /// pooled connection to the old one.
     pub fn set_addr(&self, addr: SocketAddr) {
         *self.addr.lock().expect("shard addr lock") = addr;
-        self.idle.lock().expect("shard pool lock").clear();
+        self.pool.clear();
     }
 
     /// Whether the health checker currently considers this shard routable.
@@ -89,32 +91,10 @@ impl Shard {
         if streak >= eject_after && self.healthy.swap(false, Ordering::AcqRel) {
             self.ejections.fetch_add(1, Ordering::Relaxed);
             // Ejected connections are stale by definition.
-            self.idle.lock().expect("shard pool lock").clear();
+            self.pool.clear();
             return true;
         }
         false
-    }
-
-    /// Takes a pooled keep-alive connection or dials a fresh one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection errors (the usual failover trigger).
-    pub fn checkout(&self) -> io::Result<Client> {
-        if let Some(client) = self.idle.lock().expect("shard pool lock").pop() {
-            return Ok(client);
-        }
-        Client::connect(self.addr())
-    }
-
-    /// Returns a connection to the pool after a clean exchange. Connections
-    /// that saw transport errors should simply be dropped instead.
-    pub fn checkin(&self, client: Client) {
-        let mut idle = self.idle.lock().expect("shard pool lock");
-        // A handful per shard is plenty for a thread-per-connection tier.
-        if idle.len() < 8 {
-            idle.push(client);
-        }
     }
 }
 

@@ -8,7 +8,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lis_core::to_netlist;
-use lis_gateway::{Backends, Gateway, GatewayConfig, HedgeConfig};
+use lis_gateway::{rendezvous, Backends, Gateway, GatewayConfig, HedgeConfig};
 use lis_gen::{generate, GeneratorConfig, InsertionPolicy};
 use lis_server::wire::{obj, Json};
 use lis_server::{parse_metric, Client, Server, ServerConfig};
@@ -175,38 +175,68 @@ fn cluster_answers_are_byte_identical_to_a_single_server() {
 fn failover_is_transparent_and_byte_identical_when_a_shard_dies() {
     let requests = workload();
     let reference = reference_answers(&requests);
+    // Without hedging, and with a hedge deadline no request reaches: a
+    // dead primary must fail over at once either way, never wait for (or
+    // count as) a hedge.
+    let slow_hedge = HedgeConfig {
+        min_delay: Duration::from_secs(10),
+        max_delay: Duration::from_secs(10),
+        ..HedgeConfig::default()
+    };
+    for hedge in [None, Some(slow_hedge)] {
+        failover_run(&requests, &reference, hedge);
+    }
+}
 
+fn failover_run(
+    requests: &[(String, String)],
+    reference: &[(u16, Vec<u8>)],
+    hedge: Option<HedgeConfig>,
+) {
+    let hedged = hedge.is_some();
     let shards: Vec<TestShard> = (0..3).map(|_| start_shard()).collect();
     let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr).collect();
     let gw = start_gateway(
         &addrs,
         GatewayConfig {
-            hedge: None,
+            hedge,
             probe_interval: Duration::from_millis(50),
             ..GatewayConfig::default()
         },
     );
     let mut client = Client::connect(gw.addr).expect("connect gateway");
 
-    // Kill the middle shard outright (drain + stop): roughly a third of
-    // the keyspace must fail over, invisibly.
+    // Kill the shard that owns the first request's design outright (drain
+    // + stop), so the outage is met before the prober can eject it:
+    // roughly a third of the keyspace must fail over, invisibly.
+    let names: Vec<u64> = (0..3)
+        .map(|i| rendezvous::name_hash(&format!("shard-{i}")))
+        .collect();
+    let first = lis_core::parse_netlist(&netlist(0)).expect("design 0 parses");
+    let victim = rendezvous::winner(&names, lis_core::canonical_hash(&first)).expect("3 shards");
     let mut shards = shards;
-    let victim = shards.remove(1);
-    stop_shard(victim);
+    stop_shard(shards.remove(victim));
 
-    for ((path, body), (ref_status, ref_body)) in requests.iter().zip(&reference) {
+    for ((path, body), (ref_status, ref_body)) in requests.iter().zip(reference) {
         let response = client
             .request("POST", path, body.as_bytes())
             .expect("request during outage");
         assert_eq!(response.status, *ref_status, "{path} status changed");
         assert_eq!(&response.body, ref_body, "{path} diverged during outage");
     }
+    let metrics = client.metrics().expect("gateway metrics");
+    assert!(
+        parse_metric(&metrics, "lis_gateway_failovers_total").expect("failovers metric") >= 1.0,
+        "hedged: {hedged}: no failover recorded:\n{metrics}"
+    );
 
     // The dead shard must be ejected and failovers recorded.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let metrics = client.metrics().expect("gateway metrics");
-        let ejected = metrics.contains("lis_gateway_shard_healthy{shard=\"shard-1\"} 0");
+        let ejected = metrics.contains(&format!(
+            "lis_gateway_shard_healthy{{shard=\"shard-{victim}\"}} 0"
+        ));
         if ejected {
             break;
         }
@@ -218,13 +248,19 @@ fn failover_is_transparent_and_byte_identical_when_a_shard_dies() {
     }
     // After ejection, requests route around the corpse with no failover
     // needed — and still answer identically.
-    for ((path, body), (ref_status, ref_body)) in requests.iter().zip(&reference) {
+    for ((path, body), (ref_status, ref_body)) in requests.iter().zip(reference) {
         let response = client
             .request("POST", path, body.as_bytes())
             .expect("request after ejection");
         assert_eq!(response.status, *ref_status);
         assert_eq!(&response.body, ref_body);
     }
+    let metrics = client.metrics().expect("gateway metrics");
+    assert_eq!(
+        parse_metric(&metrics, "lis_gateway_hedges_launched_total"),
+        Some(0.0),
+        "hedged: {hedged}: a hedge launched:\n{metrics}"
+    );
 
     stop_gateway(gw);
     for shard in shards {

@@ -10,8 +10,9 @@
 //!   partial-write-safe [`WriteQueue`], and buffer/stream glue;
 //! * [`front`] — the [`EventLoop`]: nonblocking accept, pipelined
 //!   request/response ordering, loop-side deadlines, graceful drain;
-//! * [`probe`] — thread-free concurrent health probes and hedged races
-//!   for the gateway.
+//! * [`probe`] — thread-free concurrent health probes, and the request
+//!   race (hedging, failover and pooled keep-alive streams) that carries
+//!   every gateway forward.
 //!
 //! The loop is the only connection front of both daemons: a single thread
 //! holds every keep-alive connection and hands complete requests to the
@@ -34,5 +35,5 @@ pub use front::{
     Completion, Completions, EventLoop, FrontConfig, Handler, Outcome, Rendered, SlotKey,
 };
 pub use poller::{Event, Interest, Poller};
-pub use probe::{probe_many, race, RaceAttempt, RaceOutcome, RaceResult};
+pub use probe::{probe_many, race, Launch, RaceAttempt, RaceOutcome, RaceResult, StreamPool};
 pub use sys::raise_nofile_limit;
