@@ -2,18 +2,16 @@
 
 use std::error::Error;
 use std::fs;
+use std::io::Write;
 
-use lis_core::{parse_netlist, practical_mst, to_netlist, LisModel, LisSystem, McmEngine};
-use lis_qs::{solve, verify_solution, Algorithm, QsConfig};
-use lis_rsopt::{equalize_dag, exhaustive_insertion, greedy_insertion};
-use lis_schedule::{burst_report, BurstParams, BurstReport, Schedule};
+use lis_core::{
+    parse_netlist, practical_mst, to_netlist, ChannelId, LisModel, LisSystem, McmEngine,
+};
+use lis_server::wire::{obj, Json};
+use lis_server::Route;
 use lis_sim::{
     CompiledProgram, CompiledSim, CoreModel, LisSimulator, McKernel, Passthrough, QueueMode,
     StallSpec,
-};
-use lis_sweep::{
-    pareto_front, BurstAxis, CapacityAxis, PointReport, StallAxis, StationGoal, Sweep, SweepMode,
-    SweepSpec,
 };
 
 type CliResult = Result<(), Box<dyn Error>>;
@@ -35,8 +33,36 @@ analysis commands (local, netlist from a file):
                                          observed occupancy against the
                                          schedule caps
   qs       <netlist> [--exact] [--apply OUT]
+                                         queue sizing (heuristic by default)
   insert   <netlist> [--budget N] [--apply OUT]
+                                         relay-station insertion search
+  sweep    <netlist> [--cap CH=V1,V2,..]... [--budget N] [--qs [--exact]]
+                     [--stalls P1,P2,.. [--trials N] [--cycles N] [--seed S]]
+                     [--bursts P1,P2,.. [--burst-on P]]
+                                         design-space exploration: expand the
+                                         capacity x station grid, evaluate
+                                         every point on warm incremental
+                                         solvers, and print one NDJSON row per
+                                         point plus the Pareto front
+                                         (throughput vs. total capacity vs.
+                                         stations). --cap repeats per channel
+                                         axis; --stalls adds seeded
+                                         Monte-Carlo stall points (probability
+                                         per mille); --bursts adds Markov
+                                         on/off source points (OFF per-mille
+                                         list, shared --burst-on / --trials /
+                                         --cycles / --seed)
+                                         analyze, qs, insert and sweep print
+                                         the daemon's JSON answer byte for
+                                         byte, as `lis client` would, and
+                                         exit like it: 2 on a 4xx answer, 3
+                                         on a 5xx answer; --apply writes the
+                                         netlist with the answer's extra
+                                         queue slots or relay stations
   repair   <netlist> [--slot-cost X] [--station-cost Y] [--apply OUT]
+                                         cheapest repair (queue sizing or
+                                         relay-station insertion), plus the
+                                         DAG equalization alternative
   simulate <netlist> [--steps N] [--kernel reference|compiled]
                      [--trials N] [--seed S] [--stall P]
                                          cycle-accurate simulation; the
@@ -46,22 +72,6 @@ analysis commands (local, netlist from a file):
                                          stall probability P (--stall,
                                          default 0), 64 trials per machine
                                          word, reported against the θ bound
-  sweep    <netlist> [--cap CH=V1,V2,..]... [--budget N] [--qs [--exact]]
-                     [--stalls P1,P2,.. [--trials N] [--cycles N] [--seed S]]
-                     [--bursts P1,P2,.. [--burst-on P]]
-                                         design-space exploration: expand the
-                                         capacity x station grid, evaluate
-                                         every point on warm incremental
-                                         solvers, and print the result table
-                                         plus the Pareto front (throughput
-                                         vs. total capacity vs. stations).
-                                         --cap repeats per channel axis;
-                                         --stalls adds seeded Monte-Carlo
-                                         stall points (probability per mille);
-                                         --bursts adds Markov on/off source
-                                         points (OFF per-mille list, shared
-                                         --burst-on / --trials / --cycles /
-                                         --seed)
   vcd      <netlist> [--steps N]         waveform dump to stdout (GTKWave)
   dot      <netlist> [--doubled]
 
@@ -101,19 +111,17 @@ server commands (analysis as a service):
                                          answers replicate to the runner-up
                                          shard for warm failover reads unless
                                          --no-replicate
-  client <addr> analyze|qs|insert|dot <netlist> [--exact] [--budget N] [--doubled]
-                [--schedule] [--burst OFF,ON ...]
+  client <addr> analyze|qs|insert|sweep <netlist> [the command's flags]
                                          run one request against a daemon or
-                                         gateway (transient failures are
-                                         retried; --retries N caps them,
-                                         default 3); exits 2 on a 4xx
-                                         answer, 3 on a 5xx answer
-  client <addr> sweep <netlist> [sweep flags]
-                                         run one design-space sweep against a
-                                         daemon or gateway and print the
-                                         streamed NDJSON rows; a shed sweep
-                                         (503 with a retry hint) prints the
-                                         Retry-After delay and exits 4
+                                         gateway and print its answer
+                                         (transient failures are retried;
+                                         --retries N caps them, default 3);
+                                         exits 2 on a 4xx answer, 3 on a 5xx
+                                         answer; a shed sweep (503 with a
+                                         retry hint) prints the Retry-After
+                                         delay and exits 4
+  client <addr> dot <netlist> [--doubled]
+                                         the Graphviz export as JSON
   client <addr> metrics                  print the Prometheus exposition
   client <addr> health                   print the /healthz readiness JSON
   client <addr> shutdown                 drain the daemon and stop it
@@ -124,37 +132,45 @@ global options:
                  (default: LIS_THREADS env var, then available parallelism)
   --engine E     MCM algorithm for throughput analysis: howard (default),
                  karp, or lawler; all three give identical answers.
-                 `client` forwards the choice to the daemon
+                 analyze, qs and sweep (local or through `client`) send
+                 the choice with the request
 ";
 
-/// Parses the command line and runs the selected command.
-pub fn dispatch(args: &[String]) -> CliResult {
+/// Parses the command line and runs the selected command, printing to
+/// `out`.
+pub fn dispatch(args: &[String], out: &mut dyn Write) -> CliResult {
     let args = apply_threads_flag(args)?;
     let (args, engine) = apply_engine_flag(&args)?;
     let Some(command) = args.first() else {
         return Err(USAGE.into());
     };
     match command.as_str() {
-        "serve" => return serve(&args[1..]),
-        "gateway" => return gateway_cmd(&args[1..]),
-        "client" => return client_cmd(&args[1..], engine),
+        "serve" => return serve(&args[1..], out),
+        "gateway" => return gateway_cmd(&args[1..], out),
+        "client" => return client_cmd(&args[1..], engine, out),
         _ => {}
     }
     let Some(path) = args.get(1) else {
         return Err(format!("missing netlist path\n{USAGE}").into());
     };
-    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let sys = parse_netlist(&text)?;
+    let text = read_netlist(path)?;
     let rest = &args[2..];
+    let route = match command.as_str() {
+        "analyze" => Some(Route::Analyze),
+        "qs" => Some(Route::Qs),
+        "insert" => Some(Route::Insert),
+        "sweep" => Some(Route::Sweep),
+        _ => None,
+    };
+    if let Some(route) = route {
+        return local_answer(route, &text, rest, engine, out);
+    }
+    let sys = parse_netlist(&text)?;
     match command.as_str() {
-        "analyze" => analyze(&sys, rest, engine),
-        "qs" => qs(&sys, rest, engine),
-        "insert" => insert(&sys, rest),
-        "repair" => repair_cmd(&sys, rest),
-        "simulate" => simulate(&sys, rest),
-        "sweep" => sweep_cmd(&sys, rest, engine),
-        "vcd" => vcd(&sys, rest),
-        "dot" => dot(&sys, rest),
+        "repair" => repair_cmd(&sys, rest, out),
+        "simulate" => simulate(&sys, rest, out),
+        "vcd" => vcd(&sys, rest, out),
+        "dot" => dot(&sys, rest, out),
         other => Err(format!("unknown command {other:?}\n{USAGE}").into()),
     }
 }
@@ -198,7 +214,11 @@ fn apply_engine_flag(args: &[String]) -> Result<(Vec<String>, McmEngine), Box<dy
     Ok((out, engine))
 }
 
-fn serve(rest: &[String]) -> CliResult {
+fn read_netlist(path: &str) -> Result<String, String> {
+    fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+fn serve(rest: &[String], out: &mut dyn Write) -> CliResult {
     let Some(addr) = rest.first() else {
         return Err(format!("serve needs a listen address\n{USAGE}").into());
     };
@@ -230,21 +250,24 @@ fn serve(rest: &[String]) -> CliResult {
     let chaos = config.faults.is_some();
     let durable = config.store_dir.is_some();
     let server = lis_server::Server::bind(addr.as_str(), config)?;
-    println!(
+    writeln!(
+        out,
         "lis-server listening on {} ({} worker(s){}{}; POST /shutdown to stop)",
         server.local_addr()?,
         workers,
         if durable { "; durable store armed" } else { "" },
         if chaos { "; FAULT INJECTION ARMED" } else { "" }
-    );
+    )?;
+    out.flush()?;
     server.run()?;
-    println!("lis-server drained and stopped");
+    writeln!(out, "lis-server drained and stopped")?;
     Ok(())
 }
 
-/// A daemon answered with a non-200 status. Carried as its own error type
-/// so `main` can map the status class to a distinct exit code (2 for 4xx,
-/// 3 for 5xx) — shell scripts and CI gate on it.
+/// An answer, from a daemon or computed in process, had a non-200 status.
+/// Carried as its own error type so `main` can map the status class to a
+/// distinct exit code (2 for 4xx, 3 for 5xx) — shell scripts and CI gate
+/// on it.
 #[derive(Debug)]
 pub struct StatusError {
     /// The HTTP status the daemon answered with.
@@ -257,13 +280,13 @@ pub struct StatusError {
 
 impl std::fmt::Display for StatusError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "server answered {}", self.status)
+        write!(f, "answer status {}", self.status)
     }
 }
 
 impl Error for StatusError {}
 
-fn gateway_cmd(rest: &[String]) -> CliResult {
+fn gateway_cmd(rest: &[String], out: &mut dyn Write) -> CliResult {
     use lis_gateway::{Backends, ChildSpec, Gateway, GatewayConfig, HedgeConfig};
     let Some(addr) = rest.first() else {
         return Err(format!("gateway needs a listen address\n{USAGE}").into());
@@ -309,19 +332,21 @@ fn gateway_cmd(rest: &[String]) -> CliResult {
         ..GatewayConfig::default()
     };
     let gateway = Gateway::bind(addr.as_str(), backends, config)?;
-    println!(
+    writeln!(
+        out,
         "lis-gateway listening on {} ({} shard(s){}; POST /shutdown to stop)",
         gateway.local_addr()?,
         shard_count,
         if hedging { "; hedging armed" } else { "" }
-    );
+    )?;
+    out.flush()?;
     gateway.run()?;
-    println!("lis-gateway drained and stopped");
+    writeln!(out, "lis-gateway drained and stopped")?;
     Ok(())
 }
 
-fn client_cmd(rest: &[String], engine: McmEngine) -> CliResult {
-    use lis_server::{Json, RetryPolicy, RetryingClient};
+fn client_cmd(rest: &[String], engine: McmEngine, out: &mut dyn Write) -> CliResult {
+    use lis_server::{RetryPolicy, RetryingClient};
     let (Some(addr), Some(cmd)) = (rest.first(), rest.get(1)) else {
         return Err(format!("client needs an address and a command\n{USAGE}").into());
     };
@@ -333,19 +358,12 @@ fn client_cmd(rest: &[String], engine: McmEngine) -> CliResult {
     let mut client = RetryingClient::connect(addr.as_str(), policy)?;
     match cmd.as_str() {
         "metrics" => {
-            print!("{}", client.metrics()?);
+            write!(out, "{}", client.metrics()?)?;
             Ok(())
         }
         "health" => {
             let response = client.request("GET", "/healthz", b"")?;
-            println!("{}", String::from_utf8_lossy(&response.body));
-            if response.status != 200 {
-                return Err(Box::new(StatusError {
-                    status: response.status,
-                    retry_after_ms: None,
-                }));
-            }
-            Ok(())
+            print_answer(out, response.status, &response.body)
         }
         "shutdown" => {
             let status = client.shutdown()?;
@@ -355,139 +373,253 @@ fn client_cmd(rest: &[String], engine: McmEngine) -> CliResult {
                     retry_after_ms: None,
                 }));
             }
-            println!("server is draining");
+            writeln!(out, "server is draining")?;
             Ok(())
         }
-        route @ ("analyze" | "qs" | "insert" | "dot") => {
+        route @ ("analyze" | "qs" | "insert" | "dot" | "sweep") => {
             let Some(path) = rest.get(2) else {
                 return Err(format!("client {route} needs a netlist path\n{USAGE}").into());
             };
-            let netlist =
-                fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let flags = &rest[3..];
-            let mut options: Vec<(String, Json)> = Vec::new();
-            if matches!(route, "analyze" | "qs") && engine != McmEngine::default() {
-                options.push(("engine".into(), Json::Str(engine.to_string())));
-            }
-            if flag(flags, "--exact") {
-                options.push(("exact".into(), Json::Bool(true)));
-            }
-            if flag(flags, "--doubled") {
-                options.push(("doubled".into(), Json::Bool(true)));
-            }
-            if let Some(i) = flags.iter().position(|a| a == "--budget") {
-                let v = flags.get(i + 1).ok_or("--budget needs a value")?;
-                let n: u64 = v.parse().map_err(|e| format!("--budget: {e}"))?;
-                options.push(("budget".into(), Json::Num(n as f64)));
-            }
-            if route == "analyze" {
-                if flag(flags, "--schedule") {
-                    options.push(("schedule".into(), Json::Bool(true)));
-                }
-                if let Some(p) = parse_burst_params(flags)? {
-                    options.push((
-                        "burst".into(),
-                        Json::Obj(vec![
-                            (
-                                "off_per_mille".into(),
-                                Json::Num(f64::from(p.off_per_mille)),
-                            ),
-                            ("on_per_mille".into(), Json::Num(f64::from(p.on_per_mille))),
-                            ("trials".into(), Json::Num(f64::from(p.trials))),
-                            ("cycles".into(), Json::Num(p.cycles as f64)),
-                            ("seed".into(), Json::Num(p.seed as f64)),
-                        ]),
-                    ));
-                }
-            }
-            let options = if options.is_empty() {
-                Json::Null
-            } else {
-                Json::Obj(options)
-            };
-            let (status, body) = client.analysis(route, &netlist, options)?;
-            println!("{body}");
-            if status != 200 {
-                return Err(Box::new(StatusError {
-                    status,
-                    retry_after_ms: None,
-                }));
-            }
-            Ok(())
-        }
-        "sweep" => {
-            let Some(path) = rest.get(2) else {
-                return Err(format!("client sweep needs a netlist path\n{USAGE}").into());
-            };
-            let netlist =
-                fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let flags = parse_sweep_flags(&rest[3..])?;
-            let (status, body) = client.sweep(&netlist, sweep_options(&flags, engine))?;
-            let text = String::from_utf8_lossy(&body);
-            print!("{text}");
-            if !text.ends_with('\n') {
-                println!();
-            }
-            if status != 200 {
-                // The retry hint rides in the JSON body (intermediaries
-                // relay status + body but may drop the Retry-After header).
-                let parsed = Json::parse(text.trim()).ok();
-                let retry_after_ms = parsed.as_ref().and_then(|j| {
-                    j.get("error")
-                        .unwrap_or(j)
-                        .get("retry_after_ms")
-                        .and_then(Json::as_u64)
-                });
-                if let Some(ms) = retry_after_ms {
-                    eprintln!("sweep shed: all sweep slots are busy; retry after {ms} ms");
-                }
-                return Err(Box::new(StatusError {
-                    status,
-                    retry_after_ms,
-                }));
-            }
-            Ok(())
+            let envelope = request_envelope(route, &read_netlist(path)?, &rest[3..], engine)?;
+            let response = client.request(
+                "POST",
+                &format!("/{route}"),
+                envelope.to_string().as_bytes(),
+            )?;
+            print_answer(out, response.status, &response.body)
         }
         other => Err(format!("unknown client command {other:?}\n{USAGE}").into()),
     }
+}
+
+/// `lis analyze|qs|insert|sweep` on a local netlist: the daemon's answer,
+/// computed in process by [`lis_server::answer`] from the envelope
+/// `lis client` would send, then `--apply OUT` for `qs` and `insert`.
+fn local_answer(
+    route: Route,
+    netlist: &str,
+    rest: &[String],
+    engine: McmEngine,
+    out: &mut dyn Write,
+) -> CliResult {
+    let envelope = request_envelope(route.name(), netlist, rest, engine)?;
+    let (status, body) = lis_server::answer(route, &envelope);
+    print_answer(out, status, &body)?;
+    match value(rest, "--apply")? {
+        Some(target) if matches!(route, Route::Qs | Route::Insert) => {
+            apply_answer(route, netlist, &body, target)
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Prints a daemon answer as it came (a JSON body, or a sweep's NDJSON
+/// lines) and turns a non-200 status into a [`StatusError`]. The one
+/// printer behind `lis client` and the local analysis commands.
+fn print_answer(out: &mut dyn Write, status: u16, body: &[u8]) -> CliResult {
+    out.write_all(body)?;
+    if !body.ends_with(b"\n") {
+        out.write_all(b"\n")?;
+    }
+    if status == 200 {
+        return Ok(());
+    }
+    // The retry hint rides in the JSON body (intermediaries relay status +
+    // body but may drop the Retry-After header).
+    let parsed = std::str::from_utf8(body)
+        .ok()
+        .and_then(|text| Json::parse(text.trim()).ok());
+    let retry_after_ms = parsed.as_ref().and_then(|j| {
+        j.get("error")
+            .unwrap_or(j)
+            .get("retry_after_ms")
+            .and_then(Json::as_u64)
+    });
+    if let Some(ms) = retry_after_ms {
+        eprintln!("sweep shed: all sweep slots are busy; retry after {ms} ms");
+    }
+    Err(Box::new(StatusError {
+        status,
+        retry_after_ms,
+    }))
+}
+
+/// `--apply OUT`: writes `netlist` with the answer's changes made: the
+/// `extra_tokens[].extra_slots` of a `qs` answer, the
+/// `placements[].stations` of an `insert` answer.
+fn apply_answer(route: Route, netlist: &str, body: &[u8], target: &str) -> CliResult {
+    let mut sys = parse_netlist(netlist)?;
+    let answer = Json::parse(std::str::from_utf8(body)?)?;
+    let (list, count) = match route {
+        Route::Qs => ("extra_tokens", "extra_slots"),
+        _ => ("placements", "stations"),
+    };
+    for entry in answer.get(list).and_then(Json::as_arr).unwrap_or(&[]) {
+        let field = |name: &str| {
+            entry
+                .get(name)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("answer entry lacks {name:?}: {entry}"))
+        };
+        let (c, n) = (ChannelId::new(field("channel")? as usize), field(count)?);
+        if route == Route::Qs {
+            sys.grow_queue(c, n);
+        } else {
+            (0..n).for_each(|_| sys.add_relay_station(c));
+        }
+    }
+    fs::write(target, to_netlist(&sys))?;
+    eprintln!("modified netlist written to {target}");
+    Ok(())
+}
+
+/// Lowers a command's flags to the request envelope the daemon decodes,
+/// `{"netlist": ..., "options": {...}}`. `lis client` sends it and the
+/// local commands answer it in process, so a flag means the same on both
+/// sides and the daemon's decoder is its only validator. Parsing errors
+/// here are the command line's own (a missing value, a malformed list).
+fn request_envelope(
+    route: &str,
+    netlist: &str,
+    flags: &[String],
+    engine: McmEngine,
+) -> Result<Json, Box<dyn Error>> {
+    let mut o: Vec<(String, Json)> = Vec::new();
+    if matches!(route, "analyze" | "qs" | "sweep") && engine != McmEngine::default() {
+        o.push(("engine".into(), Json::str(engine.as_str())));
+    }
+    let exact = flag(flags, "--exact");
+    match route {
+        "analyze" => {
+            if flag(flags, "--schedule") {
+                o.push(("schedule".into(), Json::Bool(true)));
+            }
+            if let Some(v) = value(flags, "--burst")? {
+                let (off, on) = v.split_once(',').ok_or_else(|| {
+                    format!("--burst wants OFF,ON per-mille probabilities (got {v:?})")
+                })?;
+                let mut burst = vec![
+                    ("off_per_mille".to_string(), number("--burst off", off)?),
+                    ("on_per_mille".to_string(), number("--burst on", on)?),
+                ];
+                burst.extend(numbers_of(
+                    flags,
+                    &[
+                        ("--burst-trials", "trials"),
+                        ("--burst-cycles", "cycles"),
+                        ("--burst-seed", "seed"),
+                    ],
+                )?);
+                o.push(("burst".into(), Json::Obj(burst)));
+            }
+        }
+        "qs" if exact => o.push(("exact".into(), Json::Bool(true))),
+        "insert" => o.extend(numbers_of(flags, &[("--budget", "budget")])?),
+        "dot" if flag(flags, "--doubled") => o.push(("doubled".into(), Json::Bool(true))),
+        "sweep" => {
+            if flag(flags, "--qs") {
+                o.push(("mode".into(), Json::str("qs")));
+                if exact {
+                    o.push(("exact".into(), Json::Bool(true)));
+                }
+            }
+            let axes = option_all(flags, "--cap")?
+                .into_iter()
+                .map(cap_axis)
+                .collect::<Result<Vec<_>, _>>()?;
+            if !axes.is_empty() {
+                o.push(("capacities".into(), Json::Arr(axes)));
+            }
+            o.extend(numbers_of(flags, &[("--budget", "budget")])?);
+            // --trials, --cycles and --seed are shared by both axes.
+            let shared = [
+                ("--trials", "trials"),
+                ("--cycles", "cycles"),
+                ("--seed", "seed"),
+            ];
+            if let Some(list) = value(flags, "--stalls")? {
+                let mut stalls = vec![("per_mille".to_string(), number_list("--stalls", list)?)];
+                stalls.extend(numbers_of(flags, &shared)?);
+                o.push(("stalls".into(), Json::Obj(stalls)));
+            }
+            if let Some(list) = value(flags, "--bursts")? {
+                let mut bursts =
+                    vec![("off_per_mille".to_string(), number_list("--bursts", list)?)];
+                bursts.extend(numbers_of(flags, &[("--burst-on", "on_per_mille")])?);
+                bursts.extend(numbers_of(flags, &shared)?);
+                o.push(("bursts".into(), Json::Obj(bursts)));
+            }
+        }
+        _ => {}
+    }
+    let options = if o.is_empty() {
+        Json::Null
+    } else {
+        Json::Obj(o)
+    };
+    Ok(obj([("netlist", Json::str(netlist)), ("options", options)]))
+}
+
+/// One `--cap CHANNEL=V1,V2,...` axis as the daemon's
+/// `{"channel": N, "values": [...]}`.
+fn cap_axis(s: &str) -> Result<Json, String> {
+    let (channel, values) = s
+        .split_once('=')
+        .ok_or_else(|| format!("--cap wants CHANNEL=V1,V2,... (got {s:?})"))?;
+    Ok(obj([
+        ("channel", number("--cap channel", channel)?),
+        ("values", number_list("--cap value", values)?),
+    ]))
+}
+
+/// A non-negative integer flag value as a JSON number.
+fn number(what: &str, v: &str) -> Result<Json, String> {
+    let n: u64 = v.trim().parse().map_err(|e| format!("{what}: {e}"))?;
+    Ok(Json::num(n as f64))
+}
+
+/// A comma-separated list of non-negative integers as a JSON array.
+fn number_list(what: &str, list: &str) -> Result<Json, String> {
+    list.split(',')
+        .map(|v| number(what, v))
+        .collect::<Result<_, _>>()
+        .map(Json::Arr)
+}
+
+/// The `(flag, option)` pairs whose flag is present, as option fields.
+fn numbers_of(flags: &[String], pairs: &[(&str, &str)]) -> Result<Vec<(String, Json)>, String> {
+    let mut fields = Vec::new();
+    for &(name, key) in pairs {
+        if let Some(v) = value(flags, name)? {
+            fields.push((key.to_string(), number(name, v)?));
+        }
+    }
+    Ok(fields)
 }
 
 fn flag(rest: &[String], name: &str) -> bool {
     rest.iter().any(|a| a == name)
 }
 
+/// The value after `name`, if the flag is present.
+fn value<'a>(rest: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    match rest.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => rest
+            .get(i + 1)
+            .map(|v| Some(v.as_str()))
+            .ok_or_else(|| format!("{name} needs a value")),
+    }
+}
+
 fn option<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
-    match rest.iter().position(|a| a == name) {
+    match value(rest, name)? {
         None => Ok(default),
-        Some(i) => {
-            let v = rest
-                .get(i + 1)
-                .ok_or_else(|| format!("{name} needs a value"))?;
-            v.parse().map_err(|e| format!("{name}: {e}"))
-        }
+        Some(v) => v.parse().map_err(|e| format!("{name}: {e}")),
     }
-}
-
-/// Sweep grid parameters shared by the local `sweep` command and
-/// `client sweep` — parsed once, then lowered to a [`SweepSpec`] (local)
-/// or the `/sweep` options JSON (remote).
-struct SweepFlags {
-    qs: bool,
-    exact: bool,
-    caps: Vec<(usize, Vec<u64>)>,
-    budget: Option<u32>,
-    stalls: Option<StallFlags>,
-    bursts: Option<BurstAxis>,
-}
-
-struct StallFlags {
-    per_mille: Vec<u32>,
-    trials: u32,
-    cycles: u64,
-    seed: u64,
 }
 
 /// Collects every value of a repeatable `NAME VALUE` flag.
@@ -506,465 +638,7 @@ fn option_all<'a>(rest: &'a [String], name: &str) -> Result<Vec<&'a str>, String
     Ok(out)
 }
 
-/// Parses one `--cap CHANNEL=V1,V2,...` axis.
-fn parse_cap_axis(s: &str) -> Result<(usize, Vec<u64>), String> {
-    let (ch, vals) = s
-        .split_once('=')
-        .ok_or_else(|| format!("--cap wants CHANNEL=V1,V2,... (got {s:?})"))?;
-    let channel = ch
-        .trim()
-        .parse()
-        .map_err(|e| format!("--cap channel: {e}"))?;
-    let values = vals
-        .split(',')
-        .map(|v| v.trim().parse().map_err(|e| format!("--cap value: {e}")))
-        .collect::<Result<Vec<u64>, String>>()?;
-    Ok((channel, values))
-}
-
-fn parse_sweep_flags(rest: &[String]) -> Result<SweepFlags, Box<dyn Error>> {
-    let caps = option_all(rest, "--cap")?
-        .into_iter()
-        .map(parse_cap_axis)
-        .collect::<Result<Vec<_>, _>>()?;
-    let budget = if flag(rest, "--budget") {
-        Some(option(rest, "--budget", 0u32)?)
-    } else {
-        None
-    };
-    let stalls = match rest.iter().position(|a| a == "--stalls") {
-        None => None,
-        Some(i) => {
-            let list = rest.get(i + 1).ok_or("--stalls needs a value")?;
-            let per_mille = list
-                .split(',')
-                .map(|v| v.trim().parse().map_err(|e| format!("--stalls: {e}")))
-                .collect::<Result<Vec<u32>, String>>()?;
-            Some(StallFlags {
-                per_mille,
-                trials: option(rest, "--trials", 64u32)?,
-                cycles: option(rest, "--cycles", 10_000u64)?,
-                seed: option(rest, "--seed", 0u64)?,
-            })
-        }
-    };
-    let bursts = match rest.iter().position(|a| a == "--bursts") {
-        None => None,
-        Some(i) => {
-            let list = rest.get(i + 1).ok_or("--bursts needs a value")?;
-            let off_per_mille = list
-                .split(',')
-                .map(|v| v.trim().parse().map_err(|e| format!("--bursts: {e}")))
-                .collect::<Result<Vec<u32>, String>>()?;
-            Some(BurstAxis {
-                off_per_mille,
-                on_per_mille: option(rest, "--burst-on", 300u32)?,
-                trials: option(rest, "--trials", 64u32)?,
-                cycles: option(rest, "--cycles", 10_000u64)?,
-                seed: option(rest, "--seed", 0u64)?,
-            })
-        }
-    };
-    Ok(SweepFlags {
-        qs: flag(rest, "--qs"),
-        exact: flag(rest, "--exact"),
-        caps,
-        budget,
-        stalls,
-        bursts,
-    })
-}
-
-impl SweepFlags {
-    fn to_spec(&self, engine: McmEngine) -> SweepSpec {
-        let mut spec = SweepSpec::analyze();
-        spec.engine = engine;
-        if self.qs {
-            spec.mode = SweepMode::Qs { exact: self.exact };
-        }
-        spec.capacities = self
-            .caps
-            .iter()
-            .map(|(channel, values)| CapacityAxis {
-                channel: *channel,
-                values: values.clone(),
-            })
-            .collect();
-        if let Some(b) = self.budget {
-            spec.stations = StationGoal::Budget(b);
-        }
-        spec.stalls = self.stalls.as_ref().map(|s| StallAxis {
-            per_mille: s.per_mille.clone(),
-            trials: s.trials,
-            cycles: s.cycles,
-            seed: s.seed,
-        });
-        spec.bursts = self.bursts.clone();
-        spec
-    }
-}
-
-/// Lowers the parsed flags to the `/sweep` options envelope the daemon's
-/// decoder expects (`crates/server/src/jobs.rs`).
-fn sweep_options(flags: &SweepFlags, engine: McmEngine) -> lis_server::Json {
-    use lis_server::Json;
-    let mut o: Vec<(String, Json)> = Vec::new();
-    if engine != McmEngine::default() {
-        o.push(("engine".into(), Json::Str(engine.to_string())));
-    }
-    if flags.qs {
-        o.push(("mode".into(), Json::str("qs")));
-        if flags.exact {
-            o.push(("exact".into(), Json::Bool(true)));
-        }
-    }
-    if !flags.caps.is_empty() {
-        let axes = flags
-            .caps
-            .iter()
-            .map(|(c, vs)| {
-                Json::Obj(vec![
-                    ("channel".into(), Json::Num(*c as f64)),
-                    (
-                        "values".into(),
-                        Json::Arr(vs.iter().map(|v| Json::Num(*v as f64)).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        o.push(("capacities".into(), Json::Arr(axes)));
-    }
-    if let Some(b) = flags.budget {
-        o.push(("budget".into(), Json::Num(f64::from(b))));
-    }
-    if let Some(s) = &flags.stalls {
-        o.push((
-            "stalls".into(),
-            Json::Obj(vec![
-                (
-                    "per_mille".into(),
-                    Json::Arr(
-                        s.per_mille
-                            .iter()
-                            .map(|p| Json::Num(f64::from(*p)))
-                            .collect(),
-                    ),
-                ),
-                ("trials".into(), Json::Num(f64::from(s.trials))),
-                ("cycles".into(), Json::Num(s.cycles as f64)),
-                ("seed".into(), Json::Num(s.seed as f64)),
-            ]),
-        ));
-    }
-    if let Some(b) = &flags.bursts {
-        o.push((
-            "bursts".into(),
-            Json::Obj(vec![
-                (
-                    "off_per_mille".into(),
-                    Json::Arr(
-                        b.off_per_mille
-                            .iter()
-                            .map(|p| Json::Num(f64::from(*p)))
-                            .collect(),
-                    ),
-                ),
-                ("on_per_mille".into(), Json::Num(f64::from(b.on_per_mille))),
-                ("trials".into(), Json::Num(f64::from(b.trials))),
-                ("cycles".into(), Json::Num(b.cycles as f64)),
-                ("seed".into(), Json::Num(b.seed as f64)),
-            ]),
-        ));
-    }
-    if o.is_empty() {
-        lis_server::Json::Null
-    } else {
-        Json::Obj(o)
-    }
-}
-
-fn sweep_cmd(sys: &LisSystem, rest: &[String], engine: McmEngine) -> CliResult {
-    let spec = parse_sweep_flags(rest)?.to_spec(engine);
-    let sweep = Sweep::new(sys.clone(), spec)?;
-    let (rows, summary) = sweep.evaluate();
-    println!(
-        "sweep: {} point(s) in {} station group(s), engine {engine}",
-        summary.points, summary.groups
-    );
-    for row in &rows {
-        let mut line = format!(
-            "  point {:>3} | stations {} | capacity {:>4} | ",
-            row.point, row.inserted, row.total_capacity
-        );
-        match &row.outcome {
-            Ok(PointReport::Analyze(r)) => {
-                line.push_str(&format!(
-                    "practical MST {}{}",
-                    r.practical,
-                    if r.is_degraded() { " (degraded)" } else { "" }
-                ));
-            }
-            Ok(PointReport::Qs(r)) => {
-                line.push_str(&format!(
-                    "qs target {} (+{} slot(s){})",
-                    r.target,
-                    r.total_extra,
-                    if r.optimal { ", optimal" } else { "" }
-                ));
-            }
-            Err(e) => line.push_str(&format!("error: {e}")),
-        }
-        for p in &row.sim {
-            line.push_str(&format!(
-                " | stall {:.3}: mean rate {:.4}",
-                f64::from(p.per_mille) / 1000.0,
-                p.mean_rate
-            ));
-        }
-        for p in &row.burst {
-            line.push_str(&format!(
-                " | burst off {:.3}: mean rate {:.4}, peak occupancy {}",
-                f64::from(p.off_per_mille) / 1000.0,
-                p.mean_rate,
-                p.peak_occupancy
-            ));
-        }
-        println!("{line}");
-    }
-    let front = pareto_front(&rows);
-    println!(
-        "Pareto front (throughput vs. total capacity vs. stations), {} of {} point(s):",
-        front.len(),
-        rows.len()
-    );
-    for &i in &front {
-        let row = &rows[i];
-        let theta = row
-            .throughput()
-            .map_or_else(|| "-".to_string(), |r| r.to_string());
-        println!(
-            "  point {:>3}: throughput {theta}, total capacity {}, stations {}",
-            row.point,
-            row.capacity_cost(),
-            row.inserted
-        );
-    }
-    println!(
-        "warm solver: {} memo hit(s), {} miss(es)",
-        summary.warm_hits, summary.warm_misses
-    );
-    Ok(())
-}
-
-fn analyze(sys: &LisSystem, rest: &[String], engine: McmEngine) -> CliResult {
-    print!("{sys}");
-    let report = lis_core::explain_with(sys, engine);
-    print!("{report}");
-    if report.is_degraded() {
-        for c in &report.bottleneck_queues {
-            println!(
-                "  bottleneck queue: channel {} -> {}",
-                sys.block_name(sys.channel_from(*c)),
-                sys.block_name(sys.channel_to(*c))
-            );
-        }
-        println!("hint: run `lis qs` to size the queues or `lis insert` to place relay stations");
-    } else {
-        println!("no throughput degradation from backpressure");
-    }
-    if flag(rest, "--schedule") {
-        print_schedule(sys, &Schedule::compute(sys, engine)?);
-    }
-    if let Some(params) = parse_burst_params(rest)? {
-        print_burst(sys, &burst_report(sys, &params));
-    }
-    Ok(())
-}
-
-/// Parses the `--burst OFF,ON` Markov-source flag (probabilities per
-/// mille) and its `--burst-trials/--burst-cycles/--burst-seed` companions.
-fn parse_burst_params(rest: &[String]) -> Result<Option<BurstParams>, Box<dyn Error>> {
-    let Some(i) = rest.iter().position(|a| a == "--burst") else {
-        return Ok(None);
-    };
-    let v = rest.get(i + 1).ok_or("--burst needs a value")?;
-    let (off, on) = v
-        .split_once(',')
-        .ok_or_else(|| format!("--burst wants OFF,ON per-mille probabilities (got {v:?})"))?;
-    let defaults = BurstParams::default();
-    let params = BurstParams {
-        off_per_mille: off
-            .trim()
-            .parse()
-            .map_err(|e| format!("--burst off: {e}"))?,
-        on_per_mille: on.trim().parse().map_err(|e| format!("--burst on: {e}"))?,
-        trials: option(rest, "--burst-trials", defaults.trials)?,
-        cycles: option(rest, "--burst-cycles", defaults.cycles)?,
-        seed: option(rest, "--burst-seed", defaults.seed)?,
-    };
-    if params.off_per_mille > 1000 || params.on_per_mille == 0 || params.on_per_mille > 1000 {
-        return Err("--burst probabilities are per mille: OFF <= 1000, 1 <= ON <= 1000".into());
-    }
-    if params.trials == 0 || params.cycles == 0 {
-        return Err("--burst-trials and --burst-cycles must be positive".into());
-    }
-    Ok(Some(params))
-}
-
-/// Prints a periodic firing schedule: the system throughput, one balanced
-/// binary word per transition, and the per-channel occupancy bounds.
-fn print_schedule(sys: &LisSystem, s: &Schedule) {
-    println!(
-        "schedule ({} engine): throughput {}, transient {} step(s), period {} step(s)",
-        s.engine, s.throughput, s.transient, s.period
-    );
-    for t in &s.transitions {
-        let word: String = t.word.iter().map(|&f| if f { '1' } else { '0' }).collect();
-        let phase = t.phase.map_or_else(|| "-".to_string(), |p| p.to_string());
-        println!(
-            "  {:<12} rate {} ({} firing(s)/period)  word {word}  phase {phase}",
-            t.name, t.rate, t.firings_per_period
-        );
-    }
-    for b in &s.bounds {
-        println!(
-            "  queue {} -> {}: peak occupancy {} (cap {})",
-            sys.block_name(sys.channel_from(b.channel)),
-            sys.block_name(sys.channel_to(b.channel)),
-            b.peak,
-            b.cap
-        );
-    }
-}
-
-/// Prints a bursty-source Monte-Carlo report against the schedule caps.
-fn print_burst(sys: &LisSystem, r: &BurstReport) {
-    println!(
-        "burst (off {}‰, on {}‰, {} trial(s) x {} cycle(s), seed {}): \
-         mean rate {:.4} [{:.4}, {:.4}]",
-        r.params.off_per_mille,
-        r.params.on_per_mille,
-        r.params.trials,
-        r.params.cycles,
-        r.params.seed,
-        r.mean_rate,
-        r.min_rate,
-        r.max_rate
-    );
-    for o in &r.occupancy {
-        println!(
-            "  queue {} -> {}: max occupancy {} of cap {}",
-            sys.block_name(sys.channel_from(o.channel)),
-            sys.block_name(sys.channel_to(o.channel)),
-            o.max,
-            o.cap
-        );
-    }
-    println!(
-        "occupancy {} the schedule caps",
-        if r.within_caps() {
-            "stayed within"
-        } else {
-            "EXCEEDED"
-        }
-    );
-}
-
-fn qs(sys: &LisSystem, rest: &[String], engine: McmEngine) -> CliResult {
-    let algo = if flag(rest, "--exact") {
-        Algorithm::Exact
-    } else {
-        Algorithm::Heuristic
-    };
-    let cfg = QsConfig {
-        engine,
-        ..QsConfig::default()
-    };
-    let report = solve(sys, algo, &cfg)?;
-    println!(
-        "target MST {} | before {} | deficient cycles {}",
-        report.target, report.practical_before, report.deficient_cycles
-    );
-    if report.total_extra == 0 {
-        println!("queues are already large enough");
-        return Ok(());
-    }
-    println!(
-        "{:?} solution: {} extra slot(s){}",
-        algo,
-        report.total_extra,
-        if report.optimal { " (optimal)" } else { "" }
-    );
-    for (c, w) in &report.extra_tokens {
-        println!(
-            "  channel {} -> {}: queue {} -> {}",
-            sys.block_name(sys.channel_from(*c)),
-            sys.block_name(sys.channel_to(*c)),
-            sys.queue_capacity(*c),
-            sys.queue_capacity(*c) + w
-        );
-    }
-    if !verify_solution(sys, &report) {
-        return Err("internal error: solution failed verification".into());
-    }
-    println!("verified: resized system reaches MST {}", report.target);
-    if let Some(out) = rest
-        .iter()
-        .position(|a| a == "--apply")
-        .and_then(|i| rest.get(i + 1))
-    {
-        let mut resized = sys.clone();
-        lis_qs::apply_solution(&mut resized, &report);
-        fs::write(out, to_netlist(&resized))?;
-        println!("resized netlist written to {out}");
-    }
-    Ok(())
-}
-
-fn insert(sys: &LisSystem, rest: &[String]) -> CliResult {
-    let budget: u32 = option(rest, "--budget", 2)?;
-    // Exhaustive search is exponential in the budget; fall back to greedy
-    // plus DAG equalization on larger systems.
-    let exhaustive_feasible = (sys.channel_count() as u64).pow(budget.min(6)) <= 2_000_000;
-    let result = if exhaustive_feasible {
-        println!("exhaustive search over {budget} insertion(s):");
-        exhaustive_insertion(sys, budget)
-    } else {
-        println!("greedy search over {budget} insertion(s):");
-        greedy_insertion(sys, budget)
-    };
-    println!(
-        "best practical MST {} (ideal after insertion {}) with {} station(s)",
-        result.practical, result.ideal, result.inserted
-    );
-    for (c, n) in &result.placements {
-        println!(
-            "  +{n} on channel {} -> {}",
-            sys.block_name(sys.channel_from(*c)),
-            sys.block_name(sys.channel_to(*c))
-        );
-    }
-    if let Some(balanced) = equalize_dag(sys) {
-        println!(
-            "DAG equalization alternative: {} extra station(s), practical MST {}",
-            balanced.relay_station_count() - sys.relay_station_count(),
-            practical_mst(&balanced)
-        );
-    }
-    if let Some(out) = rest
-        .iter()
-        .position(|a| a == "--apply")
-        .and_then(|i| rest.get(i + 1))
-    {
-        let mut modified = sys.clone();
-        lis_rsopt::apply_insertion(&mut modified, &result);
-        fs::write(out, to_netlist(&modified))?;
-        println!("modified netlist written to {out}");
-    }
-    Ok(())
-}
-
-fn repair_cmd(sys: &LisSystem, rest: &[String]) -> CliResult {
+fn repair_cmd(sys: &LisSystem, rest: &[String], out: &mut dyn Write) -> CliResult {
     use lis_rsopt::{repair, CostModel, RepairOptions, RepairPlan};
     let options = RepairOptions {
         costs: CostModel {
@@ -975,42 +649,51 @@ fn repair_cmd(sys: &LisSystem, rest: &[String]) -> CliResult {
     };
     let plan = repair(sys, &options)?;
     match &plan {
-        RepairPlan::NothingToDo => println!("system already runs at its ideal MST"),
+        RepairPlan::NothingToDo => writeln!(out, "system already runs at its ideal MST")?,
         RepairPlan::QueueSizing { extra_slots, cost } => {
-            println!("cheapest repair: queue sizing (cost {cost})");
+            writeln!(out, "cheapest repair: queue sizing (cost {cost})")?;
             for (c, w) in extra_slots {
-                println!(
+                writeln!(
+                    out,
                     "  +{w} slot(s) on channel {} -> {}",
                     sys.block_name(sys.channel_from(*c)),
                     sys.block_name(sys.channel_to(*c))
-                );
+                )?;
             }
         }
         RepairPlan::Insertion { stations, cost } => {
-            println!("cheapest repair: relay-station insertion (cost {cost})");
+            writeln!(
+                out,
+                "cheapest repair: relay-station insertion (cost {cost})"
+            )?;
             for (c, n) in stations {
-                println!(
+                writeln!(
+                    out,
                     "  +{n} station(s) on channel {} -> {}",
                     sys.block_name(sys.channel_from(*c)),
                     sys.block_name(sys.channel_to(*c))
-                );
+                )?;
             }
         }
     }
-    if let Some(out) = rest
-        .iter()
-        .position(|a| a == "--apply")
-        .and_then(|i| rest.get(i + 1))
-    {
+    if let Some(balanced) = lis_rsopt::equalize_dag(sys) {
+        writeln!(
+            out,
+            "DAG equalization alternative: {} extra station(s), practical MST {}",
+            balanced.relay_station_count() - sys.relay_station_count(),
+            practical_mst(&balanced)
+        )?;
+    }
+    if let Some(target) = value(rest, "--apply")? {
         let mut fixed = sys.clone();
         plan.apply(&mut fixed);
-        fs::write(out, to_netlist(&fixed))?;
-        println!("repaired netlist written to {out}");
+        fs::write(target, to_netlist(&fixed))?;
+        writeln!(out, "repaired netlist written to {target}")?;
     }
     Ok(())
 }
 
-fn simulate(sys: &LisSystem, rest: &[String]) -> CliResult {
+fn simulate(sys: &LisSystem, rest: &[String], out: &mut dyn Write) -> CliResult {
     let steps: u64 = option(rest, "--steps", 10_000)?;
     let kernel: String = option(rest, "--kernel", "reference".to_string())?;
     let trials: usize = option(rest, "--trials", 1)?;
@@ -1030,14 +713,14 @@ fn simulate(sys: &LisSystem, rest: &[String]) -> CliResult {
             if trials > 1 || stall > 0.0 {
                 return Err("--trials/--stall require --kernel compiled".into());
             }
-            simulate_reference(sys, steps)
+            simulate_reference(sys, steps, out)
         }
-        "compiled" => simulate_compiled(sys, steps, trials, seed, stall),
+        "compiled" => simulate_compiled(sys, steps, trials, seed, stall, out),
         other => Err(format!("unknown kernel {other:?}; known: reference, compiled").into()),
     }
 }
 
-fn simulate_reference(sys: &LisSystem, steps: u64) -> CliResult {
+fn simulate_reference(sys: &LisSystem, steps: u64, out: &mut dyn Write) -> CliResult {
     let cores: Vec<Box<dyn CoreModel>> = sys
         .block_ids()
         .map(|b| {
@@ -1050,16 +733,20 @@ fn simulate_reference(sys: &LisSystem, steps: u64) -> CliResult {
         .collect();
     let mut sim = LisSimulator::new(sys, cores, QueueMode::Finite);
     let stats = lis_sim::collect_stats(sys, &mut sim, steps);
-    println!("simulated {steps} clock periods (pass-through cores, finite queues)");
-    println!("analytic practical MST: {}", practical_mst(sys));
+    writeln!(
+        out,
+        "simulated {steps} clock periods (pass-through cores, finite queues)"
+    )?;
+    writeln!(out, "analytic practical MST: {}", practical_mst(sys))?;
     for b in sys.block_ids() {
-        println!(
+        writeln!(
+            out,
             "  {:<16} fired {:>8} times, rate {:.4}, stalled {:>5.1}%",
             sys.block_name(b),
             sim.firings(b),
             sim.throughput(b).to_f64(),
             100.0 * stats.stall_ratio(b)
-        );
+        )?;
     }
     // Channels whose buffering actually filled up.
     let mut saturated = false;
@@ -1067,14 +754,15 @@ fn simulate_reference(sys: &LisSystem, steps: u64) -> CliResult {
         let hw = stats.queue_high_water(c);
         if hw > sys.queue_capacity(c) {
             if !saturated {
-                println!("saturated channels (queue + in-flight item full):");
+                writeln!(out, "saturated channels (queue + in-flight item full):")?;
                 saturated = true;
             }
-            println!(
+            writeln!(
+                out,
                 "  {} -> {} reached {hw} buffered item(s)",
                 sys.block_name(sys.channel_from(c)),
                 sys.block_name(sys.channel_to(c))
-            );
+            )?;
         }
     }
     Ok(())
@@ -1088,45 +776,52 @@ fn simulate_compiled(
     trials: usize,
     seed: u64,
     stall: f64,
+    out: &mut dyn Write,
 ) -> CliResult {
     let theta = practical_mst(sys);
     if trials == 1 && stall == 0.0 {
         let mut sim = CompiledSim::new(sys, QueueMode::Finite);
         sim.run(steps);
-        println!("simulated {steps} clock periods (compiled kernel, finite queues)");
-        println!("analytic practical MST: {theta}");
+        writeln!(
+            out,
+            "simulated {steps} clock periods (compiled kernel, finite queues)"
+        )?;
+        writeln!(out, "analytic practical MST: {theta}")?;
         for b in sys.block_ids() {
-            println!(
+            writeln!(
+                out,
                 "  {:<16} fired {:>8} times, rate {:.4}",
                 sys.block_name(b),
                 sim.firings(b),
                 sim.throughput(b).to_f64()
-            );
+            )?;
         }
         return Ok(());
     }
     let prog = CompiledProgram::compile(sys, QueueMode::Finite);
     let spec = StallSpec::uniform(&prog, stall);
     let report = McKernel::new(prog, spec, seed).run(trials, steps);
-    println!(
+    writeln!(
+        out,
         "simulated {trials} Monte-Carlo trial(s) x {steps} periods \
          (compiled 64-lane kernel, stall p={stall}, seed {seed})"
-    );
-    println!("analytic practical MST (θ bound): {theta}");
-    println!(
+    )?;
+    writeln!(out, "analytic practical MST (θ bound): {theta}")?;
+    writeln!(
+        out,
         "system rate over trials: mean {:.4}  min {:.4}  max {:.4}",
         report.mean_system_rate(),
         report.min_system_rate(),
         report.max_system_rate()
-    );
+    )?;
     for b in sys.block_ids() {
         let mean = (0..trials).map(|i| report.block_rate(b, i)).sum::<f64>() / trials as f64;
-        println!("  {:<16} mean rate {mean:.4}", sys.block_name(b));
+        writeln!(out, "  {:<16} mean rate {mean:.4}", sys.block_name(b))?;
     }
     Ok(())
 }
 
-fn vcd(sys: &LisSystem, rest: &[String]) -> CliResult {
+fn vcd(sys: &LisSystem, rest: &[String], out: &mut dyn Write) -> CliResult {
     let steps: u64 = option(rest, "--steps", 200)?;
     let cores: Vec<Box<dyn CoreModel>> = sys
         .block_ids()
@@ -1140,17 +835,17 @@ fn vcd(sys: &LisSystem, rest: &[String]) -> CliResult {
         .collect();
     let mut sim = LisSimulator::new(sys, cores, QueueMode::Finite);
     sim.run(steps);
-    print!("{}", lis_sim::to_vcd(sys, &sim));
+    write!(out, "{}", lis_sim::to_vcd(sys, &sim))?;
     Ok(())
 }
 
-fn dot(sys: &LisSystem, rest: &[String]) -> CliResult {
+fn dot(sys: &LisSystem, rest: &[String], out: &mut dyn Write) -> CliResult {
     let model = if flag(rest, "--doubled") {
         LisModel::doubled(sys)
     } else {
         LisModel::ideal(sys)
     };
-    print!("{}", marked_graph::dot::to_dot(model.graph()));
+    write!(out, "{}", marked_graph::dot::to_dot(model.graph()))?;
     Ok(())
 }
 
@@ -1161,7 +856,6 @@ mod tests {
     fn write_fig1() -> tempfile::TempPath {
         let text = "block A\nblock B\nchannel A -> B rs=1\nchannel A -> B\n";
         let mut f = tempfile::NamedTempFile::new().expect("tempfile");
-        use std::io::Write;
         f.write_all(text.as_bytes()).expect("write");
         f.into_temp_path()
     }
@@ -1216,80 +910,143 @@ mod tests {
         }
     }
 
+    /// Runs one command line, returning what it printed.
+    fn run(args: &[&str]) -> Result<String, Box<dyn Error>> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let mut out = Vec::new();
+        dispatch(&args, &mut out)?;
+        Ok(String::from_utf8(out).expect("utf-8 output"))
+    }
+
+    fn parse_answer(out: &str) -> Json {
+        Json::parse(out.trim()).unwrap_or_else(|e| panic!("{e}: {out:?}"))
+    }
+
+    fn status_of(err: &(dyn Error + 'static)) -> u16 {
+        err.downcast_ref::<StatusError>()
+            .unwrap_or_else(|| panic!("not a daemon answer: {err}"))
+            .status
+    }
+
     #[test]
     fn dispatch_rejects_bad_usage() {
-        assert!(dispatch(&[]).is_err());
-        assert!(dispatch(&["analyze".into()]).is_err());
-        assert!(dispatch(&["analyze".into(), "/no/such/file".into()]).is_err());
+        assert!(run(&[]).is_err());
+        assert!(run(&["analyze"]).is_err());
+        assert!(run(&["analyze", "/no/such/file"]).is_err());
         let path = write_fig1();
-        assert!(dispatch(&["frobnicate".into(), path.to_str().into()]).is_err());
+        assert!(run(&["frobnicate", path.to_str()]).is_err());
     }
 
     #[test]
     fn all_commands_run_on_fig1() {
         let path = write_fig1();
-        for cmd in ["analyze", "qs", "insert", "dot", "vcd", "repair"] {
-            dispatch(&[cmd.into(), path.to_str().into()]).unwrap_or_else(|e| {
-                panic!("{cmd} failed: {e}");
-            });
+        for cmd in ["analyze", "qs", "insert", "sweep", "dot", "vcd", "repair"] {
+            let out = run(&[cmd, path.to_str()]).unwrap_or_else(|e| panic!("{cmd} failed: {e}"));
+            assert!(!out.is_empty(), "{cmd} printed nothing");
         }
-        dispatch(&[
-            "simulate".into(),
-            path.to_str().into(),
-            "--steps".into(),
-            "500".into(),
-        ])
-        .expect("simulate");
-        dispatch(&["qs".into(), path.to_str().into(), "--exact".into()]).expect("qs --exact");
-        dispatch(&["dot".into(), path.to_str().into(), "--doubled".into()]).expect("dot");
+        run(&["simulate", path.to_str(), "--steps", "500"]).expect("simulate");
+        run(&["dot", path.to_str(), "--doubled"]).expect("dot --doubled");
+        let qs = parse_answer(&run(&["qs", path.to_str(), "--exact"]).expect("qs --exact"));
+        assert_eq!(qs.get("optimal").and_then(Json::as_bool), Some(true));
+        assert_eq!(qs.get("total_extra").and_then(Json::as_u64), Some(1));
+    }
+
+    #[test]
+    fn analyze_prints_the_daemon_answer() {
+        let path = write_fig1();
+        let out = run(&["analyze", path.to_str()]).expect("analyze");
+        assert!(
+            out.ends_with("}\n") && out.matches('\n').count() == 1,
+            "{out:?}"
+        );
+        let answer = parse_answer(&out);
+        let practical = answer.get("practical_mst").expect("practical_mst");
+        assert_eq!(practical.get("num").and_then(Json::as_u64), Some(2));
+        assert_eq!(practical.get("den").and_then(Json::as_u64), Some(3));
+        assert_eq!(answer.get("degraded").and_then(Json::as_bool), Some(true));
     }
 
     #[test]
     fn analyze_schedule_and_burst_flags_run_on_fig1() {
         let path = write_fig1();
-        dispatch(&["analyze".into(), path.to_str().into(), "--schedule".into()])
-            .expect("analyze --schedule");
-        dispatch(&[
-            "analyze".into(),
-            path.to_str().into(),
-            "--schedule".into(),
-            "--burst".into(),
-            "100,300".into(),
-            "--burst-trials".into(),
-            "16".into(),
-            "--burst-cycles".into(),
-            "200".into(),
-            "--burst-seed".into(),
-            "3".into(),
+        let answer = parse_answer(
+            &run(&[
+                "analyze",
+                path.to_str(),
+                "--schedule",
+                "--burst",
+                "100,300",
+                "--burst-trials",
+                "16",
+                "--burst-cycles",
+                "200",
+                "--burst-seed",
+                "3",
+            ])
+            .expect("analyze --schedule --burst"),
+        );
+        assert!(answer.get("schedule").is_some());
+        let burst = answer.get("burst").expect("burst");
+        assert_eq!(burst.get("trials").and_then(Json::as_u64), Some(16));
+        assert_eq!(burst.get("seed").and_then(Json::as_u64), Some(3));
+        // Malformed flags are the command line's own errors.
+        for bad in [&["--burst"][..], &["--burst", "moose"]] {
+            let mut args = vec!["analyze", path.to_str()];
+            args.extend(bad);
+            let err = run(&args).expect_err("malformed --burst");
+            assert!(err.downcast_ref::<StatusError>().is_none(), "{err}");
+        }
+        // Out-of-range values are the daemon decoder's: a 400 answer.
+        let err = run(&[
+            "analyze",
+            path.to_str(),
+            "--burst",
+            "100,300",
+            "--burst-trials",
+            "5000",
         ])
-        .expect("analyze --schedule --burst");
-        // Malformed burst flags are rejected before any kernel run.
-        assert!(dispatch(&["analyze".into(), path.to_str().into(), "--burst".into()]).is_err());
-        assert!(dispatch(&[
-            "analyze".into(),
-            path.to_str().into(),
-            "--burst".into(),
-            "moose".into(),
-        ])
-        .is_err());
+        .expect_err("trials out of range");
+        assert_eq!(status_of(err.as_ref()), 400);
     }
 
     #[test]
-    fn qs_apply_writes_resized_netlist() {
+    fn qs_and_insert_apply_write_the_modified_netlist() {
         let path = write_fig1();
         let out = std::env::temp_dir().join(format!("lis-cli-out-{}", std::process::id()));
-        dispatch(&[
-            "qs".into(),
-            path.to_str().into(),
-            "--exact".into(),
-            "--apply".into(),
-            out.to_str().expect("utf-8").into(),
-        ])
-        .expect("qs --apply");
-        let resized =
-            lis_core::parse_netlist(&std::fs::read_to_string(&out).expect("read")).expect("parse");
-        assert_eq!(lis_core::practical_mst(&resized), marked_graph::Ratio::ONE);
-        let _ = std::fs::remove_file(out);
+        let target = out.to_str().expect("utf-8");
+        run(&["qs", path.to_str(), "--exact", "--apply", target]).expect("qs --apply");
+        let resized = parse_netlist(&fs::read_to_string(&out).expect("read")).expect("parse");
+        assert_eq!(resized.total_queue_capacity(), 3);
+        assert_eq!(practical_mst(&resized), marked_graph::Ratio::ONE);
+
+        let answer = parse_answer(
+            &run(&["insert", path.to_str(), "--budget", "1", "--apply", target])
+                .expect("insert --apply"),
+        );
+        let modified = parse_netlist(&fs::read_to_string(&out).expect("read")).expect("parse");
+        assert_eq!(
+            u64::from(modified.relay_station_count()),
+            1 + answer
+                .get("inserted")
+                .and_then(Json::as_u64)
+                .expect("inserted")
+        );
+        let _ = fs::remove_file(out);
+    }
+
+    #[test]
+    fn insert_budget_out_of_range_is_a_400() {
+        let path = write_fig1();
+        let err = run(&["insert", path.to_str(), "--budget", "20"]).expect_err("budget 20");
+        assert_eq!(status_of(err.as_ref()), 400);
+    }
+
+    #[test]
+    fn repair_prints_the_dag_equalization_alternative() {
+        let path = write_fig1();
+        let out = run(&["repair", path.to_str()]).expect("repair");
+        assert!(out.contains("cheapest repair"), "{out}");
+        assert!(out.contains("DAG equalization alternative"), "{out}");
     }
 
     #[test]
@@ -1334,13 +1091,10 @@ mod tests {
         let path = write_fig1();
         for engine in ["howard", "karp", "lawler"] {
             for cmd in ["analyze", "qs"] {
-                dispatch(&[
-                    cmd.into(),
-                    path.to_str().into(),
-                    "--engine".into(),
-                    engine.into(),
-                ])
-                .unwrap_or_else(|e| panic!("{cmd} --engine {engine} failed: {e}"));
+                let out = run(&[cmd, path.to_str(), "--engine", engine])
+                    .unwrap_or_else(|e| panic!("{cmd} --engine {engine} failed: {e}"));
+                let answer = parse_answer(&out);
+                assert_eq!(answer.get("engine").and_then(Json::as_str), Some(engine));
             }
         }
     }
@@ -1352,130 +1106,89 @@ mod tests {
         // blocks until shutdown.
         let server = lis_server::Server::bind("127.0.0.1:0", lis_server::ServerConfig::default())
             .expect("bind");
-        let addr = server.local_addr().expect("addr");
+        let addr = server.local_addr().expect("addr").to_string();
         let daemon = std::thread::spawn(move || server.run());
 
         let path = write_fig1();
-        dispatch(&[
-            "client".into(),
-            addr.to_string(),
-            "analyze".into(),
-            path.to_str().into(),
-        ])
-        .expect("client analyze");
-        dispatch(&[
-            "client".into(),
-            addr.to_string(),
-            "qs".into(),
-            path.to_str().into(),
-            "--exact".into(),
-        ])
-        .expect("client qs --exact");
-        dispatch(&["client".into(), addr.to_string(), "metrics".into()]).expect("client metrics");
-        dispatch(&[
-            "client".into(),
-            addr.to_string(),
-            "analyze".into(),
-            path.to_str().into(),
-            "--retries".into(),
-            "0".into(),
-        ])
-        .expect("client analyze --retries 0");
-        dispatch(&[
-            "client".into(),
-            addr.to_string(),
-            "analyze".into(),
-            path.to_str().into(),
-            "--schedule".into(),
-            "--burst".into(),
-            "100,300".into(),
-            "--burst-trials".into(),
-            "16".into(),
-            "--burst-cycles".into(),
-            "200".into(),
-        ])
-        .expect("client analyze --schedule --burst");
+        let p = path.to_str();
+        for args in [
+            &["analyze", p][..],
+            &["qs", p, "--exact"],
+            &["analyze", p, "--retries", "0"],
+            &[
+                "analyze",
+                p,
+                "--schedule",
+                "--burst",
+                "100,300",
+                "--burst-trials",
+                "16",
+            ],
+        ] {
+            let mut remote = vec!["client", &addr];
+            remote.extend(args);
+            // The local command ignores the client-only --retries.
+            assert_eq!(
+                run(&remote).unwrap_or_else(|e| panic!("client {args:?}: {e}")),
+                run(args).unwrap_or_else(|e| panic!("{args:?}: {e}")),
+                "{args:?}"
+            );
+        }
+        run(&["client", &addr, "metrics"]).expect("client metrics");
+        assert!(run(&["client", &addr, "health"])
+            .expect("health")
+            .contains("\"ok\":true"));
 
         // Bad usage surfaces as errors, not panics.
-        assert!(dispatch(&["client".into()]).is_err());
-        assert!(dispatch(&["client".into(), addr.to_string(), "frobnicate".into()]).is_err());
-        assert!(dispatch(&["client".into(), addr.to_string(), "analyze".into()]).is_err());
-        assert!(dispatch(&["serve".into()]).is_err());
+        assert!(run(&["client"]).is_err());
+        assert!(run(&["client", &addr, "frobnicate"]).is_err());
+        assert!(run(&["client", &addr, "analyze"]).is_err());
+        assert!(run(&["serve"]).is_err());
         // A malformed fault spec is rejected before the daemon binds.
-        assert!(dispatch(&[
-            "serve".into(),
-            "127.0.0.1:0".into(),
-            "--faults".into(),
-            "panic:moose".into(),
-        ])
-        .is_err());
+        assert!(run(&["serve", "127.0.0.1:0", "--faults", "panic:moose"]).is_err());
 
-        dispatch(&["client".into(), addr.to_string(), "shutdown".into()]).expect("client shutdown");
+        run(&["client", &addr, "shutdown"]).expect("client shutdown");
         daemon.join().expect("daemon").expect("clean exit");
     }
 
     #[test]
-    fn sweep_runs_on_fig1() {
+    fn sweep_prints_the_ndjson_lines() {
         let path = write_fig1();
-        dispatch(&[
-            "sweep".into(),
-            path.to_str().into(),
-            "--cap".into(),
-            "1=1,2,3".into(),
-            "--budget".into(),
-            "1".into(),
-        ])
-        .expect("sweep");
-        dispatch(&[
-            "sweep".into(),
-            path.to_str().into(),
-            "--cap".into(),
-            "1=1,2".into(),
-            "--qs".into(),
-            "--exact".into(),
-        ])
-        .expect("sweep --qs");
-        dispatch(&[
-            "sweep".into(),
-            path.to_str().into(),
-            "--stalls".into(),
-            "0,100".into(),
-            "--trials".into(),
-            "64".into(),
-            "--cycles".into(),
-            "200".into(),
+        let p = path.to_str();
+        let out = run(&["sweep", p, "--cap", "1=1,2,3", "--budget", "1"]).expect("sweep");
+        let lines: Vec<Json> = out.lines().map(parse_answer).collect();
+        // Header, 2 station groups × 3 capacities, trailer.
+        assert_eq!(lines[0].get("points").and_then(Json::as_u64), Some(6));
+        assert_eq!(lines.len(), 8);
+        assert_eq!(lines[7].get("done").and_then(Json::as_bool), Some(true));
+        run(&["sweep", p, "--cap", "1=1,2", "--qs", "--exact"]).expect("sweep --qs");
+        let stalls = run(&[
+            "sweep", p, "--stalls", "0,100", "--trials", "64", "--cycles", "200",
         ])
         .expect("sweep --stalls");
-        dispatch(&[
-            "sweep".into(),
-            path.to_str().into(),
-            "--cap".into(),
-            "1=1,2".into(),
-            "--bursts".into(),
-            "0,150".into(),
-            "--burst-on".into(),
-            "300".into(),
-            "--trials".into(),
-            "64".into(),
-            "--cycles".into(),
-            "200".into(),
+        assert!(stalls.contains("\"sim\""), "{stalls}");
+        let bursts = run(&[
+            "sweep",
+            p,
+            "--cap",
+            "1=1,2",
+            "--bursts",
+            "0,150",
+            "--burst-on",
+            "300",
+            "--trials",
+            "64",
+            "--cycles",
+            "200",
         ])
         .expect("sweep --bursts");
-        // Malformed axes are rejected before any evaluation.
-        assert!(dispatch(&[
-            "sweep".into(),
-            path.to_str().into(),
-            "--cap".into(),
-            "moose".into(),
-        ])
-        .is_err());
-        assert!(dispatch(&[
-            "sweep".into(),
-            path.to_str().into(),
-            "--cap".into(),
-            "99=1,2".into(),
-        ])
-        .is_err());
+        assert!(bursts.contains("\"burst\""), "{bursts}");
+        // A malformed axis is the command line's error; an unknown channel
+        // is the daemon's 400.
+        let err = run(&["sweep", p, "--cap", "moose"]).expect_err("malformed axis");
+        assert!(err.downcast_ref::<StatusError>().is_none(), "{err}");
+        let err = run(&["sweep", p, "--cap", "99=1,2"]).expect_err("unknown channel");
+        assert_eq!(status_of(err.as_ref()), 400);
     }
 
     #[test]
@@ -1488,108 +1201,114 @@ mod tests {
             },
         )
         .expect("bind");
-        let shed_addr = server.local_addr().expect("addr");
+        let shed_addr = server.local_addr().expect("addr").to_string();
         let shed_daemon = std::thread::spawn(move || server.run());
 
         let server = lis_server::Server::bind("127.0.0.1:0", lis_server::ServerConfig::default())
             .expect("bind");
-        let addr = server.local_addr().expect("addr");
+        let addr = server.local_addr().expect("addr").to_string();
         let daemon = std::thread::spawn(move || server.run());
 
         let path = write_fig1();
-        dispatch(&[
-            "client".into(),
-            addr.to_string(),
-            "sweep".into(),
-            path.to_str().into(),
-            "--cap".into(),
-            "1=1,2".into(),
-        ])
-        .expect("client sweep");
+        let p = path.to_str();
+        assert_eq!(
+            run(&["client", &addr, "sweep", p, "--cap", "1=1,2"]).expect("client sweep"),
+            run(&["sweep", p, "--cap", "1=1,2"]).expect("sweep")
+        );
 
         // A shed sweep surfaces as a StatusError carrying the body's retry
         // hint — the signal `main` maps to exit code 4.
-        let err = dispatch(&[
-            "client".into(),
-            shed_addr.to_string(),
-            "sweep".into(),
-            path.to_str().into(),
-            "--retries".into(),
-            "0".into(),
-        ])
-        .expect_err("shed sweep fails");
+        let err = run(&["client", &shed_addr, "sweep", p, "--retries", "0"])
+            .expect_err("shed sweep fails");
         let status = err.downcast_ref::<StatusError>().expect("status error");
         assert_eq!(status.status, 503);
         assert_eq!(status.retry_after_ms, Some(1000));
 
-        assert!(dispatch(&["client".into(), addr.to_string(), "sweep".into()]).is_err());
+        assert!(run(&["client", &addr, "sweep"]).is_err());
 
-        for a in [addr, shed_addr] {
-            dispatch(&["client".into(), a.to_string(), "shutdown".into()]).expect("shutdown");
+        for a in [&addr, &shed_addr] {
+            run(&["client", a, "shutdown"]).expect("shutdown");
         }
         daemon.join().expect("daemon").expect("clean exit");
         shed_daemon.join().expect("daemon").expect("clean exit");
     }
 
+    /// The lowering is checked against the daemon's own decoder: what the
+    /// flags mean is what `RequestKind::decode` makes of the envelope.
     #[test]
-    fn sweep_flag_parsing() {
-        assert_eq!(
-            parse_cap_axis("1=1,2,3").expect("parses"),
-            (1, vec![1, 2, 3])
+    fn sweep_flags_lower_to_the_decoded_spec() {
+        use lis_server::RequestKind;
+        let decode = |args: &[&str], engine: McmEngine| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let envelope = request_envelope("sweep", "block A\n", &args, engine).expect("lowers");
+            match RequestKind::decode("sweep", &envelope).expect("decodes").1 {
+                RequestKind::Sweep { spec } => spec,
+                other => panic!("{other:?}"),
+            }
+        };
+        let spec = decode(
+            &[
+                "--cap", "0=1,2", "--cap", "1=4", "--budget", "2", "--qs", "--exact",
+            ],
+            McmEngine::Karp,
         );
-        assert!(parse_cap_axis("nope").is_err());
-        assert!(parse_cap_axis("x=1").is_err());
-        assert!(parse_cap_axis("1=x").is_err());
-
-        let args: Vec<String> = ["--cap", "0=1,2", "--cap", "1=4", "--budget", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let flags = parse_sweep_flags(&args).expect("parses");
-        assert_eq!(flags.caps, vec![(0, vec![1, 2]), (1, vec![4])]);
-        assert_eq!(flags.budget, Some(2));
-        assert!(flags.stalls.is_none());
-        assert!(flags.bursts.is_none());
-        let spec = flags.to_spec(McmEngine::Karp);
         assert_eq!(spec.engine, McmEngine::Karp);
-        assert_eq!(spec.stations, StationGoal::Budget(2));
-        // The remote lowering round-trips through the wire decoder shape.
-        let json = sweep_options(&flags, McmEngine::Karp).to_string();
-        assert!(json.contains("\"capacities\""), "{json}");
-        assert!(json.contains("\"budget\""), "{json}");
-        assert!(json.contains("\"engine\""), "{json}");
+        assert_eq!(spec.mode, lis_sweep::SweepMode::Qs { exact: true });
+        let axes: Vec<_> = spec
+            .capacities
+            .iter()
+            .map(|a| (a.channel, a.values.clone()))
+            .collect();
+        assert_eq!(axes, vec![(0, vec![1, 2]), (1, vec![4])]);
+        assert_eq!(spec.stations, lis_sweep::StationGoal::Budget(2));
+        assert!(spec.stalls.is_none() && spec.bursts.is_none());
 
-        // The burst axis parses its list plus the shared knobs, lands in
-        // the spec, and lowers to the daemon's "bursts" envelope.
-        let args: Vec<String> = [
-            "--bursts",
-            "0,100,250",
-            "--burst-on",
-            "500",
-            "--trials",
-            "32",
-            "--cycles",
-            "400",
-            "--seed",
-            "9",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let flags = parse_sweep_flags(&args).expect("parses");
-        let bursts = flags.bursts.clone().expect("burst axis");
+        // The burst axis takes its list plus the shared knobs; unset knobs
+        // take the decoder's defaults.
+        let spec = decode(
+            &[
+                "--bursts",
+                "0,100,250",
+                "--burst-on",
+                "500",
+                "--trials",
+                "32",
+                "--cycles",
+                "400",
+                "--seed",
+                "9",
+            ],
+            McmEngine::Howard,
+        );
+        let bursts = spec.bursts.expect("burst axis");
         assert_eq!(bursts.off_per_mille, vec![0, 100, 250]);
-        assert_eq!(bursts.on_per_mille, 500);
-        assert_eq!(bursts.trials, 32);
-        assert_eq!(bursts.cycles, 400);
-        assert_eq!(bursts.seed, 9);
-        assert_eq!(flags.to_spec(McmEngine::Howard).bursts, Some(bursts));
-        let json = sweep_options(&flags, McmEngine::Howard).to_string();
-        assert!(json.contains("\"bursts\""), "{json}");
-        assert!(json.contains("\"off_per_mille\""), "{json}");
-        assert!(json.contains("\"on_per_mille\":500"), "{json}");
-        assert!(parse_sweep_flags(&["--bursts".to_string()]).is_err());
-        assert!(parse_sweep_flags(&["--bursts".to_string(), "moose".to_string()]).is_err());
+        assert_eq!(
+            (
+                bursts.on_per_mille,
+                bursts.trials,
+                bursts.cycles,
+                bursts.seed
+            ),
+            (500, 32, 400, 9)
+        );
+        let stalls = decode(&["--stalls", "0,50"], McmEngine::Howard)
+            .stalls
+            .expect("stall axis");
+        assert_eq!(stalls.per_mille, vec![0, 50]);
+        assert_eq!((stalls.trials, stalls.cycles, stalls.seed), (64, 10_000, 0));
+
+        for bad in [
+            &["--bursts"][..],
+            &["--bursts", "moose"],
+            &["--cap", "x=1"],
+            &["--cap", "1=x"],
+        ] {
+            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            assert!(
+                request_envelope("sweep", "", &args, McmEngine::Howard).is_err(),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

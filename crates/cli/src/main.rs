@@ -2,24 +2,33 @@
 //! command line.
 //!
 //! ```text
-//! lis analyze  <netlist>              throughput analysis + topology class
+//! lis analyze  <netlist> [--schedule] [--burst OFF,ON ...]
+//!                                     throughput analysis + topology class
 //! lis qs       <netlist> [--exact] [--apply OUT]
 //!                                     queue sizing (heuristic by default)
 //! lis insert   <netlist> [--budget N] [--apply OUT]
 //!                                     relay-station insertion search
+//! lis sweep    <netlist> [--cap CH=V1,V2,..] [--budget N] [--stalls ..]
+//!                                     design-space exploration with a
+//!                                     Pareto front over throughput,
+//!                                     capacity, and stations
+//! lis repair   <netlist> [--apply OUT]
+//!                                     cheapest repair + DAG equalization
 //! lis simulate <netlist> [--steps N] [--kernel reference|compiled]
 //!              [--trials N] [--seed S] [--stall P]
 //!                                     cycle-accurate simulation; the
 //!                                     compiled kernel packs 64 seeded
 //!                                     Monte-Carlo trials per machine word
-//! lis sweep    <netlist> [--cap CH=V1,V2,..] [--budget N] [--stalls ..]
-//!                                     design-space exploration with a
-//!                                     Pareto front over throughput,
-//!                                     capacity, and stations
+//! lis vcd      <netlist> [--steps N]  waveform dump
 //! lis dot      <netlist> [--doubled]  Graphviz export
 //! lis serve    <addr>                 analysis-as-a-service daemon
 //! lis client   <addr> <cmd> <netlist> one request against a daemon
 //! ```
+//!
+//! `analyze`, `qs`, `insert` and `sweep` answer in process through
+//! `lis_server::answer`, from the same request envelope `lis client` sends:
+//! they print the daemon's JSON answer (a sweep's NDJSON lines) byte for
+//! byte and exit as `client` does, 2 on a 4xx answer and 3 on a 5xx one.
 //!
 //! A global `--threads N` flag sets the worker-pool size of `lis serve`
 //! (and the default shard pool size of `lis gateway`).
@@ -33,13 +42,51 @@
 //! channel A -> B
 //! ```
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 mod commands;
 
+/// Standard output for every command. A write that finds the reading end
+/// closed (`lis vcd ... | head`) sets `closed`, and `main` then exits
+/// cleanly instead of reporting the error.
+struct Stdout {
+    inner: io::Stdout,
+    closed: bool,
+}
+
+impl Stdout {
+    fn note<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        if let Err(e) = &result {
+            self.closed |= e.kind() == io::ErrorKind::BrokenPipe;
+        }
+        result
+    }
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let result = self.inner.write(buf);
+        self.note(result)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let result = self.inner.flush();
+        self.note(result)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&args) {
+    let mut out = Stdout {
+        inner: io::stdout(),
+        closed: false,
+    };
+    let result = commands::dispatch(&args, &mut out).and_then(|()| Ok(out.flush()?));
+    if out.closed {
+        return ExitCode::SUCCESS;
+    }
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

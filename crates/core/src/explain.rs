@@ -5,8 +5,6 @@
 //! which hops of it are backedges, and which *queues* are true bottlenecks
 //! (enlarging them by one slot strictly raises the MST).
 
-use std::fmt;
-
 use marked_graph::incremental::IncrementalMcm;
 use marked_graph::{McmEngine, PlaceId, Ratio};
 
@@ -81,39 +79,6 @@ impl AnalysisReport {
     /// Whether backpressure costs throughput on this system.
     pub fn is_degraded(&self) -> bool {
         self.practical < self.ideal
-    }
-}
-
-impl fmt::Display for AnalysisReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "topology class: {}", self.class)?;
-        writeln!(f, "mcm engine: {}", self.engine)?;
-        writeln!(
-            f,
-            "ideal MST {} = {:.4}; practical MST {} = {:.4}",
-            self.ideal,
-            self.ideal.to_f64(),
-            self.practical,
-            self.practical.to_f64()
-        )?;
-        if let Some(cycle) = &self.critical_cycle {
-            writeln!(f, "critical cycle (backedges marked *): {cycle}")?;
-        }
-        if self.bottleneck_queues.is_empty() {
-            if self.is_degraded() {
-                writeln!(
-                    f,
-                    "no single queue is a bottleneck: several critical cycles must be fixed together"
-                )?;
-            }
-        } else {
-            writeln!(
-                f,
-                "bottleneck queues (one extra slot each raises the MST): {} channel(s)",
-                self.bottleneck_queues.len()
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -239,9 +204,6 @@ mod tests {
         assert!(cycle.contains("A") && cycle.contains("B"));
         assert!(cycle.contains('*'));
         assert_eq!(r.bottleneck_queues, vec![lower]);
-        let text = r.to_string();
-        assert!(text.contains("critical cycle"));
-        assert!(text.contains("bottleneck queues"));
     }
 
     #[test]
@@ -334,7 +296,6 @@ mod tests {
         assert!(!r.is_degraded());
         assert!(r.critical_cycle.is_none());
         assert!(r.bottleneck_queues.is_empty());
-        assert!(!r.to_string().contains("critical cycle"));
     }
 
     #[test]
@@ -372,8 +333,8 @@ mod tests {
         sys.add_relay_station(ab);
         let r = explain(&sys);
         if r.is_degraded() {
-            // Report renders without panicking and is self-consistent.
-            let _ = r.to_string();
+            // A degraded report is self-consistent: it names its cycle.
+            assert!(r.critical_cycle.is_some());
         }
     }
 }

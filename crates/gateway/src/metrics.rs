@@ -5,28 +5,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lis_server::metrics::Histogram;
+use lis_server::metrics::{status_slot, Histogram, STATUSES};
 use lis_server::NetStats;
 
 use crate::replicate::ReplicationStats;
 use crate::table::ShardTable;
-
-/// The status codes the gateway tracks per-counter, mirroring the shard
-/// daemon's set.
-const STATUSES: [u16; 12] = [200, 400, 404, 405, 408, 413, 422, 429, 500, 502, 503, 504];
-
-fn status_slot(status: u16) -> usize {
-    STATUSES
-        .iter()
-        .position(|&s| s == status)
-        .unwrap_or_else(|| {
-            // Unknown codes count as 500.
-            STATUSES
-                .iter()
-                .position(|&s| s == 500)
-                .expect("500 tracked")
-        })
-}
 
 /// Counters and histograms for the gateway tier.
 #[derive(Debug, Default)]

@@ -11,9 +11,15 @@
 //! same parsed system and kind always produce the same JSON (the solvers
 //! underneath are deterministic), which is what makes the responses safe
 //! to cache by content hash.
+//!
+//! Every answer has one renderer: [`render`] maps a job's result to the
+//! status and body bytes the daemon sends, and [`sweep_lines`] produces the
+//! NDJSON lines of a sweep. The daemon's routes and [`answer`], the
+//! in-process entry point behind the local `lis` commands, share both.
 
 use lis_core::{
-    canonical_hash, explain_with, fnv1a, AnalysisReport, LisModel, LisSystem, TopologyClass,
+    canonical_hash, explain_with, fnv1a, parse_netlist, AnalysisReport, LisModel, LisSystem,
+    TopologyClass,
 };
 use lis_qs::{solve, verify_solution, Algorithm, QsConfig, QsReport};
 use lis_rsopt::{exhaustive_insertion, greedy_insertion};
@@ -26,6 +32,7 @@ use marked_graph::{McmEngine, Ratio};
 
 use crate::cache::CacheKey;
 use crate::error::ServerError;
+use crate::metrics::Route;
 use crate::wire::{obj, Json};
 
 /// A decoded analysis request.
@@ -67,13 +74,14 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    /// Decodes a request body for the analysis route `route`
-    /// (`"analyze"`, `"qs"`, `"insert"`, or `"dot"`), returning the
-    /// netlist text and the decoded kind.
+    /// Decodes a request body for the route `route` (`"analyze"`, `"qs"`,
+    /// `"insert"`, `"dot"` or `"sweep"`), returning the netlist text and
+    /// the decoded kind.
     ///
     /// # Errors
     ///
-    /// [`ServerError::BadRequest`] on missing/ill-typed fields.
+    /// [`ServerError::BadRequest`] on missing/ill-typed fields;
+    /// [`ServerError::NotFound`] for any other route.
     pub fn decode(route: &str, body: &Json) -> Result<(String, RequestKind), ServerError> {
         let netlist = body
             .get("netlist")
@@ -651,8 +659,8 @@ pub(crate) fn qs_report_json(
 }
 
 fn insert(sys: &LisSystem, budget: u32) -> Json {
-    // Exhaustive search is exponential in the budget; same feasibility
-    // cutoff the CLI uses.
+    // Exhaustive search is exponential in the budget: above this cutoff the
+    // greedy search answers instead.
     let exhaustive_feasible = (sys.channel_count() as u64).pow(budget.min(6)) <= 2_000_000;
     let result = if exhaustive_feasible {
         exhaustive_insertion(sys, budget)
@@ -703,7 +711,7 @@ fn dot(sys: &LisSystem, doubled: bool) -> Json {
 }
 
 /// The first NDJSON line of a streamed sweep: grid shape and knobs.
-pub(crate) fn sweep_header_json(sweep: &Sweep) -> Json {
+fn sweep_header_json(sweep: &Sweep) -> Json {
     let spec = sweep.spec();
     obj([
         ("points", Json::num(sweep.point_count() as f64)),
@@ -724,7 +732,7 @@ pub(crate) fn sweep_header_json(sweep: &Sweep) -> Json {
 /// from the row's group system and capacities from the row, so it is
 /// byte-identical to the body an individual round trip on that design
 /// point would return.
-pub(crate) fn sweep_row_json(row: &SweepRow, engine: McmEngine) -> Json {
+fn sweep_row_json(row: &SweepRow, engine: McmEngine) -> Json {
     let stations: Vec<Json> = row
         .placements
         .iter()
@@ -806,7 +814,7 @@ pub(crate) fn sweep_row_json(row: &SweepRow, engine: McmEngine) -> Json {
 
 /// The last NDJSON line of a streamed sweep: row count, Pareto front (by
 /// point index), and warm-cache statistics.
-pub(crate) fn sweep_trailer_json(pareto: &[usize], summary: &SweepSummary) -> Json {
+fn sweep_trailer_json(pareto: &[usize], summary: &SweepSummary) -> Json {
     obj([
         ("done", Json::Bool(true)),
         ("rows", Json::num(summary.points as f64)),
@@ -819,31 +827,120 @@ pub(crate) fn sweep_trailer_json(pareto: &[usize], summary: &SweepSummary) -> Js
     ])
 }
 
-/// The buffered (non-streaming) sweep result: the same header, rows, and
-/// trailer a streamed `/sweep` emits, as one JSON object. This is what
-/// [`RequestKind::execute`] returns; the server's streaming path emits the
-/// pieces incrementally instead.
+/// Which line of a sweep answer [`sweep_lines`] hands out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SweepLine {
+    /// The first line: grid shape and knobs.
+    Header,
+    /// One grid point's row.
+    Row,
+    /// The last line: row count, Pareto front and warm-cache statistics.
+    Trailer,
+}
+
+/// Plans a sweep; a spec the netlist cannot carry (an unknown channel, a
+/// grid over the size cap) is a bad request.
+pub(crate) fn plan_sweep(sys: LisSystem, spec: SweepSpec) -> Result<Sweep, ServerError> {
+    Sweep::new(sys, spec).map_err(|e| ServerError::BadRequest(e.to_string()))
+}
+
+/// Evaluates `sweep` and hands every line of its answer to `emit` in stream
+/// order: the header, one row per grid point as the point is solved, then
+/// the Pareto trailer. The one producer of sweep lines: the streamed
+/// `/sweep`, the buffered table of [`RequestKind::execute`] and [`answer`]
+/// all render through it.
+pub(crate) fn sweep_lines(sweep: &Sweep, emit: &mut impl FnMut(SweepLine, Json)) {
+    emit(SweepLine::Header, sweep_header_json(sweep));
+    let engine = sweep.spec().engine;
+    let mut objectives = Vec::with_capacity(sweep.point_count());
+    let summary = sweep.run(&mut |row| {
+        objectives.push(lis_sweep::objectives(&row));
+        emit(SweepLine::Row, sweep_row_json(&row, engine));
+    });
+    let pareto = lis_sweep::pareto_front_objectives(&objectives);
+    emit(SweepLine::Trailer, sweep_trailer_json(&pareto, &summary));
+}
+
+/// The buffered (non-streaming) sweep result: the header's fields, the
+/// rows as one `"rows"` array, then the trailer's Pareto front and warm
+/// statistics, from the same lines a streamed `/sweep` emits. This is what
+/// [`RequestKind::execute`] returns.
 fn sweep_table(sys: &LisSystem, spec: &SweepSpec) -> Result<Json, ServerError> {
-    let sweep = Sweep::new(sys.clone(), spec.clone())
-        .map_err(|e| ServerError::BadRequest(e.to_string()))?;
-    let (rows, summary) = sweep.evaluate();
-    let pareto = lis_sweep::pareto_front(&rows);
-    let header = sweep_header_json(&sweep);
-    let row_json: Vec<Json> = rows
-        .iter()
-        .map(|row| sweep_row_json(row, spec.engine))
-        .collect();
-    let mut fields = match header {
-        Json::Obj(pairs) => pairs,
-        _ => unreachable!("sweep_header_json returns an object"),
-    };
-    fields.push(("rows".into(), Json::Arr(row_json)));
-    let trailer = match sweep_trailer_json(&pareto, &summary) {
-        Json::Obj(pairs) => pairs,
-        _ => unreachable!("sweep_trailer_json returns an object"),
-    };
-    fields.extend(trailer.into_iter().filter(|(k, _)| k != "done"));
+    let sweep = plan_sweep(sys.clone(), spec.clone())?;
+    let mut fields = Vec::new();
+    let mut rows = Vec::new();
+    sweep_lines(&sweep, &mut |line, json| match (line, json) {
+        (SweepLine::Row, row) => rows.push(row),
+        (SweepLine::Header, Json::Obj(header)) => fields = header,
+        (SweepLine::Trailer, Json::Obj(trailer)) => {
+            fields.push(("rows".into(), Json::Arr(std::mem::take(&mut rows))));
+            // The trailer's "rows" is the row count, which the array
+            // already carries.
+            fields.extend(
+                trailer
+                    .into_iter()
+                    .filter(|(k, _)| k != "done" && k != "rows"),
+            );
+        }
+        _ => unreachable!("sweep headers and trailers are objects"),
+    });
     Ok(Json::Obj(fields))
+}
+
+/// The daemon's status and body for one job result: the answer under 200,
+/// or the typed error body under its status.
+pub(crate) fn render(result: Result<Json, ServerError>) -> (u16, Vec<u8>) {
+    match result {
+        Ok(json) => (200, json.to_string().into_bytes()),
+        Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
+    }
+}
+
+/// Decodes one parsed request envelope for `route`: the request kind, then
+/// its netlist.
+pub(crate) fn decode_envelope(
+    route: Route,
+    envelope: &Json,
+) -> Result<(LisSystem, RequestKind), ServerError> {
+    let (netlist, kind) = RequestKind::decode(route.name(), envelope)?;
+    let sys = parse_netlist(&netlist)?;
+    Ok((sys, kind))
+}
+
+/// Answers one request envelope for `route` in process: the status and
+/// body bytes the daemon answers on `/analyze`, `/qs`, `/insert` and
+/// `/dot`, and for `/sweep` its NDJSON lines, error answers included. No
+/// cache, worker pool or metrics are involved; the local `lis analyze`,
+/// `qs`, `insert` and `sweep` commands answer through it.
+///
+/// ```
+/// use lis_server::wire::{obj, Json};
+/// use lis_server::{answer, Route};
+///
+/// let fig1 = "block A\nblock B\nchannel A -> B rs=1\nchannel A -> B\n";
+/// let (status, body) = answer(Route::Qs, &obj([("netlist", Json::str(fig1))]));
+/// assert_eq!(status, 200);
+/// let body = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+/// assert_eq!(body.get("total_extra").and_then(Json::as_u64), Some(1));
+/// ```
+pub fn answer(route: Route, envelope: &Json) -> (u16, Vec<u8>) {
+    let (sys, kind) = match decode_envelope(route, envelope) {
+        Ok(decoded) => decoded,
+        Err(e) => return render(Err(e)),
+    };
+    let RequestKind::Sweep { spec } = kind else {
+        return render(kind.execute(&sys));
+    };
+    let sweep = match plan_sweep(sys, spec) {
+        Ok(sweep) => sweep,
+        Err(e) => return render(Err(e)),
+    };
+    let mut body = Vec::new();
+    sweep_lines(&sweep, &mut |_, json| {
+        body.extend_from_slice(json.to_string().as_bytes());
+        body.push(b'\n');
+    });
+    (200, body)
 }
 
 #[cfg(test)]
@@ -1325,6 +1422,24 @@ mod tests {
         .unwrap();
         let (_, kind) = RequestKind::decode("sweep", &body).unwrap();
         let table = kind.execute(&fig1()).unwrap();
+        // Each key once, in stream order: header, rows, trailer.
+        let Json::Obj(fields) = &table else {
+            panic!("the sweep table is an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "points",
+                "groups",
+                "mode",
+                "engine",
+                "rows",
+                "pareto",
+                "warm_hits",
+                "warm_misses"
+            ]
+        );
         let rows = table.get("rows").unwrap().as_arr().unwrap();
         // Fig. 1 greedy frontier has two groups (bare, one station) × 3 caps.
         assert_eq!(table.get("points").unwrap().as_u64(), Some(6));

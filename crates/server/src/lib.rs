@@ -56,6 +56,11 @@
 //! [`Route::resolve`]: a path the table lacks answers 404, and a path it
 //! has under another method answers 405.
 //!
+//! [`answer`] computes the daemon's answer to one analysis or sweep
+//! envelope in process, byte for byte and with no cache, pool or metrics:
+//! the local `lis analyze`, `qs`, `insert` and `sweep` commands print
+//! through it exactly what `lis client` prints from a live daemon.
+//!
 //! Requests may carry an `X-LIS-Request-Id` header; the server echoes it in
 //! the response so one request can be correlated across tiers (client →
 //! gateway → shard) in logs and metrics.
@@ -104,7 +109,7 @@ pub use cache::{CacheKey, CachedResponse, ExactRequest, ResultCache};
 pub use client::{Client, RetryPolicy, RetryingClient};
 pub use error::ServerError;
 pub use fault::{FaultPlan, WriteFault};
-pub use jobs::RequestKind;
+pub use jobs::{answer, RequestKind};
 pub use metrics::{parse_metric, Metrics, NetStats, Route};
 pub use pool::{DrainReport, SubmitError, WorkerPool};
 pub use server::{Server, ServerConfig};

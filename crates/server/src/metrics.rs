@@ -125,10 +125,12 @@ impl Route {
     }
 }
 
-/// The status classes tracked per-counter.
-const STATUSES: [u16; 12] = [200, 400, 404, 405, 408, 413, 422, 429, 500, 502, 503, 504];
+/// The statuses counted one by one, by the daemon and the gateway alike.
+pub const STATUSES: [u16; 12] = [200, 400, 404, 405, 408, 413, 422, 429, 500, 502, 503, 504];
 
-fn status_slot(status: u16) -> usize {
+/// The index of `status` in [`STATUSES`]; a status the list lacks counts
+/// as 500.
+pub fn status_slot(status: u16) -> usize {
     STATUSES
         .iter()
         .position(|&s| s == status)

@@ -30,14 +30,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use lis_core::{parse_netlist, LisSystem};
+use lis_core::LisSystem;
 use lis_sweep::SweepSpec;
 
 use crate::cache::{CacheKey, CachedResponse, ExactRequest, ResultCache};
 use crate::error::ServerError;
 use crate::fault::{FaultPlan, WriteFault};
 use crate::http::{ChunkBatcher, Request, REQUEST_ID_HEADER};
-use crate::jobs::{sweep_header_json, sweep_row_json, sweep_trailer_json, RequestKind};
+use crate::jobs::{decode_envelope, plan_sweep, render, sweep_lines, RequestKind, SweepLine};
 use crate::metrics::{Metrics, Route};
 use crate::net::{Completion, Completions, EventLoop, FrontConfig, Outcome, Rendered, SlotKey};
 use crate::pool::{DrainReport, SubmitError, WorkerPool};
@@ -555,11 +555,10 @@ fn sweep_job(
         if let Some(plan) = &state.config.faults {
             plan.maybe_panic();
         }
-        let sweep = match lis_sweep::Sweep::new(sys, spec) {
+        let sweep = match plan_sweep(sys, spec) {
             Ok(sweep) => sweep,
             Err(e) => {
                 drop(slot);
-                let e = ServerError::BadRequest(e.to_string());
                 state
                     .metrics
                     .record_request(Route::Sweep, e.status(), started.elapsed());
@@ -575,31 +574,23 @@ fn sweep_job(
         });
         streaming.set(true);
         let mut chunks = ChunkSender::new(if row_delay.is_some() { 0 } else { 8192 }, send);
-        let mut body = sweep_header_json(&sweep).to_string();
-        body.push('\n');
-        chunks.push(body.as_bytes());
+        let mut body = String::new();
         let executed = Instant::now();
-        let engine = sweep.spec().engine;
-        let mut objectives = Vec::with_capacity(sweep.point_count());
-        let summary = sweep.run(&mut |row| {
-            objectives.push(lis_sweep::objectives(&row));
-            let mut line = sweep_row_json(&row, engine).to_string();
+        sweep_lines(&sweep, &mut |kind, json| {
+            let mut line = json.to_string();
             line.push('\n');
-            if let Some(delay) = row_delay {
-                std::thread::sleep(delay);
+            if kind == SweepLine::Row {
+                if let Some(delay) = row_delay {
+                    std::thread::sleep(delay);
+                }
+                state.metrics.sweep_rows.fetch_add(1, Ordering::Relaxed);
             }
             chunks.push(line.as_bytes());
-            state.metrics.sweep_rows.fetch_add(1, Ordering::Relaxed);
             body.push_str(&line);
         });
         state
             .metrics
-            .record_engine(engine.as_str(), executed.elapsed());
-        let pareto = lis_sweep::pareto_front_objectives(&objectives);
-        let mut trailer = sweep_trailer_json(&pareto, &summary).to_string();
-        trailer.push('\n');
-        chunks.push(trailer.as_bytes());
-        body.push_str(&trailer);
+            .record_engine(sweep.spec().engine.as_str(), executed.elapsed());
         // Cache, count and free the slot before the stream ends: a client
         // that has read the last byte finds all three already done.
         state.remember(
@@ -680,7 +671,7 @@ fn batch_row(state: &State, line: &str) -> Vec<u8> {
     })();
     match result {
         Ok(response) => response.body.clone(),
-        Err(e) => e.to_json().to_string().into_bytes(),
+        Err(e) => render(Err(e)).1,
     }
 }
 
@@ -713,10 +704,7 @@ fn run_analysis(
         }
         kind.execute(sys)
     }))?;
-    let (status, body) = match result {
-        Ok(json) => (200, json.to_string().into_bytes()),
-        Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
-    };
+    let (status, body) = render(result);
     if let Some(label) = kind.engine_label() {
         state.metrics.record_engine(label, executed.elapsed());
     }
@@ -792,14 +780,6 @@ fn decode(route: Route, body: &[u8]) -> Result<(LisSystem, RequestKind), ServerE
         .map_err(|_| ServerError::BadRequest("body is not UTF-8".into()))?;
     let envelope = Json::parse(text).map_err(|e| ServerError::BadRequest(format!("body: {e}")))?;
     decode_envelope(route, &envelope)
-}
-
-/// Decodes one parsed request envelope for `route`: the request kind, then
-/// its netlist. Shared by single requests and `/batch` lines.
-fn decode_envelope(route: Route, envelope: &Json) -> Result<(LisSystem, RequestKind), ServerError> {
-    let (netlist, kind) = RequestKind::decode(route.name(), envelope)?;
-    let sys = parse_netlist(&netlist)?;
-    Ok((sys, kind))
 }
 
 /// The daemon's event-loop handler: routing and worker handoff. Every
