@@ -100,3 +100,34 @@ fn local_commands_print_what_the_client_prints() {
     assert!(shutdown.status.success(), "{shutdown:?}");
     daemon.join().expect("daemon thread").expect("clean exit");
 }
+
+/// `--burst-seed` at 2^53 or above cannot cross the JSON boundary exactly
+/// (numbers are `f64`), so it is refused with the daemon's 400 naming the
+/// seed; 2^53 − 1 is echoed exactly.
+#[test]
+fn a_burst_seed_beyond_f64_precision_is_refused() {
+    let fig1 = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/netlists/fig1.lis");
+    let fig1 = fig1.to_str().expect("utf-8 path");
+    let burst = |seed: &str| {
+        lis(&[
+            "analyze",
+            fig1,
+            "--burst",
+            "100,300",
+            "--burst-trials",
+            "4",
+            "--burst-cycles",
+            "10",
+            "--burst-seed",
+            seed,
+        ])
+    };
+    let refused = burst("9007199254740993");
+    let stdout = String::from_utf8_lossy(&refused.stdout);
+    assert_eq!(refused.status.code(), Some(2), "{stdout}");
+    assert!(stdout.contains(r#"burst \"seed\""#), "{stdout}");
+    let exact = burst("9007199254740991");
+    let stdout = String::from_utf8_lossy(&exact.stdout);
+    assert_eq!(exact.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains(r#""seed":9007199254740991"#), "{stdout}");
+}

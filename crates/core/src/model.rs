@@ -108,7 +108,15 @@ impl LisModel {
         let n_hops = n_channels + n_relays;
         let n_places = if doubled { 2 * n_hops } else { n_hops };
 
-        let mut graph = MarkedGraph::with_capacity(sys.block_count() + n_relays, n_places);
+        // Every name is written straight into the graph's name arena,
+        // sized exactly: block names, then `rs<i>(<from>-><to>)` per relay
+        // station, channel after channel.
+        let relay_name_bytes: usize = sys.channel_ids().map(|c| relay_name_bytes(sys, c)).sum();
+        let mut graph = MarkedGraph::with_capacity_and_name_bytes(
+            sys.block_count() + n_relays,
+            n_places,
+            sys.name_bytes() + relay_name_bytes,
+        );
         let block_transition: Vec<TransitionId> = sys
             .block_ids()
             .map(|b| graph.add_transition(sys.block_name(b)))
@@ -129,7 +137,7 @@ impl LisModel {
             let q = sys.queue_capacity(c);
             let first_relay = relay.len();
             for i in 0..sys.relay_stations_on(c) {
-                relay.push(graph.add_transition(format!(
+                relay.push(graph.add_transition(format_args!(
                     "rs{}({}->{})",
                     i + 1,
                     sys.block_name(from),
@@ -274,6 +282,22 @@ impl LisModel {
             .map(|&role| role & ROLE_FORWARD != 0)
             .collect()
     }
+}
+
+/// The bytes of the relay-station names on channel `c`: `rs<i>(<from>-><to>)`
+/// for `i` in `1..=k`.
+fn relay_name_bytes(sys: &LisSystem, c: ChannelId) -> usize {
+    let k = sys.relay_stations_on(c) as usize;
+    let ends = sys.block_name(sys.channel_from(c)).len() + sys.block_name(sys.channel_to(c)).len();
+    // Each name is `rs`, `(`, `->` and `)` around the two block names, plus
+    // the decimal digits of its number.
+    let mut digits = 0;
+    let mut decade = 1;
+    while decade <= k {
+        digits += k - decade + 1;
+        decade *= 10;
+    }
+    k * (6 + ends) + digits
 }
 
 #[cfg(test)]

@@ -211,6 +211,11 @@ impl LisSystem {
         &self.names[start..self.blocks[i].name_end]
     }
 
+    /// The total length in bytes of every block name.
+    pub(crate) fn name_bytes(&self) -> usize {
+        self.names.len()
+    }
+
     /// Looks up a block by name (linear scan; for tests and small systems).
     pub fn block_by_name(&self, name: &str) -> Option<BlockId> {
         self.block_ids().find(|&b| self.block_name(b) == name)

@@ -15,10 +15,10 @@
 //! relay stations) always suffices.
 
 use marked_graph::structure::biconnected;
-use marked_graph::{MarkedGraph, Ratio, SccDecomposition};
+use marked_graph::{MarkedGraph, Ratio, SccDecomposition, TransitionId};
 
 use crate::mst::{ideal_mst, practical_mst};
-use crate::system::LisSystem;
+use crate::system::{BlockId, LisSystem};
 
 /// The topology classes of Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,11 +64,14 @@ impl std::fmt::Display for TopologyClass {
 /// is ever queried.
 pub fn block_graph(sys: &LisSystem) -> MarkedGraph {
     let mut g = MarkedGraph::with_capacity(sys.block_count(), sys.channel_count());
-    let ts: Vec<_> = sys.block_ids().map(|_| g.add_transition("")).collect();
+    for _ in sys.block_ids() {
+        g.add_transition("");
+    }
+    let transition = |b: BlockId| TransitionId::new(b.index());
     for c in sys.channel_ids() {
         g.add_place(
-            ts[sys.channel_from(c).index()],
-            ts[sys.channel_to(c).index()],
+            transition(sys.channel_from(c)),
+            transition(sys.channel_to(c)),
             1,
         );
     }

@@ -65,15 +65,21 @@ impl CsrScc {
         keep: impl Fn(PlaceId) -> bool,
     ) -> CsrScc {
         let vertices: Vec<TransitionId> = scc.members(comp).to_vec();
+        let internal = |p: PlaceId| scc.component_of(graph.target(p)) == comp && keep(p);
+        // Count first, so every slab is allocated once at its exact size.
+        let m = vertices
+            .iter()
+            .map(|&t| graph.outputs(t).iter().filter(|&&p| internal(p)).count())
+            .sum();
         let mut row_offsets = Vec::with_capacity(vertices.len() + 1);
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        let mut places = Vec::new();
+        let mut targets = Vec::with_capacity(m);
+        let mut weights = Vec::with_capacity(m);
+        let mut places = Vec::with_capacity(m);
         row_offsets.push(0);
         for &t in &vertices {
             for &p in graph.outputs(t) {
                 let w = graph.target(p);
-                if scc.component_of(w) == comp && keep(p) {
+                if internal(p) {
                     targets.push(scc.local_index(w) as u32);
                     weights.push(graph.tokens(p) as i64);
                     places.push(p);

@@ -3,10 +3,12 @@
 //! A marked graph (decision-free Petri net) restricted as in the paper: every
 //! place has exactly one producing and one consuming transition, so a place is
 //! equivalently a *token-weighted edge* between two transitions. We store the
-//! graph as two arenas (transitions and places) with per-transition adjacency
-//! lists, which keeps the bipartite invariant true by construction.
+//! graph as flat arrays (transition names, delays, places) plus a
+//! per-transition adjacency table derived from the places, which keeps the
+//! bipartite invariant true by construction.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::error::GraphError;
 use crate::ratio::Ratio;
@@ -62,18 +64,55 @@ impl fmt::Debug for PlaceId {
 }
 
 #[derive(Debug, Clone)]
-struct TransitionData {
-    name: String,
-    delay: u64,
-    inputs: Vec<PlaceId>,
-    outputs: Vec<PlaceId>,
-}
-
-#[derive(Debug, Clone)]
 struct PlaceData {
     source: TransitionId,
     target: TransitionId,
     tokens: u64,
+}
+
+/// Transition adjacency in compressed-sparse-row form: the outputs of
+/// transition `t` are `ids[offsets[t]..offsets[t + 1]]`, its inputs are
+/// `ids[offsets[n + 1 + t]..offsets[n + 2 + t]]` (`n` transitions), each
+/// in place-id order.
+#[derive(Clone)]
+struct Adjacency {
+    offsets: Vec<u32>,
+    ids: Vec<PlaceId>,
+}
+
+impl Adjacency {
+    /// One counting-sort pass over the places. Walking the places backwards
+    /// and filling each row from its end keeps every row in place-id order,
+    /// the order in which [`MarkedGraph::add_place`] appended to it.
+    fn build(transitions: usize, places: &[PlaceData]) -> Adjacency {
+        let n = transitions;
+        let mut offsets = vec![0u32; 2 * (n + 1)];
+        for p in places {
+            offsets[p.source.index()] += 1;
+            offsets[n + 1 + p.target.index()] += 1;
+        }
+        // Inclusive prefix sums: each counter becomes the end of its row,
+        // and the sentinel after each half the end of that half.
+        let mut end = 0u32;
+        for slot in offsets.iter_mut() {
+            end += *slot;
+            *slot = end;
+        }
+        let mut ids = vec![PlaceId(0); 2 * places.len()];
+        for (i, p) in places.iter().enumerate().rev() {
+            let out = &mut offsets[p.source.index()];
+            *out -= 1;
+            ids[*out as usize] = PlaceId::new(i);
+            let inp = &mut offsets[n + 1 + p.target.index()];
+            *inp -= 1;
+            ids[*inp as usize] = PlaceId::new(i);
+        }
+        Adjacency { offsets, ids }
+    }
+
+    fn row(&self, slot: usize) -> &[PlaceId] {
+        &self.ids[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+    }
 }
 
 /// A timed marked graph with an initial marking.
@@ -83,6 +122,13 @@ struct PlaceData {
 /// [`add_place`](MarkedGraph::add_place); the structure (which transitions a
 /// place connects) is immutable once created, but token counts and delays can
 /// be updated, which is exactly what queue sizing does.
+///
+/// The layout is flat: transition names sit back to back in one string
+/// with an end offset per transition, delays and places in one `Vec` each,
+/// and [`inputs`](MarkedGraph::inputs) / [`outputs`](MarkedGraph::outputs)
+/// are rows of one CSR table built from the places on first use (and
+/// dropped by `add_transition` and `add_place`). A graph of any size costs
+/// a constant number of allocations.
 ///
 /// # Examples
 ///
@@ -102,8 +148,14 @@ struct PlaceData {
 /// ```
 #[derive(Clone, Default)]
 pub struct MarkedGraph {
-    transitions: Vec<TransitionData>,
+    /// Every transition name, back to back.
+    names: String,
+    /// End of each transition's name in `names`.
+    name_end: Vec<u32>,
+    /// Delay per transition.
+    delays: Vec<u64>,
     places: Vec<PlaceData>,
+    adjacency: OnceLock<Adjacency>,
 }
 
 impl MarkedGraph {
@@ -116,9 +168,24 @@ impl MarkedGraph {
     /// transitions and `places` places, for callers that know the final
     /// size up front.
     pub fn with_capacity(transitions: usize, places: usize) -> MarkedGraph {
+        MarkedGraph::with_capacity_and_name_bytes(transitions, places, 0)
+    }
+
+    /// [`with_capacity`](MarkedGraph::with_capacity) plus room for
+    /// `name_bytes` bytes of transition names in total, so that a caller
+    /// that knows every name up front builds the graph without a single
+    /// reallocation.
+    pub fn with_capacity_and_name_bytes(
+        transitions: usize,
+        places: usize,
+        name_bytes: usize,
+    ) -> MarkedGraph {
         MarkedGraph {
-            transitions: Vec::with_capacity(transitions),
+            names: String::with_capacity(name_bytes),
+            name_end: Vec::with_capacity(transitions),
+            delays: Vec::with_capacity(transitions),
             places: Vec::with_capacity(places),
+            adjacency: OnceLock::new(),
         }
     }
 
@@ -128,23 +195,26 @@ impl MarkedGraph {
     /// one (one clock period); use
     /// [`add_transition_with_delay`](MarkedGraph::add_transition_with_delay)
     /// for the general timed case.
-    pub fn add_transition(&mut self, name: impl Into<String>) -> TransitionId {
+    pub fn add_transition(&mut self, name: impl fmt::Display) -> TransitionId {
         self.add_transition_with_delay(name, 1)
     }
 
     /// Adds a transition with an explicit delay and returns its id.
+    ///
+    /// The name is written straight into the graph's name arena, so a
+    /// `&str` or a [`format_args!`] costs no allocation of its own.
     pub fn add_transition_with_delay(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         delay: u64,
     ) -> TransitionId {
-        let id = TransitionId::new(self.transitions.len());
-        self.transitions.push(TransitionData {
-            name: name.into(),
-            delay,
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-        });
+        use fmt::Write;
+        let id = TransitionId::new(self.delays.len());
+        write!(self.names, "{name}").expect("writing to a String cannot fail");
+        let end = u32::try_from(self.names.len()).expect("transition names fit in 4 GiB");
+        self.name_end.push(end);
+        self.delays.push(delay);
+        self.adjacency.take();
         id
     }
 
@@ -161,11 +231,11 @@ impl MarkedGraph {
         tokens: u64,
     ) -> PlaceId {
         assert!(
-            source.index() < self.transitions.len(),
+            source.index() < self.delays.len(),
             "unknown source transition"
         );
         assert!(
-            target.index() < self.transitions.len(),
+            target.index() < self.delays.len(),
             "unknown target transition"
         );
         let id = PlaceId::new(self.places.len());
@@ -174,14 +244,19 @@ impl MarkedGraph {
             target,
             tokens,
         });
-        self.transitions[source.index()].outputs.push(id);
-        self.transitions[target.index()].inputs.push(id);
+        self.adjacency.take();
         id
+    }
+
+    /// The CSR adjacency, built on first use after the last change.
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency
+            .get_or_init(|| Adjacency::build(self.delays.len(), &self.places))
     }
 
     /// Number of transitions.
     pub fn transition_count(&self) -> usize {
-        self.transitions.len()
+        self.delays.len()
     }
 
     /// Number of places.
@@ -191,7 +266,7 @@ impl MarkedGraph {
 
     /// Whether the graph has no transitions.
     pub fn is_empty(&self) -> bool {
-        self.transitions.is_empty()
+        self.delays.is_empty()
     }
 
     /// Total number of tokens in the initial marking.
@@ -205,12 +280,17 @@ impl MarkedGraph {
     ///
     /// Panics if `t` is out of range.
     pub fn transition_name(&self, t: TransitionId) -> &str {
-        &self.transitions[t.index()].name
+        let end = self.name_end[t.index()] as usize;
+        let start = match t.index() {
+            0 => 0,
+            i => self.name_end[i - 1] as usize,
+        };
+        &self.names[start..end]
     }
 
     /// The delay of a transition (1 for synchronous systems).
     pub fn delay(&self, t: TransitionId) -> u64 {
-        self.transitions[t.index()].delay
+        self.delays[t.index()]
     }
 
     /// The source transition of a place.
@@ -243,17 +323,19 @@ impl MarkedGraph {
 
     /// Places entering a transition.
     pub fn inputs(&self, t: TransitionId) -> &[PlaceId] {
-        &self.transitions[t.index()].inputs
+        assert!(t.index() < self.delays.len(), "unknown transition");
+        self.adjacency().row(self.delays.len() + 1 + t.index())
     }
 
     /// Places leaving a transition.
     pub fn outputs(&self, t: TransitionId) -> &[PlaceId] {
-        &self.transitions[t.index()].outputs
+        assert!(t.index() < self.delays.len(), "unknown transition");
+        self.adjacency().row(t.index())
     }
 
     /// Iterator over all transition ids.
     pub fn transition_ids(&self) -> impl Iterator<Item = TransitionId> + '_ {
-        (0..self.transitions.len()).map(TransitionId::new)
+        (0..self.delays.len()).map(TransitionId::new)
     }
 
     /// Iterator over all place ids.
@@ -264,10 +346,8 @@ impl MarkedGraph {
     /// Looks up a transition by name. Linear scan; meant for tests and small
     /// hand-built graphs.
     pub fn transition_by_name(&self, name: &str) -> Option<TransitionId> {
-        self.transitions
-            .iter()
-            .position(|t| t.name == name)
-            .map(TransitionId::new)
+        self.transition_ids()
+            .find(|&t| self.transition_name(t) == name)
     }
 
     /// Looks up the place from `source` to `target`, if there is exactly one
@@ -324,7 +404,7 @@ impl MarkedGraph {
     ///
     /// Returns [`GraphError::UnknownTransition`] if out of range.
     pub fn check_transition(&self, t: TransitionId) -> Result<(), GraphError> {
-        if t.index() < self.transitions.len() {
+        if t.index() < self.delays.len() {
             Ok(())
         } else {
             Err(GraphError::UnknownTransition(t))
@@ -374,7 +454,7 @@ impl MarkedGraph {
             Gray,
             Black,
         }
-        let n = self.transitions.len();
+        let n = self.delays.len();
         let mut color = vec![Color::White; n];
         let mut parent: Vec<Option<TransitionId>> = vec![None; n];
         for start in self.transition_ids() {
@@ -385,7 +465,7 @@ impl MarkedGraph {
             let mut stack: Vec<(TransitionId, usize)> = vec![(start, 0)];
             color[start.index()] = Color::Gray;
             while let Some(&(t, next)) = stack.last() {
-                let outs = &self.transitions[t.index()].outputs;
+                let outs = self.outputs(t);
                 if next >= outs.len() {
                     color[t.index()] = Color::Black;
                     stack.pop();
@@ -428,7 +508,7 @@ impl fmt::Debug for MarkedGraph {
         writeln!(
             f,
             "MarkedGraph {{ {} transitions, {} places }}",
-            self.transitions.len(),
+            self.delays.len(),
             self.places.len()
         )?;
         for (i, p) in self.places.iter().enumerate() {
@@ -436,8 +516,8 @@ impl fmt::Debug for MarkedGraph {
                 f,
                 "  p{}: {} -> {} [{} tokens]",
                 i,
-                self.transitions[p.source.index()].name,
-                self.transitions[p.target.index()].name,
+                self.transition_name(p.source),
+                self.transition_name(p.target),
                 p.tokens
             )?;
         }

@@ -130,7 +130,11 @@ impl HowardScratch {
         self.walk_gen.resize(n, 0);
         self.path_pos.clear();
         self.path_pos.resize(n, 0);
+        // A walk and the work queue each hold every vertex at most once.
         self.path.clear();
+        self.path.reserve(n);
+        self.queue.clear();
+        self.queue.reserve(n);
         self.gen = 0;
         self.reverse_ready = false;
         self.queued.clear();
@@ -221,6 +225,7 @@ pub fn howard_csr(csr: &CsrScc, scratch: &mut HowardScratch, policy: &mut Vec<u3
             .all(|(v, &e)| csr.out(v).contains(&(e as usize)));
     if !valid_warm_start {
         policy.clear();
+        policy.reserve(n);
         for v in 0..n {
             let range = csr.out(v);
             debug_assert!(!range.is_empty(), "SCC vertex without out-edge");

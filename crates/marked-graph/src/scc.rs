@@ -30,8 +30,10 @@ use crate::graph::{MarkedGraph, PlaceId, TransitionId};
 pub struct SccDecomposition {
     /// Component index per transition.
     comp_of: Vec<usize>,
-    /// Transitions per component.
-    members: Vec<Vec<TransitionId>>,
+    /// Every transition, component after component.
+    members: Vec<TransitionId>,
+    /// End of each component's run in `members`.
+    member_end: Vec<u32>,
     /// Position of each transition within its component's `members`.
     local: Vec<u32>,
 }
@@ -55,14 +57,17 @@ impl SccDecomposition {
         let mut index = vec![UNVISITED; n];
         let mut lowlink = vec![0usize; n];
         let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
+        // Every buffer is sized for the worst case up front, so the pass
+        // never reallocates.
+        let mut stack: Vec<usize> = Vec::with_capacity(n);
         let mut next_index = 0usize;
-        let mut members: Vec<Vec<TransitionId>> = Vec::new();
+        let mut members: Vec<TransitionId> = Vec::with_capacity(n);
+        let mut member_end: Vec<u32> = Vec::with_capacity(n);
         let mut comp_of = vec![UNVISITED; n];
         let mut local = vec![0u32; n];
 
         // Explicit DFS frame: (vertex, next output-place index).
-        let mut call: Vec<(usize, usize)> = Vec::new();
+        let mut call: Vec<(usize, usize)> = Vec::with_capacity(n);
         for root in 0..n {
             if index[root] != UNVISITED {
                 continue;
@@ -98,19 +103,19 @@ impl SccDecomposition {
                         lowlink[parent] = lowlink[parent].min(lowlink[v]);
                     }
                     if lowlink[v] == index[v] {
-                        let comp_id = members.len();
-                        let mut comp = Vec::new();
+                        let comp_id = member_end.len();
+                        let start = members.len();
                         loop {
                             let w = stack.pop().expect("tarjan stack underflow");
                             on_stack[w] = false;
                             comp_of[w] = comp_id;
-                            local[w] = comp.len() as u32;
-                            comp.push(TransitionId::new(w));
+                            local[w] = (members.len() - start) as u32;
+                            members.push(TransitionId::new(w));
                             if w == v {
                                 break;
                             }
                         }
-                        members.push(comp);
+                        member_end.push(members.len() as u32);
                     }
                 }
             }
@@ -119,13 +124,14 @@ impl SccDecomposition {
         SccDecomposition {
             comp_of,
             members,
+            member_end,
             local,
         }
     }
 
     /// Number of strongly connected components.
     pub fn count(&self) -> usize {
-        self.members.len()
+        self.member_end.len()
     }
 
     /// The component index a transition belongs to.
@@ -143,7 +149,11 @@ impl SccDecomposition {
 
     /// The transitions of component `c`.
     pub fn members(&self, c: usize) -> &[TransitionId] {
-        &self.members[c]
+        let start = match c {
+            0 => 0,
+            _ => self.member_end[c - 1] as usize,
+        };
+        &self.members[start..self.member_end[c] as usize]
     }
 
     /// The position of `t` within [`members`](SccDecomposition::members) of
@@ -154,12 +164,12 @@ impl SccDecomposition {
 
     /// Iterator over component indices.
     pub fn component_ids(&self) -> impl Iterator<Item = usize> {
-        0..self.members.len()
+        0..self.member_end.len()
     }
 
     /// Whether the whole graph is one strongly connected component.
     pub fn is_strongly_connected(&self) -> bool {
-        self.members.len() == 1
+        self.member_end.len() == 1
     }
 
     /// Whether a place connects two transitions of the same component.
@@ -170,11 +180,12 @@ impl SccDecomposition {
     /// Whether component `c` contains at least one place internal to it
     /// (i.e., the component is cyclic rather than a trivial single vertex).
     pub fn is_cyclic(&self, graph: &MarkedGraph, c: usize) -> bool {
-        if self.members[c].len() > 1 {
+        let members = self.members(c);
+        if members.len() > 1 {
             return true;
         }
         // Single vertex: cyclic only if it has a self-loop place.
-        let t = self.members[c][0];
+        let t = members[0];
         graph.outputs(t).iter().any(|&p| graph.target(p) == t)
     }
 

@@ -71,16 +71,19 @@ pub fn biconnected(graph: &MarkedGraph) -> Biconnected {
     let n = graph.transition_count();
     // Undirected adjacency in CSR form: vertex v's (neighbor, place index)
     // pairs are `adj[start[v]..start[v + 1]]`, in place-id order.
-    let mut self_loops: Vec<PlaceId> = Vec::new();
     let mut start = vec![0usize; n + 1];
+    let mut loops = 0;
     for p in graph.place_ids() {
         let u = graph.source(p).index();
         let v = graph.target(p).index();
         if u != v {
             start[u + 1] += 1;
             start[v + 1] += 1;
+        } else {
+            loops += 1;
         }
     }
+    let mut self_loops: Vec<PlaceId> = Vec::with_capacity(loops);
     for v in 0..n {
         start[v + 1] += start[v];
     }
@@ -104,12 +107,14 @@ pub fn biconnected(graph: &MarkedGraph) -> Biconnected {
     let mut disc = vec![UNSET; n];
     let mut low = vec![0usize; n];
     let mut time = 0usize;
-    let mut edge_stack: Vec<usize> = Vec::new();
+    // Each undirected edge is pushed at most once, and the DFS is at most
+    // `n` frames deep: neither stack ever reallocates.
+    let mut edge_stack: Vec<usize> = Vec::with_capacity(graph.place_count() - loops);
     let mut components: Vec<Vec<PlaceId>> = Vec::new();
     let mut is_ap = vec![false; n];
 
     // Frame: (vertex, entering edge (place index) or UNSET, next adj index).
-    let mut frames: Vec<(usize, usize, usize)> = Vec::new();
+    let mut frames: Vec<(usize, usize, usize)> = Vec::with_capacity(n);
     for root in 0..n {
         if disc[root] != UNSET {
             continue;
@@ -151,17 +156,13 @@ pub fn biconnected(graph: &MarkedGraph) -> Biconnected {
                         low[parent] = low[u];
                     }
                     if low[u] >= disc[parent] {
-                        // parent separates u's subtree: pop one component.
-                        let mut comp = Vec::new();
-                        while let Some(&e) = edge_stack.last() {
-                            // Stop after popping the tree edge parent-u (pe).
-                            edge_stack.pop();
-                            comp.push(PlaceId::new(e));
-                            if e == pe {
-                                break;
-                            }
-                        }
-                        components.push(comp);
+                        // parent separates u's subtree: pop one component,
+                        // down to and including the tree edge parent-u (pe),
+                        // top of the stack first.
+                        let at = edge_stack.iter().rposition(|&e| e == pe).unwrap_or(0);
+                        let comp = edge_stack[at..].iter().rev().map(|&e| PlaceId::new(e));
+                        components.push(comp.collect());
+                        edge_stack.truncate(at);
                         if parent != root {
                             is_ap[parent] = true;
                         }

@@ -215,6 +215,9 @@ struct Conn {
     inflight: HashSet<u64>,
     awaiting_first_byte: bool,
     read_deadline_at: Option<Instant>,
+    /// A `Timer::ReadDeadline` of this connection is in the heap. It is
+    /// due at or before `read_deadline_at`, which only moves later.
+    read_deadline_queued: bool,
     parse_gate_at: Option<Instant>,
     /// No more reads or parses; close once everything queued has flushed.
     poisoned: bool,
@@ -222,6 +225,20 @@ struct Conn {
 }
 
 impl Conn {
+    /// Starts the read deadline at `at`, pushing a timer only when none of
+    /// this connection's is pending: one that comes due before the
+    /// deadline is pushed again at it (see `fire_timers`), so the heap
+    /// holds at most one read deadline per connection however many
+    /// requests it pipelines.
+    fn arm_read_deadline(&mut self, slot: usize, at: Instant, timers: &mut Timers) {
+        self.read_deadline_at = Some(at);
+        if !self.read_deadline_queued {
+            self.read_deadline_queued = true;
+            let gen = self.gen;
+            timers.push(std::cmp::Reverse((at, Timer::ReadDeadline { slot, gen })));
+        }
+    }
+
     fn unanswered(&self) -> usize {
         self.inflight.len() + self.answers.len()
     }
@@ -370,6 +387,9 @@ enum Timer {
     JobTimeout(SlotKey),
 }
 
+/// Pending timers, earliest first.
+type Timers = BinaryHeap<std::cmp::Reverse<(Instant, Timer)>>;
+
 /// The event loop itself. Construct with [`EventLoop::new`], then call
 /// [`EventLoop::run`]; it returns after the handler reports shutdown and
 /// the drain completes.
@@ -385,7 +405,7 @@ pub struct EventLoop<H: Handler> {
     slots: Vec<Option<Conn>>,
     free: Vec<usize>,
     pending_free: Vec<usize>,
-    timers: BinaryHeap<std::cmp::Reverse<(Instant, Timer)>>,
+    timers: Timers,
     next_gen: u64,
     drain_started: Option<Instant>,
 }
@@ -440,41 +460,47 @@ impl<H: Handler> EventLoop<H> {
     /// connection.
     pub fn run(mut self) -> io::Result<()> {
         let mut events: Vec<Event> = Vec::new();
-        loop {
-            if self.handler.shutting_down() && self.drain_started.is_none() {
-                self.begin_drain();
-            }
-            if let Some(started) = self.drain_started {
-                let idle = self.slots.iter().all(Option::is_none);
-                if idle || Instant::now() >= started + self.config.drain_grace {
-                    // Past the grace: force-close stragglers.
-                    for slot in 0..self.slots.len() {
-                        self.close_slot(slot);
-                    }
-                    return Ok(());
-                }
-            }
-            let timeout = self.next_wait_timeout();
-            self.poller.wait(&mut events, Some(timeout))?;
-            self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-            let batch: Vec<Event> = events.clone();
-            for ev in batch {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready()?,
-                    TOKEN_WAKE => {
-                        let mut sink = Vec::new();
-                        let _ = read_available(&mut (&self.wake_rx), &mut sink);
-                    }
-                    token => self.conn_event(token - TOKEN_BASE, ev),
-                }
-            }
-            self.drain_completions();
-            self.fire_timers();
-            // Slot reuse is deferred one iteration so stale events in the
-            // same batch cannot reach a fresh connection.
-            let recycled = std::mem::take(&mut self.pending_free);
-            self.free.extend(recycled);
+        while !self.turn(&mut events)? {}
+        Ok(())
+    }
+
+    /// One iteration of the loop: wait for readiness (or the next timer),
+    /// handle it, fire due timers. Returns `true` once the drain is over.
+    fn turn(&mut self, events: &mut Vec<Event>) -> io::Result<bool> {
+        if self.handler.shutting_down() && self.drain_started.is_none() {
+            self.begin_drain();
         }
+        if let Some(started) = self.drain_started {
+            let idle = self.slots.iter().all(Option::is_none);
+            if idle || Instant::now() >= started + self.config.drain_grace {
+                // Past the grace: force-close stragglers.
+                for slot in 0..self.slots.len() {
+                    self.close_slot(slot);
+                }
+                return Ok(true);
+            }
+        }
+        let timeout = self.next_wait_timeout();
+        self.poller.wait(events, Some(timeout))?;
+        self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+        let batch: Vec<Event> = events.clone();
+        for ev in batch {
+            match ev.token {
+                TOKEN_LISTENER => self.accept_ready()?,
+                TOKEN_WAKE => {
+                    let mut sink = Vec::new();
+                    let _ = read_available(&mut (&self.wake_rx), &mut sink);
+                }
+                token => self.conn_event(token - TOKEN_BASE, ev),
+            }
+        }
+        self.drain_completions();
+        self.fire_timers();
+        // Slot reuse is deferred one iteration so stale events in the
+        // same batch cannot reach a fresh connection.
+        let recycled = std::mem::take(&mut self.pending_free);
+        self.free.extend(recycled);
+        Ok(false)
     }
 
     fn next_wait_timeout(&self) -> Duration {
@@ -541,6 +567,7 @@ impl<H: Handler> EventLoop<H> {
                         inflight: HashSet::new(),
                         awaiting_first_byte: true,
                         read_deadline_at: None,
+                        read_deadline_queued: false,
                         parse_gate_at: None,
                         poisoned: false,
                         peer_eof: false,
@@ -614,14 +641,8 @@ impl<H: Handler> EventLoop<H> {
                                 },
                             )));
                         } else {
-                            conn.read_deadline_at = Some(now + self.config.read_deadline);
-                            self.timers.push(std::cmp::Reverse((
-                                now + self.config.read_deadline,
-                                Timer::ReadDeadline {
-                                    slot,
-                                    gen: conn.gen,
-                                },
-                            )));
+                            let at = now + self.config.read_deadline;
+                            conn.arm_read_deadline(slot, at, &mut self.timers);
                         }
                     }
                 }
@@ -729,12 +750,8 @@ impl<H: Handler> EventLoop<H> {
                         )));
                         return;
                     } else {
-                        conn.read_deadline_at = Some(now + self.config.read_deadline);
-                        let gen = conn.gen;
-                        self.timers.push(std::cmp::Reverse((
-                            now + self.config.read_deadline,
-                            Timer::ReadDeadline { slot, gen },
-                        )));
+                        let at = now + self.config.read_deadline;
+                        conn.arm_read_deadline(slot, at, &mut self.timers);
                     }
                 }
             }
@@ -865,8 +882,18 @@ impl<H: Handler> EventLoop<H> {
                     let Some(conn) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
                         continue;
                     };
-                    if conn.gen != gen || conn.read_deadline_at.is_none_or(|t| t > now) {
+                    if conn.gen != gen {
                         continue;
+                    }
+                    conn.read_deadline_queued = false;
+                    match conn.read_deadline_at {
+                        None => continue,
+                        // The deadline moved since this entry was pushed.
+                        Some(at) if at > now => {
+                            conn.arm_read_deadline(slot, at, &mut self.timers);
+                            continue;
+                        }
+                        Some(_) => {}
                     }
                     // Slow loris: typed 408 after everything already
                     // answered flushes, then close.
@@ -889,12 +916,8 @@ impl<H: Handler> EventLoop<H> {
                     }
                     conn.parse_gate_at = None;
                     // The read deadline starts after the injected delay.
-                    conn.read_deadline_at = Some(now + self.config.read_deadline);
-                    let gen = conn.gen;
-                    self.timers.push(std::cmp::Reverse((
-                        now + self.config.read_deadline,
-                        Timer::ReadDeadline { slot, gen },
-                    )));
+                    let at = now + self.config.read_deadline;
+                    conn.arm_read_deadline(slot, at, &mut self.timers);
                     self.process_buffer(slot);
                     self.after_change(slot);
                 }
@@ -1067,6 +1090,52 @@ mod tests {
         assert_eq!(resp.status, 408);
         shutdown(addr);
         handle.join().expect("loop exits");
+    }
+
+    #[test]
+    fn pipelined_requests_keep_one_read_deadline_per_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let handler = EchoHandler {
+            shutdown: Arc::new(AtomicBool::new(false)),
+        };
+        let config = FrontConfig {
+            max_connections: 64,
+            read_deadline: Duration::from_secs(60),
+            slow_read: None,
+            drain_grace: Duration::from_secs(5),
+            write_chunk_for_tests: None,
+        };
+        let mut event_loop =
+            EventLoop::new(listener, handler, config, Arc::new(NetStats::new())).expect("loop");
+        const REQUESTS: usize = 1_000;
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut wire = Vec::new();
+            for i in 0..REQUESTS {
+                write_request(&mut wire, "GET", &format!("/r{i}"), b"").unwrap();
+            }
+            stream.write_all(&wire).expect("pipeline");
+            let mut reader = BufReader::new(stream);
+            for i in 0..REQUESTS {
+                let resp = read_response(&mut reader).expect("response");
+                assert_eq!(resp.body, format!("/r{i}").as_bytes());
+            }
+        });
+        let mut events = Vec::new();
+        while !client.is_finished() {
+            event_loop.turn(&mut events).expect("turn");
+        }
+        client.join().expect("every request answered in order");
+        let deadlines = event_loop
+            .timers
+            .iter()
+            .filter(|entry| matches!(entry.0 .1, Timer::ReadDeadline { .. }))
+            .count();
+        assert!(
+            deadlines <= 1,
+            "{deadlines} read deadlines pending for one connection"
+        );
     }
 
     #[test]

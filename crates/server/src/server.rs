@@ -1307,11 +1307,20 @@ mod tests {
             .request("POST", "/sweep", sweep_body().as_bytes())
             .expect("retried sweep");
         assert_eq!(retried.status, 200, "the crashed job released its slot");
-        let exposition = client.metrics().expect("metrics");
-        assert_eq!(
-            crate::metrics::parse_metric(&exposition, "lis_worker_panics_total"),
-            Some(1.0)
-        );
+        // The crashed worker counts its panic after the 500 is sent, while
+        // its unwind reaches the pool, so that bookkeeping races the
+        // retry: poll, as the pool's own respawn test does.
+        let mut panics = || {
+            let exposition = client.metrics().expect("metrics");
+            crate::metrics::parse_metric(&exposition, "lis_worker_panics_total")
+        };
+        let started = Instant::now();
+        let mut counted = panics();
+        while counted == Some(0.0) && started.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+            counted = panics();
+        }
+        assert_eq!(counted, Some(1.0));
         client.shutdown().expect("shutdown");
         daemon.join().expect("join").expect("run");
     }

@@ -90,9 +90,14 @@ impl Json {
     }
 
     /// The numeric payload as a nonnegative integer, if it is one exactly.
+    ///
+    /// Numbers parse as `f64`, which holds every integer below 2^53 exactly
+    /// but rounds larger literals (`9007199254740993` reads as 2^53). So
+    /// 2^53 and above are refused: an option is never silently read as a
+    /// different integer than the one sent.
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        if n >= 0.0 && n.fract() == 0.0 && n <= 9_007_199_254_740_992.0 {
+        if n >= 0.0 && n.fract() == 0.0 && n < 9_007_199_254_740_992.0 {
             Some(n as u64)
         } else {
             None
@@ -567,6 +572,14 @@ mod tests {
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(7.0).as_u64(), Some(7));
+        assert_eq!(
+            Json::parse("9007199254740991").unwrap().as_u64(),
+            Some(9_007_199_254_740_991)
+        );
+        // f64 rounds both to 2^53, which is refused.
+        for rounded in ["9007199254740992", "9007199254740993"] {
+            assert_eq!(Json::parse(rounded).unwrap().as_u64(), None, "{rounded}");
+        }
         assert_eq!(Json::str("x").as_arr(), None);
         assert_eq!(Json::str("x").get("k"), None);
         assert_eq!(Json::Arr(vec![]).as_bool(), None);

@@ -13,7 +13,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lis::core::{canonical_hash, explain_with, figures, to_netlist, LisSystem, McmEngine};
+use lis::core::{
+    canonical_hash, classify, explain_with, figures, to_netlist, LisModel, LisSystem, McmEngine,
+};
 use lis::gen::{generate, ring, GeneratorConfig, InsertionPolicy};
 use lis::qs::{solve, verify_solution, Algorithm, QsConfig};
 use lis_server::wire::obj;
@@ -72,18 +74,36 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, ALLOCATIONS.with(Cell::get) - before)
 }
 
-const STAGES: [&str; 6] = [
+const STAGES: [&str; 9] = [
     "Json::parse",
     "RequestKind::decode + parse_netlist",
     "canonical_hash",
     "explain_with",
+    "  classify",
+    "  LisModel::doubled",
+    "  the rest of explain_with",
     "lis_qs::solve",
     "verify_solution",
 ];
 
+/// The allocations of the solver stages on one design: `explain_with`,
+/// its `classify`, its `LisModel::doubled` and the rest of it, then
+/// `lis_qs::solve` and `verify_solution`.
+fn solver_stages(sys: &LisSystem) -> [u64; 6] {
+    let (_, explain) = counted(|| explain_with(sys, McmEngine::default()));
+    let (_, class) = counted(|| classify(sys));
+    let (_, doubled) = counted(|| LisModel::doubled(sys));
+    let (report, qs) =
+        counted(|| solve(sys, Algorithm::Heuristic, &QsConfig::default()).expect("solves"));
+    let (ok, verify) = counted(|| verify_solution(sys, &report));
+    assert!(ok, "queue sizing verifies");
+    let rest = explain - class - doubled;
+    [explain, class, doubled, rest, qs, verify]
+}
+
 /// The most allocations any design of a corpus makes in each stage.
-fn worst_per_stage(designs: &[LisSystem]) -> [u64; 6] {
-    let mut worst = [0u64; 6];
+fn worst_per_stage(designs: &[LisSystem]) -> [u64; 9] {
+    let mut worst = [0u64; 9];
     for sys in designs {
         let body = obj([("netlist", Json::str(to_netlist(sys)))]).to_string();
         for route in ["analyze", "qs"] {
@@ -98,19 +118,14 @@ fn worst_per_stage(designs: &[LisSystem]) -> [u64; 6] {
                 *w = (*w).max(n);
             }
         }
-        let (_, explain) = counted(|| explain_with(sys, McmEngine::default()));
-        let (report, qs) =
-            counted(|| solve(sys, Algorithm::Heuristic, &QsConfig::default()).expect("solves"));
-        let (ok, verify) = counted(|| verify_solution(sys, &report));
-        assert!(ok, "queue sizing verifies");
-        for (w, n) in worst[3..].iter_mut().zip([explain, qs, verify]) {
+        for (w, n) in worst[3..].iter_mut().zip(solver_stages(sys)) {
             *w = (*w).max(n);
         }
     }
     worst
 }
 
-fn check(corpus: &str, designs: &[LisSystem], ceilings: [u64; 6]) {
+fn check(corpus: &str, designs: &[LisSystem], ceilings: [u64; 9]) {
     let worst = worst_per_stage(designs);
     for ((stage, n), ceiling) in STAGES.iter().zip(worst).zip(ceilings) {
         eprintln!("{corpus}: {stage}: {n} allocations (ceiling {ceiling})");
@@ -135,6 +150,15 @@ fn figure_corpus() -> Vec<LisSystem> {
     ]
 }
 
+/// A ring of `n` blocks with two relay stations, as `cold-solve` sends.
+fn ring_with_two_relays(n: usize) -> LisSystem {
+    let r = ring(n);
+    let mut sys = r.system;
+    sys.add_relay_station(r.channels[0]);
+    sys.add_relay_station(r.channels[n / 3]);
+    sys
+}
+
 /// Seeded designs shaped like `cold-solve`'s: random LIS of 64–200 blocks
 /// and rings of 250–350 blocks with two relay stations, plus one
 /// 1,000-block ring to show that parsing cost does not grow with size.
@@ -155,13 +179,7 @@ fn generated_corpus() -> Vec<LisSystem> {
             generate(&cfg, &mut rng).system
         })
         .collect();
-    for n in [250, 300, 350, 1000] {
-        let r = ring(n);
-        let mut sys = r.system;
-        sys.add_relay_station(r.channels[0]);
-        sys.add_relay_station(r.channels[n / 3]);
-        designs.push(sys);
-    }
+    designs.extend([250, 300, 350, 1000].map(ring_with_two_relays));
     designs
 }
 
@@ -171,10 +189,22 @@ fn generated_corpus() -> Vec<LisSystem> {
 // Decode is now one copy of the netlist plus a constant five for the
 // parse at any size, and `verify_solution`'s clone of the system costs
 // three allocations instead of one per block.
+//
+// The parent of the flat marked graph measured, in both profiles:
+//   figures explain_with 151, lis_qs::solve 196, verify_solution 71
+//   lis-gen explain_with 5_281, lis_qs::solve 5_243, verify_solution 3_122
+// (on the 1,000-block ring, 2_072 of explain_with's in classify and 3_017
+// in LisModel::doubled). A marked graph is now a constant number of flat
+// arrays with its names in one arena, the block graph names nothing, and
+// the SCC, biconnected, CSR and Howard buffers are sized before they fill.
 
 #[test]
 fn figure_corpus_stays_under_its_allocation_ceilings() {
-    check("figures", &figure_corpus(), [6, 6, 0, 151, 196, 71]);
+    check(
+        "figures",
+        &figure_corpus(),
+        [6, 6, 0, 106, 29, 12, 79, 153, 44],
+    );
 }
 
 #[test]
@@ -182,7 +212,23 @@ fn generated_corpus_stays_under_its_allocation_ceilings() {
     check(
         "lis-gen",
         &generated_corpus(),
-        [13, 6, 0, 5_281, 5_243, 3_122],
+        [13, 6, 0, 194, 31, 12, 151, 483, 44],
+    );
+}
+
+/// The flat marked graph, the block graph and every solver buffer are
+/// sized up front, so a ring of 1,000 blocks costs each solver stage
+/// exactly what a ring of 250 costs.
+#[test]
+fn ring_solver_stages_cost_the_same_at_any_size() {
+    let small = solver_stages(&ring_with_two_relays(250));
+    let large = solver_stages(&ring_with_two_relays(1000));
+    for ((stage, s), l) in STAGES[3..].iter().zip(small).zip(large) {
+        eprintln!("ring: {stage}: {s} allocations at 250 blocks, {l} at 1,000");
+    }
+    assert_eq!(
+        small, large,
+        "solver-stage allocations, 250 vs 1,000 blocks"
     );
 }
 

@@ -133,3 +133,34 @@ fn in_process_answers_match_the_daemon_byte_for_byte() {
     assert_eq!(client.shutdown().expect("shutdown"), 200);
     daemon.join().expect("daemon thread").expect("clean exit");
 }
+
+/// JSON numbers are `f64`, which rounds integer literals of 2^53 and
+/// above. Such an option is refused with a typed 400 naming it instead of
+/// running as a different integer; 2^53 − 1 still round-trips exactly.
+#[test]
+fn an_integer_option_beyond_f64_precision_is_refused() {
+    let fig1 = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/netlists/fig1.lis");
+    let netlist = std::fs::read_to_string(fig1).expect("read fig1.lis");
+    let burst = |seed: &str| {
+        let options = format!(
+            r#"{{"burst":{{"off_per_mille":100,"on_per_mille":300,"trials":4,"cycles":10,"seed":{seed}}}}}"#
+        );
+        answer(
+            Route::Analyze,
+            &obj([
+                ("netlist", Json::str(netlist.as_str())),
+                ("options", Json::parse(&options).expect("options")),
+            ]),
+        )
+    };
+    for seed in ["9007199254740993", "9007199254740992"] {
+        let (status, body) = burst(seed);
+        let body = String::from_utf8_lossy(&body);
+        assert_eq!(status, 400, "seed {seed}: {body}");
+        assert!(body.contains(r#"burst \"seed\""#), "seed {seed}: {body}");
+    }
+    let (status, body) = burst("9007199254740991");
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(r#""seed":9007199254740991"#), "{body}");
+}
