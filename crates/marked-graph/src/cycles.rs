@@ -132,17 +132,19 @@ impl<'g> Johnson<'g> {
 
     /// Unblocks `v` and, transitively, every blocked vertex in the `B` sets
     /// of the vertices it unblocks. The resulting state does not depend on
-    /// the order of the walk, so a worklist replaces the recursion.
+    /// the order of the walk, so a worklist replaces the recursion. Each `B`
+    /// set is cleared in place, keeping its buffer for the next push.
     fn unblock(&mut self, v: usize) {
         self.blocked[v] = false;
         self.unblocking.push(v);
         while let Some(u) = self.unblocking.pop() {
-            for w in std::mem::take(&mut self.b_sets[u]) {
+            for &w in &self.b_sets[u] {
                 if self.blocked[w] {
                     self.blocked[w] = false;
                     self.unblocking.push(w);
                 }
             }
+            self.b_sets[u].clear();
         }
     }
 

@@ -20,6 +20,9 @@
 //!   maximal sustainable throughput of a LIS. Components are solved one
 //!   after another on the calling thread; [`mcm::mcm_masked`] solves the
 //!   subgraph of selected places without building it.
+//! * [`certificate`] — [`certificate::Certificate`]: potentials and a
+//!   witness cycle proving a minimum cycle mean, found by one
+//!   label-correcting pass and checked in O(E) without any engine.
 //! * [`csr`] — [`csr::CsrScc`], a flat compressed-sparse-row snapshot of
 //!   one SCC, built once and reused by every engine and query.
 //! * [`howard`] — Howard's policy iteration over the CSR snapshot, with
@@ -74,6 +77,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod certificate;
 pub mod csr;
 pub mod cycles;
 pub mod dot;

@@ -54,15 +54,6 @@ pub struct Collapsed {
 pub fn collapse_sccs(sys: &LisSystem) -> Option<Collapsed> {
     let g = block_graph(sys);
     let scc = SccDecomposition::compute(&g);
-    if scc.count() == sys.block_count()
-        && sys
-            .channel_ids()
-            .all(|c| sys.channel_from(c) != sys.channel_to(c))
-    {
-        // Every block its own SCC and no self-loops: collapsing is the
-        // identity modulo renaming; still useful to normalize, so proceed.
-    }
-
     let comp_of =
         |b: lis_core::BlockId| scc.component_of(marked_graph::TransitionId::new(b.index()));
 

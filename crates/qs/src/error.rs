@@ -16,6 +16,9 @@ pub enum QsError {
     },
     /// The underlying marked-graph analysis failed.
     Graph(marked_graph::GraphError),
+    /// The solution failed its own check: the resized system's
+    /// certificate did not prove `θ(d[G]) = θ(G)`.
+    Unverified,
 }
 
 impl fmt::Display for QsError {
@@ -25,6 +28,7 @@ impl fmt::Display for QsError {
                 write!(f, "cycle enumeration exceeded the limit of {limit} cycles")
             }
             QsError::Graph(e) => write!(f, "marked-graph analysis failed: {e}"),
+            QsError::Unverified => f.write_str("queue-sizing solution failed verification"),
         }
     }
 }
@@ -59,5 +63,9 @@ mod tests {
         let g: QsError = marked_graph::GraphError::Acyclic.into();
         assert!(matches!(g, QsError::Graph(_)));
         assert!(StdError::source(&g).is_some());
+        assert_eq!(
+            QsError::Unverified.to_string(),
+            "queue-sizing solution failed verification"
+        );
     }
 }

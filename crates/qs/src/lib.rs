@@ -18,8 +18,13 @@
 //!    [`greedy_cover_solve`] (a max-coverage baseline), or [`exact_solve`]
 //!    (binary search + depth-K branch and bound with a wall-clock budget,
 //!    optionally memoized);
-//! 5. [`verify_solution`] — recompute `θ(d[G])` with Karp's algorithm, the
-//!    polynomial certificate of the NP-membership argument.
+//! 5. [`certify_solution`] — check `θ(d[G]) = θ(G)` for the resized
+//!    system on the `d[G]` already built: potentials at λ = θ(G) and, below
+//!    1, a witness cycle of mean λ, verified in O(E) by the engine-free
+//!    [`marked_graph::certificate`] checker. This is the polynomial
+//!    certificate of the NP-membership argument; [`solve`] runs it on every
+//!    answer. [`verify_solution`] (a clone, a rebuild and an MCM solve) and
+//!    [`verify_solution_simulated`] stay as test oracles.
 //!
 //! [`ThroughputOracle`] answers repeated "θ(d[G]) with these extra slots?"
 //! queries incrementally (one doubled model, per-SCC re-solves with a memo
@@ -37,6 +42,8 @@
 //! use lis_qs::{solve, verify_solution, Algorithm, QsConfig};
 //!
 //! let (sys, _, _) = figures::fig1();
+//! // `solve` has already certified its answer; the re-solving oracle
+//! // agrees.
 //! let report = solve(&sys, Algorithm::Exact, &QsConfig::default())?;
 //! assert_eq!(report.total_extra, 1); // one extra queue slot suffices
 //! assert!(verify_solution(&sys, &report));
@@ -71,8 +78,8 @@ pub use heuristic::{heuristic_solve, heuristic_solve_trimmed};
 pub use lp::{to_lp, to_lp_from_td};
 pub use oracle::{trim_weights, ThroughputOracle};
 pub use solve::{
-    apply_solution, solve, verify_solution, verify_solution_incremental, verify_solution_simulated,
-    Algorithm, QsConfig, QsReport,
+    apply_solution, certify_solution, solve, solve_with_engine, verify_solution,
+    verify_solution_incremental, verify_solution_simulated, Algorithm, QsConfig, QsReport,
 };
 pub use td::{simplify, Simplified, TdInstance, TdSolution};
 

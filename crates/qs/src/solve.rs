@@ -3,11 +3,15 @@
 //! Pipeline: extract deficient cycles from `d[G]` → abstract to a Token
 //! Deficit instance (optionally collapsing SCCs and applying the
 //! simplification rules) → solve (heuristic or exact) → map weights back to
-//! per-channel queue growth → verify with Karp that `θ(d[G]) = θ(G)`.
+//! per-channel queue growth → certify `θ(d[G]) = θ(G)` on the `d[G]`
+//! already built, with the extra slots as token overrides on the queue
+//! backedges: potentials at λ = θ(G) and, below 1, a witness cycle of
+//! mean λ, checked by [`marked_graph::certificate`] in O(E).
 
 use std::time::Duration;
 
 use lis_core::{ideal_mst_of, ChannelId, LisModel, LisSystem};
+use marked_graph::certificate::Certificate;
 use marked_graph::{McmEngine, Ratio};
 
 use crate::collapse::collapse_sccs;
@@ -84,12 +88,14 @@ pub struct QsReport {
     pub nodes: u64,
 }
 
-/// Runs the queue-sizing pipeline on a system.
+/// Runs the queue-sizing pipeline on a system and checks its answer with
+/// [`certify_solution`] on the doubled model it built.
 ///
 /// # Errors
 ///
 /// Returns [`QsError::TooManyCycles`] if cycle enumeration exceeds
-/// `cfg.cycle_limit`.
+/// `cfg.cycle_limit`, and [`QsError::Unverified`] if the answer fails its
+/// check.
 ///
 /// # Examples
 ///
@@ -125,7 +131,34 @@ pub fn solve(sys: &LisSystem, algo: Algorithm, cfg: &QsConfig) -> Result<QsRepor
             .collect();
         report.total_extra = report.extra_tokens.iter().map(|&(_, w)| w).sum();
     }
+    if !certify_solution(&model, &report) {
+        return Err(QsError::Unverified);
+    }
     Ok(report)
+}
+
+/// [`solve`] under the default [`QsConfig`] on `engine`, exact or
+/// heuristic: the queue sizing behind the server's `/qs` route and a
+/// sweep's queue-sizing rows.
+///
+/// # Errors
+///
+/// As [`solve`].
+pub fn solve_with_engine(
+    sys: &LisSystem,
+    exact: bool,
+    engine: McmEngine,
+) -> Result<QsReport, QsError> {
+    let algo = if exact {
+        Algorithm::Exact
+    } else {
+        Algorithm::Heuristic
+    };
+    let cfg = QsConfig {
+        engine,
+        ..QsConfig::default()
+    };
+    solve(sys, algo, &cfg)
 }
 
 /// The pipeline proper, without the oracle-trim post-pass. `model` is the
@@ -230,9 +263,54 @@ pub fn apply_solution(sys: &mut LisSystem, report: &QsReport) {
     }
 }
 
-/// Verifies a report by re-running the static analysis on the resized
-/// system: the practical MST must now equal the target (this is the
-/// polynomial certificate from the paper's NP-membership argument).
+/// Checks a report against `model`, the doubled model of the system it
+/// sizes: the resized system's `θ(d[G])` must equal the report's target,
+/// the polynomial certificate of the paper's NP-membership argument.
+///
+/// No clone, no rebuild, no MCM engine: the extra slots become token
+/// overrides on the queue backedges, [`Certificate::find`] computes
+/// potentials at λ = target (no cycle has a lower mean) and, when λ < 1, a
+/// witness cycle of mean exactly λ (θ is not above the target), and
+/// [`Certificate::check`] verifies both in O(E). A target of 1 needs no
+/// witness: θ is capped at 1. The verdict is [`verify_solution`]'s
+/// (`tests/qs_certificate.rs`), a wrong sizing is rejected after O(E) work,
+/// not `n·E`, and extra slots that would overflow a queue capacity are
+/// rejected too.
+///
+/// # Examples
+///
+/// ```
+/// use lis_core::{figures, LisModel};
+/// use lis_qs::{certify_solution, solve, Algorithm, QsConfig};
+///
+/// let (sys, _, _) = figures::fig1();
+/// let model = LisModel::doubled(&sys);
+/// let mut report = solve(&sys, Algorithm::Exact, &QsConfig::default())?;
+/// assert!(certify_solution(&model, &report));
+/// report.extra_tokens.clear(); // withhold the one slot Fig. 1 needs
+/// assert!(!certify_solution(&model, &report));
+/// # Ok::<(), lis_qs::QsError>(())
+/// ```
+pub fn certify_solution(model: &LisModel, report: &QsReport) -> bool {
+    let graph = model.graph();
+    let mut tokens: Vec<u64> = graph.place_ids().map(|p| graph.tokens(p)).collect();
+    for &(c, w) in &report.extra_tokens {
+        let Some(slot) = model.queue_backedge(c).map(|p| &mut tokens[p.index()]) else {
+            return false;
+        };
+        let Some(grown) = slot.checked_add(w) else {
+            return false;
+        };
+        *slot = grown;
+    }
+    let below_one = report.target < Ratio::ONE;
+    Certificate::find(graph, &tokens, report.target, below_one)
+        .is_some_and(|cert| cert.check(graph, &tokens) && (cert.witness.is_some() || !below_one))
+}
+
+/// Verifies a report by re-running the static analysis on a resized clone
+/// of the system: the practical MST must now equal the target. The
+/// from-scratch test oracle for [`certify_solution`].
 pub fn verify_solution(sys: &LisSystem, report: &QsReport) -> bool {
     let mut resized = sys.clone();
     apply_solution(&mut resized, report);

@@ -21,7 +21,7 @@ use lis_core::{
     canonical_hash, explain_with, fnv1a, parse_netlist, AnalysisReport, LisModel, LisSystem,
     TopologyClass,
 };
-use lis_qs::{solve, verify_solution, Algorithm, QsConfig, QsReport};
+use lis_qs::{solve_with_engine, QsReport};
 use lis_rsopt::{exhaustive_insertion, greedy_insertion};
 use lis_schedule::{burst_report, BurstParams, Schedule};
 use lis_sweep::{
@@ -598,21 +598,10 @@ pub(crate) fn analyze_report_json(sys: &LisSystem, report: &AnalysisReport) -> J
 }
 
 fn qs(sys: &LisSystem, exact: bool, engine: McmEngine) -> Result<Json, ServerError> {
-    let algo = if exact {
-        Algorithm::Exact
-    } else {
-        Algorithm::Heuristic
-    };
-    let cfg = QsConfig {
-        engine,
-        ..QsConfig::default()
-    };
-    let report = solve(sys, algo, &cfg).map_err(|e| ServerError::Analysis(e.to_string()))?;
-    if !verify_solution(sys, &report) {
-        return Err(ServerError::Analysis(
-            "queue-sizing solution failed verification".into(),
-        ));
-    }
+    // `solve_with_engine` checks its own answer; a rejection reads
+    // "queue-sizing solution failed verification".
+    let report =
+        solve_with_engine(sys, exact, engine).map_err(|e| ServerError::Analysis(e.to_string()))?;
     Ok(qs_report_json(
         sys,
         |c| sys.queue_capacity(c),

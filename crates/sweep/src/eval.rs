@@ -23,7 +23,7 @@ use lis_core::{
     analysis_report, canonical_hash, classify, ideal_mst_of, AnalysisReport, ChannelId, LisModel,
     LisSystem, TopologyClass,
 };
-use lis_qs::{solve, verify_solution, Algorithm, QsConfig, QsReport};
+use lis_qs::{solve_with_engine, QsReport};
 use lis_sim::{burst_sweep, stall_sweep, CompiledProgram, QueueMode};
 use marked_graph::incremental::IncrementalMcm;
 use marked_graph::{PlaceId, Ratio};
@@ -439,21 +439,8 @@ fn point_system(group: &LisSystem, caps: &[(ChannelId, u64)]) -> LisSystem {
     sys
 }
 
-/// Replicates the server's `/qs` job on one point system, including its
-/// exact error strings, so error rows match single-shot responses.
+/// The server's `/qs` job on one point system: the same call, so error
+/// rows carry the same strings as single-shot responses.
 fn qs_point(sys: &LisSystem, exact: bool, spec: &SweepSpec) -> Result<QsReport, String> {
-    let algo = if exact {
-        Algorithm::Exact
-    } else {
-        Algorithm::Heuristic
-    };
-    let cfg = QsConfig {
-        engine: spec.engine,
-        ..QsConfig::default()
-    };
-    let report = solve(sys, algo, &cfg).map_err(|e| e.to_string())?;
-    if !verify_solution(sys, &report) {
-        return Err("queue-sizing solution failed verification".into());
-    }
-    Ok(report)
+    solve_with_engine(sys, exact, spec.engine).map_err(|e| e.to_string())
 }
