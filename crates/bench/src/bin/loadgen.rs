@@ -231,7 +231,7 @@ fn legacy_main(args: &[String]) {
          never-seen-before cold /analyze every {cold_every} requests per client.\n\
          Regenerate with:\n\
          \x20   cargo run --release -p lis-bench --bin loadgen\n",
-        lis_par::max_threads(),
+        ServerConfig::default().workers,
         elapsed.as_secs_f64(),
     )
     .expect("write to String");

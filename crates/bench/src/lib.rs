@@ -1,17 +1,19 @@
-//! Shared infrastructure for the experiment binaries.
+//! The paper's reproduction and the workspace's measurement binaries.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates it (`table1` … `table6`, `fig15` … `fig17`);
-//! this library provides the text-table renderer, summary statistics, and
-//! the tiny argument parser they share, plus the parallel sweep drivers in
-//! [`experiments`] (trial loops fan out through `lis-par` with derived
-//! per-trial seeds, so output is identical at every thread count).
+//! [`paper`] renders every committed artifact of the paper's evaluation
+//! (Tables I–VI, Figs. 15–17, the cross-validation and the ablation); the
+//! `paper` binary writes them to `results/`. This library also provides
+//! the text-table renderer and summary statistics the binaries share, and
+//! [`par_map`], the order-preserving fan-out behind the trial loops: every
+//! trial derives its own seed, so output is identical at every thread
+//! count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiments;
+pub mod paper;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A plain-text table, printed in the style of the paper's tables.
@@ -70,11 +72,6 @@ impl Table {
         }
         out
     }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 /// Arithmetic mean (0 for an empty slice).
@@ -117,11 +114,8 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// Experiment options parsed from the command line.
-///
-/// Recognized flags (shared by all binaries):
-/// `--trials N` (default 50, the paper's count), `--seed N` (default 2008),
-/// `--timeout-secs N` (exact-solver budget, default 10).
+/// Experiment options: the paper's defaults (50 trials, seed 2008, a 10 s
+/// exact-solver budget); tests shrink `trials`.
 #[derive(Debug, Clone)]
 pub struct ExpOptions {
     /// Number of random trials per configuration.
@@ -142,38 +136,62 @@ impl Default for ExpOptions {
     }
 }
 
-impl ExpOptions {
-    /// Parses options from `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed flag values (these are developer tools).
-    pub fn from_args() -> ExpOptions {
-        let mut opts = ExpOptions::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--trials" => {
-                    opts.trials = args[i + 1].parse().expect("--trials takes an integer");
-                    i += 2;
-                }
-                "--seed" => {
-                    opts.seed = args[i + 1].parse().expect("--seed takes an integer");
-                    i += 2;
-                }
-                "--timeout-secs" => {
-                    let secs: u64 = args[i + 1]
-                        .parse()
-                        .expect("--timeout-secs takes an integer");
-                    opts.timeout = Duration::from_secs(secs);
-                    i += 2;
-                }
-                other => panic!("unknown flag {other}; known: --trials --seed --timeout-secs"),
-            }
-        }
-        opts
+/// Inputs of at most this many items run inline on the caller's thread:
+/// spawning even one scoped thread costs far more than a tiny map saves.
+const SERIAL_CUTOFF: usize = 2;
+
+/// Parallel, order-preserving map over a slice on up to `threads` scoped
+/// threads.
+///
+/// Semantically identical to `items.iter().map(f).collect()`: workers
+/// claim indexes from an atomic cursor and results are collected by input
+/// index, so the output is the serial map's regardless of scheduling. With
+/// `threads` at most 1, or at most two items, no thread is spawned.
+///
+/// # Panics
+///
+/// Propagates a panic raised by `f`.
+pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let n = items.len();
+    let threads = threads.min(n);
+    if threads <= 1 || n <= SERIAL_CUTOFF {
+        return items.iter().map(f).collect();
     }
+    let cursor = AtomicUsize::new(0);
+    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break out;
+                        }
+                        out.push((i, f(&items[i])));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
+    // Restore input order: every index appears exactly once across parts.
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index computed"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -214,6 +232,53 @@ mod tests {
         let (v, d) = timed(|| 21 * 2);
         assert_eq!(v, 42);
         assert!(d.as_secs() < 1);
+    }
+
+    #[test]
+    fn matches_serial_map() {
+        let xs: Vec<u64> = (0..100).collect();
+        let serial: Vec<u64> = xs.iter().map(|x| x * x).collect();
+        assert_eq!(serial, par_map(&xs, 4, |x| x * x));
+    }
+
+    #[test]
+    fn empty_and_single() {
+        assert_eq!(par_map(&[] as &[usize], 4, |&i| i), Vec::<usize>::new());
+        assert_eq!(par_map(&[0usize], 4, |&i| i + 1), vec![1]);
+    }
+
+    #[test]
+    fn forced_serial_equals_forced_parallel() {
+        let xs: Vec<usize> = (0..257).collect();
+        let work = |threads| par_map(&xs, threads, |&i| i * 31 % 97);
+        assert_eq!(work(1), work(8));
+    }
+
+    #[test]
+    fn tiny_inputs_run_inline_and_in_order() {
+        let main_id = std::thread::current().id();
+        for n in 0..=SERIAL_CUTOFF {
+            let xs: Vec<usize> = (0..n).collect();
+            let out = par_map(&xs, 8, |&i| (i, std::thread::current().id()));
+            // Order-identical to the serial map...
+            assert_eq!(out.iter().map(|&(i, _)| i).collect::<Vec<_>>(), xs);
+            // ...and executed inline, no thread spawned.
+            assert!(out.iter().all(|&(_, id)| id == main_id), "n={n}");
+        }
+        // Just past the cutoff, the parallel path still preserves order.
+        assert_eq!(par_map(&[0, 1, 2], 8, |&i| i * 2), vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn order_preserved_under_uneven_work() {
+        let xs: Vec<usize> = (0..64).collect();
+        let out = par_map(&xs, 4, |&i| {
+            if i % 7 == 0 {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            i
+        });
+        assert_eq!(out, xs);
     }
 
     #[test]

@@ -1,64 +1,57 @@
-//! Determinism of the parallel experiment sweeps: the same seed must
-//! produce byte-identical output, at any thread count, on every run.
+//! Determinism of the paper artifacts whose trials fan out: the same seed
+//! must produce byte-identical output at any thread count, on every run.
 //!
 //! This is the contract that lets `results/` be regenerated reproducibly
-//! and lets CI compare experiment output across machines.
+//! and lets CI diff the regenerated artifacts against the committed ones.
 
-use lis_bench::{experiments, ExpOptions};
+use lis_bench::paper::{self, ARTIFACTS};
+use lis_bench::ExpOptions;
 
-fn opts(trials: usize) -> ExpOptions {
-    ExpOptions {
-        trials,
-        ..ExpOptions::default()
+/// The artifacts whose trial loops run through `par_map`, with a small
+/// trial count each.
+const FAN_OUT: [(&str, usize); 4] = [("table2", 6), ("fig16", 3), ("fig17", 3), ("crossval", 2)];
+
+#[test]
+fn fanned_out_artifacts_are_identical_at_one_and_four_threads() {
+    for (name, trials) in FAN_OUT {
+        let (_, render) = ARTIFACTS
+            .iter()
+            .find(|(artifact, _)| *artifact == name)
+            .expect("a committed artifact");
+        let opts = ExpOptions {
+            trials,
+            ..ExpOptions::default()
+        };
+        let serial = render(&opts, 1);
+        assert_eq!(
+            serial,
+            render(&opts, 4),
+            "{name}: the 4-thread run diverged from the serial run"
+        );
+        assert_eq!(serial, render(&opts, 4), "{name}: two 4-thread runs differ");
     }
-}
-
-#[test]
-fn table2_output_is_identical_across_runs_and_thread_counts() {
-    let o = opts(6);
-    let first = lis_par::with_threads(4, || experiments::table2(&o));
-    let second = lis_par::with_threads(4, || experiments::table2(&o));
-    assert_eq!(
-        first, second,
-        "same seed, same thread count, different output"
-    );
-    let serial = lis_par::with_threads(1, || experiments::table2(&o));
-    assert_eq!(
-        first, serial,
-        "parallel output diverged from the serial run"
-    );
-}
-
-#[test]
-fn fig16_output_is_identical_across_runs_and_thread_counts() {
-    let o = opts(3);
-    let first = lis_par::with_threads(4, || experiments::fig16(&o));
-    let second = lis_par::with_threads(4, || experiments::fig16(&o));
-    assert_eq!(
-        first, second,
-        "same seed, same thread count, different output"
-    );
-    let serial = lis_par::with_threads(1, || experiments::fig16(&o));
-    assert_eq!(
-        first, serial,
-        "parallel output diverged from the serial run"
-    );
 }
 
 #[test]
 fn the_seed_reaches_the_sampled_systems() {
     // Different seeds must actually change the measurements (guards against
     // a derivation bug that ignores `opts.seed`).
-    let a = experiments::fig16(&ExpOptions {
-        trials: 3,
-        seed: 1,
-        ..ExpOptions::default()
-    });
-    let b = experiments::fig16(&ExpOptions {
-        trials: 3,
-        seed: 99,
-        ..ExpOptions::default()
-    });
+    let a = paper::fig16(
+        &ExpOptions {
+            trials: 3,
+            seed: 1,
+            ..ExpOptions::default()
+        },
+        2,
+    );
+    let b = paper::fig16(
+        &ExpOptions {
+            trials: 3,
+            seed: 99,
+            ..ExpOptions::default()
+        },
+        2,
+    );
     assert_ne!(a, b);
     assert_eq!(a.lines().count(), b.lines().count());
 }

@@ -129,7 +129,7 @@ server commands (analysis as a service):
 global options:
   --threads N    worker threads for `serve` (its pool size) and the
                  default `--shard-threads` of `gateway`
-                 (default: LIS_THREADS env var, then available parallelism)
+                 (default: available parallelism)
   --engine E     MCM algorithm for throughput analysis: howard (default),
                  karp, or lawler; all three give identical answers.
                  analyze, qs and sweep (local or through `client`) send
@@ -139,14 +139,14 @@ global options:
 /// Parses the command line and runs the selected command, printing to
 /// `out`.
 pub fn dispatch(args: &[String], out: &mut dyn Write) -> CliResult {
-    let args = apply_threads_flag(args)?;
+    let (args, threads) = apply_threads_flag(args)?;
     let (args, engine) = apply_engine_flag(&args)?;
     let Some(command) = args.first() else {
         return Err(USAGE.into());
     };
     match command.as_str() {
-        "serve" => return serve(&args[1..], out),
-        "gateway" => return gateway_cmd(&args[1..], out),
+        "serve" => return serve(&args[1..], threads, out),
+        "gateway" => return gateway_cmd(&args[1..], threads, out),
         "client" => return client_cmd(&args[1..], engine, out),
         _ => {}
     }
@@ -175,10 +175,12 @@ pub fn dispatch(args: &[String], out: &mut dyn Write) -> CliResult {
     }
 }
 
-/// Strips a global `--threads N` flag (anywhere on the line) and applies it
-/// process-wide via [`lis_par::set_max_threads`].
-fn apply_threads_flag(args: &[String]) -> Result<Vec<String>, Box<dyn Error>> {
+/// Strips a global `--threads N` flag (anywhere on the line) and returns
+/// the worker count it selects, defaulting to the daemon's
+/// (`ServerConfig::default().workers`, the available parallelism).
+fn apply_threads_flag(args: &[String]) -> Result<(Vec<String>, usize), Box<dyn Error>> {
     let mut out = Vec::with_capacity(args.len());
+    let mut threads = lis_server::ServerConfig::default().workers;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
         if a == "--threads" {
@@ -189,12 +191,12 @@ fn apply_threads_flag(args: &[String]) -> Result<Vec<String>, Box<dyn Error>> {
             if n == 0 {
                 return Err("--threads must be at least 1".into());
             }
-            lis_par::set_max_threads(n);
+            threads = n;
         } else {
             out.push(a.clone());
         }
     }
-    Ok(out)
+    Ok((out, threads))
 }
 
 /// Strips a global `--engine NAME` flag (anywhere on the line) and returns
@@ -218,7 +220,7 @@ fn read_netlist(path: &str) -> Result<String, String> {
     fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-fn serve(rest: &[String], out: &mut dyn Write) -> CliResult {
+fn serve(rest: &[String], threads: usize, out: &mut dyn Write) -> CliResult {
     let Some(addr) = rest.first() else {
         return Err(format!("serve needs a listen address\n{USAGE}").into());
     };
@@ -236,7 +238,7 @@ fn serve(rest: &[String], out: &mut dyn Write) -> CliResult {
         .filter(|s| !s.is_empty())
         .map(std::path::PathBuf::from);
     let config = lis_server::ServerConfig {
-        workers: lis_par::max_threads(),
+        workers: threads,
         queue_capacity: option(rest, "--queue", 256usize)?,
         cache_capacity: option(rest, "--cache", 4096usize)?,
         request_timeout: std::time::Duration::from_millis(option(rest, "--timeout-ms", 30_000u64)?),
@@ -286,7 +288,7 @@ impl std::fmt::Display for StatusError {
 
 impl Error for StatusError {}
 
-fn gateway_cmd(rest: &[String], out: &mut dyn Write) -> CliResult {
+fn gateway_cmd(rest: &[String], threads: usize, out: &mut dyn Write) -> CliResult {
     use lis_gateway::{Backends, ChildSpec, Gateway, GatewayConfig, HedgeConfig};
     let Some(addr) = rest.first() else {
         return Err(format!("gateway needs a listen address\n{USAGE}").into());
@@ -297,7 +299,7 @@ fn gateway_cmd(rest: &[String], out: &mut dyn Write) -> CliResult {
         let count: usize = option(rest, "--shards", 3usize)?;
         let spec = ChildSpec {
             program: std::env::current_exe()?,
-            workers: option(rest, "--shard-threads", lis_par::max_threads())?,
+            workers: option(rest, "--shard-threads", threads)?,
             queue_capacity: option(rest, "--queue", 256usize)?,
             cache_capacity: option(rest, "--cache", 4096usize)?,
             store_dir: Some(option(rest, "--store", String::new())?)
@@ -1051,18 +1053,15 @@ mod tests {
 
     #[test]
     fn threads_flag_is_stripped_and_applied() {
-        // Restore whatever the process-wide budget was before the test.
-        let previous = lis_par::set_max_threads(0);
-        lis_par::set_max_threads(previous);
-
         let args: Vec<String> = ["--threads", "3", "analyze", "x"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let stripped = apply_threads_flag(&args).expect("valid flag");
+        let (stripped, threads) = apply_threads_flag(&args).expect("valid flag");
         assert_eq!(stripped, vec!["analyze".to_string(), "x".to_string()]);
-        assert_eq!(lis_par::max_threads(), 3);
-        lis_par::set_max_threads(previous);
+        assert_eq!(threads, 3);
+        let (_, default) = apply_threads_flag(&stripped).expect("no flag");
+        assert_eq!(default, lis_server::ServerConfig::default().workers);
 
         assert!(apply_threads_flag(&["--threads".to_string()]).is_err());
         assert!(apply_threads_flag(&["--threads".to_string(), "0".to_string()]).is_err());

@@ -2,12 +2,11 @@
 //! graceful drain.
 //!
 //! Analysis jobs are CPU-bound, so the pool runs a fixed number of worker
-//! threads (sized from [`lis_par::max_threads`] by default — the same knob
-//! the CLI's `--threads` flag and `LIS_THREADS` set) over a bounded FIFO
-//! queue. A full queue **rejects** new work instead of blocking the
-//! submitter: connection handlers translate that into a typed 503, which
-//! keeps tail latency bounded under overload instead of letting the queue
-//! grow without limit.
+//! threads (the available hardware parallelism by default, or the CLI's
+//! `--threads` flag) over a bounded FIFO queue. A full queue **rejects**
+//! new work instead of blocking the submitter: connection handlers
+//! translate that into a typed 503, which keeps tail latency bounded
+//! under overload instead of letting the queue grow without limit.
 //!
 //! Jobs are isolated with `catch_unwind`: a panicking job takes down only
 //! itself. The worker that caught it retires (its thread-local state is

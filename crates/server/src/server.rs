@@ -48,8 +48,8 @@ use crate::wire::{obj, Json};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads running analysis jobs. Defaults to
-    /// [`lis_par::max_threads`], which honors the CLI `--threads` flag and
-    /// the `LIS_THREADS` environment variable.
+    /// [`std::thread::available_parallelism`] (1 if it cannot be queried);
+    /// `lis serve --threads N` sets it.
     pub workers: usize,
     /// Bounded job-queue capacity; submissions beyond it are shed with a
     /// typed 503.
@@ -99,7 +99,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            workers: lis_par::max_threads(),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_capacity: 256,
             request_timeout: Duration::from_secs(30),
             cache_capacity: 4096,

@@ -1,5 +1,5 @@
 //! Concurrency hammer for the content-addressed [`ResultCache`], aimed
-//! at the eviction boundary: many `lis-par` worker threads get/insert a
+//! at the eviction boundary: many scoped threads get/insert a
 //! working set larger than the capacity, so evictions, re-inserts of
 //! just-evicted keys, and lookups race constantly. Invariants checked:
 //!
@@ -55,48 +55,52 @@ fn request(k: u64) -> (Route, Vec<u8>) {
 
 #[test]
 fn eviction_boundary_survives_a_parallel_storm() {
-    let cache = Arc::new(ResultCache::new(CAPACITY));
-    let metrics = Arc::new(Metrics::default());
-    let gets = Arc::new(AtomicU64::new(0));
-    let exact_hits = Arc::new(AtomicU64::new(0));
-    let torn = Arc::new(AtomicU64::new(0));
-    let over_capacity = Arc::new(AtomicU64::new(0));
+    let cache = ResultCache::new(CAPACITY);
+    let metrics = Metrics::default();
+    let gets = AtomicU64::new(0);
+    let exact_hits = AtomicU64::new(0);
+    let torn = AtomicU64::new(0);
+    let over_capacity = AtomicU64::new(0);
 
-    lis_par::with_threads(THREADS, || {
-        lis_par::par_map_indexed(THREADS, |t| {
-            // Each thread walks the key space with its own stride so the
-            // threads are always touching different phases of the FIFO.
-            let stride = 2 * t as u64 + 1; // odd => full cycle mod KEYS
-            let mut k = t as u64;
-            for _ in 0..ROUNDS * KEYS as usize / THREADS {
-                k = (k + stride) % KEYS;
-                gets.fetch_add(1, Ordering::Relaxed);
-                let (route, bytes) = request(k);
-                let exact = ExactRequest::new(route, &bytes);
-                if let Some((hit_key, resp)) = cache.get_exact(&exact, &metrics) {
-                    exact_hits.fetch_add(1, Ordering::Relaxed);
-                    if hit_key != key(k) || resp.status != 200 || resp.body != body(k) {
-                        torn.fetch_add(1, Ordering::Relaxed);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (cache, metrics, gets) = (&cache, &metrics, &gets);
+            let (exact_hits, torn, over_capacity) = (&exact_hits, &torn, &over_capacity);
+            scope.spawn(move || {
+                // Each thread walks the key space with its own stride so the
+                // threads are always touching different phases of the FIFO.
+                let stride = 2 * t as u64 + 1; // odd => full cycle mod KEYS
+                let mut k = t as u64;
+                for _ in 0..ROUNDS * KEYS as usize / THREADS {
+                    k = (k + stride) % KEYS;
+                    gets.fetch_add(1, Ordering::Relaxed);
+                    let (route, bytes) = request(k);
+                    let exact = ExactRequest::new(route, &bytes);
+                    if let Some((hit_key, resp)) = cache.get_exact(&exact, metrics) {
+                        exact_hits.fetch_add(1, Ordering::Relaxed);
+                        if hit_key != key(k) || resp.status != 200 || resp.body != body(k) {
+                            torn.fetch_add(1, Ordering::Relaxed);
+                        }
+                    } else if let Some(resp) = cache.get(key(k), metrics) {
+                        if resp.status != 200 || resp.body != body(k) {
+                            torn.fetch_add(1, Ordering::Relaxed);
+                        }
+                        cache.alias(key(k), &exact);
+                    } else {
+                        cache.insert(
+                            key(k),
+                            Arc::new(CachedResponse {
+                                status: 200,
+                                body: body(k),
+                            }),
+                        );
                     }
-                } else if let Some(resp) = cache.get(key(k), &metrics) {
-                    if resp.status != 200 || resp.body != body(k) {
-                        torn.fetch_add(1, Ordering::Relaxed);
+                    if cache.len() > CAPACITY {
+                        over_capacity.fetch_add(1, Ordering::Relaxed);
                     }
-                    cache.alias(key(k), &exact);
-                } else {
-                    cache.insert(
-                        key(k),
-                        Arc::new(CachedResponse {
-                            status: 200,
-                            body: body(k),
-                        }),
-                    );
                 }
-                if cache.len() > CAPACITY {
-                    over_capacity.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
+            });
+        }
     });
 
     assert_eq!(

@@ -480,11 +480,13 @@ fn sweep_grid_matches_individual_round_trips_at_any_thread_count() {
         ("budget", Json::Num(2.0)),
     ]);
 
-    // Each run gets a fresh daemon (fresh cache) under a different
-    // process-wide thread budget, which sizes its worker pool.
-    let run = |threads: usize| -> Vec<u8> {
-        let previous = lis_par::set_max_threads(threads);
-        let (addr, daemon) = start(ServerConfig::default());
+    // Each run gets a fresh daemon (fresh cache) with a different
+    // worker-pool size.
+    let run = |workers: usize| -> Vec<u8> {
+        let (addr, daemon) = start(ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        });
         let mut client = Client::connect(addr).expect("connect");
         let (status, body) = client.sweep(FIG1, grid.clone()).expect("sweep");
         assert_eq!(status, 200);
@@ -522,7 +524,6 @@ fn sweep_grid_matches_individual_round_trips_at_any_thread_count() {
         );
 
         stop(addr, daemon);
-        lis_par::set_max_threads(previous);
         body
     };
 

@@ -19,9 +19,6 @@
 //! * [`sim`] (`lis-sim`) — the value-level cycle-accurate LIS simulator
 //!   (traces, latency equivalence, measured throughput);
 //! * [`cofdm`] (`lis-cofdm`) — the COFDM UWB transmitter case study;
-//! * [`par`] (`lis-par`) — the process-wide thread budget that sizes the
-//!   daemon's worker pool, and the scoped-thread pool behind the
-//!   experiment binaries' across-trial fan-out;
 //! * [`schedule`] (`lis-schedule`) — explicit periodic firing schedules
 //!   (balanced binary words per transition) and queue-occupancy bounds per
 //!   channel, plus bursty-source scenario analysis on the packed kernel;
@@ -46,7 +43,6 @@
 pub use lis_cofdm as cofdm;
 pub use lis_core as core;
 pub use lis_gen as gen;
-pub use lis_par as par;
 pub use lis_qs as qs;
 pub use lis_rsopt as rsopt;
 pub use lis_schedule as schedule;
