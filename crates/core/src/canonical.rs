@@ -15,11 +15,27 @@
 //! The function is a 64-bit FNV-1a over a length-prefixed byte
 //! serialization: deterministic across platforms and processes (unlike
 //! `std::hash::DefaultHasher`, whose seed varies), with no dependencies.
+//! Integers are serialized as 8 little-endian bytes, so most of their bytes
+//! are zero; FNV-1a of a zero byte is one multiply by the prime, and the
+//! hasher folds each run of high zero bytes into one multiply by a power of
+//! the prime. The value is the byte-serial one
+//! (`crates/core/tests/canonical_oracle.rs` checks it).
 
 use crate::system::LisSystem;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `PRIME_POW[k]` = FNV_PRIME^k (wrapping): FNV-1a over `k` zero bytes.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
 
 /// Incremental 64-bit FNV-1a used for the canonical system hash.
 #[derive(Debug, Clone)]
@@ -36,8 +52,12 @@ impl Fnv1a {
         }
     }
 
+    /// Hashes `v`'s 8 little-endian bytes: the low bytes up to the highest
+    /// nonzero one byte by byte, then the high zero bytes in one multiply.
     fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+        let significant = (u64::BITS - v.leading_zeros()).div_ceil(8) as usize;
+        self.write(&v.to_le_bytes()[..significant]);
+        self.0 = self.0.wrapping_mul(PRIME_POW[8 - significant]);
     }
 
     /// Length-prefixed so that adjacent strings cannot collide by
@@ -49,8 +69,8 @@ impl Fnv1a {
 }
 
 /// 64-bit FNV-1a of `bytes`: the one copy of the hash behind the daemon's
-/// cache-key request tokens and fast-path buckets and the gateway's shard
-/// identities and raw-body routing. Pure and platform-independent, so
+/// cache-key request tokens and the gateway's shard identities and raw-body
+/// routing. Pure and platform-independent, so
 /// values derived from it may be stored on disk.
 ///
 /// # Examples
@@ -163,6 +183,33 @@ mod tests {
     fn hash_is_stable_across_calls_and_clones() {
         let sys = parse_netlist("block A\nblock B\nchannel A -> B rs=1\n").unwrap();
         assert_eq!(canonical_hash(&sys), canonical_hash(&sys.clone()));
+    }
+
+    #[test]
+    fn folded_zero_bytes_hash_like_the_bytes_themselves() {
+        let edges = [
+            0,
+            1,
+            255,
+            256,
+            65_535,
+            65_536,
+            (1 << 56) - 1,
+            1 << 56,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for prefix in [&b""[..], b"a", b"\0\0\xff"] {
+            for v in edges {
+                let mut folded = Fnv1a::new();
+                folded.write(prefix);
+                folded.write_u64(v);
+                let mut serial = Fnv1a::new();
+                serial.write(prefix);
+                serial.write(&v.to_le_bytes());
+                assert_eq!(folded.0, serial.0, "prefix {prefix:?}, value {v}");
+            }
+        }
     }
 
     #[test]

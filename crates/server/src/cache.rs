@@ -33,8 +33,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use lis_core::fnv1a;
-
 use crate::metrics::{Metrics, Route};
 
 /// A cache key: canonical system hash plus request-kind hash.
@@ -66,17 +64,39 @@ pub struct ExactRequest<'a> {
 }
 
 impl<'a> ExactRequest<'a> {
-    /// Hashes `body` (FNV-1a) for the exact-bytes index.
+    /// Hashes `body` for the exact-bytes index: eight bytes per step, since
+    /// the event loop hashes every analysis body it receives.
     pub fn new(route: Route, body: &'a [u8]) -> ExactRequest<'a> {
         ExactRequest {
-            slot: (route, fnv1a(body)),
+            slot: (route, body_hash(body)),
             body,
         }
     }
 }
 
+/// The exact-bytes index's hash: eight bytes per rotate-xor-multiply step
+/// (the `FxHash` step) and a final fold of the high half into the low.
+///
+/// The event loop hashes every analysis body with it, so it must be
+/// cheap: byte-serial FNV-1a costs one dependent multiply per byte. The
+/// value never leaves the process and a hit compares every byte, so a weak
+/// or colliding hash can cost a miss, never a wrong answer.
+fn body_hash(body: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let mut words = body.chunks_exact(8);
+    let mut h = step(0, body.len() as u64);
+    for word in &mut words {
+        h = step(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = step(h, u64::from_le_bytes(tail));
+    h ^ (h >> 32)
+}
+
 /// The exact request that last hit an entry through the canonical index:
-/// its `(route, fnv1a(body))` slot in the exact index, and its bytes.
+/// its `(route, body_hash(body))` slot in the exact index, and its bytes.
 #[derive(Debug)]
 struct Alias {
     slot: (Route, u64),
@@ -342,6 +362,20 @@ mod tests {
         assert_eq!((hit_key, hit.body.as_slice()), (key(1), &[1u8, 1, 1][..]));
         assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn body_hash_sees_every_byte_and_the_length() {
+        let body: Vec<u8> = (0..61u8).collect();
+        let h = body_hash(&body);
+        for i in 0..body.len() {
+            let mut flipped = body.clone();
+            flipped[i] ^= 1;
+            assert_ne!(body_hash(&flipped), h, "byte {i}");
+        }
+        // A zero tail is not the same body as no tail.
+        assert_ne!(body_hash(b"abc"), body_hash(b"abc\0"));
+        assert_ne!(body_hash(b""), body_hash(b"\0\0\0\0\0\0\0\0"));
     }
 
     #[test]

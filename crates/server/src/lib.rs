@@ -14,8 +14,9 @@
 //!   (never an unbounded queue), a parse/analysis/timeout/overload error
 //!   taxonomy ([`ServerError`]), and graceful drain on `POST /shutdown`;
 //! * observability: `GET /metrics` in Prometheus text format — request
-//!   counters by route and status, cache hit/miss, queue depth, and a
-//!   request-latency histogram ([`metrics`]);
+//!   counters by route and status, cache hit/miss, queue depth, a
+//!   request-latency histogram ([`metrics`]), and CPU seconds per thread
+//!   role ([`cpu`]);
 //! * [`Client`] — the blocking keep-alive client behind `lis client` and
 //!   the `loadgen` workload driver — and [`RetryingClient`], the same API
 //!   under a seeded [`RetryPolicy`] (jittered exponential backoff on
@@ -94,6 +95,7 @@
 
 pub mod cache;
 mod client;
+pub mod cpu;
 mod error;
 pub mod fault;
 pub mod http;
@@ -107,6 +109,7 @@ pub mod wire;
 
 pub use cache::{CacheKey, CachedResponse, ExactRequest, ResultCache};
 pub use client::{Client, RetryPolicy, RetryingClient};
+pub use cpu::{ThreadCpu, ThreadRole};
 pub use error::ServerError;
 pub use fault::{FaultPlan, WriteFault};
 pub use jobs::{answer, RequestKind};

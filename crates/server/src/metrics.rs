@@ -11,6 +11,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::cpu::ThreadCpu;
 use crate::error::ServerError;
 
 /// The request routes. Each known path resolves to one of them through
@@ -365,6 +366,9 @@ pub struct Metrics {
     /// Front-tier connection/readiness counters, shared with the event
     /// loop via `Arc` so the loop thread needs no registry reference.
     pub net: std::sync::Arc<NetStats>,
+    /// The daemon's threads by role, read at scrape time into
+    /// `lis_thread_cpu_seconds_total`.
+    pub threads: std::sync::Arc<ThreadCpu>,
 }
 
 impl Metrics {
@@ -546,6 +550,7 @@ impl Metrics {
             self.sweep_latency.render(&mut out, "lis_sweep_seconds");
         }
         self.net.render_into(&mut out);
+        self.threads.render_into(&mut out);
         self.latency.render(&mut out, "lis_request_seconds");
         if self.engine_latency.iter().any(|h| h.count() > 0) {
             let _ = writeln!(out, "# TYPE lis_engine_request_seconds histogram");

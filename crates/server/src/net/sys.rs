@@ -15,7 +15,8 @@
 //! limit (best-effort), because holding 10k keep-alive connections needs
 //! more descriptors than the conservative default soft limit on most
 //! distributions and CI runners. [`nice_this_thread`] lets worker threads
-//! yield the CPU to the event loop.
+//! yield the CPU to the event loop. [`clock_ticks_per_second`] is the unit
+//! of the per-thread CPU times `/metrics` reads from `/proc`.
 
 #![allow(unsafe_code)]
 // Kernel ABI constants and structs mirror their C names; the man pages
@@ -125,6 +126,9 @@ fn sockaddr_v4(addr: &std::net::SocketAddrV4) -> SockAddrIn {
 /// `RLIMIT_NOFILE` on Linux.
 #[cfg(target_os = "linux")]
 const RLIMIT_NOFILE: i32 = 7;
+/// `_SC_CLK_TCK` on Linux.
+#[cfg(target_os = "linux")]
+const SC_CLK_TCK: i32 = 2;
 
 extern "C" {
     #[cfg(target_os = "linux")]
@@ -143,6 +147,8 @@ extern "C" {
     fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
     #[cfg(target_os = "linux")]
     fn nice(inc: i32) -> i32;
+    #[cfg(target_os = "linux")]
+    fn sysconf(name: i32) -> i64;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -282,6 +288,21 @@ pub fn nice_this_thread(increment: i32) {
     }
     #[cfg(not(target_os = "linux"))]
     let _ = increment;
+}
+
+/// Clock ticks per second, the unit of the CPU times in `/proc/*/stat`
+/// (`sysconf(_SC_CLK_TCK)`; 100 where it cannot be asked).
+pub fn clock_ticks_per_second() -> u64 {
+    #[cfg(target_os = "linux")]
+    {
+        // SAFETY: sysconf takes an integer and returns one; no pointers
+        // are involved.
+        let ticks = unsafe { sysconf(SC_CLK_TCK) };
+        if ticks > 0 {
+            return ticks as u64;
+        }
+    }
+    100
 }
 
 #[cfg(test)]

@@ -26,6 +26,8 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use crate::cpu::{ThreadCpu, ThreadRole};
+
 /// A queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -75,6 +77,8 @@ struct Shared {
     respawns: AtomicU64,
     /// Next worker thread name suffix.
     next_id: AtomicUsize,
+    /// Where every worker, respawns included, registers its CPU time.
+    cpu: Arc<ThreadCpu>,
 }
 
 /// A fixed-size thread pool over a bounded job queue.
@@ -88,9 +92,22 @@ impl WorkerPool {
     /// Spawns `workers` threads servicing a queue of at most `capacity`
     /// pending jobs. Both must be nonzero.
     pub fn new(workers: usize, capacity: usize) -> WorkerPool {
+        WorkerPool::with_thread_cpu(workers, capacity, Arc::default())
+    }
+
+    /// [`new`](WorkerPool::new), with every worker registered in `cpu`
+    /// under [`ThreadRole::Worker`].
+    pub(crate) fn with_thread_cpu(
+        workers: usize,
+        capacity: usize,
+        cpu: Arc<ThreadCpu>,
+    ) -> WorkerPool {
         assert!(workers > 0, "a pool needs at least one worker");
         assert!(capacity > 0, "a pool needs at least one queue slot");
-        let shared = Arc::new(Shared::default());
+        let shared = Arc::new(Shared {
+            cpu,
+            ..Shared::default()
+        });
         let handles: Vec<JoinHandle<()>> = (0..workers).map(|_| spawn_worker(&shared)).collect();
         *shared.handles.lock().expect("pool lock") = handles;
         WorkerPool {
@@ -184,6 +201,7 @@ fn spawn_worker(shared: &Arc<Shared>) -> JoinHandle<()> {
         .name(format!("lis-worker-{id}"))
         .spawn(move || {
             crate::net::sys::nice_this_thread(WORKER_NICE_INCREMENT);
+            let _cpu = shared.cpu.register(ThreadRole::Worker);
             worker_loop(&shared)
         })
         .expect("spawn worker")

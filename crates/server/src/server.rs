@@ -5,17 +5,21 @@
 //!
 //! ```text
 //!  event loop (1 thread, every connection)
-//!     │  control plane, cache hit, typed error ──▶ answered inline
-//!     │  cache miss ─▶ WorkerPool (bounded queue)
-//!     │                   │ analysis, /batch and /sweep jobs
+//!     │  control plane, exact-bytes hit, typed error ──▶ answered inline
+//!     │  any other analysis, /batch or /sweep ─▶ WorkerPool (bounded queue)
+//!     │                   │ decode, canonical cache probe, analysis
 //!     ◀── completions ────┘ (full answers or streamed chunks; results cached)
 //! ```
 //!
-//! The loop never runs analysis itself: it parses, consults the
-//! content-addressed cache, and otherwise queues a pool job whose answer
-//! comes back through the completion channel (with a loop-side deadline for
-//! single-shot routes). A full queue is answered with a typed 503
-//! immediately — the daemon sheds load instead of queueing unboundedly.
+//! The loop never decodes a body or runs analysis: it frames requests,
+//! answers repeats of exact request bytes from the cache's exact index,
+//! and otherwise moves the body into a pool job. The job decodes it,
+//! probes the content-addressed cache and solves on a miss; its answer,
+//! decode errors included, comes back through the completion channel
+//! (with a loop-side deadline for single-shot routes), and the loop
+//! re-sequences pipelined answers. A full queue is answered with a typed
+//! 503 immediately — the daemon sheds load instead of queueing
+//! unboundedly.
 //! `POST /shutdown` flips a flag: the loop stops accepting, connections
 //! finish their in-flight requests and close, and the pool drains every
 //! queued job before [`Server::run`] returns.
@@ -34,6 +38,7 @@ use lis_core::LisSystem;
 use lis_sweep::SweepSpec;
 
 use crate::cache::{CacheKey, CachedResponse, ExactRequest, ResultCache};
+use crate::cpu::ThreadRole;
 use crate::error::ServerError;
 use crate::fault::{FaultPlan, WriteFault};
 use crate::http::{ChunkBatcher, Request, REQUEST_ID_HEADER};
@@ -174,7 +179,12 @@ impl Server {
         }
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let pool = WorkerPool::new(config.workers.max(1), config.queue_capacity.max(1));
+        let metrics = Metrics::new();
+        let pool = WorkerPool::with_thread_cpu(
+            config.workers.max(1),
+            config.queue_capacity.max(1),
+            Arc::clone(&metrics.threads),
+        );
         let cache = ResultCache::new(config.cache_capacity);
         let store = match &config.store_dir {
             Some(dir) => {
@@ -185,12 +195,16 @@ impl Server {
                 for (key, response) in store.warm_entries() {
                     cache.insert(key, response);
                 }
-                Some(Spiller::new(store, config.spill_delay_for_tests))
+                Some(Spiller::new(
+                    store,
+                    config.spill_delay_for_tests,
+                    &metrics.threads,
+                ))
             }
             None => None,
         };
         let state = Arc::new(State {
-            metrics: Metrics::new(),
+            metrics,
             cache,
             store,
             pool,
@@ -235,7 +249,9 @@ impl Server {
             state: Arc::clone(&state),
             pending: Arc::new(Mutex::new(HashMap::new())),
         };
+        let loop_cpu = state.metrics.threads.register(ThreadRole::Loop);
         EventLoop::new(listener, handler, config, stats)?.run()?;
+        drop(loop_cpu);
         // Every queued job runs to completion before the pool stops, and
         // every spill those jobs enqueued lands on disk before exit.
         let mut report = state.pool.drain();
@@ -528,12 +544,76 @@ fn sweep_row_delay() -> Option<Duration> {
         .map(Duration::from_millis)
 }
 
-/// The `/sweep` pool job. The header line, one NDJSON row per grid point
-/// (in dense point order, sent as rows are solved) and the Pareto trailer
-/// leave through `send` as one chunked stream. The concatenated lines are
-/// cached under the sweep's content address whether or not the client is
-/// still connected, so a repeat sweep — or a gateway failover replay — is
-/// answered from the cache byte for byte.
+/// The `/sweep` pool job. Decode errors, cache replays (framed with
+/// `Content-Length`, the whole body being known) and busy-slot sheds
+/// answer in one completion; otherwise the job takes a sweep slot and
+/// [`sweep_job`] streams the table.
+fn sweep_request(
+    state: &Arc<State>,
+    body: &[u8],
+    started: Instant,
+    request_id: &Option<String>,
+    send: &dyn Fn(Completion),
+) {
+    let (sys, kind) = match decode(Route::Sweep, body) {
+        Ok(d) => d,
+        Err(e) => {
+            state
+                .metrics
+                .record_request(Route::Sweep, e.status(), started.elapsed());
+            return send(Completion::Full(error_rendered(&e, request_id)));
+        }
+    };
+    let cache_key = kind.cache_key(&sys);
+    let RequestKind::Sweep { spec } = kind else {
+        unreachable!("the sweep route decodes a sweep kind");
+    };
+    if let Some(cached) = state.lookup(cache_key) {
+        // Replay the whole NDJSON body. Rows = lines minus header/trailer.
+        let lines = cached.body.iter().filter(|&&b| b == b'\n').count() as u64;
+        state.metrics.sweep_jobs.fetch_add(1, Ordering::Relaxed);
+        state
+            .metrics
+            .sweep_rows
+            .fetch_add(lines.saturating_sub(2), Ordering::Relaxed);
+        state.metrics.sweep_latency.observe(started.elapsed());
+        state
+            .metrics
+            .record_request(Route::Sweep, cached.status, started.elapsed());
+        return send(Completion::Full(Rendered {
+            status: cached.status,
+            content_type: "application/x-ndjson".to_string(),
+            body: cached.body.clone(),
+            // Sweeps carry their content address too: a gateway can
+            // replicate the finished table like a single-shot answer.
+            extra_headers: id_key_headers(request_id, cache_key),
+            fault_eligible: false,
+            force_close: false,
+        }));
+    }
+    let Some(slot) = SweepSlot::acquire(state) else {
+        state.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
+        let e = ServerError::SweepsBusy {
+            limit: state.config.max_concurrent_sweeps,
+        };
+        state
+            .metrics
+            .record_request(Route::Sweep, e.status(), started.elapsed());
+        let mut rendered = error_rendered(&e, request_id);
+        rendered
+            .extra_headers
+            .push(("Retry-After".to_string(), "1".to_string()));
+        return send(Completion::Full(rendered));
+    };
+    sweep_job(slot, sys, spec, cache_key, started, request_id, send);
+}
+
+/// The streaming half of a `/sweep` job. The header line, one NDJSON row
+/// per grid point (in dense point order, sent as rows are solved) and the
+/// Pareto trailer leave through `send` as one chunked stream. The
+/// concatenated lines are cached under the sweep's content address
+/// whether or not the client is still connected, so a repeat sweep — or
+/// a gateway failover replay — is answered from the cache byte for byte.
 ///
 /// A panic before the stream head answers the typed 500; after it, the
 /// stream is aborted without its terminating chunk. The slot is released
@@ -744,18 +824,22 @@ fn id_key_headers(request_id: &Option<String>, key: CacheKey) -> Vec<(String, St
 }
 
 /// An analysis answer: JSON echoing the request id and carrying its content
-/// address as `X-LIS-Cache-Key`, so a gateway can replicate it.
+/// address, once the body decoded, as `X-LIS-Cache-Key`, so a gateway can
+/// replicate it.
 fn answer_rendered(
     status: u16,
     body: Vec<u8>,
     request_id: &Option<String>,
-    key: CacheKey,
+    key: Option<CacheKey>,
 ) -> Rendered {
     Rendered {
         status,
         content_type: "application/json".to_string(),
         body,
-        extra_headers: id_key_headers(request_id, key),
+        extra_headers: match key {
+            Some(key) => id_key_headers(request_id, key),
+            None => id_headers(request_id),
+        },
         fault_eligible: true,
         force_close: false,
     }
@@ -821,15 +905,16 @@ impl ServerHandler {
             .metrics
             .record_request(route, cached.status, started.elapsed());
         let body = cached.body.clone();
-        Outcome::Respond(answer_rendered(cached.status, body, request_id, key))
+        Outcome::Respond(answer_rendered(cached.status, body, request_id, Some(key)))
     }
 
-    /// One analysis request on the loop: exact-bytes probe → decode →
-    /// canonical cache probe → worker-pool job with a loop-side deadline.
+    /// One analysis request on the loop: the exact-bytes probe, and on a
+    /// miss one worker-pool job, under a loop-side deadline, that owns the
+    /// body from then on: decode → canonical cache probe → analysis.
     fn analysis(
         &self,
         route: Route,
-        request: &Request,
+        body: Vec<u8>,
         key: SlotKey,
         completions: &Completions,
         started: Instant,
@@ -846,23 +931,12 @@ impl ServerHandler {
             );
         }
         // These exact bytes were answered before: no decode at all.
-        let exact = ExactRequest::new(route, &request.body);
+        let exact = ExactRequest::new(route, &body);
         if let Some((cache_key, cached)) = state.cache.get_exact(&exact, &state.metrics) {
             return self.replay(route, cache_key, &cached, started, &request_id);
         }
-        let (sys, kind) = match decode(route, &request.body) {
-            Ok(d) => d,
-            Err(e) => return self.respond_error(route, &e, started, &request_id, true),
-        };
-        let cache_key = kind.cache_key(&sys);
-        if let Some(cached) = state.lookup(cache_key) {
-            // A repeat: the only place the exact-bytes index is filled, so
-            // cold bodies that never come again are never copied.
-            state.cache.alias(cache_key, &exact);
-            return self.replay(route, cache_key, &cached, started, &request_id);
-        }
-        // Cache miss: queue the job; the worker answers through the
-        // completion channel and the loop re-sequences pipelined replies.
+        // Everything else runs on a worker, which answers through the
+        // completion channel; the loop re-sequences pipelined replies.
         self.pending.lock().unwrap().insert(
             key,
             PendingJob {
@@ -875,7 +949,7 @@ impl ServerHandler {
         let pending = Arc::clone(&self.pending);
         let completions = completions.clone();
         let job = move || {
-            let answer = |status: u16, body: Vec<u8>| {
+            let answer = |status: u16, bytes: Vec<u8>, cache_key: Option<CacheKey>| {
                 // Whoever removes the pending entry records the request; if
                 // the loop's 504 timer won the race this answer is dropped
                 // and must not double-count.
@@ -884,20 +958,38 @@ impl ServerHandler {
                     job_state
                         .metrics
                         .record_request(entry.route, status, entry.started.elapsed());
-                    let rendered = answer_rendered(status, body, &entry.request_id, cache_key);
+                    let rendered = answer_rendered(status, bytes, &entry.request_id, cache_key);
                     completions.send(key, Completion::Full(rendered));
                 }
             };
-            match run_analysis(&job_state, &sys, &kind, cache_key) {
-                Ok(response) => answer(response.status, response.body.clone()),
-                Err(payload) => {
-                    // Answer the typed 500 *before* re-raising so the pool
-                    // can count the panic and respawn the worker.
-                    let e = ServerError::WorkerCrashed;
-                    answer(e.status(), e.to_json().to_string().into_bytes());
-                    resume_unwind(payload);
+            let (sys, kind) = match decode(route, &body) {
+                Ok(d) => d,
+                Err(e) => return answer(e.status(), e.to_json().to_string().into_bytes(), None),
+            };
+            let cache_key = kind.cache_key(&sys);
+            let response = match job_state.lookup(cache_key) {
+                Some(cached) => {
+                    // A repeat in new bytes: the only place the exact-bytes
+                    // index is filled, so cold bodies that never come again
+                    // are never copied.
+                    job_state
+                        .cache
+                        .alias(cache_key, &ExactRequest::new(route, &body));
+                    cached
                 }
-            }
+                None => match run_analysis(&job_state, &sys, &kind, cache_key) {
+                    Ok(response) => response,
+                    Err(payload) => {
+                        // Answer the typed 500 *before* re-raising so the
+                        // pool can count the panic and respawn the worker.
+                        let e = ServerError::WorkerCrashed;
+                        let body = e.to_json().to_string().into_bytes();
+                        answer(e.status(), body, Some(cache_key));
+                        resume_unwind(payload);
+                    }
+                },
+            };
+            answer(response.status, response.body.clone(), Some(cache_key));
         };
         match state.pool.submit(job) {
             Ok(()) => Outcome::Pending {
@@ -927,7 +1019,7 @@ impl ServerHandler {
     /// `POST /batch` on the loop: one pool job streams every row back.
     fn batch(
         &self,
-        request: &Request,
+        body: Vec<u8>,
         key: SlotKey,
         completions: &Completions,
         started: Instant,
@@ -935,7 +1027,6 @@ impl ServerHandler {
     ) -> Outcome {
         let state = Arc::clone(&self.state);
         let completions = completions.clone();
-        let body = request.body.clone();
         let rid = request_id.clone();
         let job = move || {
             let send = |c| completions.send(key, c);
@@ -968,73 +1059,25 @@ impl ServerHandler {
         self.submit(job, Route::Batch, started, &request_id)
     }
 
-    /// `POST /sweep` on the loop. Decode errors, cache replays (framed with
-    /// `Content-Length`, the whole body being known) and busy-slot sheds
-    /// answer inline; a miss takes a sweep slot and queues one
-    /// [`sweep_job`] that streams the table back.
+    /// `POST /sweep` on the loop: one pool job runs [`sweep_request`] on
+    /// the body.
     fn sweep(
         &self,
-        request: &Request,
+        body: Vec<u8>,
         key: SlotKey,
         completions: &Completions,
         started: Instant,
         request_id: Option<String>,
     ) -> Outcome {
-        let state = &self.state;
-        let decoded = if state.shutdown.load(Ordering::Acquire) {
-            Err(ServerError::ShuttingDown)
-        } else {
-            decode(Route::Sweep, &request.body)
-        };
-        let (sys, kind) = match decoded {
-            Ok(d) => d,
-            Err(e) => return self.respond_error(Route::Sweep, &e, started, &request_id, false),
-        };
-        let cache_key = kind.cache_key(&sys);
-        let RequestKind::Sweep { spec } = kind else {
-            unreachable!("the sweep route decodes a sweep kind");
-        };
-        if let Some(cached) = state.lookup(cache_key) {
-            // Replay the whole NDJSON body. Rows = lines minus header/trailer.
-            let lines = cached.body.iter().filter(|&&b| b == b'\n').count() as u64;
-            state.metrics.sweep_jobs.fetch_add(1, Ordering::Relaxed);
-            state
-                .metrics
-                .sweep_rows
-                .fetch_add(lines.saturating_sub(2), Ordering::Relaxed);
-            state.metrics.sweep_latency.observe(started.elapsed());
-            state
-                .metrics
-                .record_request(Route::Sweep, cached.status, started.elapsed());
-            return Outcome::Respond(Rendered {
-                status: cached.status,
-                content_type: "application/x-ndjson".to_string(),
-                body: cached.body.clone(),
-                // Sweeps carry their content address too: a gateway can
-                // replicate the finished table like a single-shot answer.
-                extra_headers: id_key_headers(&request_id, cache_key),
-                fault_eligible: false,
-                force_close: false,
-            });
+        if self.state.shutdown.load(Ordering::Acquire) {
+            let e = ServerError::ShuttingDown;
+            return self.respond_error(Route::Sweep, &e, started, &request_id, false);
         }
-        let Some(slot) = SweepSlot::acquire(state) else {
-            state.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
-            let e = ServerError::SweepsBusy {
-                limit: state.config.max_concurrent_sweeps,
-            };
-            state
-                .metrics
-                .record_request(Route::Sweep, e.status(), started.elapsed());
-            let mut rendered = error_rendered(&e, &request_id);
-            rendered
-                .extra_headers
-                .push(("Retry-After".to_string(), "1".to_string()));
-            return Outcome::Respond(rendered);
-        };
+        let state = Arc::clone(&self.state);
         let completions = completions.clone();
         let rid = request_id.clone();
         let job = move || {
-            sweep_job(slot, sys, spec, cache_key, started, &rid, &|c| {
+            sweep_request(&state, &body, started, &rid, &|c| {
                 completions.send(key, c);
             });
         };
@@ -1081,10 +1124,10 @@ impl crate::net::Handler for ServerHandler {
         // plane answers inline.
         let (status, content_type, body) = match route {
             Route::Analyze | Route::Qs | Route::Insert | Route::Dot => {
-                return self.analysis(route, &request, key, completions, started, request_id)
+                return self.analysis(route, request.body, key, completions, started, request_id)
             }
-            Route::Sweep => return self.sweep(&request, key, completions, started, request_id),
-            Route::Batch => return self.batch(&request, key, completions, started, request_id),
+            Route::Sweep => return self.sweep(request.body, key, completions, started, request_id),
+            Route::Batch => return self.batch(request.body, key, completions, started, request_id),
             Route::Metrics => (200, "text/plain; version=0.0.4", metrics_body(state)),
             Route::Healthz => (200, "application/json", healthz_body(state)),
             Route::Shutdown => {

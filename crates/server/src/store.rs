@@ -46,6 +46,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::cache::{CacheKey, CachedResponse};
+use crate::cpu::{ThreadCpu, ThreadRole};
 
 /// Size of one index-log record, in bytes. Records are fixed-width, so a
 /// truncation at byte `b` recovers exactly `b / RECORD_LEN` records —
@@ -601,33 +602,43 @@ impl std::fmt::Debug for SpillMsg {
 }
 
 impl Spiller {
-    /// Starts the background spill worker. `write_delay` is test
-    /// instrumentation (mirrors `job_delay_for_tests`): sleep this long
-    /// before each write so drain tests can observe a non-empty queue.
-    pub fn new(store: Arc<ResultStore>, write_delay: Option<Duration>) -> Spiller {
+    /// Starts the background spill worker, a thread named `lis-spiller`
+    /// registered in `cpu` under [`ThreadRole::Spiller`]. `write_delay` is
+    /// test instrumentation (mirrors `job_delay_for_tests`): sleep this
+    /// long before each write so drain tests can observe a non-empty queue.
+    pub fn new(
+        store: Arc<ResultStore>,
+        write_delay: Option<Duration>,
+        cpu: &Arc<ThreadCpu>,
+    ) -> Spiller {
         let (tx, rx) = mpsc::channel::<SpillMsg>();
         let pending = Arc::new(AtomicU64::new(0));
         let worker = {
             let store = Arc::clone(&store);
             let pending = Arc::clone(&pending);
-            std::thread::spawn(move || {
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        SpillMsg::Write(key, response) => {
-                            if let Some(delay) = write_delay {
-                                std::thread::sleep(delay);
+            let cpu = Arc::clone(cpu);
+            let spawned = std::thread::Builder::new()
+                .name("lis-spiller".to_string())
+                .spawn(move || {
+                    let _cpu = cpu.register(ThreadRole::Spiller);
+                    while let Ok(msg) = rx.recv() {
+                        match msg {
+                            SpillMsg::Write(key, response) => {
+                                if let Some(delay) = write_delay {
+                                    std::thread::sleep(delay);
+                                }
+                                if store.insert(key, response.status, &response.body).is_err() {
+                                    store.count_write_error();
+                                }
+                                pending.fetch_sub(1, Ordering::AcqRel);
                             }
-                            if store.insert(key, response.status, &response.body).is_err() {
-                                store.count_write_error();
+                            SpillMsg::Barrier(ack) => {
+                                let _ = ack.send(());
                             }
-                            pending.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        SpillMsg::Barrier(ack) => {
-                            let _ = ack.send(());
                         }
                     }
-                }
-            })
+                });
+            spawned.expect("spawn spiller")
         };
         Spiller {
             store,
@@ -955,7 +966,7 @@ mod tests {
     fn spiller_flush_makes_pending_writes_durable() {
         let scratch = Scratch::new("spiller");
         let store = Arc::new(ResultStore::open(scratch.path(), 0).unwrap());
-        let spiller = Spiller::new(Arc::clone(&store), None);
+        let spiller = Spiller::new(Arc::clone(&store), None, &Arc::default());
         for n in 0..20 {
             spiller.spill(
                 key(n),
@@ -978,7 +989,11 @@ mod tests {
         let scratch = Scratch::new("spiller-slow");
         let store = Arc::new(ResultStore::open(scratch.path(), 0).unwrap());
         // Slow worker: the queue is observably non-empty at flush time.
-        let spiller = Spiller::new(Arc::clone(&store), Some(Duration::from_millis(30)));
+        let spiller = Spiller::new(
+            Arc::clone(&store),
+            Some(Duration::from_millis(30)),
+            &Arc::default(),
+        );
         for n in 0..3 {
             spiller.spill(
                 key(n),
@@ -1000,7 +1015,11 @@ mod tests {
     fn drop_drains_the_spiller() {
         let scratch = Scratch::new("spiller-drop");
         let store = Arc::new(ResultStore::open(scratch.path(), 0).unwrap());
-        let spiller = Spiller::new(Arc::clone(&store), Some(Duration::from_millis(10)));
+        let spiller = Spiller::new(
+            Arc::clone(&store),
+            Some(Duration::from_millis(10)),
+            &Arc::default(),
+        );
         spiller.spill(
             key(1),
             Arc::new(CachedResponse {

@@ -148,6 +148,82 @@ fn pipelined_requests_answer_in_order_across_hits_misses_and_errors() {
     stop(addr, daemon);
 }
 
+/// The 400 a body that is not JSON receives.
+const PINNED_JSON_400: &str = "{\"error\":{\"kind\":\"bad_request\",\
+    \"message\":\"bad request: body: invalid JSON at byte 22: unterminated string\"}}";
+
+/// The 400 a netlist naming an undeclared block receives.
+const PINNED_NETLIST_400: &str = "{\"error\":{\"kind\":\"parse_error\",\
+    \"message\":\"netlist line 3: unknown block \\\"Z\\\"\",\"line\":3}}";
+
+/// Fig. 1's `/analyze` content address: the canonical hash and the request
+/// token. Cache entries, store files and gateway routing are keyed on it.
+const FIG1_ANALYZE_KEY: &str = "eaf1b589bf00fbb7-8704a6f604a17c5b";
+
+/// Cold bodies reach a worker undecoded, so a malformed body's 400 is a
+/// worker answer. Pipelined on one connection, [valid, malformed JSON,
+/// netlist error, valid] still answer in request order, and the two 400s
+/// carry the same bytes as when the event loop decoded bodies itself.
+#[test]
+fn pipelined_decode_errors_answer_in_order_with_pinned_bodies() {
+    let (addr, daemon) = start(ServerConfig::default());
+    let bodies = [
+        envelope(FIG1),
+        r#"{"netlist": "block A\n"#.to_string(),
+        envelope("block A\nblock B\nchannel A -> Z\n"),
+        envelope("block A\nblock B\nchannel A -> B rs=2\nchannel B -> A\n"),
+    ];
+    let mut wire = Vec::new();
+    for body in &bodies {
+        write_request(&mut wire, "POST", "/analyze", body.as_bytes()).unwrap();
+    }
+    let mut stream = TcpStream::connect(addr).expect("raw connect");
+    stream.write_all(&wire).expect("write pipeline burst");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let responses: Vec<_> = (0..bodies.len())
+        .map(|i| read_response(&mut reader).unwrap_or_else(|e| panic!("response {i}: {e}")))
+        .collect();
+    drop(reader);
+    drop(stream);
+
+    assert_eq!(
+        responses.iter().map(|r| r.status).collect::<Vec<_>>(),
+        vec![200, 400, 400, 200],
+        "pipelined responses must arrive in request order"
+    );
+    assert_eq!(
+        std::str::from_utf8(&responses[1].body).unwrap(),
+        PINNED_JSON_400
+    );
+    assert_eq!(
+        std::str::from_utf8(&responses[2].body).unwrap(),
+        PINNED_NETLIST_400
+    );
+    assert_eq!(
+        responses[0].header("x-lis-cache-key"),
+        Some(FIG1_ANALYZE_KEY)
+    );
+    for error in &responses[1..3] {
+        assert_eq!(error.header("x-lis-cache-key"), None, "no content address");
+    }
+    // The valid answers are the daemon's: a standalone repeat, answered
+    // from the cache, carries the same bytes.
+    let mut client = Client::connect(addr).expect("connect");
+    for i in [0, 3] {
+        let repeat = client
+            .request("POST", "/analyze", bodies[i].as_bytes())
+            .expect("repeat");
+        assert_eq!(repeat.body, responses[i].body, "request {i}");
+    }
+    // Each 400 was recorded once, under its route.
+    let exposition = client.metrics().expect("metrics");
+    assert!(
+        exposition.contains("lis_requests_total{route=\"analyze\",status=\"400\"} 2\n"),
+        "{exposition}"
+    );
+    stop(addr, daemon);
+}
+
 #[test]
 fn short_writes_reregister_and_deliver_byte_identical_responses() {
     // Every response leaves the loop in 7-byte slices, forcing dozens of

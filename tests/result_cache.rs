@@ -5,9 +5,15 @@
 //! the outside the two must be indistinguishable: every repeat answers the
 //! bytes and the `X-LIS-Cache-Key` of the first computation, counts one
 //! cache hit, and never crosses routes; evicting an entry forgets its alias.
+//!
+//! Only the exact-bytes probe runs on the event loop. Decoding, the
+//! canonical probe and the alias write run on a pool worker, so under a
+//! full queue aliased bytes still answer while new bytes are shed, even
+//! when they would hit the canonical index.
 
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use lis_server::wire::{obj, Json};
 use lis_server::{parse_metric, Client, DrainReport, Server, ServerConfig};
@@ -22,10 +28,13 @@ struct Daemon {
 }
 
 fn start(cache_capacity: usize) -> Daemon {
-    let config = ServerConfig {
+    start_with(ServerConfig {
         cache_capacity,
         ..ServerConfig::default()
-    };
+    })
+}
+
+fn start_with(config: ServerConfig) -> Daemon {
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr().expect("addr");
     Daemon {
@@ -113,5 +122,59 @@ fn evicting_an_entry_drops_its_alias() {
     assert_eq!(post(&mut client, "/analyze", &body(RING)).0, 200);
     assert_eq!(post(&mut client, "/analyze", &first), cold);
     assert_eq!(counters(&mut client), (2.0, 3.0));
+    stop(daemon);
+}
+
+#[test]
+fn under_a_full_queue_aliased_bytes_answer_and_new_bytes_are_shed() {
+    // One worker, one queue slot, and a second per solve: two cold
+    // designs fill the pool for a while.
+    let daemon = start_with(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        job_delay_for_tests: Some(Duration::from_millis(1500)),
+        ..ServerConfig::default()
+    });
+    let addr = daemon.addr;
+    let mut client = Client::connect(addr).expect("connect");
+    let cold = post(&mut client, "/analyze", &body(FIG1));
+    assert_eq!(cold.0, 200);
+    // New bytes, same design: a canonical hit on the worker, which
+    // aliases these bytes to the entry.
+    let aliased = body(&format!("# aliased\n{FIG1}"));
+    assert_eq!(post(&mut client, "/analyze", &aliased), cold);
+    assert_eq!(counters(&mut client), (1.0, 1.0));
+
+    let solve = |netlist: &'static str| {
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            client
+                .request("POST", "/analyze", &body(netlist))
+                .expect("cold request")
+                .status
+        })
+    };
+    let running = solve(RING);
+    std::thread::sleep(Duration::from_millis(300)); // the worker takes it
+    let queued = solve("block A\nblock B\nchannel A -> B rs=3\nchannel B -> A\n");
+    std::thread::sleep(Duration::from_millis(300)); // it fills the queue
+
+    // The aliased bytes answer from the exact index on the loop.
+    assert_eq!(post(&mut client, "/analyze", &aliased), cold);
+    // Never-seen bytes of the cached design need a worker to decode them:
+    // with the queue full they are shed, not answered from the cache.
+    let unseen = body(&format!("# unseen\n{FIG1}"));
+    let shed = client
+        .request("POST", "/analyze", &unseen)
+        .expect("shed request");
+    assert_eq!(shed.status, 503);
+    let error = Json::parse(std::str::from_utf8(&shed.body).expect("UTF-8")).expect("JSON");
+    let kind = error.get("error").and_then(|e| e.get("kind"));
+    assert_eq!(kind.and_then(Json::as_str), Some("overloaded"));
+
+    assert_eq!(running.join().expect("running"), 200);
+    assert_eq!(queued.join().expect("queued"), 200);
+    // With the pool free again the same bytes are a canonical hit.
+    assert_eq!(post(&mut client, "/analyze", &unseen), cold);
     stop(daemon);
 }
