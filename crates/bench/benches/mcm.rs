@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lis_core::LisModel;
 use lis_gen::{generate, reconvergent, GeneratorConfig, InsertionPolicy};
 use marked_graph::incremental::IncrementalMcm;
-use marked_graph::mcm::{karp, lawler, mcm_serial};
+use marked_graph::mcm::{karp, lawler, mcm_serial, minimum_cycle_mean_with};
 use marked_graph::{McmEngine, PlaceId, Ratio};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -129,10 +129,9 @@ fn bench_incremental(c: &mut Criterion) {
 
 /// The bottleneck pass on long degraded critical cycles: two reconvergent
 /// paths of `k` blocks (critical cycle ≈ 2k places). `howard` is a cold
-/// solve for scale; `cycle` is the warm query for the potentials and the
-/// critical cycle, and `cycle_bottlenecks` adds the bottleneck pass, so
-/// the last two rows differ by the pass alone. Linear in `k`: about 2× per
-/// doubling.
+/// solve for scale and `cycle` the same solve plus the potentials and the
+/// critical cycle; `cycle_bottlenecks` is the warm query for the cycle and
+/// the bottleneck pass. Linear in `k`: about 2× per doubling.
 fn bench_bottlenecks(c: &mut Criterion) {
     let mut group = c.benchmark_group("mcm_bottlenecks");
     group.sample_size(10);
@@ -143,7 +142,7 @@ fn bench_bottlenecks(c: &mut Criterion) {
             b.iter(|| mcm_serial(model.graph(), McmEngine::Howard))
         });
         group.bench_function(BenchmarkId::new("cycle", k), |b| {
-            b.iter(|| inc.result_with_tokens(&[]).expect("cyclic"))
+            b.iter(|| minimum_cycle_mean_with(model.graph(), McmEngine::Howard).expect("cyclic"))
         });
         group.bench_function(BenchmarkId::new("cycle_bottlenecks", k), |b| {
             b.iter(|| inc.analysis_with_tokens(&[]).expect("cyclic"))

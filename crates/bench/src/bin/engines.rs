@@ -254,22 +254,13 @@ fn kernel_section(report: &mut String, opts: &Opts) -> f64 {
         let samples = if places > 20_000 { 1 } else { 3 };
         let reps = (100_000 / (places + 1)).clamp(1, 10);
         let (m_karp, t_karp) = cold(g, McmEngine::Karp, samples, reps);
-        // Lawler's parametric search runs a Bellman-Ford feasibility pass
-        // per mediant step; past ~15k places a single solve takes minutes,
-        // so the largest rows skip it (its exactness is already covered by
-        // the proptests and the rows below the cutoff).
-        let lawler = (places <= 15_000).then(|| {
-            let (samples, reps) = if places > 5_000 {
-                (1, 1)
-            } else {
-                (samples, reps)
-            };
+        let (m_lawler, t_lawler) = if places > 5_000 {
+            cold(g, McmEngine::Lawler, 1, 1)
+        } else {
             cold(g, McmEngine::Lawler, samples, reps)
-        });
+        };
         let (m_howard, t_howard) = cold(g, McmEngine::Howard, samples, reps);
-        if let Some((m_lawler, _)) = lawler {
-            assert_eq!(m_karp, m_lawler, "{label}: lawler disagrees with karp");
-        }
+        assert_eq!(m_karp, m_lawler, "{label}: lawler disagrees with karp");
         assert_eq!(m_karp, m_howard, "{label}: howard disagrees with karp");
         let max_rounds = max_howard_rounds(g);
         assert!(
@@ -286,11 +277,11 @@ fn kernel_section(report: &mut String, opts: &Opts) -> f64 {
         if i + 1 == rows.len() {
             large_speedup = speedup;
         }
-        let lawler_cell = lawler.map_or("-".to_string(), |(_, t)| fmt_ms(t));
         eprintln!(
-            "[engines] {label}: karp {} ms, lawler {lawler_cell} ms, howard {} ms, \
+            "[engines] {label}: karp {} ms, lawler {} ms, howard {} ms, \
              warm {} ms/query ({speedup:.1}x)",
             fmt_ms(t_karp),
+            fmt_ms(t_lawler),
             fmt_ms(t_howard),
             fmt_ms(t_warm),
         );
@@ -298,7 +289,7 @@ fn kernel_section(report: &mut String, opts: &Opts) -> f64 {
             label.clone(),
             places.to_string(),
             fmt_ms(t_karp),
-            lawler_cell,
+            fmt_ms(t_lawler),
             fmt_ms(t_howard),
             fmt_ms(t_warm),
             format!("{max_rounds}"),
@@ -396,8 +387,7 @@ fn main() {
          query pattern through IncrementalMcm with persisted policies and a\n\
          cold memo (every override value distinct). rounds is the most\n\
          policy-iteration rounds any one cold Howard component solve took\n\
-         (gate: <= {MAX_HOWARD_ROUNDS}). Lawler is skipped (\"-\") past 15k\n\
-         places, where one parametric solve takes minutes.\n\
+         (gate: <= {MAX_HOWARD_ROUNDS}).\n\
          Regenerate with:\n\
          \x20   cargo run --release -p lis-bench --bin engines\n\
          mode: {}\n",

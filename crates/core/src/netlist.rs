@@ -51,6 +51,16 @@ use std::hash::{BuildHasher, Hasher};
 
 use crate::system::{BlockId, LisSystem};
 
+/// The largest queue capacity a netlist (or a design sweep's capacity axis)
+/// may declare: far beyond any real design, and small enough that the
+/// solvers' reduced weights `den·m − num` stay far from `i64` overflow.
+pub const MAX_CAPACITY: u64 = 1_000_000;
+
+/// The most relay stations a netlist may declare over all its channels.
+/// Each station becomes a transition of the doubled model, so without a
+/// cap a few bytes (`rs=8000000`) would cost seconds and gigabytes.
+pub const MAX_RELAY_STATIONS: u64 = 65_536;
+
 /// An error produced while parsing a netlist, with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseNetlistError {
@@ -328,7 +338,9 @@ impl Hasher for NameHasher {
 /// # Errors
 ///
 /// Returns [`ParseNetlistError`] on syntax errors, duplicate block names,
-/// references to undeclared blocks, or invalid attribute values. The first
+/// references to undeclared blocks, or invalid attribute values: a queue
+/// capacity of 0 or above [`MAX_CAPACITY`], and relay stations past
+/// [`MAX_RELAY_STATIONS`] in total (on the line that passes it). The first
 /// malformed line wins; undeclared names are reported after the last line,
 /// for the first channel in file order that has one.
 pub fn parse_netlist(text: &str) -> Result<LisSystem, ParseNetlistError> {
@@ -351,6 +363,7 @@ pub fn parse_netlist(text: &str) -> Result<LisSystem, ParseNetlistError> {
         q: u64,
     }
     let mut pending: Vec<PendingChannel<'_>> = Vec::with_capacity(max_channels);
+    let mut relay_stations = 0u64;
 
     let mut toks = Cursor {
         text,
@@ -399,13 +412,23 @@ pub fn parse_netlist(text: &str) -> Result<LisSystem, ParseNetlistError> {
                     let problem = match attr {
                         Tok::KeyVal("rs", v) => match v.parse() {
                             Ok(n) => {
-                                rs = n;
-                                continue;
+                                // A repeated `rs=` replaces the channel's count.
+                                relay_stations = relay_stations - u64::from(rs) + u64::from(n);
+                                if relay_stations <= MAX_RELAY_STATIONS {
+                                    rs = n;
+                                    continue;
+                                }
+                                format!(
+                                    "{relay_stations} relay stations exceed the netlist's cap of {MAX_RELAY_STATIONS}"
+                                )
                             }
                             Err(_) => format!("rs wants a nonnegative integer, got {v:?}"),
                         },
                         Tok::KeyVal("q", v) => match v.parse() {
                             Ok(0) => "queue capacity must be at least 1".to_string(),
+                            Ok(n) if n > MAX_CAPACITY => {
+                                format!("queue capacity {n} exceeds the cap of {MAX_CAPACITY}")
+                            }
                             Ok(n) => {
                                 q = n;
                                 continue;
@@ -497,6 +520,7 @@ pub fn to_netlist(sys: &LisSystem) -> String {
 mod tests {
     use super::*;
     use crate::mst::practical_mst;
+    use crate::system::ChannelId;
     use marked_graph::Ratio;
 
     #[test]
@@ -681,6 +705,50 @@ mod tests {
             "rendered error {:?} does not name line 3",
             e.to_string()
         );
+    }
+
+    #[test]
+    fn queue_capacities_past_the_cap_are_refused_on_their_line() {
+        let channel =
+            |q: &str| format!("block A\nblock B\nchannel A -> B rs=1\nchannel B -> A q={q}\n");
+        let sys = parse_netlist(&channel(&MAX_CAPACITY.to_string())).unwrap();
+        assert_eq!(sys.queue_capacity(ChannelId::new(1)), MAX_CAPACITY);
+        // Past the cap, up to u64::MAX and 2^62, where `den·m` would
+        // overflow the solvers' i64 arithmetic.
+        for q in [MAX_CAPACITY + 1, 1 << 62, 1 << 63, u64::MAX] {
+            let e = parse_netlist(&channel(&q.to_string())).unwrap_err();
+            assert_eq!(e.line, 4, "q={q}");
+            assert_eq!(
+                e.to_string(),
+                format!("netlist line 4: queue capacity {q} exceeds the cap of 1000000")
+            );
+        }
+    }
+
+    #[test]
+    fn relay_stations_past_the_total_cap_are_refused_on_the_line_that_passes_it() {
+        let half = MAX_RELAY_STATIONS / 2;
+        let text =
+            format!("block A\nblock B\nchannel A -> B rs={half}\nchannel B -> A rs={half}\n");
+        assert_eq!(
+            parse_netlist(&text).unwrap().relay_station_count() as u64,
+            MAX_RELAY_STATIONS
+        );
+        let e = parse_netlist(&format!("{text}channel A -> B rs=1\n")).unwrap_err();
+        assert_eq!(e.line, 5);
+        assert_eq!(
+            e.to_string(),
+            "netlist line 5: 65537 relay stations exceed the netlist's cap of 65536"
+        );
+        // One channel alone, as in a 60-byte netlist asking for millions.
+        let e = parse_netlist("block A\nblock B\nchannel A -> B rs=8000000\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        // A repeated `rs=` replaces the count rather than adding to it.
+        let sys = parse_netlist(&format!(
+            "block A\nblock B\nchannel A -> B rs={MAX_RELAY_STATIONS} rs=1\n"
+        ))
+        .unwrap();
+        assert_eq!(sys.relay_station_count(), 1);
     }
 
     #[test]

@@ -339,7 +339,6 @@ mod tests {
                 .collect();
             assert!(!probed.is_empty(), "k = {k}");
             assert_eq!(analysis.bottlenecks, probed, "k = {k}");
-            assert_eq!(inc.bottlenecks_with_tokens(&[]), probed, "k = {k}");
             let report = explain(&r.system);
             assert!(report.is_degraded(), "k = {k}");
             let mut queues: Vec<_> = probed

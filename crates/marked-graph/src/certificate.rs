@@ -24,10 +24,21 @@
 //!
 //! When some cycle has a mean below λ the pass would lower potentials
 //! forever. Every `n` relaxations it checks the predecessor graph (the
-//! place that last lowered each potential) for a cycle, which can only
-//! close on a cycle of negative reduced weight and eventually must, so a
-//! wrong λ is rejected after amortized O(1) extra work per relaxation
+//! vertex whose arc last lowered each potential) for a cycle, which can
+//! only close on a cycle of negative reduced weight and eventually must, so
+//! a wrong λ is rejected after amortized O(1) extra work per relaxation
 //! rather than after `n·E` of them.
+//!
+//! The pass and the search are the crate's only label-correcting
+//! shortest-path pass and its only tight-cycle search. Both run on a small
+//! view of vertices and weighted arcs with two implementations: a graph's
+//! places under a token slice (the certificates here), and one strongly
+//! connected component's [`CsrScc`] snapshot under a mean. On the latter,
+//! [`crate::mcm`] extracts critical cycles and bottlenecks from the
+//! distances from the component's first vertex, which are unique, so the
+//! cycle named depends on nothing but the mean and the canonical edge
+//! order; and Lawler's parametric search tests each guess with the pass
+//! from all-zero labels, where failure means a cycle below the guess.
 //!
 //! Like the MCM engines, certificates cover the paper's synchronous graphs,
 //! where every transition has unit delay; both functions refuse any other.
@@ -54,19 +65,22 @@
 //! assert!(Certificate::find(&g, &tokens, Ratio::new(2, 3), false).is_none());
 //! ```
 
-use std::collections::VecDeque;
-
-use crate::graph::{MarkedGraph, PlaceId, TransitionId};
+use crate::csr::CsrScc;
+use crate::graph::{MarkedGraph, PlaceData, PlaceId, TransitionId};
 use crate::ratio::Ratio;
 
-/// Marks a transition whose potential no place has lowered.
+/// Marks a vertex whose label no arc has lowered.
 const NO_PRED: u32 = u32::MAX;
 
-/// The search's `i64` range: a reduced weight at or above `CAP` counts as
-/// `CAP`, and the search gives up on a potential at or below `-CAP`. With
-/// every potential in `(-CAP, 0]`, a place of weight `CAP` can neither
-/// lower a potential nor be tight, exactly as its true weight could not,
-/// and no sum overflows.
+/// The start label of a vertex the pass has not reached.
+pub(crate) const UNREACHED: i64 = i64::MAX;
+
+/// The pass's `i64` range: a reduced weight at or above `CAP` counts as
+/// `CAP`, and the pass gives up on a label at or beyond `±CAP`. With every
+/// label in `(-CAP, CAP)` and every weight in `[-CAP, CAP]` no sum
+/// overflows. From all-zero labels every label stays in `(-CAP, 0]`, so a
+/// place of weight `CAP` can neither lower a label nor be tight, exactly as
+/// its true weight could not.
 const CAP: i64 = 1 << 62;
 
 /// A proof that a graph's minimum cycle mean is at least, or with a
@@ -106,16 +120,12 @@ impl Certificate {
             graph.place_count(),
             "one token count per place"
         );
-        let weights = Weights::new(graph, tokens, mean)?;
-        let n = graph.transition_count();
-        let mut potentials = vec![0i64; n];
-        let mut mark = vec![0u32; n];
-        label_correct(graph, &weights, &mut potentials, &mut mark).ok()?;
-        let witness = if witness {
-            Some(tight_cycle(graph, &weights, &potentials, &mut mark)?)
-        } else {
-            None
-        };
+        if !unit_delays(graph) {
+            return None;
+        }
+        let places = Places::new(graph, tokens, Reduced::new(mean)?);
+        let (potentials, witness) =
+            potentials_and_witness(&places, vec![0; graph.transition_count()], witness)?;
         Some(Certificate {
             mean,
             potentials,
@@ -166,28 +176,27 @@ fn unit_delays(graph: &MarkedGraph) -> bool {
     graph.transition_ids().all(|t| graph.delay(t) == 1)
 }
 
-/// The search's reduced place weights `den·m − num`, in `i64` and capped
-/// at [`CAP`].
-struct Weights<'a> {
-    tokens: &'a [u64],
+/// The reduced weight `den·m − num` of a token count `m` under a mean
+/// `num/den`, in `i64` and capped at [`CAP`].
+#[derive(Clone, Copy)]
+struct Reduced {
     num: i64,
     den: i64,
     /// The largest token count whose weight is below `CAP`.
     max_exact: u64,
 }
 
-impl<'a> Weights<'a> {
-    /// `None` for a negative mean, one at or above `CAP`, or a graph with
-    /// a delay other than 1.
-    fn new(graph: &MarkedGraph, tokens: &'a [u64], mean: Ratio) -> Option<Weights<'a>> {
+impl Reduced {
+    /// `None` for a negative mean or one whose numerator is at or above
+    /// `CAP`.
+    fn new(mean: Ratio) -> Option<Reduced> {
         let (num, den) = (mean.numer(), mean.denom());
-        if !(0..CAP).contains(&num) || !unit_delays(graph) {
+        if !(0..CAP).contains(&num) {
             return None;
         }
         // den·m − num < CAP exactly when m ≤ (CAP − 1 + num) / den.
         let max_exact = ((CAP - 1 + num) / den) as u64;
-        Some(Weights {
-            tokens,
+        Some(Reduced {
             num,
             den,
             max_exact,
@@ -195,8 +204,7 @@ impl<'a> Weights<'a> {
     }
 
     #[inline]
-    fn of(&self, pl: PlaceId) -> i64 {
-        let m = self.tokens[pl.index()];
+    fn of(self, m: u64) -> i64 {
         if m > self.max_exact {
             CAP
         } else {
@@ -205,99 +213,219 @@ impl<'a> Weights<'a> {
     }
 }
 
-/// FIFO label-correcting shortest paths from a virtual source with a
-/// zero-weight place into every transition. On success `p` holds valid
-/// potentials, each in `(-CAP, 0]`. Fails as soon as the predecessor graph
-/// closes a cycle, checked every `n` relaxations, or a potential falls to
-/// `-CAP`; `mark` is scratch. Either way the count of potential decreases
-/// comes back.
-fn label_correct(
-    graph: &MarkedGraph,
-    weights: &Weights<'_>,
+/// What the pass and the search run on: `n` vertices, vertex `v` with the
+/// out-arcs `arcs(v)` in that order, arc `a` leading to `head(a)` under the
+/// reduced weight `weight(a)`. Both implementations hold their tables as
+/// plain slices and hand out a vertex's arcs as one iterator, so the hot
+/// loops index no graph twice per arc.
+pub(crate) trait Arcs {
+    type Arc: Copy;
+    type Out: Iterator<Item = Self::Arc>;
+    fn n(&self) -> usize;
+    fn arcs(&self, v: usize) -> Self::Out;
+    fn head(&self, a: Self::Arc) -> usize;
+    fn weight(&self, a: Self::Arc) -> i64;
+}
+
+/// A graph's places under a token slice and a mean: vertices are
+/// transitions, arcs are places in [`MarkedGraph::outputs`] order.
+struct Places<'a> {
+    /// [`MarkedGraph::output_table`].
+    offsets: &'a [u32],
+    outputs: &'a [PlaceId],
+    places: &'a [PlaceData],
+    tokens: &'a [u64],
+    reduced: Reduced,
+}
+
+impl<'a> Places<'a> {
+    fn new(graph: &'a MarkedGraph, tokens: &'a [u64], reduced: Reduced) -> Places<'a> {
+        let (offsets, outputs, places) = graph.output_table();
+        Places {
+            offsets,
+            outputs,
+            places,
+            tokens,
+            reduced,
+        }
+    }
+}
+
+impl<'a> Arcs for Places<'a> {
+    type Arc = PlaceId;
+    type Out = std::iter::Copied<std::slice::Iter<'a, PlaceId>>;
+
+    fn n(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn arcs(&self, v: usize) -> Self::Out {
+        self.outputs[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+            .iter()
+            .copied()
+    }
+
+    #[inline]
+    fn head(&self, pl: PlaceId) -> usize {
+        self.places[pl.index()].target.index()
+    }
+
+    #[inline]
+    fn weight(&self, pl: PlaceId) -> i64 {
+        self.reduced.of(self.tokens[pl.index()])
+    }
+}
+
+/// One component's snapshot under a mean: vertices are local, arcs are
+/// edge indices in the snapshot's canonical order.
+pub(crate) struct Scc<'a> {
+    csr: &'a CsrScc,
+    /// The snapshot's slabs.
+    row_offsets: &'a [u32],
+    targets: &'a [u32],
+    weights: &'a [i64],
+    reduced: Reduced,
+}
+
+impl<'a> Scc<'a> {
+    /// # Panics
+    ///
+    /// Panics if `mean` is negative or its numerator is 2^62 or more.
+    pub(crate) fn new(csr: &'a CsrScc, mean: Ratio) -> Scc<'a> {
+        let reduced = Reduced::new(mean).expect("a mean in the pass's range");
+        Scc {
+            csr,
+            row_offsets: &csr.row_offsets,
+            targets: &csr.targets,
+            weights: &csr.weights,
+            reduced,
+        }
+    }
+
+    pub(crate) fn csr(&self) -> &'a CsrScc {
+        self.csr
+    }
+}
+
+impl Arcs for Scc<'_> {
+    type Arc = usize;
+    type Out = std::ops::Range<usize>;
+
+    fn n(&self) -> usize {
+        self.row_offsets.len() - 1
+    }
+
+    #[inline]
+    fn arcs(&self, v: usize) -> Self::Out {
+        self.row_offsets[v] as usize..self.row_offsets[v + 1] as usize
+    }
+
+    #[inline]
+    fn head(&self, e: usize) -> usize {
+        self.targets[e] as usize
+    }
+
+    #[inline]
+    fn weight(&self, e: usize) -> i64 {
+        // Snapshot weights are token counts stored as `i64`; the cast
+        // recovers the count.
+        self.reduced.of(self.weights[e] as u64)
+    }
+}
+
+/// Shortest-path labels, and a cycle of tight arcs under them if one was
+/// asked for.
+pub(crate) type Potentials<A> = (Vec<i64>, Option<Vec<A>>);
+
+/// Shortest-path labels from the start labels `p` (see [`label_correct`])
+/// and, when `witness` is set, a cycle of tight arcs under them. `None`
+/// when the pass fails or no tight cycle exists.
+pub(crate) fn potentials_and_witness<G: Arcs>(
+    g: &G,
+    mut p: Vec<i64>,
+    witness: bool,
+) -> Option<Potentials<G::Arc>> {
+    let mut mark = vec![0u32; g.n()];
+    label_correct(g, &mut p, &mut mark).ok()?;
+    let witness = if witness {
+        Some(tight_cycle(g, &p, &mut mark)?)
+    } else {
+        None
+    };
+    Some((p, witness))
+}
+
+/// The crate's one label-correcting shortest-path pass: FIFO from every
+/// vertex whose start label in `p` is finite (not [`UNREACHED`]). All-zero
+/// labels are a virtual source with a zero-weight arc into every vertex;
+/// zero at one vertex and [`UNREACHED`] elsewhere give the distances from
+/// it. On success `p` holds the shortest labels, each in `(-CAP, CAP)`.
+/// Fails as soon as the predecessor graph closes a cycle, checked every
+/// `n` relaxations (the first check waits one more for each vertex that
+/// starts unreached: its first label is no evidence of a cycle), or as soon
+/// as a label leaves that range; `mark` is scratch. Either way the count of
+/// label decreases comes back.
+pub(crate) fn label_correct<G: Arcs>(
+    g: &G,
     p: &mut [i64],
     mark: &mut [u32],
 ) -> Result<usize, usize> {
     let n = p.len();
-    let mut pass = Pass {
-        p,
-        pred: vec![NO_PRED; n],
-        queued: vec![false; n],
-        // Each transition waits in the queue at most once at a time.
-        queue: VecDeque::with_capacity(n),
-        relaxations: 0,
-        until_check: n,
-    };
-    // From potential 0 everywhere only a place of negative weight can
-    // lower a potential, so one walk over the places stands in for a first
-    // scan of every transition's outputs.
-    for pl in graph.place_ids() {
-        let w = weights.of(pl);
-        if w < 0 {
-            pass.relax(graph, pl, w, mark)?;
+    let mut pred = vec![NO_PRED; n];
+    let mut queued = vec![false; n];
+    // A FIFO ring of `n` slots: each vertex waits in it at most once at a
+    // time.
+    let mut ring = vec![0u32; n];
+    let (mut head, mut len) = (0, 0);
+    for (v, &label) in p.iter().enumerate() {
+        if label != UNREACHED {
+            queued[v] = true;
+            ring[len] = v as u32;
+            len += 1;
         }
     }
-    while let Some(u) = pass.queue.pop_front() {
-        let u = u as usize;
-        pass.queued[u] = false;
-        for &pl in graph.outputs(TransitionId::new(u)) {
-            pass.relax(graph, pl, weights.of(pl), mark)?;
-        }
-    }
-    Ok(pass.relaxations)
-}
-
-/// The state of one [`label_correct`] pass.
-struct Pass<'p> {
-    p: &'p mut [i64],
-    /// The place that last lowered each potential.
-    pred: Vec<u32>,
-    queued: Vec<bool>,
-    queue: VecDeque<u32>,
-    relaxations: usize,
-    until_check: usize,
-}
-
-impl Pass<'_> {
-    /// Lowers the potential at the head of `pl`, of weight `w`, if the
-    /// place allows less, and queues the head.
-    #[inline]
-    fn relax(
-        &mut self,
-        graph: &MarkedGraph,
-        pl: PlaceId,
-        w: i64,
-        mark: &mut [u32],
-    ) -> Result<(), usize> {
-        let v = graph.target(pl).index();
-        let cand = self.p[graph.source(pl).index()] + w;
-        if cand >= self.p[v] {
-            return Ok(());
-        }
-        if cand <= -CAP {
-            return Err(self.relaxations);
-        }
-        self.p[v] = cand;
-        self.pred[v] = pl.index() as u32;
-        self.relaxations += 1;
-        if !self.queued[v] {
-            self.queued[v] = true;
-            self.queue.push_back(v as u32);
-        }
-        self.until_check -= 1;
-        if self.until_check == 0 {
-            self.until_check = self.p.len();
-            if has_pred_cycle(graph, &self.pred, mark) {
-                return Err(self.relaxations);
+    let mut relaxations = 0;
+    let mut until_check = n + (n - len);
+    while len > 0 {
+        let u = ring[head] as usize;
+        head = if head + 1 == n { 0 } else { head + 1 };
+        len -= 1;
+        queued[u] = false;
+        for a in g.arcs(u) {
+            let v = g.head(a);
+            let cand = p[u] + g.weight(a);
+            if cand >= p[v] {
+                continue;
+            }
+            if cand <= -CAP || cand >= CAP {
+                return Err(relaxations);
+            }
+            p[v] = cand;
+            pred[v] = u as u32;
+            relaxations += 1;
+            if !queued[v] {
+                queued[v] = true;
+                let tail = head + len;
+                ring[if tail >= n { tail - n } else { tail }] = v as u32;
+                len += 1;
+            }
+            until_check -= 1;
+            if until_check == 0 {
+                until_check = n;
+                if has_pred_cycle(&pred, mark) {
+                    return Err(relaxations);
+                }
             }
         }
-        Ok(())
     }
+    Ok(relaxations)
 }
 
-/// Whether the predecessor graph (each transition pointing at the source
-/// of the place that last lowered its potential) has a cycle. Each walk
-/// stamps what it visits with its own number, so the check is O(n).
-fn has_pred_cycle(graph: &MarkedGraph, pred: &[u32], mark: &mut [u32]) -> bool {
+/// Whether the predecessor graph (each vertex pointing at the vertex whose
+/// arc last lowered its label) has a cycle. Each walk stamps what it
+/// visits with its own number, so the check is O(n).
+fn has_pred_cycle(pred: &[u32], mark: &mut [u32]) -> bool {
     mark.fill(0);
     for start in 0..pred.len() {
         let stamp = start as u32 + 1;
@@ -307,7 +435,7 @@ fn has_pred_cycle(graph: &MarkedGraph, pred: &[u32], mark: &mut [u32]) -> bool {
             if pred[v] == NO_PRED {
                 break;
             }
-            v = graph.source(PlaceId::new(pred[v] as usize)).index();
+            v = pred[v] as usize;
         }
         if mark[v] == stamp && pred[v] != NO_PRED {
             return true;
@@ -316,58 +444,53 @@ fn has_pred_cycle(graph: &MarkedGraph, pred: &[u32], mark: &mut [u32]) -> bool {
     false
 }
 
-/// A cycle of tight places under the potentials `p`, found by an
-/// iterative depth-first search in place-id order; `mark` is scratch.
-fn tight_cycle(
-    graph: &MarkedGraph,
-    weights: &Weights<'_>,
-    p: &[i64],
-    mark: &mut [u32],
-) -> Option<Vec<PlaceId>> {
+/// The crate's one tight-cycle search: the first cycle of tight arcs
+/// (`p(head) = p(tail) + weight`) met by an iterative depth-first search
+/// from every vertex in id order, trying each vertex's arcs in order;
+/// `mark` is scratch. Every label in `p` must lie in `(-CAP, CAP)`, as a
+/// successful [`label_correct`] leaves them.
+pub(crate) fn tight_cycle<G: Arcs>(g: &G, p: &[i64], mark: &mut [u32]) -> Option<Vec<G::Arc>> {
     const NEW: u32 = 0;
     const OPEN: u32 = 1;
     const DONE: u32 = 2;
     let n = p.len();
     mark.fill(NEW);
-    let tight =
-        |pl: PlaceId| p[graph.target(pl).index()] == p[graph.source(pl).index()] + weights.of(pl);
-    let outputs = |t: usize| graph.outputs(TransitionId::new(t));
-    // (transition, its outputs not yet tried); `path[i]` leads from
-    // `stack[i]` to `stack[i + 1]`.
-    let mut stack: Vec<(usize, &[PlaceId])> = Vec::with_capacity(n);
-    let mut path: Vec<PlaceId> = Vec::with_capacity(n);
+    // (vertex, its arcs not yet tried); `path[i]` leads from `stack[i]` to
+    // `stack[i + 1]`.
+    let mut stack: Vec<(usize, G::Out)> = Vec::with_capacity(n);
+    let mut path: Vec<G::Arc> = Vec::with_capacity(n);
     for root in 0..n {
         if mark[root] != NEW {
             continue;
         }
         mark[root] = OPEN;
-        stack.push((root, outputs(root)));
+        stack.push((root, g.arcs(root)));
         while let Some((u, rest)) = stack.last_mut() {
-            let Some((&pl, tail)) = rest.split_first() else {
-                mark[*u] = DONE;
+            let u = *u;
+            let Some(a) = rest.next() else {
+                mark[u] = DONE;
                 stack.pop();
                 path.pop();
                 continue;
             };
-            *rest = tail;
-            if !tight(pl) {
+            let v = g.head(a);
+            if p[v] != p[u] + g.weight(a) {
                 continue;
             }
-            let v = graph.target(pl).index();
             match mark[v] {
                 NEW => {
                     mark[v] = OPEN;
-                    stack.push((v, outputs(v)));
-                    path.push(pl);
+                    stack.push((v, g.arcs(v)));
+                    path.push(a);
                 }
                 OPEN => {
                     let from = stack
                         .iter()
                         .rposition(|&(t, _)| t == v)
-                        .expect("an open transition lies on the search path");
+                        .expect("an open vertex lies on the search path");
                     let mut walk = Vec::with_capacity(path.len() - from + 1);
                     walk.extend_from_slice(&path[from..]);
-                    walk.push(pl);
+                    walk.push(a);
                     return Some(walk);
                 }
                 _ => {}
@@ -604,6 +727,27 @@ mod tests {
         assert!(Certificate::find(&g, &tokens, Ratio::ONE, true).is_none());
     }
 
+    /// From one start vertex, labels grow along heavy places. A label that
+    /// would reach 2^62 fails the pass instead of being stored, so no later
+    /// sum can overflow.
+    #[test]
+    fn single_source_labels_past_the_range_fail_the_pass() {
+        let mut g = MarkedGraph::new();
+        let ts: Vec<_> = (0..3).map(|i| g.add_transition(format!("t{i}"))).collect();
+        g.add_place(ts[0], ts[0], 0);
+        g.add_place(ts[0], ts[1], (1 << 62) - 1);
+        g.add_place(ts[1], ts[2], (1 << 62) - 1);
+        g.add_place(ts[2], ts[0], 0);
+        let scc = crate::scc::SccDecomposition::compute(&g);
+        let csr = CsrScc::build(&g, &scc, scc.component_of(ts[0]));
+        assert_eq!(csr.n(), 3);
+        // Started at t0, t2's label would be 2^63 − 2.
+        let mut p = vec![UNREACHED; 3];
+        p[(0..3).find(|&v| csr.transition(v) == ts[0]).expect("t0")] = 0;
+        let mut mark = vec![0u32; 3];
+        assert!(label_correct(&Scc::new(&csr, Ratio::ZERO), &mut p, &mut mark).is_err());
+    }
+
     /// A wrong mean is rejected after O(E) relaxations: on a ring of n
     /// transitions whose one cycle sits just below the claimed mean, the
     /// pass stops within a few laps, where Bellman–Ford's bound allows n.
@@ -618,10 +762,10 @@ mod tests {
         }
         let tokens = tokens_of(&g);
         let run = |mean: Ratio| {
-            let weights = Weights::new(&g, &tokens, mean).expect("in range");
+            let places = Places::new(&g, &tokens, Reduced::new(mean).expect("in range"));
             let mut p = vec![0i64; n];
             let mut mark = vec![0u32; n];
-            label_correct(&g, &weights, &mut p, &mut mark)
+            label_correct(&places, &mut p, &mut mark)
         };
         let relaxations = run(Ratio::new(n as i64 / 2 + 1, n as i64)).expect_err("below the mean");
         assert!(relaxations <= 4 * n, "{relaxations} relaxations");

@@ -64,9 +64,9 @@ impl fmt::Debug for PlaceId {
 }
 
 #[derive(Debug, Clone)]
-struct PlaceData {
+pub(crate) struct PlaceData {
     source: TransitionId,
-    target: TransitionId,
+    pub(crate) target: TransitionId,
     tokens: u64,
 }
 
@@ -325,6 +325,18 @@ impl MarkedGraph {
     pub fn inputs(&self, t: TransitionId) -> &[PlaceId] {
         assert!(t.index() < self.delays.len(), "unknown transition");
         self.adjacency().row(self.delays.len() + 1 + t.index())
+    }
+
+    /// Every transition's output places as one table: the places leaving
+    /// transition `t`, in [`MarkedGraph::outputs`] order, are
+    /// `ids[offsets[t]..offsets[t + 1]]`.
+    pub(crate) fn output_table(&self) -> (&[u32], &[PlaceId], &[PlaceData]) {
+        let adjacency = self.adjacency();
+        (
+            &adjacency.offsets[..=self.delays.len()],
+            &adjacency.ids,
+            &self.places,
+        )
     }
 
     /// Places leaving a transition.

@@ -27,7 +27,7 @@
 //!
 //! Results are exactly those of the from-scratch solvers: the same exact
 //! rational mean as [`crate::mcm::karp`] on the modified graph, and — via
-//! [`IncrementalMcm::result_with_tokens`] — the same critical cycle as
+//! [`IncrementalMcm::analysis_with_tokens`] — the same critical cycle as
 //! [`crate::mcm::minimum_cycle_mean`] under the shared tie-break (lowest
 //! component id attaining the minimum mean).
 
@@ -37,7 +37,7 @@ use crate::csr::CsrScc;
 use crate::error::GraphError;
 use crate::graph::{MarkedGraph, PlaceId};
 use crate::howard::HowardScratch;
-use crate::mcm::{critical_cycle_csr, solve_csr, McmEngine, McmResult};
+use crate::mcm::{critical_cycle_csr, cycle_and_bottlenecks_csr, solve_csr, McmEngine};
 use crate::ratio::Ratio;
 use crate::scc::SccDecomposition;
 
@@ -83,7 +83,8 @@ impl Deltas {
 }
 
 /// Everything [`IncrementalMcm::analysis_with_tokens`] computes in one
-/// query: the pieces of [`McmResult`] plus the bottleneck places.
+/// query: the pieces of [`crate::mcm::McmResult`] plus the bottleneck
+/// places.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McmAnalysis {
     /// The minimum cycle mean under the queried token assignment.
@@ -235,92 +236,18 @@ impl IncrementalMcm {
         best
     }
 
-    /// Like [`Self::mcm_with_tokens`], but also extracts a critical cycle,
-    /// reproducing [`crate::mcm::minimum_cycle_mean`] on the modified graph
-    /// bit for bit (same tie-break: lowest component id attaining the
-    /// minimum).
+    /// [`Self::mcm_with_tokens`] plus a critical cycle and the bottleneck
+    /// places, from one component scan, one weight patch and one potentials
+    /// pass shared between the two extractions.
     ///
-    /// # Errors
-    ///
-    /// [`GraphError::Empty`] for an empty source graph, [`GraphError::Acyclic`]
-    /// when there are no cycles.
-    pub fn result_with_tokens(
-        &mut self,
-        overrides: &[(PlaceId, u64)],
-    ) -> Result<McmResult, GraphError> {
-        if self.graph_empty {
-            return Err(GraphError::Empty);
-        }
-        let per_comp = self.normalize(overrides);
-        let mut best: Option<(Ratio, usize)> = None;
-        for slot in 0..self.comps.len() {
-            let mean = self.comp_mean(slot, per_comp.of(slot));
-            // comps are in ascending component-id order, so "only strictly
-            // smaller displaces" picks the lowest component id on a tie —
-            // the same rule as minimum_cycle_mean.
-            if best.is_none_or(|(m, _)| mean < m) {
-                best = Some((mean, slot));
-            }
-        }
-        let (mean, slot) = best.ok_or(GraphError::Acyclic)?;
-        let deltas = per_comp.of(slot);
-        let saved = self.apply(slot, deltas);
-        self.extractions += 1;
-        let critical_cycle = critical_cycle_csr(&self.comps[slot].csr, mean);
-        self.restore(slot, deltas, &saved);
-        Ok(McmResult {
-            mean,
-            critical_cycle,
-        })
-    }
-
-    /// The places whose single-token increment strictly raises the minimum
-    /// cycle mean under `overrides` — the bottlenecks of the overridden
-    /// graph, identical to probing every place with
-    /// [`Self::mcm_with_tokens`] but computed **structurally**: one memoized
-    /// component solve plus a tight-subgraph analysis, no per-place
-    /// re-solves. If two or more components attain the minimum mean, no
-    /// single place can raise it and the result is empty. Places are
-    /// returned in ascending id order.
-    pub fn bottlenecks_with_tokens(&mut self, overrides: &[(PlaceId, u64)]) -> Vec<PlaceId> {
-        let per_comp = self.normalize(overrides);
-        let mut best: Option<(Ratio, usize)> = None;
-        let mut ties = 0u32;
-        for slot in 0..self.comps.len() {
-            let mean = self.comp_mean(slot, per_comp.of(slot));
-            match best {
-                None => {
-                    best = Some((mean, slot));
-                    ties = 1;
-                }
-                Some((m, _)) if mean < m => {
-                    best = Some((mean, slot));
-                    ties = 1;
-                }
-                Some((m, _)) if mean == m => ties += 1,
-                Some(_) => {}
-            }
-        }
-        let Some((mean, slot)) = best else {
-            return Vec::new();
-        };
-        if ties > 1 {
-            return Vec::new();
-        }
-        let deltas = per_comp.of(slot);
-        let saved = self.apply(slot, deltas);
-        self.extractions += 1;
-        let mut places = crate::mcm::bottleneck_places_csr(&self.comps[slot].csr, mean);
-        self.restore(slot, deltas, &saved);
-        places.sort_unstable();
-        places
-    }
-
-    /// [`Self::result_with_tokens`] and [`Self::bottlenecks_with_tokens`]
-    /// answered by one query: a single component scan, a single weight
-    /// patch, and one set of Bellman–Ford potentials shared between the
-    /// critical-cycle extraction and the bottleneck analysis. The answers
-    /// are exactly what the two separate calls return.
+    /// The mean and the critical cycle reproduce
+    /// [`crate::mcm::minimum_cycle_mean`] on the modified graph bit for bit
+    /// (same tie-break: lowest component id attaining the minimum). The
+    /// bottlenecks are the places whose single-token increment strictly
+    /// raises the minimum cycle mean, identical to probing every place with
+    /// [`Self::mcm_with_tokens`] but computed structurally from the tight
+    /// subgraph; if two or more components attain the minimum mean, no
+    /// single place can raise it and the set is empty.
     ///
     /// # Errors
     ///
@@ -364,7 +291,7 @@ impl IncrementalMcm {
         let (critical_cycle, mut bottlenecks) = if ties > 1 {
             (critical_cycle_csr(csr, mean), Vec::new())
         } else {
-            crate::mcm::cycle_and_bottlenecks_csr(csr, mean)
+            cycle_and_bottlenecks_csr(csr, mean)
         };
         self.restore(slot, deltas, &saved);
         bottlenecks.sort_unstable();
@@ -524,7 +451,7 @@ impl IncrementalMcm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcm;
+    use crate::mcm::{self, McmResult};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -550,6 +477,15 @@ mod tests {
         (g, places)
     }
 
+    /// The mean and critical cycle of an analysis, as
+    /// [`mcm::minimum_cycle_mean`] reports them.
+    fn result(inc: &mut IncrementalMcm, overrides: &[(PlaceId, u64)]) -> Option<McmResult> {
+        inc.analysis_with_tokens(overrides).ok().map(|a| McmResult {
+            mean: a.mean,
+            critical_cycle: a.critical_cycle,
+        })
+    }
+
     #[test]
     fn only_cycle_and_bottleneck_queries_count_as_extractions() {
         let (g, places) = random_graph(3);
@@ -557,10 +493,9 @@ mod tests {
         inc.mcm_with_tokens(&[]);
         inc.mcm_with_tokens(&[(places[0], 3)]);
         assert_eq!(inc.extraction_count(), 0);
-        inc.result_with_tokens(&[]).unwrap();
-        inc.bottlenecks_with_tokens(&[]);
+        inc.analysis_with_tokens(&[]).unwrap();
         inc.analysis_with_tokens(&[(places[0], 3)]).unwrap();
-        assert_eq!(inc.extraction_count(), 3);
+        assert_eq!(inc.extraction_count(), 2);
         assert_eq!(inc.fork().extraction_count(), 0);
     }
 
@@ -597,7 +532,7 @@ mod tests {
                     "seed {seed} query {query} overrides {overrides:?}"
                 );
                 assert_eq!(
-                    inc.result_with_tokens(&overrides).ok(),
+                    result(&mut inc, &overrides),
                     expect_full.ok(),
                     "seed {seed} query {query}"
                 );
@@ -629,7 +564,7 @@ mod tests {
                     .map(|inc| {
                         (
                             inc.mcm_with_tokens(&overrides),
-                            inc.result_with_tokens(&overrides).ok(),
+                            inc.analysis_with_tokens(&overrides).ok(),
                         )
                     })
                     .collect();
@@ -699,7 +634,7 @@ mod tests {
         assert_eq!(inc.base_mean(), None);
         assert_eq!(inc.mcm_with_tokens(&[(p, 5)]), None);
         assert_eq!(
-            inc.result_with_tokens(&[]).unwrap_err(),
+            inc.analysis_with_tokens(&[]).unwrap_err(),
             GraphError::Acyclic
         );
         assert_eq!(inc.component_count(), 0);
@@ -710,7 +645,10 @@ mod tests {
     fn empty_graph_reports_empty() {
         let g = MarkedGraph::new();
         let mut inc = IncrementalMcm::new(&g);
-        assert_eq!(inc.result_with_tokens(&[]).unwrap_err(), GraphError::Empty);
+        assert_eq!(
+            inc.analysis_with_tokens(&[]).unwrap_err(),
+            GraphError::Empty
+        );
     }
 
     #[test]
@@ -749,8 +687,8 @@ mod tests {
                     "seed {seed}"
                 );
                 assert_eq!(
-                    fork.result_with_tokens(q).ok(),
-                    inc.result_with_tokens(q).ok(),
+                    fork.analysis_with_tokens(q).ok(),
+                    inc.analysis_with_tokens(q).ok(),
                     "seed {seed}"
                 );
             }
@@ -768,15 +706,18 @@ mod tests {
         }
     }
 
+    /// The combined query against separate from-scratch answers: the
+    /// mean and cycle of [`mcm::minimum_cycle_mean`] on the overridden
+    /// graph, and the bottlenecks found by probing every place with one
+    /// more token.
     #[test]
     fn combined_analysis_matches_separate_queries() {
         for seed in 0..25 {
-            let (g, places) = random_graph(seed);
+            let (mut g, places) = random_graph(seed);
             let mut inc = IncrementalMcm::new(&g);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xA11A);
             for query in 0..15 {
-                let k = rng.gen_range(0..4usize);
-                let overrides: Vec<(PlaceId, u64)> = (0..k)
+                let overrides: Vec<(PlaceId, u64)> = (0..rng.gen_range(0..4usize))
                     .map(|_| {
                         (
                             places[rng.gen_range(0..places.len())],
@@ -784,21 +725,33 @@ mod tests {
                         )
                     })
                     .collect();
-                let combined = inc.analysis_with_tokens(&overrides);
-                let result = inc.result_with_tokens(&overrides);
-                let bottlenecks = inc.bottlenecks_with_tokens(&overrides);
-                match (combined, result) {
-                    (Ok(a), Ok(r)) => {
-                        assert_eq!(a.mean, r.mean, "seed {seed} query {query}");
-                        assert_eq!(
-                            a.critical_cycle, r.critical_cycle,
-                            "seed {seed} query {query}"
-                        );
-                        assert_eq!(a.bottlenecks, bottlenecks, "seed {seed} query {query}");
-                    }
-                    (Err(a), Err(r)) => assert_eq!(a, r, "seed {seed} query {query}"),
-                    (a, r) => panic!("seed {seed} query {query}: {a:?} vs {r:?}"),
+                let saved: Vec<u64> = overrides.iter().map(|&(p, _)| g.tokens(p)).collect();
+                for &(p, t) in &overrides {
+                    g.set_tokens(p, t);
                 }
+                let separate = mcm::minimum_cycle_mean(&g).expect("the ring is cyclic");
+                let tokens: Vec<u64> = places.iter().map(|&p| g.tokens(p)).collect();
+                for (&(p, _), &t) in overrides.iter().zip(&saved).rev() {
+                    g.set_tokens(p, t);
+                }
+                let mut probed: Vec<PlaceId> = places
+                    .iter()
+                    .zip(&tokens)
+                    .filter(|&(&p, &t)| {
+                        let mut probe = overrides.clone();
+                        probe.push((p, t + 1));
+                        inc.mcm_with_tokens(&probe) > Some(separate.mean)
+                    })
+                    .map(|(&p, _)| p)
+                    .collect();
+                probed.sort_unstable();
+                let combined = inc.analysis_with_tokens(&overrides).expect("cyclic");
+                assert_eq!(combined.mean, separate.mean, "seed {seed} query {query}");
+                assert_eq!(
+                    combined.critical_cycle, separate.critical_cycle,
+                    "seed {seed} query {query}"
+                );
+                assert_eq!(combined.bottlenecks, probed, "seed {seed} query {query}");
             }
         }
     }

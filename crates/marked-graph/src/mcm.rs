@@ -12,9 +12,11 @@
 //! * [`McmEngine::Karp`] — Karp's dynamic program, O(|V||E|), exact
 //!   rationals. The algorithm the paper uses to check QS solutions; kept as
 //!   the cross-validation oracle.
-//! * [`McmEngine::Lawler`] — Lawler's parametric binary search with
-//!   Bellman–Ford negative-cycle detection, snapped to the exact rational
-//!   via Stern–Brocot best approximation.
+//! * [`McmEngine::Lawler`] — Lawler's parametric search, snapped to the
+//!   exact rational via Stern–Brocot best approximation. Each guess is
+//!   tested by the certificate's label-correcting pass
+//!   ([`crate::certificate`]), which stops at the first negative cycle its
+//!   predecessor graph closes.
 //!
 //! All three run on the same CSR snapshot with exact rational arithmetic,
 //! so they return bit-identical means — and, because the critical-cycle
@@ -24,9 +26,10 @@
 //! [`minimum_cycle_mean`] is the main entry point: it runs per strongly
 //! connected component and also extracts a *critical cycle* (a cycle whose
 //! mean attains the minimum) through shortest-path potentials and tight
-//! edges. Components are solved one after another on the calling thread:
-//! a request already owns one worker, so fanning its components out would
-//! add thread spawns but no capacity. Means are exact rationals reduced
+//! edges, with the same pass and the same tight-cycle search that build a
+//! [`crate::certificate::Certificate`]. Components are solved one after
+//! another on the calling thread: a request already owns one worker, so
+//! fanning its components out would add thread spawns but no capacity. Means are exact rationals reduced
 //! with `min` in component-id order, and ties between components with the
 //! same mean always resolve to the lowest component id, so the reported
 //! critical cycle is deterministic. [`mcm_masked`] answers the same
@@ -34,6 +37,7 @@
 //! repeated evaluation of the same graph under different token
 //! assignments, see [`crate::incremental::IncrementalMcm`].
 
+use crate::certificate::{label_correct, potentials_and_witness, Arcs, Potentials, Scc, UNREACHED};
 use crate::csr::CsrScc;
 use crate::error::GraphError;
 use crate::graph::{MarkedGraph, PlaceId};
@@ -392,167 +396,53 @@ pub(crate) fn karp_csr(csr: &CsrScc) -> Ratio {
     best.expect("cyclic SCC has a cycle")
 }
 
-/// Extracts a cycle whose mean equals `mean` from one CSR snapshot.
-///
-/// Uses shortest-path potentials under reduced weights
-/// `r(e) = den*w(e) - num` (all cycles then have nonnegative total, critical
-/// cycles exactly zero); every edge of a critical cycle is *tight*
-/// (`phi(u) + r(e) == phi(v)`), so any cycle in the tight subgraph is
-/// critical. The traversal follows the snapshot's canonical edge order, so
-/// the returned cycle is independent of which engine produced `mean`.
+/// Extracts a cycle whose mean equals `mean`, the component's minimum
+/// cycle mean, from one CSR snapshot: the first cycle of tight edges
+/// [`potentials_csr`] finds. The search follows the snapshot's canonical
+/// edge order under potentials that depend only on `mean`, so the returned
+/// cycle is independent of which engine produced `mean`.
 pub(crate) fn critical_cycle_csr(csr: &CsrScc, mean: Ratio) -> Vec<PlaceId> {
-    let phi = potentials_csr(csr, mean);
-    critical_cycle_from(csr, mean, &phi)
-}
-
-/// Shortest-path potentials under reduced weights `r(e) = den*w(e) - num`:
-/// the exact distances from vertex 0 (SCC ⇒ everything reachable). Every
-/// edge of every critical (zero-total) cycle is *tight* under these
-/// potentials: `phi(u) + r(e) == phi(v)`.
-///
-/// `mean` must not exceed the component's minimum cycle mean, so no cycle
-/// has a negative reduced total and the distances exist. They are unique, so any
-/// exact shortest-path algorithm yields the same vector; this one is
-/// label-correcting with a FIFO queue, which revisits only vertices whose
-/// distance dropped. Full Bellman–Ford passes in vertex order would need one
-/// pass per hop on a long ring whose edges run against that order.
-pub(crate) fn potentials_csr(csr: &CsrScc, mean: Ratio) -> Vec<i64> {
-    let n = csr.n();
-    let num = mean.numer();
-    let den = mean.denom();
-    let reduced = |w: i64| den * w - num;
-    let mut phi = vec![i64::MAX; n];
-    let mut queued = vec![false; n];
-    let mut queue = std::collections::VecDeque::with_capacity(n);
-    phi[0] = 0;
-    queued[0] = true;
-    queue.push_back(0);
-    // Bellman–Ford's bound: without a negative cycle no vertex is lowered
-    // more than n times.
-    let mut budget = n * n + n;
-    while let Some(v) = queue.pop_front() {
-        queued[v] = false;
-        for e in csr.out(v) {
-            let w = csr.target(e);
-            let cand = phi[v] + reduced(csr.weight(e));
-            if cand < phi[w] {
-                phi[w] = cand;
-                budget = budget
-                    .checked_sub(1)
-                    .expect("mean above the component's minimum cycle mean");
-                if !queued[w] {
-                    queued[w] = true;
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    phi
-}
-
-fn critical_cycle_from(csr: &CsrScc, mean: Ratio, phi: &[i64]) -> Vec<PlaceId> {
-    critical_cycle_edges_from(csr, mean, phi)
+    let (_, cycle) = potentials_csr(csr, mean, true);
+    cycle
+        .expect("asked for")
         .into_iter()
         .map(|e| csr.place(e))
         .collect()
 }
 
-/// [`critical_cycle_from`] returning CSR edge indices instead of places.
-fn critical_cycle_edges_from(csr: &CsrScc, mean: Ratio, phi: &[i64]) -> Vec<usize> {
-    let n = csr.n();
-    let num = mean.numer();
-    let den = mean.denom();
-    let reduced = |w: i64| den * w - num;
-
-    // DFS for a cycle within tight edges. `next` counts per-vertex edge
-    // offsets so the visit order matches the canonical CSR edge order.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    let mut color = vec![Color::White; n];
-    // (vertex, per-vertex edge index) path for reconstruction.
-    let mut path: Vec<(usize, usize)> = Vec::new();
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if color[root] != Color::White {
-            continue;
-        }
-        stack.push((root, 0));
-        color[root] = Color::Gray;
-        path.clear();
-        while let Some(&(v, next)) = stack.last() {
-            let out = csr.out(v);
-            if next >= out.len() {
-                color[v] = Color::Black;
-                stack.pop();
-                path.pop();
-                continue;
-            }
-            stack.last_mut().expect("stack nonempty").1 += 1;
-            let e = out.start + next;
-            let w = csr.target(e);
-            if phi[v] + reduced(csr.weight(e)) != phi[w] {
-                continue; // not tight
-            }
-            match color[w] {
-                Color::White => {
-                    color[w] = Color::Gray;
-                    path.push((v, next));
-                    stack.push((w, 0));
-                }
-                Color::Gray => {
-                    // Cycle: w ... v -> w. Collect places from the path suffix
-                    // starting at w, then the closing edge. `path[i]` is the
-                    // edge from the i-th to the (i+1)-th vertex of the DFS
-                    // chain held in `stack`.
-                    let chain: Vec<usize> = stack.iter().map(|&(x, _)| x).collect();
-                    let start = chain
-                        .iter()
-                        .position(|&x| x == w)
-                        .expect("gray vertex lies on the DFS chain");
-                    let mut edges: Vec<usize> = path[start..]
-                        .iter()
-                        .map(|&(u, ei)| csr.out(u).start + ei)
-                        .collect();
-                    edges.push(e);
-                    return edges;
-                }
-                Color::Black => {}
-            }
-        }
-    }
-    unreachable!("a critical cycle must exist in the tight subgraph")
+/// Shortest-path potentials under reduced weights `r(e) = den*w(e) - num`,
+/// the exact distances from local vertex 0 (SCC ⇒ everything reachable),
+/// and with `witness`, the first cycle of *tight* edges
+/// (`phi(u) + r(e) == phi(v)`) in canonical edge order, as edge indices.
+/// Both come from the certificate's pass and search
+/// ([`crate::certificate`]). Every edge of every critical (zero-total)
+/// cycle is tight, and every tight cycle is critical.
+///
+/// `mean` must not exceed the component's minimum cycle mean, so no cycle
+/// has a negative reduced total and the distances exist; with `witness` it
+/// must equal it. The distances are unique, so the cycle depends on
+/// nothing but `mean` and the edge order.
+pub(crate) fn potentials_csr(csr: &CsrScc, mean: Ratio, witness: bool) -> Potentials<usize> {
+    let mut start = vec![UNREACHED; csr.n()];
+    start[0] = 0;
+    potentials_and_witness(&Scc::new(csr, mean), start, witness)
+        .expect("the mean is the component's minimum cycle mean or below it")
 }
 
-/// The places of one CSR snapshot whose single-token increment strictly
-/// raises its minimum cycle mean, computed **structurally** — no re-solves.
+/// Critical cycle and bottleneck places of one snapshot in a single pass,
+/// sharing the potentials and the extracted cycle between the two answers.
 ///
 /// A token on place `p` strictly raises the mean of every cycle through `p`
 /// and no other, so the component minimum rises iff every minimum-mean
 /// cycle contains `p`. Minimum-mean cycles are exactly the cycles of the
-/// *tight subgraph* (edges with `phi(u) + r(e) == phi(v)`; any such cycle
-/// telescopes to reduced total 0), so `p` qualifies iff the tight subgraph
-/// minus `p` is acyclic. Only the edges of one extracted critical cycle
-/// can pass that test, and [`bottleneck_places_from`] decides all of them
-/// in one linear pass. Returned in critical-cycle order; callers sort as
-/// needed.
-pub(crate) fn bottleneck_places_csr(csr: &CsrScc, mean: Ratio) -> Vec<PlaceId> {
-    let phi = potentials_csr(csr, mean);
-    let cycle_edges = critical_cycle_edges_from(csr, mean, &phi);
-    bottleneck_places_from(csr, mean, &phi, &cycle_edges)
-}
-
-/// Critical cycle and bottleneck places of one snapshot in a single pass,
-/// sharing the Bellman–Ford potentials and the extracted cycle between the
-/// two answers. Equal to ([`critical_cycle_csr`], [`bottleneck_places_csr`])
-/// computed separately.
+/// *tight subgraph*, so `p` qualifies iff the tight subgraph minus `p` is
+/// acyclic. Only the edges of one extracted critical cycle can pass that
+/// test, and [`bottleneck_places_from`] decides all of them in one linear
+/// pass. Bottlenecks come in critical-cycle order; callers sort as needed.
 pub(crate) fn cycle_and_bottlenecks_csr(csr: &CsrScc, mean: Ratio) -> (Vec<PlaceId>, Vec<PlaceId>) {
-    let phi = potentials_csr(csr, mean);
-    let cycle_edges = critical_cycle_edges_from(csr, mean, &phi);
-    let bottlenecks = bottleneck_places_from(csr, mean, &phi, &cycle_edges);
+    let (phi, cycle) = potentials_csr(csr, mean, true);
+    let cycle_edges = cycle.expect("asked for");
+    let bottlenecks = bottleneck_places_from(&Scc::new(csr, mean), &phi, &cycle_edges);
     let cycle = cycle_edges.into_iter().map(|e| csr.place(e)).collect();
     (cycle, bottlenecks)
 }
@@ -577,18 +467,11 @@ pub(crate) fn cycle_and_bottlenecks_csr(csr: &CsrScc, mean: Ratio) -> (Vec<Place
 /// into it starts from. Forward bridges from `v_a` then jump `[a, max)`;
 /// the wrapping ones collapse to `[min source, k) ∪ [0, max target)`; a
 /// prefix sum over positions marks every jumped edge.
-fn bottleneck_places_from(
-    csr: &CsrScc,
-    mean: Ratio,
-    phi: &[i64],
-    cycle_edges: &[usize],
-) -> Vec<PlaceId> {
+fn bottleneck_places_from(scc: &Scc<'_>, phi: &[i64], cycle_edges: &[usize]) -> Vec<PlaceId> {
     const OFF: i32 = -1;
+    let csr = scc.csr();
     let n = csr.n();
     let k = cycle_edges.len();
-    let num = mean.numer();
-    let den = mean.denom();
-    let reduced = |w: i64| den * w - num;
 
     // `pos[v]`: cycle position of `v` (`v_i` is the tail of cycle edge
     // `i`), `OFF` for vertices off the cycle.
@@ -605,7 +488,7 @@ fn bottleneck_places_from(
         let cycle_edge = (pos[v] != OFF).then(|| cycle_edges[pos[v] as usize]);
         for e in csr.out(v) {
             let w = csr.target(e);
-            if phi[v] + reduced(csr.weight(e)) == phi[w] && cycle_edge != Some(e) {
+            if phi[v] + scc.weight(e) == phi[w] && cycle_edge != Some(e) {
                 targets.push(w as u32);
                 indegree[w] += 1;
             }
@@ -704,10 +587,11 @@ fn bottleneck_places_from(
 
 /// Lawler's algorithm: exact minimum cycle mean via parametric search.
 ///
-/// Binary-searches the cycle-mean value, testing each guess `λ` with a
-/// Bellman–Ford negative-cycle detection under reduced weights, then snaps
-/// the bracketing interval to the unique rational with denominator ≤ |V|
-/// via the Stern–Brocot tree. Returns `None` for acyclic graphs.
+/// Walks the Stern–Brocot tree towards the mean, testing each guess `λ`
+/// for a cycle of negative total under reduced weights with the
+/// certificate's label-correcting pass, and stops at the unique rational
+/// with denominator ≤ |V| the bracket leaves. Returns `None` for acyclic
+/// graphs.
 ///
 /// This is an independent cross-check of [`karp`]; the two must agree on
 /// every input.
@@ -730,32 +614,6 @@ pub fn lawler(graph: &MarkedGraph) -> Option<Ratio> {
     mcm_serial(graph, McmEngine::Lawler)
 }
 
-/// Whether some cycle has mean strictly below `lambda` (num/den).
-fn has_cycle_below(csr: &CsrScc, num: i64, den: i64) -> bool {
-    // Cycle mean < num/den  ⟺  Σ(den*w - num) < 0 over the cycle.
-    let n = csr.n();
-    let reduced = |w: i64| den * w - num;
-    let mut dist = vec![0i64; n];
-    for _ in 0..n {
-        let mut changed = false;
-        for v in 0..n {
-            for e in csr.out(v) {
-                let w = csr.target(e);
-                let cand = dist[v].saturating_add(reduced(csr.weight(e)));
-                if cand < dist[w] {
-                    dist[w] = cand;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return false;
-        }
-    }
-    // Still relaxing after n rounds ⇒ negative cycle.
-    true
-}
-
 pub(crate) fn lawler_csr(csr: &CsrScc) -> Ratio {
     let n = csr.n() as i64;
     // Stern–Brocot walk. Invariant: lo = a/b is feasible ("no cycle with
@@ -768,14 +626,22 @@ pub(crate) fn lawler_csr(csr: &CsrScc) -> Ratio {
     // The canonical root bracket is (0/1, 1/0): 0 is always feasible and
     // "infinity" always infeasible. The walk is unary in the integer part,
     // which is fine for LIS graphs where token weights per edge are small.
+    //
+    // Some cycle has a mean below a guess num/den exactly when some cycle
+    // has a negative total under the reduced weights den·w − num, which
+    // is when the label-correcting pass from all-zero labels fails.
     let (mut a, mut b, mut c, mut d) = (0i64, 1i64, 1i64, 0i64);
+    let mut labels = vec![0i64; csr.n()];
+    let mut mark = vec![0u32; csr.n()];
     loop {
         let (mn, md) = (a + c, b + d);
         if md > n && d != 0 {
             // lo is the best feasible rational with denominator ≤ n.
             return Ratio::new(a, b);
         }
-        if has_cycle_below(csr, mn, md) {
+        labels.fill(0);
+        let guess = Scc::new(csr, Ratio::new(mn, md));
+        if label_correct(&guess, &mut labels, &mut mark).is_err() {
             // λ* < mediant: tighten hi.
             c = mn;
             d = md;
@@ -1042,7 +908,7 @@ mod tests {
             let csr = CsrScc::build(&g, &scc, scc.component_of(ts[0]));
             let mean = karp_csr(&csr);
             assert_eq!(
-                potentials_csr(&csr, mean),
+                potentials_csr(&csr, mean, false).0,
                 potentials_by_passes(&csr, mean),
                 "trial {trial}"
             );
@@ -1234,9 +1100,9 @@ mod tests {
         for comp in scc.component_ids().filter(|&c| scc.is_cyclic(g, c)) {
             let csr = CsrScc::build(g, &scc, comp);
             let mean = karp_csr(&csr);
-            let phi = potentials_csr(&csr, mean);
-            let cycle = critical_cycle_edges_from(&csr, mean, &phi);
-            let linear = bottleneck_places_from(&csr, mean, &phi, &cycle);
+            let (phi, cycle) = potentials_csr(&csr, mean, true);
+            let cycle = cycle.expect("asked for");
+            let linear = bottleneck_places_from(&Scc::new(&csr, mean), &phi, &cycle);
             let probed = bottleneck_places_by_probing(&csr, mean, &phi, &cycle);
             if linear != probed {
                 return Err(format!("component {comp}: {linear:?} != {probed:?}"));
@@ -1258,7 +1124,7 @@ mod tests {
             _ => Vec::new(),
         };
         expected.sort_unstable();
-        let got = crate::incremental::IncrementalMcm::new(g).bottlenecks_with_tokens(&[]);
+        let got = crate::sensitivity::bottleneck_places(g);
         if got != expected {
             return Err(format!("global: {got:?} != {expected:?}"));
         }

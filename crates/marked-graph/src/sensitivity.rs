@@ -77,7 +77,7 @@ pub fn token_sensitivity(graph: &MarkedGraph) -> Vec<PlaceSensitivity> {
 /// The places whose single-token increment strictly raises the minimum
 /// cycle mean — the true bottlenecks (places on *every* critical cycle).
 ///
-/// Computed structurally via [`IncrementalMcm::bottlenecks_with_tokens`]:
+/// Computed structurally via [`IncrementalMcm::analysis_with_tokens`]:
 /// a token on `p` leaves every cycle avoiding `p` unchanged, so `p` is a
 /// bottleneck iff the tight subgraph of minimum-mean cycles minus `p` is
 /// acyclic — one solve per component and one linear pass over the tight
@@ -104,7 +104,10 @@ pub fn token_sensitivity(graph: &MarkedGraph) -> Vec<PlaceSensitivity> {
 /// assert_eq!(bottleneck_places(&g), vec![shared]);
 /// ```
 pub fn bottleneck_places(graph: &MarkedGraph) -> Vec<PlaceId> {
-    IncrementalMcm::new(graph).bottlenecks_with_tokens(&[])
+    IncrementalMcm::new(graph)
+        .analysis_with_tokens(&[])
+        .map(|analysis| analysis.bottlenecks)
+        .unwrap_or_default()
 }
 
 /// All places lying on at least one minimum-mean cycle ("critical places").
@@ -150,7 +153,7 @@ pub fn critical_places(graph: &MarkedGraph) -> Vec<PlaceId> {
     let mut tight_places = Vec::new();
     for c in scc.component_ids().filter(|&c| scc.is_cyclic(graph, c)) {
         let csr = CsrScc::build(graph, &scc, c);
-        let phi = mcm::potentials_csr(&csr, base);
+        let (phi, _) = mcm::potentials_csr(&csr, base, false);
         for v in 0..csr.n() {
             for e in csr.out(v) {
                 let w = csr.target(e);
@@ -328,7 +331,9 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(
-                    inc.bottlenecks_with_tokens(&overrides),
+                    inc.analysis_with_tokens(&overrides)
+                        .expect("still cyclic")
+                        .bottlenecks,
                     expected,
                     "trial {trial} overrides {overrides:?}\n{g:?}"
                 );

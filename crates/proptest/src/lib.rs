@@ -217,7 +217,7 @@ pub mod bool {
 pub mod collection {
     use super::{Rng, StdRng, Strategy};
 
-    /// Element-count specification for [`vec`]: exact or a half-open range.
+    /// Element-count specification for [`vec()`]: exact or a half-open range.
     #[derive(Debug, Clone, Copy)]
     pub enum SizeRange {
         /// Exactly this many elements.

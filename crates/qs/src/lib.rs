@@ -26,7 +26,7 @@
 //!    answer. [`verify_solution`] (a clone, a rebuild and an MCM solve) and
 //!    [`verify_solution_simulated`] stay as test oracles.
 //!
-//! [`ThroughputOracle`] answers repeated "θ(d[G]) with these extra slots?"
+//! [`ThroughputOracle`] answers repeated "θ(d\[G\]) with these extra slots?"
 //! queries incrementally (one doubled model, per-SCC re-solves with a memo
 //! cache); it backs [`verify_solution_incremental`] and the oracle-based
 //! trim pass ([`trim_weights`], [`QsConfig::oracle_trim`]) that can tighten

@@ -8,7 +8,7 @@
 //! capacity*, and *stations inserted*. This is the batch counterpart of
 //! the single-shot `explain`/queue-sizing entry points: instead of N
 //! independent cold solves, each station group shares one doubled marked
-//! graph and one warm [`marked_graph::IncrementalMcm`], so a grid point
+//! graph and one warm [`marked_graph::incremental::IncrementalMcm`], so a grid point
 //! costs a token-override query rather than a model rebuild, while
 //! producing **byte-identical** per-point reports.
 //!

@@ -19,9 +19,9 @@ pub const MAX_POINTS: usize = 65_536;
 /// budget cap) and on the total greedy budget.
 pub const MAX_STATIONS: u32 = 16;
 
-/// Ceiling on any swept queue capacity: large enough for any real design,
-/// small enough that token arithmetic stays far from overflow.
-pub const MAX_CAPACITY: u64 = 1_000_000;
+/// Ceiling on any swept queue capacity: the netlist's own bound, so every
+/// grid point is a design a netlist could declare.
+pub use lis_core::MAX_CAPACITY;
 
 /// Why a spec cannot be planned against a given base system.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -164,3 +164,38 @@ fn an_integer_option_beyond_f64_precision_is_refused() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains(r#""seed":9007199254740991"#), "{body}");
 }
+
+/// A queue capacity past `MAX_CAPACITY` or a relay-station total past
+/// `MAX_RELAY_STATIONS` is a typed 400 naming its line on every route that
+/// takes a netlist. Unbounded, `q=2^64 − 1` overflowed the solvers' `i64`
+/// weights (`/analyze` answered θ = 0, `/qs` "failed verification"), and
+/// `rs=8000000` cost seconds and gigabytes.
+#[test]
+fn netlist_numbers_past_their_caps_are_refused_with_their_line() {
+    let cases = [
+        format!("q={}", lis::core::MAX_CAPACITY + 1),
+        "q=4611686018427387904".to_string(),
+        "q=9223372036854775808".to_string(),
+        "q=18446744073709551615".to_string(),
+        format!("rs={}", lis::core::MAX_RELAY_STATIONS + 1),
+    ];
+    for attr in &cases {
+        let netlist = format!("block A\nblock B\nchannel A -> B rs=1\nchannel B -> A {attr}\n");
+        for route in [Route::Analyze, Route::Qs, Route::Insert, Route::Dot] {
+            let (status, body) = answer(route, &obj([("netlist", Json::str(netlist.as_str()))]));
+            let body = Json::parse(&String::from_utf8_lossy(&body)).expect("a JSON body");
+            let error = body.get("error").expect("an error object");
+            assert_eq!(status, 400, "{route:?} {attr}: {body}");
+            assert_eq!(
+                error.get("kind").and_then(Json::as_str),
+                Some("parse_error"),
+                "{route:?} {attr}"
+            );
+            assert_eq!(
+                error.get("line").and_then(Json::as_u64),
+                Some(4),
+                "{route:?} {attr}"
+            );
+        }
+    }
+}
