@@ -65,7 +65,7 @@ pub const ARTIFACTS: [(&str, Render); 11] = [
     ("fig16", fig16),
     ("fig17", fig17),
     ("crossval", crossval),
-    ("ablation", |opts, _| ablation(opts)),
+    ("ablation", ablation),
 ];
 
 /// Appends `wall-clock <label>: <ms> ms`, a line matching [`TIMING_LINE`].
@@ -1038,36 +1038,39 @@ pub fn crossval(opts: &ExpOptions, threads: usize) -> String {
 ///
 /// All variants provably return the same optimum (asserted); the point is
 /// the cost difference.
-pub fn ablation(opts: &ExpOptions) -> String {
+pub fn ablation(opts: &ExpOptions, threads: usize) -> String {
+    ablation_capped(opts, threads, 2_000_000)
+}
+
+/// [`ablation`] with the raw cycle census capped at `raw_cap` cycles.
+pub fn ablation_capped(opts: &ExpOptions, threads: usize, raw_cap: usize) -> String {
     let cfg = GeneratorConfig::table4(100, 20);
+    let trials: Vec<usize> = (0..opts.trials).collect();
 
     // --- Lever 1: SCC collapsing vs raw enumeration. ---
     // The raw census routinely explodes — that explosion IS the result, so
     // saturate the count at a cap and report how often it was hit.
-    const RAW_CAP: usize = 2_000_000;
-    let mut raw_cycles = Vec::new();
-    let mut raw_blowups = 0usize;
-    let mut collapsed_cycles = Vec::new();
-    for trial in 0..opts.trials {
+    let census: Vec<(Option<usize>, usize)> = par_map(&trials, threads, |&trial| {
         let mut rng = StdRng::seed_from_u64(opts.seed ^ trial as u64);
         let lis = generate(&cfg, &mut rng);
         let raw = LisModel::doubled(&lis.system);
-        match count_elementary_cycles(raw.graph(), RAW_CAP) {
-            Ok(n) => raw_cycles.push(n as f64),
-            Err(_) => {
-                raw_blowups += 1;
-                raw_cycles.push(RAW_CAP as f64); // lower bound
-            }
-        }
         let col = collapse_sccs(&lis.system).expect("scc policy collapses");
         let cd = LisModel::doubled(&col.system);
-        collapsed_cycles.push(
-            count_elementary_cycles(cd.graph(), RAW_CAP).expect("small after collapse") as f64,
-        );
-    }
+        (
+            count_elementary_cycles(raw.graph(), raw_cap).ok(),
+            count_elementary_cycles(cd.graph(), raw_cap).expect("small after collapse"),
+        )
+    });
+    let raw_blowups = census.iter().filter(|(raw, _)| raw.is_none()).count();
+    // A blown-up census counts as the cap: a lower bound.
+    let raw_cycles: Vec<f64> = census
+        .iter()
+        .map(|(raw, _)| raw.unwrap_or(raw_cap) as f64)
+        .collect();
+    let collapsed_cycles: Vec<f64> = census.iter().map(|&(_, n)| n as f64).collect();
     let mut t1 = Table::new(
         format!(
-            "Ablation 1: SCC collapsing, v=100 s=20 rs=10, {} trials (raw census capped at {RAW_CAP})",
+            "Ablation 1: SCC collapsing, v=100 s=20 rs=10, {} trials (raw census capped at {raw_cap})",
             opts.trials
         ),
         &["variant", "doubled-graph cycles (avg)", "census blowups"],
@@ -1084,35 +1087,26 @@ pub fn ablation(opts: &ExpOptions) -> String {
     ]);
 
     // --- Levers 2-4 on the extracted TD instances. ---
-    let mut td_sets_before = Vec::new();
-    let mut td_sets_after = Vec::new();
-    let mut td_cycles_before = Vec::new();
-    let mut td_cycles_after = Vec::new();
-    let mut heur_totals = Vec::new();
-    let mut greedy_totals = Vec::new();
-    let mut exact_totals = Vec::new();
-    // Per variant (bound, symmetry): search nodes of finished runs, timeouts.
+    // The exact search's variants: (bound, symmetry breaking).
     let variants = [(true, true), (false, true), (true, false), (false, false)];
-    let mut nodes: [Vec<f64>; 4] = Default::default();
-    let mut timeouts = [0usize; 4];
-
-    for trial in 0..opts.trials {
+    struct Trial {
+        /// TD sets and deficient cycles, before and after simplification.
+        sizes: [f64; 4],
+        heuristic: f64,
+        greedy: f64,
+        exact: Option<f64>,
+        /// Search nodes per variant of a finished run; `None`: timed out.
+        nodes: [Option<f64>; 4],
+    }
+    let outcomes: Vec<Trial> = par_map(&trials, threads, |&trial| {
         let mut rng = StdRng::seed_from_u64(opts.seed ^ (1 << 20) ^ trial as u64);
         let lis = generate(&cfg, &mut rng);
         let col = collapse_sccs(&lis.system).expect("scc policy collapses");
         let inst = extract_instance(&col.system, 2_000_000).expect("bounded");
         let (td, _) = TdInstance::from_qs(&inst);
-        td_sets_before.push(td.set_count() as f64);
-        td_cycles_before.push(td.cycle_count() as f64);
         let simp = simplify(&td);
-        td_sets_after.push(simp.instance.set_count() as f64);
-        td_cycles_after.push(simp.instance.cycle_count() as f64);
-
-        heur_totals.push(heuristic_solve(&td).total() as f64);
-        greedy_totals.push(greedy_cover_solve(&td).total() as f64);
-
         let mut optimum: Option<u64> = None;
-        for (idx, (bound, sym)) in variants.into_iter().enumerate() {
+        let nodes = variants.map(|(bound, sym)| {
             let out = exact_solve_with(
                 &td,
                 // Memo off: the ablation isolates the bound/symmetry axes,
@@ -1125,22 +1119,42 @@ pub fn ablation(opts: &ExpOptions) -> String {
                     memo: false,
                 },
             );
-            if out.optimal {
-                nodes[idx].push(out.nodes as f64);
-                if idx == 0 {
-                    exact_totals.push(out.solution.total() as f64);
-                }
-                let o = *optimum.get_or_insert(out.solution.total());
-                assert_eq!(
-                    o,
-                    out.solution.total(),
-                    "variant ({bound},{sym}) changed the optimum"
-                );
-            } else {
-                timeouts[idx] += 1;
+            if !out.optimal {
+                return None;
             }
+            let o = *optimum.get_or_insert(out.solution.total());
+            assert_eq!(
+                o,
+                out.solution.total(),
+                "variant ({bound},{sym}) changed the optimum"
+            );
+            Some(out.nodes as f64)
+        });
+        Trial {
+            sizes: [
+                td.set_count() as f64,
+                td.cycle_count() as f64,
+                simp.instance.set_count() as f64,
+                simp.instance.cycle_count() as f64,
+            ],
+            heuristic: heuristic_solve(&td).total() as f64,
+            greedy: greedy_cover_solve(&td).total() as f64,
+            // The optimum, when the first variant finished.
+            exact: nodes[0].and(optimum).map(|o| o as f64),
+            nodes,
         }
-    }
+    });
+    let sizes = [0, 1, 2, 3].map(|i| outcomes.iter().map(|t| t.sizes[i]).collect::<Vec<_>>());
+    let nodes = [0, 1, 2, 3].map(|i| {
+        outcomes
+            .iter()
+            .filter_map(|t| t.nodes[i])
+            .collect::<Vec<_>>()
+    });
+    let timeouts = [0, 1, 2, 3].map(|i| outcomes.iter().filter(|t| t.nodes[i].is_none()).count());
+    let heur_totals: Vec<f64> = outcomes.iter().map(|t| t.heuristic).collect();
+    let greedy_totals: Vec<f64> = outcomes.iter().map(|t| t.greedy).collect();
+    let exact_totals: Vec<f64> = outcomes.iter().filter_map(|t| t.exact).collect();
 
     let mut t2 = Table::new(
         "Ablation 2: simplification rules 2-3 (Token Deficit instance size)",
@@ -1148,13 +1162,13 @@ pub fn ablation(opts: &ExpOptions) -> String {
     );
     t2.row(&[
         "before".to_string(),
-        format!("{:.2}", mean(&td_sets_before)),
-        format!("{:.2}", mean(&td_cycles_before)),
+        format!("{:.2}", mean(&sizes[0])),
+        format!("{:.2}", mean(&sizes[1])),
     ]);
     t2.row(&[
         "after".to_string(),
-        format!("{:.2}", mean(&td_sets_after)),
-        format!("{:.2}", mean(&td_cycles_after)),
+        format!("{:.2}", mean(&sizes[2])),
+        format!("{:.2}", mean(&sizes[3])),
     ]);
 
     let mut ts = Table::new(

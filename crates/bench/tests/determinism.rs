@@ -32,6 +32,23 @@ fn fanned_out_artifacts_are_identical_at_one_and_four_threads() {
     }
 }
 
+/// The ablation fans out both of its trial loops; a small census cap keeps
+/// its raw cycle enumeration cheap in a debug build.
+#[test]
+fn the_ablation_is_identical_at_one_and_four_threads() {
+    let opts = ExpOptions {
+        trials: 3,
+        ..ExpOptions::default()
+    };
+    let serial = paper::ablation_capped(&opts, 1, 20_000);
+    assert_eq!(serial, paper::ablation_capped(&opts, 4, 20_000));
+    assert_eq!(serial, paper::ablation_capped(&opts, 4, 20_000));
+    assert!(
+        serial.contains("3 trials (raw census capped at 20000)"),
+        "{serial}"
+    );
+}
+
 #[test]
 fn the_seed_reaches_the_sampled_systems() {
     // Different seeds must actually change the measurements (guards against

@@ -7,6 +7,7 @@ use std::io::Write;
 use lis_core::{
     parse_netlist, practical_mst, to_netlist, ChannelId, LisModel, LisSystem, McmEngine,
 };
+use lis_server::options::{self, Flag, Kind};
 use lis_server::wire::{obj, Json};
 use lis_server::Route;
 use lis_sim::{
@@ -155,14 +156,9 @@ pub fn dispatch(args: &[String], out: &mut dyn Write) -> CliResult {
     };
     let text = read_netlist(path)?;
     let rest = &args[2..];
-    let route = match command.as_str() {
-        "analyze" => Some(Route::Analyze),
-        "qs" => Some(Route::Qs),
-        "insert" => Some(Route::Insert),
-        "sweep" => Some(Route::Sweep),
-        _ => None,
-    };
-    if let Some(route) = route {
+    // Every envelope route but `dot`, which prints the DOT text itself.
+    let local = |r| options::ROUTES.contains(&r) && r != Route::Dot;
+    if let Ok(route) = Route::resolve("POST", &format!("/{command}"), local) {
         return local_answer(route, &text, rest, engine, out);
     }
     let sys = parse_netlist(&text)?;
@@ -175,45 +171,44 @@ pub fn dispatch(args: &[String], out: &mut dyn Write) -> CliResult {
     }
 }
 
-/// Strips a global `--threads N` flag (anywhere on the line) and returns
-/// the worker count it selects, defaulting to the daemon's
-/// (`ServerConfig::default().workers`, the available parallelism).
-fn apply_threads_flag(args: &[String]) -> Result<(Vec<String>, usize), Box<dyn Error>> {
-    let mut out = Vec::with_capacity(args.len());
-    let mut threads = lis_server::ServerConfig::default().workers;
+/// Strips a global `NAME VALUE` flag (anywhere on the line), returning the
+/// other words and the value.
+fn strip_global(args: &[String], name: &str) -> Result<(Vec<String>, Option<String>), String> {
+    let (mut out, mut value) = (Vec::with_capacity(args.len()), None);
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
-        if a == "--threads" {
-            let v = iter.next().ok_or("--threads needs a value")?;
-            let n: usize = v
-                .parse()
-                .map_err(|e| format!("--threads: {e} (got {v:?})"))?;
-            if n == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            threads = n;
-        } else {
+        if a != name {
             out.push(a.clone());
+        } else {
+            value = Some(iter.next().ok_or(format!("{name} needs a value"))?.clone());
         }
     }
-    Ok((out, threads))
+    Ok((out, value))
 }
 
-/// Strips a global `--engine NAME` flag (anywhere on the line) and returns
-/// the selected MCM engine, defaulting to [`McmEngine::Howard`].
-fn apply_engine_flag(args: &[String]) -> Result<(Vec<String>, McmEngine), Box<dyn Error>> {
-    let mut out = Vec::with_capacity(args.len());
-    let mut engine = McmEngine::default();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--engine" {
-            let v = iter.next().ok_or("--engine needs a value")?;
-            engine = v.parse().map_err(|e| format!("--engine: {e}"))?;
-        } else {
-            out.push(a.clone());
-        }
+/// Strips a global `--threads N` flag and returns the worker count it
+/// selects, defaulting to the daemon's (`ServerConfig::default().workers`,
+/// the available parallelism).
+fn apply_threads_flag(args: &[String]) -> Result<(Vec<String>, usize), Box<dyn Error>> {
+    let (args, value) = strip_global(args, "--threads")?;
+    let threads = match value {
+        None => lis_server::ServerConfig::default().workers,
+        Some(v) => v
+            .parse()
+            .map_err(|e| format!("--threads: {e} (got {v:?})"))?,
+    };
+    if threads == 0 {
+        return Err("--threads must be at least 1".into());
     }
-    Ok((out, engine))
+    Ok((args, threads))
+}
+
+/// Strips a global `--engine NAME` flag and returns the selected MCM
+/// engine, defaulting to [`McmEngine::Howard`].
+fn apply_engine_flag(args: &[String]) -> Result<(Vec<String>, McmEngine), Box<dyn Error>> {
+    let (args, value) = strip_global(args, "--engine")?;
+    let engine = value.map_or(Ok(McmEngine::default()), |v| v.parse());
+    Ok((args, engine.map_err(|e| format!("--engine: {e}"))?))
 }
 
 fn read_netlist(path: &str) -> Result<String, String> {
@@ -378,16 +373,14 @@ fn client_cmd(rest: &[String], engine: McmEngine, out: &mut dyn Write) -> CliRes
             writeln!(out, "server is draining")?;
             Ok(())
         }
-        route @ ("analyze" | "qs" | "insert" | "dot" | "sweep") => {
+        name @ ("analyze" | "qs" | "insert" | "dot" | "sweep") => {
             let Some(path) = rest.get(2) else {
-                return Err(format!("client {route} needs a netlist path\n{USAGE}").into());
+                return Err(format!("client {name} needs a netlist path\n{USAGE}").into());
             };
+            let target = format!("/{name}");
+            let route = Route::resolve("POST", &target, |_| true)?;
             let envelope = request_envelope(route, &read_netlist(path)?, &rest[3..], engine)?;
-            let response = client.request(
-                "POST",
-                &format!("/{route}"),
-                envelope.to_string().as_bytes(),
-            )?;
+            let response = client.request("POST", &target, envelope.to_string().as_bytes())?;
             print_answer(out, response.status, &response.body)
         }
         other => Err(format!("unknown client command {other:?}\n{USAGE}").into()),
@@ -404,7 +397,7 @@ fn local_answer(
     engine: McmEngine,
     out: &mut dyn Write,
 ) -> CliResult {
-    let envelope = request_envelope(route.name(), netlist, rest, engine)?;
+    let envelope = request_envelope(route, netlist, rest, engine)?;
     let (status, body) = lis_server::answer(route, &envelope);
     print_answer(out, status, &body)?;
     match value(rest, "--apply")? {
@@ -476,90 +469,61 @@ fn apply_answer(route: Route, netlist: &str, body: &[u8], target: &str) -> CliRe
 }
 
 /// Lowers a command's flags to the request envelope the daemon decodes,
-/// `{"netlist": ..., "options": {...}}`. `lis client` sends it and the
-/// local commands answer it in process, so a flag means the same on both
-/// sides and the daemon's decoder is its only validator. Parsing errors
-/// here are the command line's own (a missing value, a malformed list).
+/// `{"netlist": ..., "options": {...}}`, through the route's rows of
+/// [`options::OPTIONS`]. `lis client` sends it and the local commands
+/// answer it in process, so a flag means the same on both sides and the
+/// daemon's decoder is its only validator. Parsing errors here are the
+/// command line's own (a missing value, a malformed list).
 fn request_envelope(
-    route: &str,
+    route: Route,
     netlist: &str,
     flags: &[String],
     engine: McmEngine,
 ) -> Result<Json, Box<dyn Error>> {
     let mut o: Vec<(String, Json)> = Vec::new();
-    if matches!(route, "analyze" | "qs" | "sweep") && engine != McmEngine::default() {
-        o.push(("engine".into(), Json::str(engine.as_str())));
-    }
-    let exact = flag(flags, "--exact");
-    match route {
-        "analyze" => {
-            if flag(flags, "--schedule") {
-                o.push(("schedule".into(), Json::Bool(true)));
+    for row in options::rows(route) {
+        let lowered = match (row.flag, row.kind) {
+            (Flag::Global(_), _) if engine != McmEngine::default() => Json::str(engine.as_str()),
+            (Flag::Switch(name), Kind::Choice(c)) if flag(flags, name) => Json::str(c[c.len() - 1]),
+            (Flag::Switch(name), _) if flag(flags, name) => Json::Bool(true),
+            (Flag::Repeat(name), _) if flag(flags, name) => {
+                let axes = option_all(flags, name)?.into_iter().map(cap_axis);
+                Json::Arr(axes.collect::<Result<_, _>>()?)
             }
-            if let Some(v) = value(flags, "--burst")? {
-                let (off, on) = v.split_once(',').ok_or_else(|| {
-                    format!("--burst wants OFF,ON per-mille probabilities (got {v:?})")
-                })?;
-                let mut burst = vec![
-                    ("off_per_mille".to_string(), number("--burst off", off)?),
-                    ("on_per_mille".to_string(), number("--burst on", on)?),
-                ];
-                burst.extend(numbers_of(
-                    flags,
-                    &[
-                        ("--burst-trials", "trials"),
-                        ("--burst-cycles", "cycles"),
-                        ("--burst-seed", "seed"),
-                    ],
-                )?);
-                o.push(("burst".into(), Json::Obj(burst)));
-            }
-        }
-        "qs" if exact => o.push(("exact".into(), Json::Bool(true))),
-        "insert" => o.extend(numbers_of(flags, &[("--budget", "budget")])?),
-        "dot" if flag(flags, "--doubled") => o.push(("doubled".into(), Json::Bool(true))),
-        "sweep" => {
-            if flag(flags, "--qs") {
-                o.push(("mode".into(), Json::str("qs")));
-                if exact {
-                    o.push(("exact".into(), Json::Bool(true)));
+            (Flag::Value(name) | Flag::Pair(name, _), kind) => {
+                let Some(v) = value(flags, name)? else {
+                    continue;
+                };
+                match (row.flag, kind) {
+                    (Flag::Pair(_, i), _) => {
+                        let pair = v.split_once(',');
+                        let (a, b) = pair.ok_or_else(|| format!("{name} wants A,B (got {v:?})"))?;
+                        number(name, [a, b][i])?
+                    }
+                    (_, Kind::Ints(_)) => number_list(name, v)?,
+                    _ => number(name, v)?,
                 }
             }
-            let axes = option_all(flags, "--cap")?
-                .into_iter()
-                .map(cap_axis)
-                .collect::<Result<Vec<_>, _>>()?;
-            if !axes.is_empty() {
-                o.push(("capacities".into(), Json::Arr(axes)));
+            _ => continue,
+        };
+        let Some((group, key)) = row.path.split_once('.') else {
+            o.push((row.path.into(), lowered));
+            continue;
+        };
+        // A group opens with its first row's flag; its other flags tune it.
+        let opens = options::rows(route).find(|r| r.path.starts_with(&format!("{group}.")));
+        match o.iter_mut().find(|(k, _)| k == group) {
+            Some((_, Json::Obj(fields))) => fields.push((key.into(), lowered)),
+            _ if opens == Some(row) => {
+                o.push((group.into(), Json::Obj(vec![(key.into(), lowered)])))
             }
-            o.extend(numbers_of(flags, &[("--budget", "budget")])?);
-            // --trials, --cycles and --seed are shared by both axes.
-            let shared = [
-                ("--trials", "trials"),
-                ("--cycles", "cycles"),
-                ("--seed", "seed"),
-            ];
-            if let Some(list) = value(flags, "--stalls")? {
-                let mut stalls = vec![("per_mille".to_string(), number_list("--stalls", list)?)];
-                stalls.extend(numbers_of(flags, &shared)?);
-                o.push(("stalls".into(), Json::Obj(stalls)));
-            }
-            if let Some(list) = value(flags, "--bursts")? {
-                let mut bursts =
-                    vec![("off_per_mille".to_string(), number_list("--bursts", list)?)];
-                bursts.extend(numbers_of(flags, &[("--burst-on", "on_per_mille")])?);
-                bursts.extend(numbers_of(flags, &shared)?);
-                o.push(("bursts".into(), Json::Obj(bursts)));
-            }
+            _ => {}
         }
-        _ => {}
     }
-    let options = if o.is_empty() {
-        Json::Null
-    } else {
-        Json::Obj(o)
-    };
-    Ok(obj([("netlist", Json::str(netlist)), ("options", options)]))
+    Ok(obj([
+        ("netlist", Json::str(netlist)),
+        ("options", Json::Obj(o)),
+    ]))
 }
 
 /// One `--cap CHANNEL=V1,V2,...` axis as the daemon's
@@ -588,30 +552,13 @@ fn number_list(what: &str, list: &str) -> Result<Json, String> {
         .map(Json::Arr)
 }
 
-/// The `(flag, option)` pairs whose flag is present, as option fields.
-fn numbers_of(flags: &[String], pairs: &[(&str, &str)]) -> Result<Vec<(String, Json)>, String> {
-    let mut fields = Vec::new();
-    for &(name, key) in pairs {
-        if let Some(v) = value(flags, name)? {
-            fields.push((key.to_string(), number(name, v)?));
-        }
-    }
-    Ok(fields)
-}
-
 fn flag(rest: &[String], name: &str) -> bool {
     rest.iter().any(|a| a == name)
 }
 
 /// The value after `name`, if the flag is present.
 fn value<'a>(rest: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    match rest.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => rest
-            .get(i + 1)
-            .map(|v| Some(v.as_str()))
-            .ok_or_else(|| format!("{name} needs a value")),
-    }
+    Ok(option_all(rest, name)?.first().copied())
 }
 
 fn option<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> Result<T, String>
@@ -722,18 +669,17 @@ fn simulate(sys: &LisSystem, rest: &[String], out: &mut dyn Write) -> CliResult 
     }
 }
 
+/// A simulator of `sys` with pass-through cores and finite queues.
+fn passthrough_sim(sys: &LisSystem) -> LisSimulator {
+    let cores = sys.block_ids().map(|b| {
+        let outs = sys.channel_ids().filter(|&c| sys.channel_from(c) == b);
+        Box::new(Passthrough::new(outs.count(), 0)) as Box<dyn CoreModel>
+    });
+    LisSimulator::new(sys, cores.collect(), QueueMode::Finite)
+}
+
 fn simulate_reference(sys: &LisSystem, steps: u64, out: &mut dyn Write) -> CliResult {
-    let cores: Vec<Box<dyn CoreModel>> = sys
-        .block_ids()
-        .map(|b| {
-            let outs = sys
-                .channel_ids()
-                .filter(|&c| sys.channel_from(c) == b)
-                .count();
-            Box::new(Passthrough::new(outs, 0)) as Box<dyn CoreModel>
-        })
-        .collect();
-    let mut sim = LisSimulator::new(sys, cores, QueueMode::Finite);
+    let mut sim = passthrough_sim(sys);
     let stats = lis_sim::collect_stats(sys, &mut sim, steps);
     writeln!(
         out,
@@ -825,17 +771,7 @@ fn simulate_compiled(
 
 fn vcd(sys: &LisSystem, rest: &[String], out: &mut dyn Write) -> CliResult {
     let steps: u64 = option(rest, "--steps", 200)?;
-    let cores: Vec<Box<dyn CoreModel>> = sys
-        .block_ids()
-        .map(|b| {
-            let outs = sys
-                .channel_ids()
-                .filter(|&c| sys.channel_from(c) == b)
-                .count();
-            Box::new(Passthrough::new(outs, 0)) as Box<dyn CoreModel>
-        })
-        .collect();
-    let mut sim = LisSimulator::new(sys, cores, QueueMode::Finite);
+    let mut sim = passthrough_sim(sys);
     sim.run(steps);
     write!(out, "{}", lis_sim::to_vcd(sys, &sim))?;
     Ok(())
@@ -1239,7 +1175,8 @@ mod tests {
         use lis_server::RequestKind;
         let decode = |args: &[&str], engine: McmEngine| {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            let envelope = request_envelope("sweep", "block A\n", &args, engine).expect("lowers");
+            let envelope =
+                request_envelope(Route::Sweep, "block A\n", &args, engine).expect("lowers");
             match RequestKind::decode("sweep", &envelope).expect("decodes").1 {
                 RequestKind::Sweep { spec } => spec,
                 other => panic!("{other:?}"),
@@ -1304,10 +1241,152 @@ mod tests {
         ] {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(
-                request_envelope("sweep", "", &args, McmEngine::Howard).is_err(),
+                request_envelope(Route::Sweep, "", &args, McmEngine::Howard).is_err(),
                 "{bad:?}"
             );
         }
+    }
+
+    /// A table row's flag, `--name`.
+    fn flag_name(flag: Flag) -> Option<&'static str> {
+        match flag {
+            Flag::None => None,
+            Flag::Switch(n) | Flag::Value(n) | Flag::Pair(n, _) => Some(n),
+            Flag::Repeat(n) | Flag::Global(n) => Some(n),
+        }
+    }
+
+    /// Every flag of the option table lowers onto its own row and decodes:
+    /// given alone (after the flag that opens its group), it puts the value
+    /// it names at the row's path, and the decoded request's token differs
+    /// from the one without it.
+    #[test]
+    fn every_table_flag_lowers_to_its_row_and_decodes() {
+        use lis_server::RequestKind;
+        // The words that set `row` to a value other than its default, and
+        // the JSON value they stand for.
+        fn words(row: &options::Opt) -> (Vec<String>, Json) {
+            let n = |n: &str| n.to_string();
+            match (row.flag, row.kind) {
+                (Flag::Global(_), _) => (vec![], Json::str("karp")),
+                (Flag::Switch(f), Kind::Choice(c)) => (vec![n(f)], Json::str(c[c.len() - 1])),
+                (Flag::Switch(f), _) => (vec![n(f)], Json::Bool(true)),
+                (Flag::Value(f), Kind::Ints(max)) => (
+                    vec![n(f), format!("0,{max}")],
+                    Json::Arr(vec![Json::num(0), Json::num(max as f64)]),
+                ),
+                (Flag::Value(f), Kind::Int(min, max, default)) => {
+                    let v = if default == min {
+                        max.min((1 << 53) - 1)
+                    } else {
+                        min
+                    };
+                    (vec![n(f), v.to_string()], Json::num(v as f64))
+                }
+                (Flag::Pair(f, i), _) => (vec![n(f), "7,9".into()], Json::num([7, 9][i])),
+                (Flag::Repeat(f), _) => (
+                    vec![n(f), "0=1,2".into()],
+                    obj([
+                        ("channel", Json::num(0)),
+                        ("values", Json::Arr(vec![Json::num(1), Json::num(2)])),
+                    ]),
+                ),
+                other => panic!("no words for {other:?}"),
+            }
+        }
+        let token = |route: Route, args: &[String], engine: McmEngine| {
+            let envelope = request_envelope(route, "block A\n", args, engine).expect("lowers");
+            let kind = RequestKind::decode(route.name(), &envelope)
+                .unwrap_or_else(|e| panic!("{args:?}: {e}"))
+                .1;
+            (envelope, kind.token())
+        };
+        let mut lowered = 0;
+        for route in [
+            Route::Analyze,
+            Route::Qs,
+            Route::Insert,
+            Route::Dot,
+            Route::Sweep,
+        ] {
+            for row in options::rows(route).filter(|r| flag_name(r.flag).is_some()) {
+                let (mut args, want) = words(row);
+                // The context every other row is set in: a sweep's `exact`
+                // counts in qs mode only, and a group's knobs need the flag
+                // that opens the group.
+                let mut base: Vec<String> = Vec::new();
+                if route == Route::Sweep && row.path != "mode" {
+                    base.push("--qs".into());
+                }
+                if let Some((group, _)) = row.path.split_once('.') {
+                    let first = options::rows(route)
+                        .find(|r| r.path.starts_with(&format!("{group}.")))
+                        .expect("a group has rows");
+                    if flag_name(first.flag) != flag_name(row.flag) {
+                        base.extend(words(first).0);
+                    }
+                }
+                args.extend(base.iter().cloned());
+                let engine = match row.flag {
+                    Flag::Global(_) => McmEngine::Karp,
+                    _ => McmEngine::Howard,
+                };
+                let (envelope, with) = token(route, &args, engine);
+                let (_, without) = token(route, &base, McmEngine::Howard);
+                let options = envelope.get("options").expect("options");
+                let got = match row.path.split_once('.') {
+                    Some((group, key)) => options.get(group).and_then(|g| g.get(key)),
+                    None => options.get(row.path),
+                };
+                let got = got.map(|v| match row.kind {
+                    Kind::Axes => v.as_arr().expect("axes")[0].clone(),
+                    _ => v.clone(),
+                });
+                assert_eq!(got, Some(want), "{route:?} {}: {args:?}", row.path);
+                assert_ne!(with, without, "{route:?} {}: {args:?}", row.path);
+                lowered += 1;
+            }
+        }
+        assert_eq!(
+            lowered,
+            options::OPTIONS
+                .iter()
+                .map(|o| o.routes.len() * usize::from(flag_name(o.flag).is_some()))
+                .sum::<usize>()
+        );
+    }
+
+    /// USAGE is written by hand. It names every flag of the option table,
+    /// and the synopses of the analysis commands name no flag the table
+    /// lacks, `--apply` (a local write of the answer) aside.
+    #[test]
+    fn usage_names_exactly_the_table_flags() {
+        for o in options::OPTIONS {
+            let flag = flag_name(o.flag).unwrap_or("--");
+            assert!(USAGE.contains(flag), "USAGE lacks {flag}");
+        }
+        let section = &USAGE[USAGE.find("analysis commands").expect("section")
+            ..USAGE.find("server commands").expect("section")];
+        let mut route = None;
+        let mut seen = 0;
+        for line in section.lines().filter(|l| !l.starts_with(&" ".repeat(41))) {
+            if line.starts_with("  ") && !line.starts_with("   ") {
+                let name = line.split_whitespace().next().expect("a command");
+                route = Route::resolve("POST", &format!("/{name}"), |_| true).ok();
+            }
+            let Some(route) = route else { continue };
+            for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if word.starts_with("--") && word != "--apply" {
+                    assert!(
+                        options::rows(route).any(|o| flag_name(o.flag) == Some(word)),
+                        "USAGE gives {} a flag {word} outside the option table",
+                        route.name()
+                    );
+                    seen += 1;
+                }
+            }
+        }
+        assert!(seen >= 17, "read {seen} synopsis flags");
     }
 
     #[test]

@@ -62,7 +62,10 @@ pub use mst::{
     ideal_mst, ideal_mst_of, ideal_mst_with, mst, mst_degradation, mst_with,
     mst_with_critical_cycle, mst_with_critical_cycle_with, practical_mst, practical_mst_with,
 };
-pub use netlist::{parse_netlist, to_netlist, ParseNetlistError, MAX_CAPACITY, MAX_RELAY_STATIONS};
+pub use netlist::{
+    parse_netlist, to_netlist, ParseNetlistError, MAX_CAPACITY, MAX_CYCLES, MAX_PER_MILLE,
+    MAX_RELAY_STATIONS, MAX_STATIONS, MAX_TRIALS,
+};
 pub use pipelining::{expand_block_latency, LatencyExpansion};
 pub use system::{BlockId, ChannelId, LisSystem};
 pub use topology::{

@@ -61,6 +61,21 @@ pub const MAX_CAPACITY: u64 = 1_000_000;
 /// cap a few bytes (`rs=8000000`) would cost seconds and gigabytes.
 pub const MAX_RELAY_STATIONS: u64 = 65_536;
 
+/// The most relay stations one request may add: `/insert`'s budget, a
+/// design sweep's station budget and each of its per-channel additions.
+pub const MAX_STATIONS: u32 = 16;
+
+/// Probabilities of the Monte-Carlo experiments are in per mille; this one
+/// is certainty.
+pub const MAX_PER_MILLE: u32 = 1000;
+
+/// The most trials one Monte-Carlo run (a bursty-source analysis, one
+/// stall or burst point of a sweep) may ask for.
+pub const MAX_TRIALS: u32 = 4096;
+
+/// The most clock periods one Monte-Carlo trial may run.
+pub const MAX_CYCLES: u64 = 1_000_000;
+
 /// An error produced while parsing a netlist, with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseNetlistError {

@@ -239,9 +239,8 @@ impl Gateway {
         let config = FrontConfig {
             max_connections: state.config.max_connections,
             read_deadline: state.config.read_deadline,
-            slow_read: None,
+            faults: None,
             drain_grace: Duration::from_secs(10),
-            write_chunk_for_tests: None,
         };
         let stats = Arc::clone(&state.metrics.net);
         let pool = Arc::new(WorkerPool::new(FORWARD_WORKERS, FORWARD_QUEUE));

@@ -4,6 +4,7 @@
 //! is byte-identical to what a fault-free single server produces.
 
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -11,7 +12,7 @@ use lis_core::to_netlist;
 use lis_gateway::{rendezvous, Backends, Gateway, GatewayConfig, HedgeConfig};
 use lis_gen::{generate, GeneratorConfig, InsertionPolicy};
 use lis_server::wire::{obj, Json};
-use lis_server::{parse_metric, Client, Server, ServerConfig};
+use lis_server::{parse_metric, Client, FaultPlan, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -391,7 +392,12 @@ fn sweep_shard_child_process() {
     if std::env::var("LIS_E2E_SWEEP_SHARD").is_err() {
         return;
     }
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind child shard");
+    let faults = std::env::var("LIS_FAULTS").ok();
+    let config = ServerConfig {
+        faults: faults.map(|spec| Arc::new(FaultPlan::parse(&spec).expect("LIS_FAULTS"))),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config).expect("bind child shard");
     println!("SHARD_ADDR={}", server.local_addr().expect("addr"));
     let _ = server.run(); // until killed or shut down
 }
@@ -407,7 +413,7 @@ fn spawn_shard_process(row_delay_ms: u64) -> (SocketAddr, std::process::Child) {
     let mut child = std::process::Command::new(exe)
         .args(["--exact", "sweep_shard_child_process", "--nocapture"])
         .env("LIS_E2E_SWEEP_SHARD", "1")
-        .env("LIS_SWEEP_ROW_DELAY_MS", row_delay_ms.to_string())
+        .env("LIS_FAULTS", format!("row_delay:{row_delay_ms}ms"))
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("spawn shard process");

@@ -6,6 +6,7 @@
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -13,7 +14,7 @@ use lis_core::to_netlist;
 use lis_gateway::{warm_handoff, Backends, Gateway, GatewayConfig};
 use lis_gen::{generate, GeneratorConfig, InsertionPolicy};
 use lis_server::wire::{obj, Json};
-use lis_server::{parse_metric, Client, Server, ServerConfig};
+use lis_server::{parse_metric, Client, FaultPlan, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,7 +54,10 @@ fn start_shard(store_dir: PathBuf, spill_delay: Option<Duration>) -> TestShard {
         "127.0.0.1:0",
         ServerConfig {
             store_dir: Some(store_dir),
-            spill_delay_for_tests: spill_delay,
+            faults: spill_delay.map(|d| {
+                let spec = format!("spill_delay:{}ms", d.as_millis());
+                Arc::new(FaultPlan::parse(&spec).expect("spec"))
+            }),
             ..ServerConfig::default()
         },
     )

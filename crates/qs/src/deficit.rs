@@ -120,19 +120,18 @@ pub fn extract_instance_with(
     // G is d[G] without its backedges: solve θ(G) on the forward places.
     let model = LisModel::doubled(sys);
     let ideal = lis_core::ideal_mst_of(&model, engine);
-    extract_from_model_with(sys, &model, ideal, cycle_limit, engine)
+    extract_from_model_with(&model, ideal, cycle_limit, engine)
 }
 
 /// Like [`extract_instance`] but reuses an already-built doubled model and an
 /// already-computed ideal MST (the exhaustive relay-station searches call
 /// this in a loop).
 pub fn extract_from_model(
-    sys: &LisSystem,
     model: &LisModel,
     target: Ratio,
     cycle_limit: usize,
 ) -> Result<QsInstance, QsError> {
-    extract_from_model_with(sys, model, target, cycle_limit, McmEngine::default())
+    extract_from_model_with(model, target, cycle_limit, McmEngine::default())
 }
 
 /// [`extract_from_model`] with an explicit MCM engine.
@@ -142,7 +141,6 @@ pub fn extract_from_model(
 /// Returns [`QsError::TooManyCycles`] if `θ(d[G])` falls short of `target`
 /// and the doubled graph has more than `cycle_limit` elementary cycles.
 pub fn extract_from_model_with(
-    _sys: &LisSystem,
     model: &LisModel,
     target: Ratio,
     cycle_limit: usize,

@@ -198,7 +198,7 @@ fn solve_core(
     }
 
     let target = ideal_mst_of(model, cfg.engine);
-    let inst = extract_from_model_with(sys, model, target, cfg.cycle_limit, cfg.engine)?;
+    let inst = extract_from_model_with(model, target, cfg.cycle_limit, cfg.engine)?;
     let (td, labels) = TdInstance::from_qs(&inst);
 
     let (solution, optimal, nodes) = run_solver(&td, algo, cfg);

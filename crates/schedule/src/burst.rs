@@ -1,6 +1,6 @@
 //! Bursty-source scenario analysis on the packed Monte-Carlo kernel.
 
-use lis_core::{ChannelId, LisSystem};
+use lis_core::{ChannelId, LisSystem, MAX_CYCLES, MAX_PER_MILLE, MAX_TRIALS};
 use lis_sim::{BurstSpec, CompiledProgram, McKernel, QueueMode, StallSpec};
 
 /// Parameters of a bursty-source experiment. All fields are integral so the
@@ -20,15 +20,40 @@ pub struct BurstParams {
     pub seed: u64,
 }
 
+impl BurstParams {
+    /// The parameters of an experiment that names none of its own.
+    pub const DEFAULT: BurstParams = BurstParams {
+        off_per_mille: 100,
+        on_per_mille: 300,
+        trials: 256,
+        cycles: 4096,
+        seed: 0,
+    };
+
+    /// Checks the experiment against the request limits: probabilities up
+    /// to [`MAX_PER_MILLE`] with a positive ON probability, and
+    /// 1..=[`MAX_TRIALS`] trials of 1..=[`MAX_CYCLES`] cycles.
+    ///
+    /// # Errors
+    ///
+    /// The limits, in words, when the parameters break one.
+    pub fn check(&self) -> Result<(), String> {
+        let fits = self.off_per_mille <= MAX_PER_MILLE
+            && (1..=MAX_PER_MILLE).contains(&self.on_per_mille)
+            && (1..=MAX_TRIALS).contains(&self.trials)
+            && (1..=MAX_CYCLES).contains(&self.cycles);
+        fits.then_some(()).ok_or_else(|| {
+            format!(
+                "a burst run takes probabilities in 0..={MAX_PER_MILLE}‰ (ON from 1‰) \
+                 and 1..={MAX_TRIALS} trials of 1..={MAX_CYCLES} cycles"
+            )
+        })
+    }
+}
+
 impl Default for BurstParams {
     fn default() -> BurstParams {
-        BurstParams {
-            off_per_mille: 100,
-            on_per_mille: 300,
-            trials: 256,
-            cycles: 4096,
-            seed: 0,
-        }
+        BurstParams::DEFAULT
     }
 }
 
@@ -78,13 +103,16 @@ impl BurstReport {
 ///
 /// # Panics
 ///
-/// Panics if `params.trials` is zero.
+/// Panics if `params` fail [`BurstParams::check`].
 pub fn burst_report(sys: &LisSystem, params: &BurstParams) -> BurstReport {
+    if let Err(e) = params.check() {
+        panic!("burst_report: {e}");
+    }
     let prog = CompiledProgram::compile(sys, QueueMode::Finite);
     let burst = BurstSpec::sources(
         &prog,
-        params.off_per_mille as f64 / 1000.0,
-        params.on_per_mille as f64 / 1000.0,
+        f64::from(params.off_per_mille) / f64::from(MAX_PER_MILLE),
+        f64::from(params.on_per_mille) / f64::from(MAX_PER_MILLE),
     );
     let caps: Vec<u64> = sys
         .channel_ids()
@@ -149,6 +177,45 @@ mod tests {
         for occ in &report.occupancy {
             assert_eq!(occ.cap, schedule.bound(occ.channel).cap);
             assert!(occ.max <= occ.cap);
+        }
+    }
+
+    #[test]
+    fn check_reads_the_request_limits() {
+        assert_eq!(BurstParams::default().check(), Ok(()));
+        let edge = BurstParams {
+            off_per_mille: MAX_PER_MILLE,
+            on_per_mille: MAX_PER_MILLE,
+            trials: MAX_TRIALS,
+            cycles: MAX_CYCLES,
+            seed: u64::MAX,
+        };
+        assert_eq!(edge.check(), Ok(()));
+        for bad in [
+            BurstParams {
+                off_per_mille: MAX_PER_MILLE + 1,
+                ..edge
+            },
+            BurstParams {
+                on_per_mille: 0,
+                ..edge
+            },
+            BurstParams {
+                on_per_mille: MAX_PER_MILLE + 1,
+                ..edge
+            },
+            BurstParams { trials: 0, ..edge },
+            BurstParams {
+                trials: MAX_TRIALS + 1,
+                ..edge
+            },
+            BurstParams { cycles: 0, ..edge },
+            BurstParams {
+                cycles: MAX_CYCLES + 1,
+                ..edge
+            },
+        ] {
+            assert!(bad.check().is_err(), "{bad:?}");
         }
     }
 

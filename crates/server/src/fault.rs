@@ -23,6 +23,14 @@
 //! | `garbage`   | probability  | response replaced with non-HTTP bytes, dropped   |
 //! | `burst`     | count        | the first `count` jobs all panic (recovery test) |
 //! | `seed`      | u64          | schedule seed (default [`DEFAULT_SEED`])         |
+//! | `job_delay` | duration     | every analysis job sleeps this long first        |
+//! | `row_delay` | duration     | a sweep sends each row as its own chunk, pausing this long after it |
+//! | `spill_delay` | duration   | every durable-store write sleeps this long first |
+//! | `write_chunk` | bytes      | each socket write sends at most this many bytes  |
+//!
+//! The last four pace the daemon rather than break it: tests use them to
+//! reach the overload, timeout, mid-stream-kill, drain and partial-write
+//! paths deterministically.
 //!
 //! Injection is **zero-cost when disabled**: a server built without a plan
 //! performs one `Option` check per site and allocates nothing.
@@ -63,6 +71,10 @@ pub struct FaultPlan {
     truncate_p: f64,
     garbage_p: f64,
     slow_read: Option<Duration>,
+    job_delay: Option<Duration>,
+    row_delay: Option<Duration>,
+    spill_delay: Option<Duration>,
+    write_chunk: Option<usize>,
     /// Jobs remaining in a forced panic burst (spec `burst:N`, or armed at
     /// runtime with [`FaultPlan::force_panic_burst`]).
     burst_remaining: AtomicU64,
@@ -114,6 +126,10 @@ impl FaultPlan {
             truncate_p: 0.0,
             garbage_p: 0.0,
             slow_read: None,
+            job_delay: None,
+            row_delay: None,
+            spill_delay: None,
+            write_chunk: None,
             burst_remaining: AtomicU64::new(0),
             panic_draws: AtomicU64::new(0),
             write_draws: AtomicU64::new(0),
@@ -127,7 +143,17 @@ impl FaultPlan {
                 "panic" => plan.panic_p = parse_probability(key, value)?,
                 "truncate" => plan.truncate_p = parse_probability(key, value)?,
                 "garbage" => plan.garbage_p = parse_probability(key, value)?,
-                "slow_read" => plan.slow_read = Some(parse_duration(value)?),
+                "slow_read" => plan.slow_read = Some(parse_duration(key, value)?),
+                "job_delay" => plan.job_delay = Some(parse_duration(key, value)?),
+                "row_delay" => plan.row_delay = Some(parse_duration(key, value)?),
+                "spill_delay" => plan.spill_delay = Some(parse_duration(key, value)?),
+                "write_chunk" => {
+                    let n = value.trim().parse::<usize>().ok().filter(|&n| n > 0);
+                    let n = n.ok_or_else(|| {
+                        format!("write_chunk: {value:?} is not a positive byte count")
+                    })?;
+                    plan.write_chunk = Some(n);
+                }
                 "burst" => {
                     let n: u64 = value
                         .trim()
@@ -215,6 +241,26 @@ impl FaultPlan {
         self.slow_read
     }
 
+    /// The pause before every analysis job, if any.
+    pub fn job_delay(&self) -> Option<Duration> {
+        self.job_delay
+    }
+
+    /// The pause after every streamed sweep row, if any.
+    pub fn row_delay(&self) -> Option<Duration> {
+        self.row_delay
+    }
+
+    /// The pause before every durable-store write, if any.
+    pub fn spill_delay(&self) -> Option<Duration> {
+        self.spill_delay
+    }
+
+    /// The most bytes one socket write may send, if capped.
+    pub fn write_chunk(&self) -> Option<usize> {
+        self.write_chunk
+    }
+
     /// A digest of the first `draws` decisions of every probability site.
     /// Pure in `(seed, probabilities, draws)` — two plans with the same
     /// spec produce the same digest, which is how the chaos bench proves
@@ -245,19 +291,19 @@ fn parse_probability(key: &str, value: &str) -> Result<f64, String> {
     Ok(p)
 }
 
-fn parse_duration(value: &str) -> Result<Duration, String> {
+fn parse_duration(key: &str, value: &str) -> Result<Duration, String> {
     let v = value.trim();
     let (digits, unit): (&str, &str) = v
         .find(|c: char| !c.is_ascii_digit())
         .map_or((v, "ms"), |i| (&v[..i], &v[i..]));
     let n: u64 = digits
         .parse()
-        .map_err(|e| format!("slow_read: {e} (got {value:?})"))?;
+        .map_err(|e| format!("{key}: {e} (got {value:?})"))?;
     match unit {
         "us" | "µs" => Ok(Duration::from_micros(n)),
         "ms" => Ok(Duration::from_millis(n)),
         "s" => Ok(Duration::from_secs(n)),
-        other => Err(format!("slow_read: unknown unit {other:?} (us/ms/s)")),
+        other => Err(format!("{key}: unknown unit {other:?} (us/ms/s)")),
     }
 }
 
@@ -316,17 +362,44 @@ mod tests {
             "seed:notanumber",
             "burst:-1",
             "truncate:0.7,garbage:0.7",
+            "job_delay:5fortnights",
+            "row_delay:",
+            "write_chunk:0",
+            "write_chunk:-7",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should be rejected");
         }
     }
 
     #[test]
+    fn pacing_keys_parse_and_default_to_off() {
+        let plan = FaultPlan::parse("job_delay:300ms,row_delay:40ms,spill_delay:2s,write_chunk:7")
+            .expect("pacing spec parses");
+        assert_eq!(plan.job_delay(), Some(Duration::from_millis(300)));
+        assert_eq!(plan.row_delay(), Some(Duration::from_millis(40)));
+        assert_eq!(plan.spill_delay(), Some(Duration::from_secs(2)));
+        assert_eq!(plan.write_chunk(), Some(7));
+        // Pacing injects no fault: the schedule is the empty plan's.
+        let empty = FaultPlan::parse("").expect("empty");
+        assert_eq!(plan.schedule_digest(64), empty.schedule_digest(64));
+        assert_eq!(
+            (
+                empty.job_delay(),
+                empty.row_delay(),
+                empty.spill_delay(),
+                empty.write_chunk()
+            ),
+            (None, None, None, None)
+        );
+    }
+
+    #[test]
     fn durations_parse_in_every_unit() {
-        assert_eq!(parse_duration("250us").unwrap(), Duration::from_micros(250));
-        assert_eq!(parse_duration("5ms").unwrap(), Duration::from_millis(5));
-        assert_eq!(parse_duration("2s").unwrap(), Duration::from_secs(2));
-        assert_eq!(parse_duration("7").unwrap(), Duration::from_millis(7));
+        let parse = |v| parse_duration("slow_read", v).unwrap();
+        assert_eq!(parse("250us"), Duration::from_micros(250));
+        assert_eq!(parse("5ms"), Duration::from_millis(5));
+        assert_eq!(parse("2s"), Duration::from_secs(2));
+        assert_eq!(parse("7"), Duration::from_millis(7));
     }
 
     #[test]

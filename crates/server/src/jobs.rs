@@ -25,14 +25,14 @@ use lis_qs::{solve_with_engine, QsReport};
 use lis_rsopt::{exhaustive_insertion, greedy_insertion};
 use lis_schedule::{burst_report, BurstParams, Schedule};
 use lis_sweep::{
-    BurstAxis, CapacityAxis, PointReport, StallAxis, StationGoal, Sweep, SweepMode, SweepRow,
-    SweepSpec, SweepSummary,
+    BurstAxis, PointReport, StallAxis, Sweep, SweepMode, SweepRow, SweepSpec, SweepSummary,
 };
 use marked_graph::{McmEngine, Ratio};
 
 use crate::cache::CacheKey;
 use crate::error::ServerError;
 use crate::metrics::Route;
+use crate::options::{self, Options};
 use crate::wire::{obj, Json};
 
 /// A decoded analysis request.
@@ -80,7 +80,8 @@ impl RequestKind {
     ///
     /// # Errors
     ///
-    /// [`ServerError::BadRequest`] on missing/ill-typed fields;
+    /// [`ServerError::BadRequest`] on a missing netlist or on options the
+    /// route's rows of [`crate::options::OPTIONS`] refuse;
     /// [`ServerError::NotFound`] for any other route.
     pub fn decode(route: &str, body: &Json) -> Result<(String, RequestKind), ServerError> {
         let netlist = body
@@ -90,55 +91,34 @@ impl RequestKind {
                 ServerError::BadRequest("body must be {\"netlist\": \"...\", ...}".into())
             })?
             .to_string();
-        let options = body.get("options").unwrap_or(&Json::Null);
-        let opt_bool = |name: &str| -> Result<bool, ServerError> {
-            match options.get(name) {
-                None => Ok(false),
-                Some(v) => v.as_bool().ok_or_else(|| {
-                    ServerError::BadRequest(format!("option {name:?} must be a boolean"))
-                }),
-            }
-        };
-        let opt_engine = || -> Result<McmEngine, ServerError> {
-            match options.get("engine") {
-                None => Ok(McmEngine::default()),
-                Some(v) => v
-                    .as_str()
-                    .ok_or_else(|| {
-                        ServerError::BadRequest("option \"engine\" must be a string".into())
-                    })?
-                    .parse()
-                    .map_err(ServerError::BadRequest),
-            }
-        };
+        let route = (options::ROUTES.into_iter().find(|r| r.name() == route))
+            .ok_or_else(|| ServerError::NotFound(format!("/{route}")))?;
+        let o = Options::new(route, body.get("options"))?;
         let kind = match route {
-            "analyze" => RequestKind::Analyze {
-                engine: opt_engine()?,
-                schedule: opt_bool("schedule")?,
-                burst: decode_burst_params(options)?,
+            Route::Analyze => RequestKind::Analyze {
+                engine: o.engine(),
+                schedule: o.bool("schedule"),
+                burst: o.get("burst").is_some().then(|| BurstParams {
+                    off_per_mille: o.int("burst.off_per_mille") as u32,
+                    on_per_mille: o.int("burst.on_per_mille") as u32,
+                    trials: o.int("burst.trials") as u32,
+                    cycles: o.int("burst.cycles"),
+                    seed: o.int("burst.seed"),
+                }),
             },
-            "qs" => RequestKind::Qs {
-                exact: opt_bool("exact")?,
-                engine: opt_engine()?,
+            Route::Qs => RequestKind::Qs {
+                exact: o.bool("exact"),
+                engine: o.engine(),
             },
-            "insert" => {
-                let budget = match options.get("budget") {
-                    None => 2,
-                    Some(v) => v.as_u64().filter(|&b| b <= 16).ok_or_else(|| {
-                        ServerError::BadRequest(
-                            "option \"budget\" must be an integer in 0..=16".into(),
-                        )
-                    })? as u32,
-                };
-                RequestKind::Insert { budget }
-            }
-            "dot" => RequestKind::Dot {
-                doubled: opt_bool("doubled")?,
+            Route::Insert => RequestKind::Insert {
+                budget: o.int("budget") as u32,
             },
-            "sweep" => RequestKind::Sweep {
-                spec: decode_sweep_spec(options, opt_bool("exact")?, opt_engine()?)?,
+            Route::Dot => RequestKind::Dot {
+                doubled: o.bool("doubled"),
             },
-            other => return Err(ServerError::NotFound(format!("/{other}"))),
+            _ => RequestKind::Sweep {
+                spec: sweep_spec(&o)?,
+            },
         };
         Ok((netlist, kind))
     }
@@ -217,223 +197,32 @@ impl RequestKind {
     }
 }
 
-/// Decodes the optional `"burst"` object of `/analyze` options into
-/// [`BurstParams`] (missing fields take the [`BurstParams::default`]
-/// values). `None` when the option is absent.
-fn decode_burst_params(options: &Json) -> Result<Option<BurstParams>, ServerError> {
-    let Some(b) = options.get("burst") else {
-        return Ok(None);
-    };
-    let bad = |msg: &str| ServerError::BadRequest(msg.into());
-    let field_u64 = |name: &str, default: u64| -> Result<u64, ServerError> {
-        match b.get(name) {
-            None => Ok(default),
-            Some(v) => v.as_u64().ok_or_else(|| {
-                ServerError::BadRequest(format!("burst {name:?} must be a non-negative integer"))
-            }),
-        }
-    };
-    let defaults = BurstParams::default();
-    let per_mille = |name: &str, default: u32| -> Result<u32, ServerError> {
-        let v = field_u64(name, u64::from(default))?;
-        u32::try_from(v)
-            .ok()
-            .filter(|&p| p <= 1000)
-            .ok_or_else(|| ServerError::BadRequest(format!("burst {name:?} must be ≤ 1000‰")))
-    };
-    let off_per_mille = per_mille("off_per_mille", defaults.off_per_mille)?;
-    let on_per_mille = per_mille("on_per_mille", defaults.on_per_mille)?;
-    if on_per_mille == 0 {
-        return Err(bad("burst \"on_per_mille\" must be positive"));
-    }
-    let trials = u32::try_from(field_u64("trials", u64::from(defaults.trials))?)
-        .ok()
-        .filter(|&t| (1..=4096).contains(&t))
-        .ok_or_else(|| bad("burst \"trials\" must be in 1..=4096"))?;
-    let cycles = field_u64("cycles", defaults.cycles)?;
-    if cycles == 0 || cycles > 1_000_000 {
-        return Err(bad("burst \"cycles\" must be in 1..=1000000"));
-    }
-    Ok(Some(BurstParams {
-        off_per_mille,
-        on_per_mille,
-        trials,
-        cycles,
-        seed: field_u64("seed", defaults.seed)?,
-    }))
-}
-
-/// Decodes the `/sweep` options object into a [`SweepSpec`]. Type errors
-/// are caught here; semantic validation (unknown channels, grid-size caps)
-/// happens when the plan is expanded against the parsed netlist.
-fn decode_sweep_spec(
-    options: &Json,
-    exact: bool,
-    engine: McmEngine,
-) -> Result<SweepSpec, ServerError> {
-    let bad = |msg: &str| ServerError::BadRequest(msg.into());
-    let as_u64 = |v: &Json, what: &str| {
-        v.as_u64().ok_or_else(|| {
-            ServerError::BadRequest(format!("{what} must be a non-negative integer"))
-        })
-    };
-    let mode = match options.get("mode") {
-        None => SweepMode::Analyze,
-        Some(v) => match v.as_str() {
-            Some("analyze") => SweepMode::Analyze,
-            Some("qs") => SweepMode::Qs { exact },
-            _ => return Err(bad("option \"mode\" must be \"analyze\" or \"qs\"")),
-        },
-    };
-    let mut capacities = Vec::new();
-    if let Some(axes) = options.get("capacities") {
-        let axes = axes
-            .as_arr()
-            .ok_or_else(|| bad("option \"capacities\" must be an array of axes"))?;
-        for axis in axes {
-            let channel = as_u64(
-                axis.get("channel").ok_or_else(|| {
-                    bad("each capacity axis must be {\"channel\": N, \"values\": [...]}")
-                })?,
-                "axis \"channel\"",
-            )? as usize;
-            let values = axis
-                .get("values")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("axis \"values\" must be an array"))?
-                .iter()
-                .map(|v| as_u64(v, "axis value"))
-                .collect::<Result<Vec<u64>, _>>()?;
-            capacities.push(CapacityAxis { channel, values });
-        }
-    }
-    let stations = match (options.get("budget"), options.get("stations")) {
-        (Some(_), Some(_)) => {
-            return Err(bad(
-                "options \"budget\" and \"stations\" are mutually exclusive",
-            ))
-        }
-        (Some(b), None) => {
-            let b = as_u64(b, "option \"budget\"")?;
-            let b = u32::try_from(b).map_err(|_| bad("option \"budget\" is out of range"))?;
-            StationGoal::Budget(b)
-        }
-        (None, Some(configs)) => {
-            let configs = configs
-                .as_arr()
-                .ok_or_else(|| bad("option \"stations\" must be an array of configurations"))?;
-            let mut out = Vec::with_capacity(configs.len());
-            for cfg in configs {
-                let cfg = cfg
-                    .as_arr()
-                    .ok_or_else(|| bad("each station configuration must be an array"))?;
-                let mut placements = Vec::with_capacity(cfg.len());
-                for entry in cfg {
-                    let channel = as_u64(
-                        entry.get("channel").ok_or_else(|| {
-                            bad("each station entry must be {\"channel\": N, \"add\": N}")
-                        })?,
-                        "station \"channel\"",
-                    )? as usize;
-                    let add = as_u64(
-                        entry
-                            .get("add")
-                            .ok_or_else(|| bad("station entry is missing \"add\""))?,
-                        "station \"add\"",
-                    )?;
-                    let add =
-                        u32::try_from(add).map_err(|_| bad("station \"add\" is out of range"))?;
-                    placements.push((channel, add));
-                }
-                out.push(placements);
-            }
-            StationGoal::Configs(out)
-        }
-        (None, None) => StationGoal::Base,
-    };
-    let stalls = match options.get("stalls") {
-        None => None,
-        Some(s) => {
-            let per_mille = s
-                .get("per_mille")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("stalls \"per_mille\" must be an array"))?
-                .iter()
-                .map(|v| {
-                    as_u64(v, "stall probability").and_then(|p| {
-                        u32::try_from(p).map_err(|_| bad("stall probability is out of range"))
-                    })
-                })
-                .collect::<Result<Vec<u32>, _>>()?;
-            let trials = match s.get("trials") {
-                None => 64,
-                Some(v) => u32::try_from(as_u64(v, "stalls \"trials\"")?)
-                    .map_err(|_| bad("stalls \"trials\" is out of range"))?,
-            };
-            let cycles = match s.get("cycles") {
-                None => 10_000,
-                Some(v) => as_u64(v, "stalls \"cycles\"")?,
-            };
-            let seed = match s.get("seed") {
-                None => 0,
-                Some(v) => as_u64(v, "stalls \"seed\"")?,
-            };
-            Some(StallAxis {
-                per_mille,
-                trials,
-                cycles,
-                seed,
-            })
-        }
-    };
-    let bursts = match options.get("bursts") {
-        None => None,
-        Some(s) => {
-            let off_per_mille = s
-                .get("off_per_mille")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("bursts \"off_per_mille\" must be an array"))?
-                .iter()
-                .map(|v| {
-                    as_u64(v, "burst probability").and_then(|p| {
-                        u32::try_from(p).map_err(|_| bad("burst probability is out of range"))
-                    })
-                })
-                .collect::<Result<Vec<u32>, _>>()?;
-            let on_per_mille = match s.get("on_per_mille") {
-                None => 300,
-                Some(v) => u32::try_from(as_u64(v, "bursts \"on_per_mille\"")?)
-                    .map_err(|_| bad("bursts \"on_per_mille\" is out of range"))?,
-            };
-            let trials = match s.get("trials") {
-                None => 64,
-                Some(v) => u32::try_from(as_u64(v, "bursts \"trials\"")?)
-                    .map_err(|_| bad("bursts \"trials\" is out of range"))?,
-            };
-            let cycles = match s.get("cycles") {
-                None => 10_000,
-                Some(v) => as_u64(v, "bursts \"cycles\"")?,
-            };
-            let seed = match s.get("seed") {
-                None => 0,
-                Some(v) => as_u64(v, "bursts \"seed\"")?,
-            };
-            Some(BurstAxis {
-                off_per_mille,
-                on_per_mille,
-                trials,
-                cycles,
-                seed,
-            })
-        }
-    };
+/// The `/sweep` job its checked options describe. Which channels exist
+/// and how large the grid may grow are checked when the plan is expanded
+/// against the parsed netlist.
+fn sweep_spec(o: &Options) -> Result<SweepSpec, ServerError> {
+    let exact = o.bool("exact");
     Ok(SweepSpec {
-        mode,
-        engine,
-        capacities,
-        stations,
-        stalls,
-        bursts,
+        engine: o.engine(),
+        mode: match o.choice("mode") {
+            "qs" => SweepMode::Qs { exact },
+            _ => SweepMode::Analyze,
+        },
+        capacities: o.axes()?,
+        stations: o.stations()?,
+        stalls: o.get("stalls").is_some().then(|| StallAxis {
+            per_mille: o.ints("stalls.per_mille"),
+            trials: o.int("stalls.trials") as u32,
+            cycles: o.int("stalls.cycles"),
+            seed: o.int("stalls.seed"),
+        }),
+        bursts: o.get("bursts").is_some().then(|| BurstAxis {
+            off_per_mille: o.ints("bursts.off_per_mille"),
+            on_per_mille: o.int("bursts.on_per_mille") as u32,
+            trials: o.int("bursts.trials") as u32,
+            cycles: o.int("bursts.cycles"),
+            seed: o.int("bursts.seed"),
+        }),
     })
 }
 
@@ -453,12 +242,19 @@ fn class_label(class: TopologyClass) -> &'static str {
     }
 }
 
-fn channel_json(sys: &LisSystem, c: lis_core::ChannelId) -> Json {
-    obj([
-        ("channel", Json::num(c.index() as f64)),
-        ("from", Json::str(sys.block_name(sys.channel_from(c)))),
-        ("to", Json::str(sys.block_name(sys.channel_to(c)))),
-    ])
+/// A channel's index and endpoint names, then the `extra` fields.
+fn channel_json<const N: usize>(
+    sys: &LisSystem,
+    c: lis_core::ChannelId,
+    extra: [(&str, Json); N],
+) -> Json {
+    let name = |b| Json::str(sys.block_name(b));
+    let mut fields = Vec::with_capacity(3 + N);
+    fields.push(("channel".to_string(), Json::num(c.index() as f64)));
+    fields.push(("from".into(), name(sys.channel_from(c))));
+    fields.push(("to".into(), name(sys.channel_to(c))));
+    fields.extend(extra.map(|(k, v)| (k.to_string(), v)));
+    Json::Obj(fields)
 }
 
 fn analyze(
@@ -506,13 +302,11 @@ fn schedule_json(sys: &LisSystem, s: &Schedule) -> Json {
         .bounds
         .iter()
         .map(|b| {
-            let mut entry = match channel_json(sys, b.channel) {
-                Json::Obj(pairs) => pairs,
-                _ => unreachable!("channel_json returns an object"),
-            };
-            entry.push(("peak".into(), Json::num(b.peak as f64)));
-            entry.push(("cap".into(), Json::num(b.cap as f64)));
-            Json::Obj(entry)
+            let extra = [
+                ("peak", Json::num(b.peak as f64)),
+                ("cap", Json::num(b.cap as f64)),
+            ];
+            channel_json(sys, b.channel, extra)
         })
         .collect();
     obj([
@@ -531,27 +325,20 @@ fn burst_json(sys: &LisSystem, report: &lis_schedule::BurstReport) -> Json {
         .occupancy
         .iter()
         .map(|o| {
-            let mut entry = match channel_json(sys, o.channel) {
-                Json::Obj(pairs) => pairs,
-                _ => unreachable!("channel_json returns an object"),
-            };
-            entry.push(("max".into(), Json::num(o.max as f64)));
-            entry.push(("cap".into(), Json::num(o.cap as f64)));
-            Json::Obj(entry)
+            let extra = [
+                ("max", Json::num(o.max as f64)),
+                ("cap", Json::num(o.cap as f64)),
+            ];
+            channel_json(sys, o.channel, extra)
         })
         .collect();
+    let p = &report.params;
     obj([
-        (
-            "off_per_mille",
-            Json::num(f64::from(report.params.off_per_mille)),
-        ),
-        (
-            "on_per_mille",
-            Json::num(f64::from(report.params.on_per_mille)),
-        ),
-        ("trials", Json::num(f64::from(report.params.trials))),
-        ("cycles", Json::num(report.params.cycles as f64)),
-        ("seed", Json::num(report.params.seed as f64)),
+        ("off_per_mille", Json::num(f64::from(p.off_per_mille))),
+        ("on_per_mille", Json::num(f64::from(p.on_per_mille))),
+        ("trials", Json::num(f64::from(p.trials))),
+        ("cycles", Json::num(p.cycles as f64)),
+        ("seed", Json::num(p.seed as f64)),
         ("mean_rate", Json::Num(report.mean_rate)),
         ("min_rate", Json::Num(report.min_rate)),
         ("max_rate", Json::Num(report.max_rate)),
@@ -568,7 +355,7 @@ pub(crate) fn analyze_report_json(sys: &LisSystem, report: &AnalysisReport) -> J
     let bottlenecks: Vec<Json> = report
         .bottleneck_queues
         .iter()
-        .map(|&c| channel_json(sys, c))
+        .map(|&c| channel_json(sys, c, []))
         .collect();
     obj([
         ("blocks", Json::num(sys.block_count() as f64)),
@@ -602,12 +389,8 @@ fn qs(sys: &LisSystem, exact: bool, engine: McmEngine) -> Result<Json, ServerErr
     // "queue-sizing solution failed verification".
     let report =
         solve_with_engine(sys, exact, engine).map_err(|e| ServerError::Analysis(e.to_string()))?;
-    Ok(qs_report_json(
-        sys,
-        |c| sys.queue_capacity(c),
-        engine,
-        &report,
-    ))
+    let capacity = |c| sys.queue_capacity(c);
+    Ok(qs_report_json(sys, capacity, engine, &report))
 }
 
 /// Renders a [`QsReport`] exactly as the `/qs` route does (see
@@ -624,13 +407,11 @@ pub(crate) fn qs_report_json(
         .extra_tokens
         .iter()
         .map(|&(c, w)| {
-            let mut entry = match channel_json(sys, c) {
-                Json::Obj(pairs) => pairs,
-                _ => unreachable!("channel_json returns an object"),
-            };
-            entry.push(("extra_slots".into(), Json::num(w as f64)));
-            entry.push(("new_capacity".into(), Json::num((capacity(c) + w) as f64)));
-            Json::Obj(entry)
+            let extra = [
+                ("extra_slots", Json::num(w as f64)),
+                ("new_capacity", Json::num((capacity(c) + w) as f64)),
+            ];
+            channel_json(sys, c, extra)
         })
         .collect();
     obj([
@@ -659,24 +440,15 @@ fn insert(sys: &LisSystem, budget: u32) -> Json {
     let placements: Vec<Json> = result
         .placements
         .iter()
-        .map(|&(c, n)| {
-            let mut entry = match channel_json(sys, c) {
-                Json::Obj(pairs) => pairs,
-                _ => unreachable!("channel_json returns an object"),
-            };
-            entry.push(("stations".into(), Json::num(f64::from(n))));
-            Json::Obj(entry)
-        })
+        .map(|&(c, n)| channel_json(sys, c, [("stations", Json::num(f64::from(n)))]))
         .collect();
+    let search = if exhaustive_feasible {
+        "exhaustive"
+    } else {
+        "greedy"
+    };
     obj([
-        (
-            "search",
-            Json::str(if exhaustive_feasible {
-                "exhaustive"
-            } else {
-                "greedy"
-            }),
-        ),
+        ("search", Json::str(search)),
         ("practical_mst", ratio_json(result.practical)),
         ("ideal_mst", ratio_json(result.ideal)),
         ("inserted", Json::num(f64::from(result.inserted))),
@@ -685,16 +457,13 @@ fn insert(sys: &LisSystem, budget: u32) -> Json {
 }
 
 fn dot(sys: &LisSystem, doubled: bool) -> Json {
-    let model = if doubled {
-        LisModel::doubled(sys)
+    let (model, name) = if doubled {
+        (LisModel::doubled(sys), "doubled")
     } else {
-        LisModel::ideal(sys)
+        (LisModel::ideal(sys), "ideal")
     };
     obj([
-        (
-            "model",
-            Json::str(if doubled { "doubled" } else { "ideal" }),
-        ),
+        ("model", Json::str(name)),
         ("dot", Json::str(marked_graph::dot::to_dot(model.graph()))),
     ])
 }
@@ -702,16 +471,14 @@ fn dot(sys: &LisSystem, doubled: bool) -> Json {
 /// The first NDJSON line of a streamed sweep: grid shape and knobs.
 fn sweep_header_json(sweep: &Sweep) -> Json {
     let spec = sweep.spec();
+    let mode = match spec.mode {
+        SweepMode::Analyze => "analyze",
+        SweepMode::Qs { .. } => "qs",
+    };
     obj([
         ("points", Json::num(sweep.point_count() as f64)),
         ("groups", Json::num(sweep.plan().groups.len() as f64)),
-        (
-            "mode",
-            Json::str(match spec.mode {
-                SweepMode::Analyze => "analyze",
-                SweepMode::Qs { .. } => "qs",
-            }),
-        ),
+        ("mode", Json::str(mode)),
         ("engine", Json::str(spec.engine.as_str())),
     ])
 }
@@ -725,14 +492,7 @@ fn sweep_row_json(row: &SweepRow, engine: McmEngine) -> Json {
     let stations: Vec<Json> = row
         .placements
         .iter()
-        .map(|&(c, n)| {
-            let mut entry = match channel_json(&row.group_sys, c) {
-                Json::Obj(pairs) => pairs,
-                _ => unreachable!("channel_json returns an object"),
-            };
-            entry.push(("add".into(), Json::num(f64::from(n))));
-            Json::Obj(entry)
-        })
+        .map(|&(c, n)| channel_json(&row.group_sys, c, [("add", Json::num(f64::from(n)))]))
         .collect();
     let capacities: Vec<Json> = row
         .capacities
@@ -936,6 +696,7 @@ pub fn answer(route: Route, envelope: &Json) -> (u16, Vec<u8>) {
 mod tests {
     use super::*;
     use lis_core::parse_netlist;
+    use lis_sweep::StationGoal;
 
     const FIG1: &str = "block A\nblock B\nchannel A -> B rs=1\nchannel A -> B\n";
 
@@ -945,12 +706,14 @@ mod tests {
 
     #[test]
     fn decode_accepts_every_route_and_option() {
-        let body = Json::parse(&format!(
-            r#"{{"netlist": {}, "options": {{"exact": true, "budget": 3, "doubled": true}}}}"#,
-            Json::str(FIG1)
-        ))
-        .unwrap();
-        let (text, kind) = RequestKind::decode("analyze", &body).unwrap();
+        let body = |options: &str| {
+            Json::parse(&format!(
+                r#"{{"netlist": {}, "options": {options}}}"#,
+                Json::str(FIG1)
+            ))
+            .unwrap()
+        };
+        let (text, kind) = RequestKind::decode("analyze", &body("{}")).unwrap();
         assert_eq!(text, FIG1);
         assert_eq!(
             kind,
@@ -961,20 +724,98 @@ mod tests {
             }
         );
         assert_eq!(
-            RequestKind::decode("qs", &body).unwrap().1,
+            RequestKind::decode("qs", &body(r#"{"exact": true}"#))
+                .unwrap()
+                .1,
             RequestKind::Qs {
                 exact: true,
                 engine: McmEngine::Howard
             }
         );
         assert_eq!(
-            RequestKind::decode("insert", &body).unwrap().1,
+            RequestKind::decode("insert", &body(r#"{"budget": 3}"#))
+                .unwrap()
+                .1,
             RequestKind::Insert { budget: 3 }
         );
         assert_eq!(
-            RequestKind::decode("dot", &body).unwrap().1,
+            RequestKind::decode("dot", &body(r#"{"doubled": true}"#))
+                .unwrap()
+                .1,
             RequestKind::Dot { doubled: true }
         );
+    }
+
+    /// The option list is closed: a key outside the route's rows, or an
+    /// `options` or group that is not an object, is a 400 naming it. Each
+    /// of these envelopes used to answer 200 with the option ignored.
+    #[test]
+    fn options_outside_the_routes_rows_are_refused_by_path() {
+        for (route, options, message) in [
+            (
+                "qs",
+                r#"{"exat": true}"#,
+                r#"unknown option "exat" for /qs"#,
+            ),
+            ("qs", "5", r#""options" must be null or an object"#),
+            ("qs", "[]", r#""options" must be null or an object"#),
+            (
+                "analyze",
+                r#""x""#,
+                r#""options" must be null or an object"#,
+            ),
+            (
+                "analyze",
+                r#"{"burst": {"trails": 5000}}"#,
+                r#"unknown option "burst.trails" for /analyze"#,
+            ),
+            (
+                "analyze",
+                r#"{"exact": true}"#,
+                r#"unknown option "exact" for /analyze"#,
+            ),
+            (
+                "dot",
+                r#"{"engine": "karp"}"#,
+                r#"unknown option "engine" for /dot"#,
+            ),
+            (
+                "sweep",
+                r#"{"stalls": {"per_mille": [1], "p": 2}}"#,
+                r#"unknown option "stalls.p" for /sweep"#,
+            ),
+            (
+                "analyze",
+                r#"{"burst": null}"#,
+                r#"option "burst" must be an object"#,
+            ),
+            (
+                "sweep",
+                r#"{"bursts": [1]}"#,
+                r#"option "bursts" must be an object"#,
+            ),
+        ] {
+            let body = Json::parse(&format!(
+                r#"{{"netlist": {}, "options": {options}}}"#,
+                Json::str(FIG1)
+            ))
+            .unwrap();
+            let err = RequestKind::decode(route, &body).expect_err(options);
+            assert_eq!(err.status(), 400, "{route} {options}");
+            assert_eq!(err.to_string(), format!("bad request: {message}"));
+        }
+        // Absent and null options take every default.
+        for options in ["null", "{}"] {
+            let body = Json::parse(&format!(
+                r#"{{"netlist": {}, "options": {options}}}"#,
+                Json::str(FIG1)
+            ))
+            .unwrap();
+            assert_eq!(
+                RequestKind::decode("insert", &body).unwrap().1,
+                RequestKind::Insert { budget: 2 }
+            );
+        }
     }
 
     #[test]

@@ -102,6 +102,7 @@ pub mod http;
 mod jobs;
 pub mod metrics;
 pub mod net;
+pub mod options;
 pub mod pool;
 mod server;
 pub mod store;

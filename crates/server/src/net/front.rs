@@ -22,7 +22,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::fault::{WriteFault, GARBAGE_BYTES};
+use crate::fault::{FaultPlan, WriteFault, GARBAGE_BYTES};
 use crate::http::{render_response_with, write_chunked_head, Request, LAST_CHUNK};
 use crate::metrics::NetStats;
 
@@ -152,13 +152,23 @@ pub struct FrontConfig {
     pub max_connections: usize,
     /// Wall-clock budget for one request to fully arrive (408 beyond it).
     pub read_deadline: Duration,
-    /// Injected per-request parse delay (the `slow_read` fault).
-    pub slow_read: Option<Duration>,
+    /// The fault plan's `slow_read` parse delay and `write_chunk` write
+    /// cap, if a plan is armed; `None` in production.
+    pub faults: Option<Arc<FaultPlan>>,
     /// How long drain waits for in-flight connections before force-closing.
     pub drain_grace: Duration,
-    /// Test hook: cap bytes written per writable event, forcing the
-    /// partial-write/re-registration path. `None` in production.
-    pub write_chunk_for_tests: Option<usize>,
+}
+
+impl FrontConfig {
+    fn slow_read(&self) -> Option<Duration> {
+        self.faults.as_ref().and_then(|p| p.slow_read())
+    }
+
+    /// The most bytes one write may send.
+    fn write_cap(&self) -> usize {
+        let cap = self.faults.as_ref().and_then(|p| p.write_chunk());
+        cap.unwrap_or(usize::MAX)
+    }
 }
 
 /// Application logic the loop calls into. All methods run on the loop
@@ -628,7 +638,7 @@ impl<H: Handler> EventLoop<H> {
                     if n > 0 && conn.awaiting_first_byte {
                         conn.awaiting_first_byte = false;
                         let now = Instant::now();
-                        if let Some(delay) = self.config.slow_read {
+                        if let Some(delay) = self.config.slow_read() {
                             // The injected trickle: parsing is gated,
                             // and the read deadline starts only after
                             // the gate.
@@ -653,7 +663,7 @@ impl<H: Handler> EventLoop<H> {
             }
         }
         if ev.writable {
-            let cap = self.config.write_chunk_for_tests.unwrap_or(usize::MAX);
+            let cap = self.config.write_cap();
             let Some(conn) = self.slots[slot].as_mut() else {
                 return;
             };
@@ -741,7 +751,7 @@ impl<H: Handler> EventLoop<H> {
                     // here), gated by the slow-read fault like the first.
                     if conn.read_buf.is_empty() {
                         conn.awaiting_first_byte = true;
-                    } else if let Some(delay) = self.config.slow_read {
+                    } else if let Some(delay) = self.config.slow_read() {
                         conn.parse_gate_at = Some(now + delay);
                         let gen = conn.gen;
                         self.timers.push(std::cmp::Reverse((
@@ -769,7 +779,7 @@ impl<H: Handler> EventLoop<H> {
             };
             let before = (conn.next_write_seq, conn.write.is_empty());
             conn.flush_answers(&self.handler);
-            let cap = self.config.write_chunk_for_tests.unwrap_or(usize::MAX);
+            let cap = self.config.write_cap();
             if conn.write.drain(&mut &conn.stream, cap).is_err() {
                 self.close_slot(slot);
                 return;
@@ -1018,7 +1028,7 @@ mod tests {
     }
 
     fn spawn_echo(
-        write_chunk_for_tests: Option<usize>,
+        write_chunk: Option<usize>,
         read_deadline: Duration,
     ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1029,9 +1039,9 @@ mod tests {
         let config = FrontConfig {
             max_connections: 64,
             read_deadline,
-            slow_read: None,
+            faults: write_chunk
+                .map(|n| Arc::new(FaultPlan::parse(&format!("write_chunk:{n}")).expect("spec"))),
             drain_grace: Duration::from_secs(5),
-            write_chunk_for_tests,
         };
         let stats = Arc::new(NetStats::new());
         let event_loop = EventLoop::new(listener, handler, config, stats).expect("loop");
@@ -1102,9 +1112,8 @@ mod tests {
         let config = FrontConfig {
             max_connections: 64,
             read_deadline: Duration::from_secs(60),
-            slow_read: None,
+            faults: None,
             drain_grace: Duration::from_secs(5),
-            write_chunk_for_tests: None,
         };
         let mut event_loop =
             EventLoop::new(listener, handler, config, Arc::new(NetStats::new())).expect("loop");

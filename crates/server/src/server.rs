@@ -79,16 +79,11 @@ pub struct ServerConfig {
     /// 503 carrying a `Retry-After` hint. `0` sheds every sweep — a kill
     /// switch for operators (and a deterministic shed path for tests).
     pub max_concurrent_sweeps: usize,
-    /// Deterministic fault-injection schedule, if chaos-testing. `None`
-    /// (production) costs one pointer check per injection site.
+    /// Deterministic fault-injection schedule, if chaos-testing, with the
+    /// pacing the end-to-end tests use (`job_delay`, `row_delay`,
+    /// `spill_delay`, `write_chunk`). `None` (production) costs one pointer
+    /// check per injection site.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Test instrumentation: sleep this long inside every analysis job.
-    /// `None` in production; the end-to-end tests use it to exercise the
-    /// overload-shed and timeout paths deterministically.
-    pub job_delay_for_tests: Option<Duration>,
-    /// Test instrumentation: cap every event-loop socket write at this many
-    /// bytes, forcing the partial-write/re-registration path.
-    pub net_write_chunk_for_tests: Option<usize>,
     /// Durable result store directory (`lis serve --store DIR`). `None`
     /// keeps the cache RAM-only. When set, finished answers spill to disk
     /// write-through and the cache is warm-loaded from disk at startup.
@@ -96,9 +91,6 @@ pub struct ServerConfig {
     /// Maximum entries the durable store keeps before FIFO GC (0 =
     /// unbounded).
     pub store_capacity: usize,
-    /// Test instrumentation: sleep this long inside every background
-    /// store write, so drain tests observe a non-empty spill queue.
-    pub spill_delay_for_tests: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -112,11 +104,8 @@ impl Default for ServerConfig {
             read_deadline: Duration::from_secs(10),
             max_concurrent_sweeps: 4,
             faults: None,
-            job_delay_for_tests: None,
-            net_write_chunk_for_tests: None,
             store_dir: None,
             store_capacity: 65536,
-            spill_delay_for_tests: None,
         }
     }
 }
@@ -195,11 +184,8 @@ impl Server {
                 for (key, response) in store.warm_entries() {
                     cache.insert(key, response);
                 }
-                Some(Spiller::new(
-                    store,
-                    config.spill_delay_for_tests,
-                    &metrics.threads,
-                ))
+                let spill_delay = config.faults.as_ref().and_then(|p| p.spill_delay());
+                Some(Spiller::new(store, spill_delay, &metrics.threads))
             }
             None => None,
         };
@@ -240,9 +226,8 @@ impl Server {
         let config = FrontConfig {
             max_connections: state.config.max_connections,
             read_deadline: state.config.read_deadline,
-            slow_read: state.config.faults.as_ref().and_then(|p| p.slow_read()),
+            faults: state.config.faults.clone(),
             drain_grace: state.config.request_timeout + Duration::from_secs(5),
-            write_chunk_for_tests: state.config.net_write_chunk_for_tests,
         };
         let stats = Arc::clone(&state.metrics.net);
         let handler = ServerHandler {
@@ -534,16 +519,6 @@ impl<'a> ChunkSender<'a> {
     }
 }
 
-/// The per-row pause `LIS_SWEEP_ROW_DELAY_MS` asks for. Test
-/// instrumentation: it paces the stream (one chunk frame per row) so
-/// end-to-end tests can kill a shard mid-sweep deterministically.
-fn sweep_row_delay() -> Option<Duration> {
-    std::env::var("LIS_SWEEP_ROW_DELAY_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-}
-
 /// The `/sweep` pool job. Decode errors, cache replays (framed with
 /// `Content-Length`, the whole body being known) and busy-slot sheds
 /// answer in one completion; otherwise the job takes a sweep slot and
@@ -646,7 +621,7 @@ fn sweep_job(
                 return;
             }
         };
-        let row_delay = sweep_row_delay();
+        let row_delay = state.config.faults.as_ref().and_then(|p| p.row_delay());
         send(Completion::StreamHead {
             status: 200,
             content_type: "application/x-ndjson".to_string(),
@@ -774,7 +749,7 @@ fn run_analysis(
     kind: &RequestKind,
     key: CacheKey,
 ) -> std::thread::Result<Arc<CachedResponse>> {
-    if let Some(d) = state.config.job_delay_for_tests {
+    if let Some(d) = state.config.faults.as_ref().and_then(|p| p.job_delay()) {
         std::thread::sleep(d);
     }
     let executed = Instant::now();
@@ -1273,7 +1248,9 @@ mod tests {
             store_dir: Some(dir.clone()),
             // Slow spill worker: the queue is observably non-empty when the
             // drain starts, exactly the window the old code lost.
-            spill_delay_for_tests: Some(Duration::from_millis(200)),
+            faults: Some(Arc::new(
+                FaultPlan::parse("spill_delay:200ms").expect("spec"),
+            )),
             ..ServerConfig::default()
         };
         let server = Server::bind("127.0.0.1:0", config).expect("bind");

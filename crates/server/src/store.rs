@@ -604,8 +604,8 @@ impl std::fmt::Debug for SpillMsg {
 impl Spiller {
     /// Starts the background spill worker, a thread named `lis-spiller`
     /// registered in `cpu` under [`ThreadRole::Spiller`]. `write_delay` is
-    /// test instrumentation (mirrors `job_delay_for_tests`): sleep this
-    /// long before each write so drain tests can observe a non-empty queue.
+    /// the fault plan's `spill_delay` pacing: sleep this long before each
+    /// write so drain tests can observe a non-empty queue.
     pub fn new(
         store: Arc<ResultStore>,
         write_delay: Option<Duration>,

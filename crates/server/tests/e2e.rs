@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lis_server::wire::{obj, Json};
-use lis_server::{parse_metric, Client, Server, ServerConfig};
+use lis_server::{parse_metric, Client, FaultPlan, Server, ServerConfig};
 
 const FIG1: &str = "block A\nblock B\nchannel A -> B rs=1\nchannel A -> B\n";
 
@@ -207,7 +207,7 @@ fn overload_sheds_with_a_typed_503_instead_of_hanging() {
         queue_capacity: 1,
         request_timeout: Duration::from_secs(30),
         cache_capacity: 1024,
-        job_delay_for_tests: Some(Duration::from_millis(300)),
+        faults: Some(Arc::new(FaultPlan::parse("job_delay:300ms").expect("spec"))),
         ..ServerConfig::default()
     });
 
@@ -265,7 +265,7 @@ fn slow_jobs_hit_the_typed_timeout() {
         queue_capacity: 8,
         request_timeout: Duration::from_millis(100),
         cache_capacity: 1024,
-        job_delay_for_tests: Some(Duration::from_millis(600)),
+        faults: Some(Arc::new(FaultPlan::parse("job_delay:600ms").expect("spec"))),
         ..ServerConfig::default()
     });
     let mut client = Client::connect(addr).expect("connect");
@@ -295,7 +295,7 @@ fn shutdown_drains_queued_work_before_exit() {
         queue_capacity: 8,
         request_timeout: Duration::from_secs(30),
         cache_capacity: 1024,
-        job_delay_for_tests: Some(Duration::from_millis(200)),
+        faults: Some(Arc::new(FaultPlan::parse("job_delay:200ms").expect("spec"))),
         ..ServerConfig::default()
     });
 

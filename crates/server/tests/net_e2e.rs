@@ -229,7 +229,7 @@ fn short_writes_reregister_and_deliver_byte_identical_responses() {
     // Every response leaves the loop in 7-byte slices, forcing dozens of
     // partial writes and write-interest re-registrations per response.
     let (addr, daemon) = start(ServerConfig {
-        net_write_chunk_for_tests: Some(7),
+        faults: Some(Arc::new(FaultPlan::parse("write_chunk:7").expect("spec"))),
         ..ServerConfig::default()
     });
     let (plain_addr, plain_daemon) = start(ServerConfig::default());

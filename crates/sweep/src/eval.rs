@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use lis_core::{
     analysis_report, canonical_hash, classify, ideal_mst_of, AnalysisReport, ChannelId, LisModel,
-    LisSystem, TopologyClass,
+    LisSystem, TopologyClass, MAX_PER_MILLE,
 };
 use lis_qs::{solve_with_engine, QsReport};
 use lis_sim::{burst_sweep, stall_sweep, CompiledProgram, QueueMode};
@@ -345,7 +345,7 @@ impl Sweep {
         let probs: Vec<f64> = stalls
             .per_mille
             .iter()
-            .map(|&m| f64::from(m) / 1000.0)
+            .map(|&m| f64::from(m) / f64::from(MAX_PER_MILLE))
             .collect();
         // Each point gets its own seed stream so rows are independent and
         // reproducible regardless of evaluation order.
@@ -374,9 +374,9 @@ impl Sweep {
         let offs: Vec<f64> = bursts
             .off_per_mille
             .iter()
-            .map(|&m| f64::from(m) / 1000.0)
+            .map(|&m| f64::from(m) / f64::from(MAX_PER_MILLE))
             .collect();
-        let p_on = f64::from(bursts.on_per_mille) / 1000.0;
+        let p_on = f64::from(bursts.on_per_mille) / f64::from(MAX_PER_MILLE);
         // Same per-point stream derivation as the stall axis, with a
         // different multiplier so a shared base seed still yields
         // independent stall and burst streams.

@@ -6,7 +6,7 @@
 //! axis varying fastest** (odometer order). Point numbering is global and
 //! dense, so a plan of `P` points always yields rows `0..P` in that order.
 
-use lis_core::{ChannelId, LisSystem};
+use lis_core::{ChannelId, LisSystem, MAX_CYCLES, MAX_PER_MILLE, MAX_TRIALS};
 use lis_rsopt::greedy_frontier;
 
 use crate::spec::{StationGoal, SweepSpec};
@@ -15,9 +15,9 @@ use crate::spec::{StationGoal, SweepSpec};
 /// worker forever. Validation rejects larger grids up front.
 pub const MAX_POINTS: usize = 65_536;
 
-/// Ceiling on per-channel station additions (matches the `/insert` route's
-/// budget cap) and on the total greedy budget.
-pub const MAX_STATIONS: u32 = 16;
+/// Ceiling on per-channel station additions and on the total greedy
+/// budget: the request limit `/insert`'s budget shares.
+pub use lis_core::MAX_STATIONS;
 
 /// Ceiling on any swept queue capacity: the netlist's own bound, so every
 /// grid point is a design a netlist could declare.
@@ -190,49 +190,16 @@ pub fn plan(base: &LisSystem, spec: &SweepSpec) -> Result<SweepPlan, SweepError>
     };
 
     if let Some(stalls) = &spec.stalls {
-        if stalls.per_mille.is_empty() {
-            return Err(SweepError::BadStallAxis("no probabilities".into()));
-        }
-        if let Some(&p) = stalls.per_mille.iter().find(|&&p| p > 1000) {
-            return Err(SweepError::BadStallAxis(format!(
-                "probability {p}‰ exceeds 1000‰"
-            )));
-        }
-        if stalls.trials == 0 || stalls.cycles == 0 {
-            return Err(SweepError::BadStallAxis(
-                "trials and cycles must be positive".into(),
-            ));
-        }
-        if u64::from(stalls.trials) > 4096 || stalls.cycles > 1_000_000 {
-            return Err(SweepError::BadStallAxis(
-                "at most 4096 trials and 1000000 cycles per point".into(),
-            ));
-        }
+        check_points(&stalls.per_mille, stalls.trials, stalls.cycles)
+            .map_err(SweepError::BadStallAxis)?;
     }
-
     if let Some(bursts) = &spec.bursts {
-        if bursts.off_per_mille.is_empty() {
-            return Err(SweepError::BadBurstAxis("no OFF probabilities".into()));
-        }
-        if let Some(&p) = bursts.off_per_mille.iter().find(|&&p| p > 1000) {
+        check_points(&bursts.off_per_mille, bursts.trials, bursts.cycles)
+            .map_err(SweepError::BadBurstAxis)?;
+        if !(1..=MAX_PER_MILLE).contains(&bursts.on_per_mille) {
             return Err(SweepError::BadBurstAxis(format!(
-                "probability {p}‰ exceeds 1000‰"
+                "OFF→ON probability must be in 1..={MAX_PER_MILLE} per-mille"
             )));
-        }
-        if bursts.on_per_mille == 0 || bursts.on_per_mille > 1000 {
-            return Err(SweepError::BadBurstAxis(
-                "OFF→ON probability must be in 1..=1000 per-mille".into(),
-            ));
-        }
-        if bursts.trials == 0 || bursts.cycles == 0 {
-            return Err(SweepError::BadBurstAxis(
-                "trials and cycles must be positive".into(),
-            ));
-        }
-        if u64::from(bursts.trials) > 4096 || bursts.cycles > 1_000_000 {
-            return Err(SweepError::BadBurstAxis(
-                "at most 4096 trials and 1000000 cycles per point".into(),
-            ));
         }
     }
 
@@ -258,6 +225,20 @@ pub fn plan(base: &LisSystem, spec: &SweepSpec) -> Result<SweepPlan, SweepError>
         points_per_group,
         points,
     })
+}
+
+/// Checks one Monte-Carlo axis: some probabilities, none above
+/// [`MAX_PER_MILLE`], and 1..=[`MAX_TRIALS`] trials of 1..=[`MAX_CYCLES`]
+/// cycles per point.
+fn check_points(per_mille: &[u32], trials: u32, cycles: u64) -> Result<(), String> {
+    match per_mille.iter().find(|&&p| p > MAX_PER_MILLE) {
+        _ if per_mille.is_empty() => Err("no probabilities".into()),
+        Some(p) => Err(format!("probability {p}‰ exceeds {MAX_PER_MILLE}‰")),
+        None if !(1..=MAX_TRIALS).contains(&trials) || !(1..=MAX_CYCLES).contains(&cycles) => Err(
+            format!("each point takes 1..={MAX_TRIALS} trials of 1..={MAX_CYCLES} cycles"),
+        ),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

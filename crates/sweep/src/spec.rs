@@ -113,53 +113,46 @@ impl SweepSpec {
     /// request half of the server's content-addressed cache key.
     pub fn token(&self) -> String {
         use std::fmt::Write;
-        let mut t = String::from("sweep:");
-        match self.mode {
-            SweepMode::Analyze => t.push_str("mode=analyze"),
-            SweepMode::Qs { exact } => {
-                let _ = write!(t, "mode=qs:exact={exact}");
-            }
-        }
-        let _ = write!(t, ":engine={}", self.engine);
-        for axis in &self.capacities {
-            let _ = write!(t, ":cap[{}]=", axis.channel);
-            for (i, v) in axis.values.iter().enumerate() {
+        // Appends a comma-separated list.
+        fn list<T: std::fmt::Display>(t: &mut String, items: impl IntoIterator<Item = T>) {
+            for (i, v) in items.into_iter().enumerate() {
                 let _ = write!(t, "{}{v}", if i > 0 { "," } else { "" });
             }
         }
+        let mut t = match self.mode {
+            SweepMode::Analyze => String::from("sweep:mode=analyze"),
+            SweepMode::Qs { exact } => format!("sweep:mode=qs:exact={exact}"),
+        };
+        let _ = write!(t, ":engine={}", self.engine);
+        for axis in &self.capacities {
+            let _ = write!(t, ":cap[{}]=", axis.channel);
+            list(&mut t, &axis.values);
+        }
         match &self.stations {
             StationGoal::Base => {}
-            StationGoal::Budget(b) => {
-                let _ = write!(t, ":budget={b}");
-            }
+            StationGoal::Budget(b) => t.push_str(&format!(":budget={b}")),
             StationGoal::Configs(configs) => {
                 for (i, cfg) in configs.iter().enumerate() {
                     let _ = write!(t, ":rs[{i}]=");
-                    for (j, (c, n)) in cfg.iter().enumerate() {
-                        let _ = write!(t, "{}{c}x{n}", if j > 0 { "," } else { "" });
-                    }
+                    list(&mut t, cfg.iter().map(|(c, n)| format!("{c}x{n}")));
                 }
             }
         }
-        if let Some(stalls) = &self.stalls {
+        if let Some(s) = &self.stalls {
             let _ = write!(
                 t,
                 ":stalls=trials={}:cycles={}:seed={}:p=",
-                stalls.trials, stalls.cycles, stalls.seed
+                s.trials, s.cycles, s.seed
             );
-            for (i, m) in stalls.per_mille.iter().enumerate() {
-                let _ = write!(t, "{}{m}", if i > 0 { "," } else { "" });
-            }
+            list(&mut t, &s.per_mille);
         }
-        if let Some(bursts) = &self.bursts {
+        if let Some(b) = &self.bursts {
             let _ = write!(
                 t,
                 ":bursts=on={}:trials={}:cycles={}:seed={}:off=",
-                bursts.on_per_mille, bursts.trials, bursts.cycles, bursts.seed
+                b.on_per_mille, b.trials, b.cycles, b.seed
             );
-            for (i, m) in bursts.off_per_mille.iter().enumerate() {
-                let _ = write!(t, "{}{m}", if i > 0 { "," } else { "" });
-            }
+            list(&mut t, &b.off_per_mille);
         }
         t
     }

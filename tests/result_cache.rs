@@ -12,11 +12,12 @@
 //! when they would hit the canonical index.
 
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lis_server::wire::{obj, Json};
-use lis_server::{parse_metric, Client, DrainReport, Server, ServerConfig};
+use lis_server::{parse_metric, Client, DrainReport, FaultPlan, Server, ServerConfig};
 
 const FIG1: &str = "block A\nblock B\nchannel A -> B rs=1\nchannel A -> B\n";
 const RING: &str =
@@ -132,7 +133,9 @@ fn under_a_full_queue_aliased_bytes_answer_and_new_bytes_are_shed() {
     let daemon = start_with(ServerConfig {
         workers: 1,
         queue_capacity: 1,
-        job_delay_for_tests: Some(Duration::from_millis(1500)),
+        faults: Some(Arc::new(
+            FaultPlan::parse("job_delay:1500ms").expect("spec"),
+        )),
         ..ServerConfig::default()
     });
     let addr = daemon.addr;
