@@ -38,9 +38,7 @@ use lis_core::to_netlist;
 use lis_gateway::ChildSpec;
 use lis_gen::{generate, GeneratorConfig, InsertionPolicy};
 use lis_server::wire::{obj, Json};
-use lis_server::{
-    parse_metric, Client, FaultPlan, RetryPolicy, RetryingClient, Server, ServerConfig,
-};
+use lis_server::{parse_metric, Client, FaultPlan, RetryPolicy, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -351,7 +349,7 @@ fn main() {
                         seed: c as u64,
                         ..RetryPolicy::default()
                     };
-                    let mut client = RetryingClient::connect(addr, policy).expect("connect");
+                    let mut client = Client::with_retries(addr, policy).expect("connect");
                     // Requests are striped across clients.
                     for i in (c..workload.len()).step_by(clients.max(1)) {
                         let body = analyze_body(&workload[i]);
@@ -409,7 +407,7 @@ fn main() {
     eprintln!("phase 3: forced panic burst ({} jobs)", 2 * workers);
     plan.force_panic_burst(2 * workers as u64);
     let recovery_ms = {
-        let mut prober = RetryingClient::connect(addr, RetryPolicy::none()).expect("connect");
+        let mut prober = Client::with_retries(addr, RetryPolicy::none()).expect("connect");
         let mut first_failure: Option<Instant> = None;
         let mut recovery = None;
         for i in 0..10_000u64 {

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use lis_core::to_netlist;
 use lis_gen::{generate, GeneratorConfig, InsertionPolicy};
 use lis_server::wire::{obj, Json};
-use lis_server::{parse_metric, Client, RetryPolicy, RetryingClient, Server, ServerConfig};
+use lis_server::{parse_metric, Client, RetryPolicy, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -83,7 +83,7 @@ fn run_client(
         seed: id,
         ..RetryPolicy::io_only()
     };
-    let mut client = RetryingClient::connect(addr, policy).expect("connect to in-process daemon");
+    let mut client = Client::with_retries(addr, policy).expect("connect to in-process daemon");
     let mut i = 0u64;
     while Instant::now() < deadline {
         i += 1;

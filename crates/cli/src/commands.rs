@@ -343,7 +343,7 @@ fn gateway_cmd(rest: &[String], threads: usize, out: &mut dyn Write) -> CliResul
 }
 
 fn client_cmd(rest: &[String], engine: McmEngine, out: &mut dyn Write) -> CliResult {
-    use lis_server::{RetryPolicy, RetryingClient};
+    use lis_server::{Client, RetryPolicy};
     let (Some(addr), Some(cmd)) = (rest.first(), rest.get(1)) else {
         return Err(format!("client needs an address and a command\n{USAGE}").into());
     };
@@ -352,7 +352,7 @@ fn client_cmd(rest: &[String], engine: McmEngine, out: &mut dyn Write) -> CliRes
         max_attempts: retries.saturating_add(1),
         ..RetryPolicy::default()
     };
-    let mut client = RetryingClient::connect(addr.as_str(), policy)?;
+    let mut client = Client::with_retries(addr.as_str(), policy)?;
     match cmd.as_str() {
         "metrics" => {
             write!(out, "{}", client.metrics()?)?;

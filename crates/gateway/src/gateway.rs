@@ -673,46 +673,8 @@ impl lis_server::net::Handler for GwHandler {
         self.respond(&request_id, started, 200, content_type, body)
     }
 
-    fn bad_request(&self, error: &io::Error) -> Rendered {
-        // Protocol-violation 400s close the connection and are
-        // deliberately not recorded.
-        let e = ServerError::BadRequest(error.to_string());
-        let mut rendered = Rendered::json(e.status(), e.to_json().to_string().into_bytes());
-        rendered.force_close = true;
-        rendered
-    }
-
-    fn slow_client(&self) -> Rendered {
-        let e = ServerError::SlowClient {
-            deadline_ms: self.state.config.read_deadline.as_millis() as u64,
-        };
-        self.state
-            .metrics
-            .record_request(e.status(), self.state.config.read_deadline);
-        let mut rendered = Rendered::json(e.status(), e.to_json().to_string().into_bytes());
-        rendered.force_close = true;
-        rendered
-    }
-
-    fn reject_connection(&self) -> Rendered {
-        let e = ServerError::TooManyConnections {
-            limit: self.state.config.max_connections,
-        };
-        self.state
-            .metrics
-            .record_request(e.status(), Duration::ZERO);
-        let mut rendered = Rendered::json(e.status(), e.to_json().to_string().into_bytes());
-        rendered.force_close = true;
-        rendered
-    }
-
-    fn job_timeout(&self, _key: SlotKey) -> Rendered {
-        // Unreachable in practice: forwarded jobs run with `timeout: None`.
-        // Answer something sane anyway rather than panic.
-        let e = ServerError::Timeout {
-            timeout_ms: RACE_TIMEOUT.as_millis() as u64,
-        };
-        Rendered::json(e.status(), e.to_json().to_string().into_bytes())
+    fn refused(&self, e: &ServerError, elapsed: Duration) {
+        self.state.metrics.record_request(e.status(), elapsed);
     }
 
     fn shutting_down(&self) -> bool {

@@ -9,10 +9,6 @@
 //! above it on instances where trimming finds the global structure — the
 //! ablation binary reports both.
 
-use lis_core::ChannelId;
-use marked_graph::Ratio;
-
-use crate::oracle::{trim_weights, ThroughputOracle};
 use crate::td::{TdInstance, TdSolution};
 
 /// Runs the greedy max-coverage baseline.
@@ -67,23 +63,6 @@ pub fn greedy_cover_solve(td: &TdInstance) -> TdSolution {
     }
     debug_assert!(td.is_feasible(&weights));
     TdSolution { weights }
-}
-
-/// [`greedy_cover_solve`] followed by an incremental oracle trim: greedy's
-/// H_n-approximate assignment is tightened against the *real* throughput
-/// (not the Token Deficit abstraction), removing tokens the coverage
-/// counting over-spent. `labels[i]` is the channel behind set `i`; `target`
-/// is the ideal MST to preserve. The result stays feasible by construction
-/// — every removal is verified by the oracle.
-pub fn greedy_cover_solve_trimmed(
-    td: &TdInstance,
-    labels: &[ChannelId],
-    oracle: &mut ThroughputOracle,
-    target: Ratio,
-) -> TdSolution {
-    let mut sol = greedy_cover_solve(td);
-    trim_weights(&mut sol.weights, labels, oracle, target);
-    sol
 }
 
 #[cfg(test)]
@@ -188,13 +167,15 @@ mod tests {
     #[test]
     fn trimmed_greedy_still_restores_the_target_on_fig15() {
         use crate::deficit::{extract_instance, DEFAULT_CYCLE_LIMIT};
+        use crate::oracle::{trim_weights, ThroughputOracle};
         use lis_core::figures;
         let (sys, _) = figures::fig15();
         let inst = extract_instance(&sys, DEFAULT_CYCLE_LIMIT).unwrap();
         let (td, labels) = TdInstance::from_qs(&inst);
         let mut oracle = ThroughputOracle::new(&sys);
         let plain = greedy_cover_solve(&td);
-        let trimmed = greedy_cover_solve_trimmed(&td, &labels, &mut oracle, inst.target);
+        let mut trimmed = greedy_cover_solve(&td);
+        trim_weights(&mut trimmed.weights, &labels, &mut oracle, inst.target);
         assert!(trimmed.total() <= plain.total());
         let extra: Vec<_> = trimmed
             .weights

@@ -9,10 +9,6 @@
 //! implementation below tracks per-cycle slack incrementally, so each
 //! decrement attempt costs only the size of the touched set.
 
-use lis_core::ChannelId;
-use marked_graph::Ratio;
-
-use crate::oracle::{trim_weights, ThroughputOracle};
 use crate::td::{TdInstance, TdSolution};
 
 /// Runs the heuristic on a TD instance.
@@ -80,24 +76,6 @@ pub fn heuristic_solve(td: &TdInstance) -> TdSolution {
 
     debug_assert!(td.is_feasible(&weights));
     TdSolution { weights }
-}
-
-/// [`heuristic_solve`] followed by an incremental oracle trim. The paper's
-/// trim-down only sees the Token Deficit abstraction; when cycle
-/// enumeration was truncated the abstraction over-constrains, and checking
-/// the *real* throughput through the incremental [`ThroughputOracle`] can
-/// remove further tokens. `labels[i]` is the channel behind set `i`;
-/// `target` is the ideal MST to preserve. Feasibility is preserved — every
-/// removal is oracle-verified.
-pub fn heuristic_solve_trimmed(
-    td: &TdInstance,
-    labels: &[ChannelId],
-    oracle: &mut ThroughputOracle,
-    target: Ratio,
-) -> TdSolution {
-    let mut sol = heuristic_solve(td);
-    trim_weights(&mut sol.weights, labels, oracle, target);
-    sol
 }
 
 #[cfg(test)]

@@ -29,9 +29,9 @@
 //! [`ThroughputOracle`] answers repeated "θ(d\[G\]) with these extra slots?"
 //! queries incrementally (one doubled model, per-SCC re-solves with a memo
 //! cache); it backs [`verify_solution_incremental`] and the oracle-based
-//! trim pass ([`trim_weights`], [`QsConfig::oracle_trim`]) that can tighten
-//! solutions past the Token Deficit abstraction when cycle enumeration was
-//! truncated.
+//! trim pass [`trim_weights`], which [`solve`] runs after either algorithm
+//! when [`QsConfig::oracle_trim`] is set: it can tighten solutions past the
+//! Token Deficit abstraction when cycle enumeration was truncated.
 //!
 //! [`solve`] runs the whole pipeline on a [`lis_core::LisSystem`].
 //!
@@ -73,8 +73,8 @@ pub use deficit::{
 pub use error::QsError;
 pub use exact::{brute_force_optimum, exact_solve, exact_solve_with, ExactOptions, ExactOutcome};
 pub use fixed::{minimal_uniform_q, sufficient_queue_capacities};
-pub use greedy::{greedy_cover_solve, greedy_cover_solve_trimmed};
-pub use heuristic::{heuristic_solve, heuristic_solve_trimmed};
+pub use greedy::greedy_cover_solve;
+pub use heuristic::heuristic_solve;
 pub use lp::{to_lp, to_lp_from_td};
 pub use oracle::{trim_weights, ThroughputOracle};
 pub use solve::{

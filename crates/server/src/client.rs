@@ -4,60 +4,42 @@
 //! One [`Client`] owns one persistent (keep-alive) connection; requests on
 //! it are strictly sequential. Drop the client to close the connection.
 //!
-//! [`RetryingClient`] wraps the same API in a [`RetryPolicy`]: transient
-//! failures (connection reset, shed 503, timed-out 504, crashed-worker
-//! 500) are retried with seeded, jittered exponential backoff and the
-//! connection is re-established as needed. Client errors (400/422) are
-//! **never** retried — resending a malformed netlist cannot fix it.
+//! Every client holds a [`RetryPolicy`]. [`Client::connect`] makes one
+//! attempt per request and reports every failure to its caller.
+//! [`Client::with_retries`] retries transient failures (connection reset,
+//! shed 503, timed-out 504, crashed-worker 500) with seeded, jittered
+//! exponential backoff. Either way a connection that failed in transport
+//! is dropped, and the next attempt opens a fresh one. Client errors
+//! (400/422) are **never** retried — resending a malformed netlist cannot
+//! fix it.
 
 use std::io::{self, BufReader};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::http::{read_response, write_request, write_request_with, Response};
+use crate::http::{read_response, write_request_with, Response};
 use crate::wire::{obj, Json};
 
-/// A persistent connection to a `lis-server` daemon.
-pub struct Client {
+/// One keep-alive connection: its write half and buffered read half.
+struct Connection {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
 }
 
-impl Client {
-    /// Connects to a daemon.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection errors.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
+impl Connection {
+    fn open(addrs: &[SocketAddr]) -> io::Result<Connection> {
+        let stream = TcpStream::connect(addrs)?;
         stream.set_nodelay(true)?;
         // Generous guard so a wedged server cannot hang the client forever.
         stream.set_read_timeout(Some(Duration::from_secs(120)))?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client {
+        Ok(Connection {
             writer: stream,
             reader,
         })
     }
 
-    /// Sends one raw request and reads the response.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and HTTP-framing errors.
-    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<Response> {
-        write_request(&mut self.writer, method, path, body)?;
-        read_response(&mut self.reader)
-    }
-
-    /// [`Client::request`] with extra request headers (e.g. a propagated
-    /// `X-LIS-Request-Id`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and HTTP-framing errors.
-    pub fn request_with(
+    fn request(
         &mut self,
         method: &str,
         path: &str,
@@ -67,13 +49,139 @@ impl Client {
         write_request_with(&mut self.writer, method, path, extra_headers, body)?;
         read_response(&mut self.reader)
     }
+}
+
+/// A persistent connection to a `lis-server` daemon, under a
+/// [`RetryPolicy`].
+pub struct Client {
+    addrs: Vec<SocketAddr>,
+    policy: RetryPolicy,
+    connection: Option<Connection>,
+    rng_state: u64,
+    retries_used: u64,
+}
+
+impl Client {
+    /// Connects to a daemon. Every request gets exactly one attempt
+    /// ([`RetryPolicy::none`]): a transport error or a transient status
+    /// goes straight back to the caller.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connection errors.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
+        Client::with_retries(addr, RetryPolicy::none())
+    }
+
+    /// Connects to a daemon under `policy`: transport failures and
+    /// transient statuses are retried with jittered backoff. The initial
+    /// connection is itself retried under the policy.
+    ///
+    /// # Errors
+    ///
+    /// Address-resolution failures, or connection errors once the retry
+    /// budget is spent.
+    pub fn with_retries(addr: impl ToSocketAddrs, policy: RetryPolicy) -> io::Result<Client> {
+        let mut client = Client {
+            addrs: addr.to_socket_addrs()?.collect(),
+            rng_state: policy.seed,
+            policy,
+            connection: None,
+            retries_used: 0,
+        };
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            match client.connection().err() {
+                None => return Ok(client),
+                Some(e) if is_retryable_io(&e) && client.may_retry(attempt) => {
+                    client.pause(attempt);
+                }
+                Some(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Retries spent so far (across all requests).
+    pub fn retries_used(&self) -> u64 {
+        self.retries_used
+    }
+
+    fn connection(&mut self) -> io::Result<&mut Connection> {
+        if self.connection.is_none() {
+            self.connection = Some(Connection::open(&self.addrs)?);
+        }
+        Ok(self.connection.as_mut().expect("connection just opened"))
+    }
+
+    fn may_retry(&self, attempt: u32) -> bool {
+        attempt < self.policy.max_attempts && self.retries_used < self.policy.budget
+    }
+
+    /// Burns one unit of retry budget and sleeps the backoff for `attempt`.
+    fn pause(&mut self, attempt: u32) {
+        self.retries_used += 1;
+        std::thread::sleep(self.policy.backoff(attempt, &mut self.rng_state));
+    }
+
+    /// Sends one request and reads the response, retrying per the policy.
+    ///
+    /// # Errors
+    ///
+    /// The final attempt's error, once attempts or budget run out;
+    /// non-retryable errors immediately.
+    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<Response> {
+        self.request_with(method, path, &[], body)
+    }
+
+    /// [`Client::request`] with extra request headers (e.g. a propagated
+    /// `X-LIS-Request-Id`).
+    ///
+    /// # Errors
+    ///
+    /// See [`Client::request`].
+    pub fn request_with(
+        &mut self,
+        method: &str,
+        path: &str,
+        extra_headers: &[(&str, &str)],
+        body: &[u8],
+    ) -> io::Result<Response> {
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            let outcome = self
+                .connection()
+                .and_then(|c| c.request(method, path, extra_headers, body));
+            match outcome {
+                Ok(response) if self.policy.retry_statuses.contains(&response.status) => {
+                    // The server answered coherently: the connection is
+                    // still good, only the status says "come back later".
+                    if !self.may_retry(attempt) {
+                        return Ok(response);
+                    }
+                }
+                Ok(response) => return Ok(response),
+                Err(e) if is_retryable_io(&e) => {
+                    // Transport failure: the connection is suspect. Drop it
+                    // and reconnect on the next attempt.
+                    self.connection = None;
+                    if !self.may_retry(attempt) {
+                        return Err(e);
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+            self.pause(attempt);
+        }
+    }
 
     /// POSTs a JSON value, returning the status and parsed JSON body.
     ///
     /// # Errors
     ///
-    /// I/O errors pass through; a non-JSON response body surfaces as
-    /// [`io::ErrorKind::InvalidData`].
+    /// See [`Client::request`]; a well-framed non-JSON body is
+    /// [`io::ErrorKind::InvalidData`] without further retries.
     pub fn post_json(&mut self, path: &str, body: &Json) -> io::Result<(u16, Json)> {
         let response = self.request("POST", path, body.to_string().as_bytes())?;
         let text = std::str::from_utf8(&response.body)
@@ -109,7 +217,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Propagates I/O and HTTP-framing errors.
+    /// See [`Client::request`].
     pub fn sweep(&mut self, netlist: &str, options: Json) -> io::Result<(u16, Vec<u8>)> {
         let body = obj([("netlist", Json::str(netlist)), ("options", options)]);
         let response = self.request("POST", "/sweep", body.to_string().as_bytes())?;
@@ -120,7 +228,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// I/O errors pass through; a non-200 status or non-UTF-8 body is
+    /// See [`Client::request`]; a non-200 status or non-UTF-8 body is
     /// [`io::ErrorKind::InvalidData`].
     pub fn metrics(&mut self) -> io::Result<String> {
         let response = self.request("GET", "/metrics", b"")?;
@@ -135,16 +243,19 @@ impl Client {
     }
 
     /// Asks the daemon to drain and exit. Returns the response status.
+    /// Sent exactly once, never retried: shutdown is a control-plane
+    /// action whose duplicate delivery during a drain would just be noise.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn shutdown(&mut self) -> io::Result<u16> {
-        Ok(self.request("POST", "/shutdown", b"")?.status)
+        let response = self.connection()?.request("POST", "/shutdown", &[], b"")?;
+        Ok(response.status)
     }
 }
 
-/// When and how [`RetryingClient`] retries a failed request.
+/// When and how a [`Client`] retries a failed request.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts per request (first try included). At least 1.
@@ -240,186 +351,6 @@ fn is_retryable_io(e: &io::Error) -> bool {
             | io::ErrorKind::TimedOut
             | io::ErrorKind::WouldBlock
     )
-}
-
-/// A [`Client`] wrapped in a [`RetryPolicy`]: reconnects after transport
-/// failures and retries transient statuses with jittered backoff.
-pub struct RetryingClient {
-    addr: std::net::SocketAddr,
-    policy: RetryPolicy,
-    client: Option<Client>,
-    rng_state: u64,
-    retries_used: u64,
-}
-
-impl RetryingClient {
-    /// Connects to a daemon. The initial connection is itself retried
-    /// under the policy.
-    ///
-    /// # Errors
-    ///
-    /// Address-resolution failures, or connection errors once the retry
-    /// budget is spent.
-    pub fn connect(addr: impl ToSocketAddrs, policy: RetryPolicy) -> io::Result<RetryingClient> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address to connect"))?;
-        let rng_state = policy.seed;
-        let mut client = RetryingClient {
-            addr,
-            policy,
-            client: None,
-            rng_state,
-            retries_used: 0,
-        };
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match client.ensure_connected().err() {
-                None => return Ok(client),
-                Some(e) if is_retryable_io(&e) && client.may_retry(attempt) => {
-                    client.pause(attempt);
-                }
-                Some(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Retries spent so far (across all requests).
-    pub fn retries_used(&self) -> u64 {
-        self.retries_used
-    }
-
-    fn ensure_connected(&mut self) -> io::Result<&mut Client> {
-        if self.client.is_none() {
-            self.client = Some(Client::connect(self.addr)?);
-        }
-        Ok(self.client.as_mut().expect("client just ensured"))
-    }
-
-    fn may_retry(&self, attempt: u32) -> bool {
-        attempt < self.policy.max_attempts && self.retries_used < self.policy.budget
-    }
-
-    /// Burns one unit of retry budget and sleeps the backoff for `attempt`.
-    fn pause(&mut self, attempt: u32) {
-        self.retries_used += 1;
-        std::thread::sleep(self.policy.backoff(attempt, &mut self.rng_state));
-    }
-
-    /// Sends one request, retrying per the policy.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error, once attempts or budget run out;
-    /// non-retryable errors immediately.
-    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<Response> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let outcome = self
-                .ensure_connected()
-                .and_then(|c| c.request(method, path, body));
-            match outcome {
-                Ok(response) if self.policy.retry_statuses.contains(&response.status) => {
-                    // The server answered coherently: the connection is
-                    // still good, only the status says "come back later".
-                    if !self.may_retry(attempt) {
-                        return Ok(response);
-                    }
-                }
-                Ok(response) => return Ok(response),
-                Err(e) if is_retryable_io(&e) => {
-                    // Transport failure: the connection is suspect. Drop it
-                    // and reconnect on the next attempt.
-                    self.client = None;
-                    if !self.may_retry(attempt) {
-                        return Err(e);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-            self.pause(attempt);
-        }
-    }
-
-    /// POSTs a JSON value, with retries. See [`Client::post_json`].
-    ///
-    /// # Errors
-    ///
-    /// See [`RetryingClient::request`]; a well-framed non-JSON body is
-    /// [`io::ErrorKind::InvalidData`] without further retries.
-    pub fn post_json(&mut self, path: &str, body: &Json) -> io::Result<(u16, Json)> {
-        let response = self.request("POST", path, body.to_string().as_bytes())?;
-        let text = std::str::from_utf8(&response.body)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response body"))?;
-        let json = Json::parse(text).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("non-JSON response body: {e}"),
-            )
-        })?;
-        Ok((response.status, json))
-    }
-
-    /// Issues an analysis request, with retries. See [`Client::analysis`].
-    ///
-    /// # Errors
-    ///
-    /// See [`RetryingClient::post_json`].
-    pub fn analysis(
-        &mut self,
-        route: &str,
-        netlist: &str,
-        options: Json,
-    ) -> io::Result<(u16, Json)> {
-        let body = obj([("netlist", Json::str(netlist)), ("options", options)]);
-        self.post_json(&format!("/{route}"), &body)
-    }
-
-    /// Issues a design-space sweep, with retries. See [`Client::sweep`].
-    ///
-    /// # Errors
-    ///
-    /// See [`RetryingClient::request`].
-    pub fn sweep(&mut self, netlist: &str, options: Json) -> io::Result<(u16, Vec<u8>)> {
-        let body = obj([("netlist", Json::str(netlist)), ("options", options)]);
-        let response = self.request("POST", "/sweep", body.to_string().as_bytes())?;
-        Ok((response.status, response.body))
-    }
-
-    /// Fetches `GET /metrics`, with transport retries. See
-    /// [`Client::metrics`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::metrics`].
-    pub fn metrics(&mut self) -> io::Result<String> {
-        let response = self.request("GET", "/metrics", b"")?;
-        if response.status != 200 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("/metrics answered {}", response.status),
-            ));
-        }
-        String::from_utf8(response.body)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 metrics"))
-    }
-
-    /// Asks the daemon to drain and exit — exactly once, never retried:
-    /// shutdown is a control-plane action whose duplicate delivery during
-    /// a drain would just be noise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn shutdown(&mut self) -> io::Result<u16> {
-        Ok(self
-            .ensure_connected()?
-            .request("POST", "/shutdown", b"")?
-            .status)
-    }
 }
 
 #[cfg(test)]

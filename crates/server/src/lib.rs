@@ -18,9 +18,10 @@
 //!   request-latency histogram ([`metrics`]), and CPU seconds per thread
 //!   role ([`cpu`]);
 //! * [`Client`] — the blocking keep-alive client behind `lis client` and
-//!   the `loadgen` workload driver — and [`RetryingClient`], the same API
-//!   under a seeded [`RetryPolicy`] (jittered exponential backoff on
-//!   transport failures and transient statuses, never on 400/422);
+//!   the `loadgen` workload driver, under a seeded [`RetryPolicy`]:
+//!   [`Client::connect`] makes one attempt per request, and
+//!   [`Client::with_retries`] reconnects and backs off with jitter on
+//!   transport failures and transient statuses, never on 400/422;
 //! * chaos hardening ([`fault`]): a deterministic, seeded [`FaultPlan`]
 //!   (`LIS_FAULTS` / `lis serve --faults`) injects worker panics, slow
 //!   reads, truncated and garbled responses; workers isolate jobs with
@@ -109,7 +110,7 @@ pub mod store;
 pub mod wire;
 
 pub use cache::{CacheKey, CachedResponse, ExactRequest, ResultCache};
-pub use client::{Client, RetryPolicy, RetryingClient};
+pub use client::{Client, RetryPolicy};
 pub use cpu::{ThreadCpu, ThreadRole};
 pub use error::ServerError;
 pub use fault::{FaultPlan, WriteFault};
@@ -137,7 +138,7 @@ mod tests {
         assert_traits::<FaultPlan>();
         assert_traits::<ResultStore>();
         assert_traits::<Spiller>();
+        assert_traits::<Client>();
         assert_traits::<RetryPolicy>();
-        assert_traits::<RetryingClient>();
     }
 }

@@ -8,6 +8,12 @@
 //! (control plane, cache hits, typed errors) or asynchronously through the
 //! [`Completions`] channel (worker-pool jobs, streamed NDJSON).
 //!
+//! The loop answers its own protocol refusals, so no handler renders one:
+//! the typed 400 for a protocol violation, the 408 for a missed read
+//! deadline, the 429 for a connection over the cap and the 504 for a
+//! pending answer past its deadline. Write faults come from the fault
+//! plan in [`FrontConfig`].
+//!
 //! Responses are serialized in request arrival order no matter how the
 //! handler answers them: each parsed request gets a sequence number, and
 //! out-of-order completions park in a per-connection `BTreeMap` until
@@ -22,6 +28,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use crate::error::ServerError;
 use crate::fault::{FaultPlan, WriteFault, GARBAGE_BYTES};
 use crate::http::{render_response_with, write_chunked_head, Request, LAST_CHUNK};
 use crate::metrics::NetStats;
@@ -75,15 +82,19 @@ pub struct Rendered {
 }
 
 impl Rendered {
-    /// A plain JSON response with no extra headers and default flags.
-    pub fn json(status: u16, body: Vec<u8>) -> Rendered {
+    /// A typed refusal the loop renders itself. The 400, 408 and 429 close
+    /// the connection; the 504 answers one late request on a healthy
+    /// connection, so it keeps it open and write faults may mangle it like
+    /// the analysis answer it stands in for.
+    fn refusal(e: &ServerError, extra_headers: Vec<(String, String)>) -> Rendered {
+        let late = matches!(e, ServerError::Timeout { .. });
         Rendered {
-            status,
+            status: e.status(),
             content_type: "application/json".to_string(),
-            body,
-            extra_headers: Vec::new(),
-            fault_eligible: false,
-            force_close: false,
+            body: e.to_json().to_string().into_bytes(),
+            extra_headers,
+            fault_eligible: late,
+            force_close: !late,
         }
     }
 }
@@ -93,7 +104,8 @@ pub enum Outcome {
     /// Answer now (control plane, cache hit, typed error).
     Respond(Rendered),
     /// A worker answers later through [`Completions`]; `timeout` arms a
-    /// loop-side deadline answered with [`Handler::job_timeout`].
+    /// loop-side deadline answered with the typed 504 (see
+    /// [`Handler::job_timeout`]).
     Pending {
         /// Deadline for the asynchronous answer, if any.
         timeout: Option<Duration>,
@@ -152,8 +164,8 @@ pub struct FrontConfig {
     pub max_connections: usize,
     /// Wall-clock budget for one request to fully arrive (408 beyond it).
     pub read_deadline: Duration,
-    /// The fault plan's `slow_read` parse delay and `write_chunk` write
-    /// cap, if a plan is armed; `None` in production.
+    /// The fault plan's `slow_read` parse delay, `write_chunk` write cap
+    /// and write-fault draws, if a plan is armed; `None` in production.
     pub faults: Option<Arc<FaultPlan>>,
     /// How long drain waits for in-flight connections before force-closing.
     pub drain_grace: Duration,
@@ -176,17 +188,15 @@ impl FrontConfig {
 pub trait Handler {
     /// Routes one complete request.
     fn dispatch(&self, request: Request, key: SlotKey, completions: &Completions) -> Outcome;
-    /// Typed 400 for a protocol violation (wording from the parse error).
-    fn bad_request(&self, error: &io::Error) -> Rendered;
-    /// Typed 408 for a blown read deadline.
-    fn slow_client(&self) -> Rendered;
-    /// Typed 429 for a connection beyond the cap.
-    fn reject_connection(&self) -> Rendered;
-    /// Typed 504 when a pending job misses its deadline.
-    fn job_timeout(&self, key: SlotKey) -> Rendered;
-    /// Write-side fault decision for one fault-eligible response.
-    fn write_fault(&self) -> WriteFault {
-        WriteFault::None
+    /// Records a refusal the loop answered itself after `elapsed`: the 408
+    /// for a missed read deadline or the 429 for a connection over the
+    /// cap. Protocol-violation 400s are not recorded.
+    fn refused(&self, _error: &ServerError, _elapsed: Duration) {}
+    /// A pending answer missed its deadline and the loop answers the typed
+    /// 504 in its place: the handler drops its bookkeeping for `key` and
+    /// returns the headers the 504 echoes.
+    fn job_timeout(&self, _key: SlotKey) -> Vec<(String, String)> {
+        Vec::new()
     }
     /// Whether the daemon is draining.
     fn shutting_down(&self) -> bool;
@@ -277,8 +287,24 @@ impl Conn {
         self.unanswered() == 0 && self.write.is_empty()
     }
 
+    /// Queues a closing refusal as the next answer: it goes out once
+    /// everything answered before it has flushed, and nothing more is read
+    /// or parsed.
+    fn refuse(&mut self, e: &ServerError) {
+        self.answers.insert(
+            self.next_seq,
+            Answer::Full(Rendered::refusal(e, Vec::new())),
+        );
+        self.next_seq += 1;
+        self.read_buf.clear();
+        self.read_deadline_at = None;
+        self.parse_gate_at = None;
+        self.poisoned = true;
+    }
+
     /// Moves completed answers, in sequence order, into the write queue.
-    fn flush_answers<H: Handler>(&mut self, handler: &H) {
+    /// `faults` draws the write fault of each fault-eligible response.
+    fn flush_answers(&mut self, draining: bool, faults: Option<&FaultPlan>) {
         loop {
             let seq = self.next_write_seq;
             let Some(answer) = self.answers.remove(&seq) else {
@@ -287,7 +313,7 @@ impl Conn {
             match answer {
                 Answer::Full(r) => {
                     let wants_close = self.wants_close.remove(&seq).unwrap_or(false);
-                    let keep_alive = !r.force_close && !wants_close && !handler.shutting_down();
+                    let keep_alive = !r.force_close && !wants_close && !draining;
                     let extras: Vec<(&str, &str)> = r
                         .extra_headers
                         .iter()
@@ -300,10 +326,9 @@ impl Conn {
                         keep_alive,
                         &extras,
                     );
-                    let fault = if r.fault_eligible {
-                        handler.write_fault()
-                    } else {
-                        WriteFault::None
+                    let fault = match faults {
+                        Some(plan) if r.fault_eligible => plan.write_fault(),
+                        _ => WriteFault::None,
                     };
                     match fault {
                         WriteFault::None => self.write.push(wire),
@@ -330,7 +355,7 @@ impl Conn {
                 } => {
                     if let Some(h) = head.take() {
                         let wants_close = self.wants_close.remove(&seq).unwrap_or(false);
-                        keep_alive = !wants_close && !handler.shutting_down();
+                        keep_alive = !wants_close && !draining;
                         let extras: Vec<(&str, &str)> = h
                             .extra_headers
                             .iter()
@@ -394,7 +419,7 @@ impl Conn {
 enum Timer {
     ReadDeadline { slot: usize, gen: u64 },
     ParseGate { slot: usize, gen: u64 },
-    JobTimeout(SlotKey),
+    JobTimeout(SlotKey, Duration),
 }
 
 /// Pending timers, earliest first.
@@ -584,12 +609,13 @@ impl<H: Handler> EventLoop<H> {
                     };
                     if rejected {
                         // Typed 429, written on the loop, then close.
-                        let r = self.handler.reject_connection();
-                        conn.wants_close.insert(0, true);
-                        conn.answers.insert(0, Answer::Full(r));
-                        conn.next_seq = 1;
-                        conn.poisoned = true;
-                        conn.flush_answers(&self.handler);
+                        let e = ServerError::TooManyConnections {
+                            limit: self.config.max_connections,
+                        };
+                        self.handler.refused(&e, Duration::ZERO);
+                        conn.refuse(&e);
+                        let faults = self.config.faults.as_deref();
+                        conn.flush_answers(self.handler.shutting_down(), faults);
                     } else {
                         self.stats.connections_open.fetch_add(1, Ordering::AcqRel);
                     }
@@ -708,15 +734,7 @@ impl<H: Handler> EventLoop<H> {
                     return;
                 }
                 RequestProgress::Violation(e) => {
-                    let rendered = self.handler.bad_request(&e);
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    conn.wants_close.insert(seq, true);
-                    conn.answers.insert(seq, Answer::Full(rendered));
-                    conn.read_buf.clear();
-                    conn.read_deadline_at = None;
-                    conn.parse_gate_at = None;
-                    conn.poisoned = true;
+                    conn.refuse(&ServerError::BadRequest(e.to_string()));
                     return;
                 }
                 RequestProgress::Complete { request, consumed } => {
@@ -740,9 +758,9 @@ impl<H: Handler> EventLoop<H> {
                         }
                         Outcome::Pending { timeout } => {
                             conn.inflight.insert(seq);
-                            if let Some(t) = timeout {
-                                self.timers
-                                    .push(std::cmp::Reverse((now + t, Timer::JobTimeout(key))));
+                            if let Some(after) = timeout {
+                                let timer = Timer::JobTimeout(key, after);
+                                self.timers.push(std::cmp::Reverse((now + after, timer)));
                             }
                         }
                     }
@@ -778,7 +796,7 @@ impl<H: Handler> EventLoop<H> {
                 return;
             };
             let before = (conn.next_write_seq, conn.write.is_empty());
-            conn.flush_answers(&self.handler);
+            conn.flush_answers(self.handler.shutting_down(), self.config.faults.as_deref());
             let cap = self.config.write_cap();
             if conn.write.drain(&mut &conn.stream, cap).is_err() {
                 self.close_slot(slot);
@@ -907,14 +925,12 @@ impl<H: Handler> EventLoop<H> {
                     }
                     // Slow loris: typed 408 after everything already
                     // answered flushes, then close.
-                    let rendered = self.handler.slow_client();
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    conn.wants_close.insert(seq, true);
-                    conn.answers.insert(seq, Answer::Full(rendered));
-                    conn.read_buf.clear();
-                    conn.read_deadline_at = None;
-                    conn.poisoned = true;
+                    let deadline = self.config.read_deadline;
+                    let e = ServerError::SlowClient {
+                        deadline_ms: deadline.as_millis() as u64,
+                    };
+                    self.handler.refused(&e, deadline);
+                    conn.refuse(&e);
                     self.after_change(slot);
                 }
                 Timer::ParseGate { slot, gen } => {
@@ -931,14 +947,17 @@ impl<H: Handler> EventLoop<H> {
                     self.process_buffer(slot);
                     self.after_change(slot);
                 }
-                Timer::JobTimeout(key) => {
+                Timer::JobTimeout(key, after) => {
                     let Some(conn) = self.slots.get_mut(key.conn).and_then(Option::as_mut) else {
                         continue;
                     };
                     if conn.gen != key.gen || !conn.inflight.remove(&key.seq) {
                         continue;
                     }
-                    let rendered = self.handler.job_timeout(key);
+                    let e = ServerError::Timeout {
+                        timeout_ms: after.as_millis() as u64,
+                    };
+                    let rendered = Rendered::refusal(&e, self.handler.job_timeout(key));
                     conn.answers.insert(key.seq, Answer::Full(rendered));
                     self.after_change(key.conn);
                 }
@@ -962,17 +981,29 @@ mod tests {
         shutdown: Arc<AtomicBool>,
     }
 
+    /// A plain JSON answer with no extra headers and default flags.
+    fn json(status: u16, body: Vec<u8>) -> Rendered {
+        Rendered {
+            status,
+            content_type: "application/json".to_string(),
+            body,
+            extra_headers: Vec::new(),
+            fault_eligible: false,
+            force_close: false,
+        }
+    }
+
     impl Handler for EchoHandler {
         fn dispatch(&self, request: Request, key: SlotKey, completions: &Completions) -> Outcome {
             if request.path == "/shutdown" {
                 self.shutdown.store(true, Ordering::Release);
-                return Outcome::Respond(Rendered::json(200, b"bye".to_vec()));
+                return Outcome::Respond(json(200, b"bye".to_vec()));
             }
             if request.path == "/slow" {
                 let completions = completions.clone();
                 std::thread::spawn(move || {
                     std::thread::sleep(Duration::from_millis(40));
-                    completions.send(key, Completion::Full(Rendered::json(200, b"slow".to_vec())));
+                    completions.send(key, Completion::Full(json(200, b"slow".to_vec())));
                 });
                 return Outcome::Pending {
                     timeout: Some(Duration::from_secs(5)),
@@ -997,29 +1028,7 @@ mod tests {
                 });
                 return Outcome::Pending { timeout: None };
             }
-            Outcome::Respond(Rendered::json(200, request.path.into_bytes()))
-        }
-
-        fn bad_request(&self, error: &io::Error) -> Rendered {
-            let mut r = Rendered::json(400, error.to_string().into_bytes());
-            r.force_close = true;
-            r
-        }
-
-        fn slow_client(&self) -> Rendered {
-            let mut r = Rendered::json(408, b"too slow".to_vec());
-            r.force_close = true;
-            r
-        }
-
-        fn reject_connection(&self) -> Rendered {
-            let mut r = Rendered::json(429, b"full".to_vec());
-            r.force_close = true;
-            r
-        }
-
-        fn job_timeout(&self, _key: SlotKey) -> Rendered {
-            Rendered::json(504, b"late".to_vec())
+            Outcome::Respond(json(200, request.path.into_bytes()))
         }
 
         fn shutting_down(&self) -> bool {

@@ -9,7 +9,8 @@
 //! * [`conn`] — incremental HTTP parsing over growable buffers, a
 //!   partial-write-safe [`WriteQueue`], and buffer/stream glue;
 //! * [`front`] — the [`EventLoop`]: nonblocking accept, pipelined
-//!   request/response ordering, loop-side deadlines, graceful drain;
+//!   request/response ordering, loop-side deadlines and the typed
+//!   refusals they end in, graceful drain;
 //! * [`probe`] — thread-free concurrent health probes, and the request
 //!   race (hedging, failover and pooled keep-alive streams) that carries
 //!   every gateway forward.

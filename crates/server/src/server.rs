@@ -40,7 +40,7 @@ use lis_sweep::SweepSpec;
 use crate::cache::{CacheKey, CachedResponse, ExactRequest, ResultCache};
 use crate::cpu::ThreadRole;
 use crate::error::ServerError;
-use crate::fault::{FaultPlan, WriteFault};
+use crate::fault::FaultPlan;
 use crate::http::{ChunkBatcher, Request, REQUEST_ID_HEADER};
 use crate::jobs::{decode_envelope, plan_sweep, render, sweep_lines, RequestKind, SweepLine};
 use crate::metrics::{Metrics, Route};
@@ -679,7 +679,7 @@ fn sweep_job(
 }
 
 /// Request-level validation for `POST /batch`: UTF-8 NDJSON with at least
-/// one non-blank line, refused outright while draining.
+/// one non-blank line, refused while draining.
 fn batch_lines(state: &Arc<State>, body: &[u8]) -> Result<Vec<String>, ServerError> {
     if state.shutdown.load(Ordering::Acquire) {
         return Err(ServerError::ShuttingDown);
@@ -849,20 +849,20 @@ struct ServerHandler {
 }
 
 impl ServerHandler {
-    /// Records and renders one typed-error response.
+    /// Records and renders one typed-error response. Write faults may
+    /// mangle it on the single-shot analysis routes only.
     fn respond_error(
         &self,
         route: Route,
         e: &ServerError,
         started: Instant,
         request_id: &Option<String>,
-        fault_eligible: bool,
     ) -> Outcome {
         self.state
             .metrics
             .record_request(route, e.status(), started.elapsed());
         Outcome::Respond(Rendered {
-            fault_eligible,
+            fault_eligible: is_analysis(route),
             ..error_rendered(e, request_id)
         })
     }
@@ -896,15 +896,6 @@ impl ServerHandler {
         request_id: Option<String>,
     ) -> Outcome {
         let state = &self.state;
-        if state.shutdown.load(Ordering::Acquire) {
-            return self.respond_error(
-                route,
-                &ServerError::ShuttingDown,
-                started,
-                &request_id,
-                true,
-            );
-        }
         // These exact bytes were answered before: no decode at all.
         let exact = ExactRequest::new(route, &body);
         if let Some((cache_key, cached)) = state.cache.get_exact(&exact, &state.metrics) {
@@ -966,29 +957,7 @@ impl ServerHandler {
             };
             answer(response.status, response.body.clone(), Some(cache_key));
         };
-        match state.pool.submit(job) {
-            Ok(()) => Outcome::Pending {
-                timeout: Some(state.config.request_timeout),
-            },
-            Err(SubmitError::Overloaded) => {
-                self.pending.lock().unwrap().remove(&key);
-                state.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
-                let e = ServerError::Overloaded {
-                    queue_capacity: state.pool.capacity(),
-                };
-                self.respond_error(route, &e, started, &request_id, true)
-            }
-            Err(SubmitError::ShuttingDown) => {
-                self.pending.lock().unwrap().remove(&key);
-                self.respond_error(
-                    route,
-                    &ServerError::ShuttingDown,
-                    started,
-                    &request_id,
-                    true,
-                )
-            }
-        }
+        self.submit(job, route, key, started, &request_id)
     }
 
     /// `POST /batch` on the loop: one pool job streams every row back.
@@ -1031,7 +1000,7 @@ impl ServerHandler {
                 }
             }
         };
-        self.submit(job, Route::Batch, started, &request_id)
+        self.submit(job, Route::Batch, key, started, &request_id)
     }
 
     /// `POST /sweep` on the loop: one pool job runs [`sweep_request`] on
@@ -1044,10 +1013,6 @@ impl ServerHandler {
         started: Instant,
         request_id: Option<String>,
     ) -> Outcome {
-        if self.state.shutdown.load(Ordering::Acquire) {
-            let e = ServerError::ShuttingDown;
-            return self.respond_error(Route::Sweep, &e, started, &request_id, false);
-        }
         let state = Arc::clone(&self.state);
         let completions = completions.clone();
         let rid = request_id.clone();
@@ -1056,21 +1021,27 @@ impl ServerHandler {
                 completions.send(key, c);
             });
         };
-        self.submit(job, Route::Sweep, started, &request_id)
+        self.submit(job, Route::Sweep, key, started, &request_id)
     }
 
-    /// Queues a streaming job (`/batch`, `/sweep`), which answers through
-    /// the completion channel with no loop-side deadline; a refused job
-    /// answers a typed 503 inline.
+    /// Queues the pool job of one analysis, `/batch` or `/sweep` request,
+    /// which answers through the completion channel. Single-shot analysis
+    /// answers are due within the request timeout; streams have no
+    /// loop-side deadline. A refused job drops its pending entry, if it
+    /// has one, and answers a typed 503 inline.
     fn submit(
         &self,
         job: impl FnOnce() + Send + 'static,
         route: Route,
+        key: SlotKey,
         started: Instant,
         request_id: &Option<String>,
     ) -> Outcome {
         let e = match self.state.pool.submit(job) {
-            Ok(()) => return Outcome::Pending { timeout: None },
+            Ok(()) => {
+                let timeout = is_analysis(route).then_some(self.state.config.request_timeout);
+                return Outcome::Pending { timeout };
+            }
             Err(SubmitError::Overloaded) => {
                 self.state
                     .metrics
@@ -1082,7 +1053,10 @@ impl ServerHandler {
             }
             Err(SubmitError::ShuttingDown) => ServerError::ShuttingDown,
         };
-        self.respond_error(route, &e, started, request_id, false)
+        if is_analysis(route) {
+            self.pending.lock().unwrap().remove(&key);
+        }
+        self.respond_error(route, &e, started, request_id)
     }
 }
 
@@ -1092,12 +1066,23 @@ impl crate::net::Handler for ServerHandler {
         let request_id = request.header(REQUEST_ID_HEADER).map(str::to_string);
         let route = match Route::resolve(&request.method, &request.path, |_| true) {
             Ok(route) => route,
-            Err(e) => return self.respond_error(Route::Other, &e, started, &request_id, false),
+            Err(e) => return self.respond_error(Route::Other, &e, started, &request_id),
         };
         let state = &self.state;
-        // Analysis, batch and sweep requests go to the pool; the control
-        // plane answers inline.
+        // Analysis, batch and sweep requests go to the pool, and are
+        // refused while draining; the control plane answers inline.
         let (status, content_type, body) = match route {
+            Route::Analyze
+            | Route::Qs
+            | Route::Insert
+            | Route::Dot
+            | Route::Sweep
+            | Route::Batch
+                if state.shutdown.load(Ordering::Acquire) =>
+            {
+                let e = ServerError::ShuttingDown;
+                return self.respond_error(route, &e, started, &request_id);
+            }
             Route::Analyze | Route::Qs | Route::Insert | Route::Dot => {
                 return self.analysis(route, request.body, key, completions, started, request_id)
             }
@@ -1134,91 +1119,22 @@ impl crate::net::Handler for ServerHandler {
         })
     }
 
-    fn bad_request(&self, error: &io::Error) -> Rendered {
-        // Protocol-violation 400s close the connection and are
-        // deliberately not recorded.
-        let e = ServerError::BadRequest(error.to_string());
-        Rendered {
-            status: 400,
-            content_type: "application/json".to_string(),
-            body: e.to_json().to_string().into_bytes(),
-            extra_headers: Vec::new(),
-            fault_eligible: false,
-            force_close: true,
+    fn refused(&self, e: &ServerError, elapsed: Duration) {
+        let metrics = &self.state.metrics;
+        if let ServerError::TooManyConnections { .. } = e {
+            metrics.connections_rejected.fetch_add(1, Ordering::Relaxed);
         }
+        metrics.record_request(Route::Other, e.status(), elapsed);
     }
 
-    fn slow_client(&self) -> Rendered {
-        let e = ServerError::SlowClient {
-            deadline_ms: self.state.config.read_deadline.as_millis() as u64,
+    fn job_timeout(&self, key: SlotKey) -> Vec<(String, String)> {
+        let Some(entry) = self.pending.lock().unwrap().remove(&key) else {
+            return Vec::new();
         };
-        self.state.metrics.record_request(
-            Route::Other,
-            e.status(),
-            self.state.config.read_deadline,
-        );
-        Rendered {
-            status: e.status(),
-            content_type: "application/json".to_string(),
-            body: e.to_json().to_string().into_bytes(),
-            extra_headers: Vec::new(),
-            fault_eligible: false,
-            force_close: true,
-        }
-    }
-
-    fn reject_connection(&self) -> Rendered {
-        self.state
-            .metrics
-            .connections_rejected
-            .fetch_add(1, Ordering::Relaxed);
-        let e = ServerError::TooManyConnections {
-            limit: self.state.config.max_connections,
-        };
-        self.state
-            .metrics
-            .record_request(Route::Other, e.status(), Duration::ZERO);
-        Rendered {
-            status: e.status(),
-            content_type: "application/json".to_string(),
-            body: e.to_json().to_string().into_bytes(),
-            extra_headers: Vec::new(),
-            fault_eligible: false,
-            force_close: true,
-        }
-    }
-
-    fn job_timeout(&self, key: SlotKey) -> Rendered {
-        let entry = self.pending.lock().unwrap().remove(&key);
-        let e = ServerError::Timeout {
-            timeout_ms: self.state.config.request_timeout.as_millis() as u64,
-        };
-        let mut extra_headers = Vec::new();
-        if let Some(entry) = entry {
-            self.state
-                .metrics
-                .timeouts_total
-                .fetch_add(1, Ordering::Relaxed);
-            self.state
-                .metrics
-                .record_request(entry.route, e.status(), entry.started.elapsed());
-            extra_headers = id_headers(&entry.request_id);
-        }
-        Rendered {
-            status: e.status(),
-            content_type: "application/json".to_string(),
-            body: e.to_json().to_string().into_bytes(),
-            extra_headers,
-            fault_eligible: true,
-            force_close: false,
-        }
-    }
-
-    fn write_fault(&self) -> WriteFault {
-        match &self.state.config.faults {
-            Some(plan) => plan.write_fault(),
-            None => WriteFault::None,
-        }
+        let metrics = &self.state.metrics;
+        metrics.timeouts_total.fetch_add(1, Ordering::Relaxed);
+        metrics.record_request(entry.route, 504, entry.started.elapsed());
+        id_headers(&entry.request_id)
     }
 
     fn shutting_down(&self) -> bool {

@@ -14,9 +14,7 @@ use std::time::Duration;
 use lis_core::to_netlist;
 use lis_gen::{generate, GeneratorConfig, InsertionPolicy};
 use lis_server::wire::{obj, Json};
-use lis_server::{
-    parse_metric, Client, FaultPlan, RetryPolicy, RetryingClient, Server, ServerConfig,
-};
+use lis_server::{parse_metric, Client, FaultPlan, RetryPolicy, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -92,7 +90,7 @@ fn panicking_workers_lose_no_requests_and_respawn() {
         )),
         ..ServerConfig::default()
     });
-    let mut client = RetryingClient::connect(
+    let mut client = Client::with_retries(
         addr,
         RetryPolicy {
             max_attempts: 8,
@@ -134,7 +132,7 @@ fn truncated_and_garbled_responses_are_retried_to_success() {
         )),
         ..ServerConfig::default()
     });
-    let mut client = RetryingClient::connect(
+    let mut client = Client::with_retries(
         addr,
         RetryPolicy {
             max_attempts: 10,

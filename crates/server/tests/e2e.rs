@@ -341,6 +341,50 @@ fn shutdown_drains_queued_work_before_exit() {
 }
 
 #[test]
+fn a_batch_queued_before_shutdown_answers_a_typed_503() {
+    let (addr, daemon) = start(ServerConfig {
+        workers: 1,
+        queue_capacity: 8,
+        request_timeout: Duration::from_secs(30),
+        cache_capacity: 1024,
+        faults: Some(Arc::new(FaultPlan::parse("job_delay:300ms").expect("spec"))),
+        ..ServerConfig::default()
+    });
+
+    // A slow analysis holds the only worker, so the batch waits in the
+    // queue while `/shutdown` arrives; the batch job then refuses itself.
+    let busy = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        client
+            .analysis("analyze", FIG1, Json::Null)
+            .expect("answered")
+            .0
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    let queued = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let line = obj([
+            ("route", Json::str("analyze")),
+            ("netlist", Json::str(FIG1)),
+        ]);
+        client
+            .request("POST", "/batch", format!("{line}\n").as_bytes())
+            .expect("answered")
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    let mut admin = Client::connect(addr).expect("admin connect");
+    assert_eq!(admin.shutdown().expect("shutdown"), 200);
+
+    assert_eq!(busy.join().expect("client thread"), 200);
+    let batch = queued.join().expect("client thread");
+    assert_eq!(batch.status, 503);
+    let body = Json::parse(std::str::from_utf8(&batch.body).unwrap()).expect("json body");
+    let error = body.get("error").expect("typed 503 body");
+    assert_eq!(error.get("kind").unwrap().as_str(), Some("shutting_down"));
+    daemon.join().expect("daemon thread").expect("clean exit");
+}
+
+#[test]
 fn concurrent_clients_hammering_the_cache_agree_bytewise() {
     let (addr, daemon) = start(ServerConfig::default());
     let bodies: Vec<Vec<u8>> = {

@@ -3,7 +3,7 @@
 //! re-registration on single-shot and streamed answers, `/batch`
 //! byte-identity against standalone requests and per-row crash isolation,
 //! answers checked against the
-//! in-process oracle, and pinned wire bytes for the 408/429 defenses.
+//! in-process oracle, and pinned wire bytes for the 400/408/429 defenses.
 
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -14,6 +14,16 @@ use std::time::Duration;
 use lis_server::http::{read_response, write_request};
 use lis_server::wire::{obj, Json};
 use lis_server::{parse_metric, Client, FaultPlan, RequestKind, Server, ServerConfig, ServerError};
+
+/// The typed 400 a request with conflicting `Content-Length` headers (a
+/// protocol violation) receives.
+const PINNED_400: &str = "HTTP/1.1 400 Bad Request\r\n\
+    Content-Type: application/json\r\n\
+    Content-Length: 92\r\n\
+    Connection: close\r\n\
+    \r\n\
+    {\"error\":{\"kind\":\"bad_request\",\
+    \"message\":\"bad request: conflicting Content-Length headers\"}}";
 
 /// The typed 408 a slow-loris peer receives (300 ms read deadline).
 const PINNED_408: &str = "HTTP/1.1 408 Request Timeout\r\n\
@@ -528,6 +538,18 @@ fn read_to_close(stream: &mut TcpStream) -> Vec<u8> {
         .expect("read timeout");
     let _ = stream.read_to_end(&mut bytes);
     bytes
+}
+
+#[test]
+fn protocol_violation_gets_the_pinned_400_bytes() {
+    let (addr, daemon) = start(ServerConfig::default());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"POST /analyze HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}")
+        .expect("smuggling head");
+    let bytes = read_to_close(&mut stream);
+    stop(addr, daemon);
+    assert_eq!(String::from_utf8_lossy(&bytes), PINNED_400);
 }
 
 #[test]
