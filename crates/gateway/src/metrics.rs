@@ -1,11 +1,13 @@
 //! Gateway observability, rendered in the same Prometheus text format as
-//! the shard daemons (and reusing [`lis_server::metrics::Histogram`] for
-//! latency, so dashboards treat both tiers uniformly).
+//! the shard daemons, through the same helpers: scalar series go through
+//! [`lis_server::metrics::render_readings`] and latency through
+//! [`lis_server::metrics::Histogram`], so dashboards treat both tiers
+//! uniformly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lis_server::metrics::{status_slot, Histogram, STATUSES};
+use lis_server::metrics::{render_readings, status_slot, Histogram, STATUSES};
 use lis_server::NetStats;
 
 use crate::replicate::ReplicationStats;
@@ -74,27 +76,27 @@ impl GatewayMetrics {
                 let _ = writeln!(out, "lis_gateway_requests_total{{status=\"{status}\"}} {n}");
             }
         }
-        for (name, value) in [
+        let replication = &self.replication;
+        let readings = [
             ("lis_gateway_failovers_total", &self.failovers),
             ("lis_gateway_hedges_launched_total", &self.hedges_launched),
             ("lis_gateway_hedges_won_total", &self.hedges_won),
             ("lis_gateway_shard_ejections_total", &self.ejections),
             ("lis_gateway_shard_respawns_total", &self.respawns),
-            ("lis_replication_pushes_total", &self.replication.pushes),
+            ("lis_replication_pushes_total", &replication.pushes),
             (
                 "lis_replication_push_failures_total",
-                &self.replication.push_failures,
+                &replication.push_failures,
             ),
-            ("lis_replication_dropped_total", &self.replication.dropped),
-            ("lis_replication_handoffs_total", &self.replication.handoffs),
+            ("lis_replication_dropped_total", &replication.dropped),
+            ("lis_replication_handoffs_total", &replication.handoffs),
             (
                 "lis_replication_handoff_entries_total",
-                &self.replication.handoff_entries,
+                &replication.handoff_entries,
             ),
-        ] {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {}", value.load(Ordering::Relaxed));
-        }
+        ]
+        .map(|(name, cell)| (name, "counter", cell.load(Ordering::Relaxed)));
+        render_readings(&mut out, &readings);
         let _ = writeln!(out, "# TYPE lis_gateway_shard_healthy gauge");
         for shard in table.shards() {
             let _ = writeln!(

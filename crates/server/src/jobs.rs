@@ -156,14 +156,12 @@ impl RequestKind {
         }
     }
 
-    /// The MCM engine label for the per-engine latency metrics, for the
-    /// kinds whose runtime is dominated by throughput solves.
-    pub fn engine_label(&self) -> Option<&'static str> {
+    /// The MCM engine the per-engine latency metrics count this kind
+    /// under, for the kinds whose runtime is dominated by throughput solves.
+    pub fn engine(&self) -> Option<McmEngine> {
         match self {
-            RequestKind::Analyze { engine, .. } | RequestKind::Qs { engine, .. } => {
-                Some(engine.as_str())
-            }
-            RequestKind::Sweep { spec } => Some(spec.engine.as_str()),
+            RequestKind::Analyze { engine, .. } | RequestKind::Qs { engine, .. } => Some(*engine),
+            RequestKind::Sweep { spec } => Some(spec.engine),
             RequestKind::Insert { .. } | RequestKind::Dot { .. } => None,
         }
     }
@@ -966,26 +964,26 @@ mod tests {
     }
 
     #[test]
-    fn engine_labels_cover_the_throughput_routes() {
+    fn engines_cover_the_throughput_routes() {
         assert_eq!(
             RequestKind::Analyze {
                 engine: McmEngine::Karp,
                 schedule: false,
                 burst: None,
             }
-            .engine_label(),
-            Some("karp")
+            .engine(),
+            Some(McmEngine::Karp)
         );
         assert_eq!(
             RequestKind::Qs {
                 exact: true,
                 engine: McmEngine::Lawler
             }
-            .engine_label(),
-            Some("lawler")
+            .engine(),
+            Some(McmEngine::Lawler)
         );
-        assert_eq!(RequestKind::Insert { budget: 1 }.engine_label(), None);
-        assert_eq!(RequestKind::Dot { doubled: false }.engine_label(), None);
+        assert_eq!(RequestKind::Insert { budget: 1 }.engine(), None);
+        assert_eq!(RequestKind::Dot { doubled: false }.engine(), None);
     }
 
     #[test]
@@ -1215,7 +1213,7 @@ mod tests {
         assert_eq!(stalls.trials, 32);
         assert_eq!(stalls.cycles, 500);
         assert_eq!(stalls.seed, 7);
-        assert_eq!(kind.engine_label(), Some("karp"));
+        assert_eq!(kind.engine(), Some(McmEngine::Karp));
         assert_eq!(kind.token(), spec.token());
 
         // Defaults: analyze mode, base stations, no stalls.

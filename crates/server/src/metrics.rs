@@ -11,8 +11,13 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
+use marked_graph::McmEngine;
+
 use crate::cpu::ThreadCpu;
 use crate::error::ServerError;
+use crate::fault::FaultPlan;
+use crate::pool::WorkerPool;
+use crate::store::ResultStore;
 
 /// The request routes. Each known path resolves to one of them through
 /// [`ROUTES`]; `Other` counts what resolves to none (404, 405) and the
@@ -144,6 +149,27 @@ pub fn status_slot(status: u16) -> usize {
         })
 }
 
+/// A scalar series as one scrape reads it: exposition name, Prometheus
+/// type (`counter` or `gauge`) and value.
+pub type Reading = (&'static str, &'static str, u64);
+
+/// Appends a `# TYPE` line and one sample for each reading. Both tiers
+/// render their scalar series through it.
+pub fn render_readings(out: &mut String, readings: &[Reading]) {
+    use std::fmt::Write as _;
+    for (name, kind, value) in readings {
+        let _ = writeln!(out, "# TYPE {name} {kind}\n{name} {value}");
+    }
+}
+
+/// The value of the series `name` in `readings`, 0 if it has none.
+pub fn reading(readings: &[Reading], name: &str) -> u64 {
+    readings
+        .iter()
+        .find(|r| r.0 == name)
+        .map_or(0, |&(_, _, value)| value)
+}
+
 /// Upper bounds (seconds) of the latency histogram buckets; an implicit
 /// `+Inf` bucket follows.
 pub const LATENCY_BUCKETS: [f64; 14] = [
@@ -151,25 +177,58 @@ pub const LATENCY_BUCKETS: [f64; 14] = [
     1.0,
 ];
 
-/// A cumulative latency histogram with fixed buckets.
-#[derive(Debug, Default)]
+/// Upper bounds of the pipeline-depth histogram buckets (requests in
+/// flight on one connection when a new one is parsed); `+Inf` follows.
+pub const DEPTH_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+
+/// A cumulative histogram over fixed bucket bounds. Observations are
+/// counted in whole units (nanoseconds for latency); the `le` bounds and
+/// the `_sum` are rendered in units divided by `per_unit` (seconds).
+#[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS.len() + 1],
-    sum_nanos: AtomicU64,
+    bounds: &'static [f64],
+    per_unit: f64,
+    /// One cell per bound, then `+Inf`.
+    buckets: Box<[AtomicU64]>,
+    sum: AtomicU64,
     count: AtomicU64,
 }
 
+impl Default for Histogram {
+    /// The latency histogram: [`LATENCY_BUCKETS`] seconds.
+    fn default() -> Histogram {
+        Histogram::new(&LATENCY_BUCKETS, 1e9)
+    }
+}
+
 impl Histogram {
-    /// Records one observation.
+    /// A histogram over the ascending `bounds`, observed in units of
+    /// `1 / per_unit` of a bound.
+    pub fn new(bounds: &'static [f64], per_unit: f64) -> Histogram {
+        Histogram {
+            bounds,
+            per_unit,
+            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            sum: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+        }
+    }
+
+    /// Records one latency observation.
     pub fn observe(&self, elapsed: Duration) {
-        let secs = elapsed.as_secs_f64();
-        let slot = LATENCY_BUCKETS
+        self.observe_units(elapsed.as_nanos() as u64);
+    }
+
+    /// Records one observation of `units`.
+    pub fn observe_units(&self, units: u64) {
+        let value = units as f64 / self.per_unit;
+        let slot = self
+            .bounds
             .iter()
-            .position(|&le| secs <= le)
-            .unwrap_or(LATENCY_BUCKETS.len());
+            .position(|&le| value <= le)
+            .unwrap_or(self.bounds.len());
         self.buckets[slot].fetch_add(1, Ordering::Relaxed);
-        self.sum_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        self.sum.fetch_add(units, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -178,8 +237,7 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Renders the full `# TYPE` + bucket/sum/count block for `name`. Public
-    /// so other exporters (the gateway) can reuse the histogram wholesale.
+    /// Renders the full `# TYPE` + bucket/sum/count block for `name`.
     pub fn render(&self, out: &mut String, name: &str) {
         use std::fmt::Write as _;
         let _ = writeln!(out, "# TYPE {name} histogram");
@@ -192,50 +250,44 @@ impl Histogram {
     pub fn render_series(&self, out: &mut String, name: &str, labels: &str) {
         use std::fmt::Write as _;
         let mut cumulative = 0u64;
-        for (i, le) in LATENCY_BUCKETS.iter().enumerate() {
-            cumulative += self.buckets[i].load(Ordering::Relaxed);
+        for (cell, le) in self.buckets.iter().zip(self.bounds) {
+            cumulative += cell.load(Ordering::Relaxed);
             let _ = writeln!(out, "{name}_bucket{{{labels}le=\"{le}\"}} {cumulative}");
         }
-        cumulative += self.buckets[LATENCY_BUCKETS.len()].load(Ordering::Relaxed);
+        cumulative += self.buckets[self.bounds.len()].load(Ordering::Relaxed);
         let _ = writeln!(out, "{name}_bucket{{{labels}le=\"+Inf\"}} {cumulative}");
-        if labels.is_empty() {
-            let _ = writeln!(
-                out,
-                "{name}_sum {}",
-                self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
-            );
-            let _ = writeln!(out, "{name}_count {}", self.count.load(Ordering::Relaxed));
-        } else {
-            let labels = labels.trim_end_matches(',');
-            let _ = writeln!(
-                out,
-                "{name}_sum{{{labels}}} {}",
-                self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
-            );
-            let _ = writeln!(
-                out,
-                "{name}_count{{{labels}}} {}",
-                self.count.load(Ordering::Relaxed)
-            );
-        }
+        let labels = match labels.trim_end_matches(',') {
+            "" => String::new(),
+            set => format!("{{{set}}}"),
+        };
+        let sum = self.sum.load(Ordering::Relaxed) as f64 / self.per_unit;
+        let _ = writeln!(out, "{name}_sum{labels} {sum}");
+        let _ = writeln!(out, "{name}_count{labels} {}", self.count());
     }
 }
 
-/// Upper bounds of the pipeline-depth histogram buckets (requests in
-/// flight on one connection when a new one is parsed); `+Inf` follows.
-pub const DEPTH_BUCKETS: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-
 /// Counters the readiness event loop maintains. Shared as an `Arc`
 /// between the loop and the metrics registry.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct NetStats {
     /// Connections currently open on the front tier (accept to close).
     pub connections_open: AtomicI64,
     /// Poller wakeups (one per `epoll_wait`/`poll` return).
     pub wakeups: AtomicU64,
-    depth_buckets: [AtomicU64; DEPTH_BUCKETS.len() + 1],
-    depth_sum: AtomicU64,
-    depth_count: AtomicU64,
+    /// The pipeline depth each dispatched request observed: unanswered
+    /// requests on its connection, itself included (1 means plain
+    /// request/response alternation). Over [`DEPTH_BUCKETS`].
+    pub pipeline_depth: Histogram,
+}
+
+impl Default for NetStats {
+    fn default() -> NetStats {
+        NetStats {
+            connections_open: AtomicI64::new(0),
+            wakeups: AtomicU64::new(0),
+            pipeline_depth: Histogram::new(&DEPTH_BUCKETS, 1.0),
+        }
+    }
 }
 
 impl NetStats {
@@ -244,72 +296,28 @@ impl NetStats {
         NetStats::default()
     }
 
-    /// Records the pipeline depth one dispatched request observed
-    /// (unanswered requests on its connection, itself included — 1 means
-    /// plain request/response alternation).
-    pub fn observe_depth(&self, depth: usize) {
-        let slot = DEPTH_BUCKETS
-            .iter()
-            .position(|&le| depth <= le)
-            .unwrap_or(DEPTH_BUCKETS.len());
-        self.depth_buckets[slot].fetch_add(1, Ordering::Relaxed);
-        self.depth_sum.fetch_add(depth as u64, Ordering::Relaxed);
-        self.depth_count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests whose pipeline depth was recorded.
-    pub fn depth_count(&self) -> u64 {
-        self.depth_count.load(Ordering::Relaxed)
-    }
-
     /// Appends the `lis_net_*` exposition block.
     pub fn render_into(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "# TYPE lis_net_connections_open gauge");
-        let _ = writeln!(
+        let open = self.connections_open.load(Ordering::Relaxed).max(0) as u64;
+        render_readings(
             out,
-            "lis_net_connections_open {}",
-            self.connections_open.load(Ordering::Relaxed).max(0)
+            &[
+                ("lis_net_connections_open", "gauge", open),
+                (
+                    "lis_net_readiness_wakeups_total",
+                    "counter",
+                    self.wakeups.load(Ordering::Relaxed),
+                ),
+            ],
         );
-        let _ = writeln!(out, "# TYPE lis_net_readiness_wakeups_total counter");
-        let _ = writeln!(
-            out,
-            "lis_net_readiness_wakeups_total {}",
-            self.wakeups.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE lis_net_pipeline_depth histogram");
-        let mut cumulative = 0u64;
-        for (i, le) in DEPTH_BUCKETS.iter().enumerate() {
-            cumulative += self.depth_buckets[i].load(Ordering::Relaxed);
-            let _ = writeln!(
-                out,
-                "lis_net_pipeline_depth_bucket{{le=\"{le}\"}} {cumulative}"
-            );
-        }
-        cumulative += self.depth_buckets[DEPTH_BUCKETS.len()].load(Ordering::Relaxed);
-        let _ = writeln!(
-            out,
-            "lis_net_pipeline_depth_bucket{{le=\"+Inf\"}} {cumulative}"
-        );
-        let _ = writeln!(
-            out,
-            "lis_net_pipeline_depth_sum {}",
-            self.depth_sum.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "lis_net_pipeline_depth_count {}",
-            self.depth_count.load(Ordering::Relaxed)
-        );
+        self.pipeline_depth.render(out, "lis_net_pipeline_depth");
     }
 }
 
-/// The MCM engine labels tracked by the per-engine latency histograms,
-/// matching [`marked_graph::McmEngine::as_str`].
-pub const ENGINE_LABELS: [&str; 3] = ["howard", "karp", "lawler"];
-
-/// All metrics the daemon exports. One instance is shared by every
-/// connection handler and worker.
+/// The counters the daemon increments itself. One instance is shared by
+/// every connection handler and worker; what the pool, the fault plan and
+/// the store count stays with them and is read per scrape by
+/// [`Metrics::readings`].
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// `requests[route][status]`.
@@ -318,34 +326,12 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Cache lookups that had to run analysis.
     pub cache_misses: AtomicU64,
-    /// Jobs currently waiting in the worker-pool queue.
-    pub queue_depth: AtomicI64,
     /// Jobs rejected because the queue was full (overload shedding).
     pub shed_total: AtomicU64,
     /// Requests that hit the per-request timeout.
     pub timeouts_total: AtomicU64,
-    /// Worker jobs that panicked (mirrored from the pool on scrape).
-    pub worker_panics: AtomicU64,
-    /// Replacement workers spawned after panics (mirrored from the pool).
-    pub worker_respawns: AtomicU64,
-    /// Faults injected by the active [`crate::fault::FaultPlan`], if any.
-    pub faults_injected: AtomicU64,
     /// Connections rejected at the concurrent-connection cap.
     pub connections_rejected: AtomicU64,
-    /// Responses spilled to the durable store (mirrored on scrape).
-    pub store_spills: AtomicU64,
-    /// Lookups served from the durable store after a RAM miss (mirrored).
-    pub store_disk_hits: AtomicU64,
-    /// Entries warm-loaded into the RAM cache at startup (mirrored).
-    pub store_warm_loaded: AtomicU64,
-    /// Store entries quarantined after failing validation (mirrored).
-    pub store_quarantined: AtomicU64,
-    /// Store entries evicted by the bounded-size GC (mirrored).
-    pub store_gc_evictions: AtomicU64,
-    /// Live entries in the durable store (gauge, mirrored).
-    pub store_entries: AtomicU64,
-    /// Total body bytes in the durable store (gauge, mirrored).
-    pub store_bytes: AtomicU64,
     /// `/analyze` executions that computed a periodic firing schedule
     /// (cache misses only — replays don't recompute).
     pub schedule_requests: AtomicU64,
@@ -361,8 +347,8 @@ pub struct Metrics {
     /// End-to-end request latency (receipt to response write).
     pub latency: Histogram,
     /// Analysis-execution latency per MCM engine (cache misses on the
-    /// throughput routes only), indexed like [`ENGINE_LABELS`].
-    pub engine_latency: [Histogram; ENGINE_LABELS.len()],
+    /// throughput routes only), indexed by [`McmEngine`].
+    engine_latency: [Histogram; McmEngine::ALL.len()],
     /// Front-tier connection/readiness counters, shared with the event
     /// loop via `Arc` so the loop thread needs no registry reference.
     pub net: std::sync::Arc<NetStats>,
@@ -383,12 +369,10 @@ impl Metrics {
         self.latency.observe(elapsed);
     }
 
-    /// Records the analysis-execution time of one request answered by the
-    /// MCM engine `label`. Unknown labels are ignored.
-    pub fn record_engine(&self, label: &str, elapsed: Duration) {
-        if let Some(slot) = ENGINE_LABELS.iter().position(|&l| l == label) {
-            self.engine_latency[slot].observe(elapsed);
-        }
+    /// Records the analysis-execution time of one request answered by
+    /// `engine`.
+    pub fn record_engine(&self, engine: McmEngine, elapsed: Duration) {
+        self.engine_latency[engine as usize].observe(elapsed);
     }
 
     /// Counts one executed `/analyze` job's schedule/burst options, so the
@@ -402,12 +386,9 @@ impl Metrics {
         }
     }
 
-    /// Observations recorded for one engine label (test observability).
-    pub fn engine_count(&self, label: &str) -> u64 {
-        ENGINE_LABELS
-            .iter()
-            .position(|&l| l == label)
-            .map_or(0, |slot| self.engine_latency[slot].count())
+    /// Observations recorded for one engine (test observability).
+    pub fn engine_count(&self, engine: McmEngine) -> u64 {
+        self.engine_latency[engine as usize].count()
     }
 
     /// Total requests across all routes and statuses.
@@ -424,8 +405,87 @@ impl Metrics {
         self.requests[route.slot()][status_slot(status)].load(Ordering::Relaxed)
     }
 
-    /// Renders everything in the Prometheus text exposition format.
-    pub fn render(&self) -> String {
+    /// Every scalar series of `/metrics`, in exposition order, each read
+    /// from the component that counts it: this registry, the worker pool,
+    /// the fault plan or the durable store. Without a plan
+    /// `lis_faults_injected_total` reads 0, and without a store so do the
+    /// `lis_store_*` series.
+    pub fn readings(
+        &self,
+        pool: &WorkerPool,
+        faults: Option<&FaultPlan>,
+        store: Option<&ResultStore>,
+    ) -> Vec<Reading> {
+        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        let stored = |read: fn(&ResultStore) -> u64| store.map_or(0, read);
+        vec![
+            ("lis_cache_hits_total", "counter", load(&self.cache_hits)),
+            (
+                "lis_cache_misses_total",
+                "counter",
+                load(&self.cache_misses),
+            ),
+            ("lis_queue_depth", "gauge", pool.queue_depth() as u64),
+            ("lis_shed_total", "counter", load(&self.shed_total)),
+            ("lis_timeouts_total", "counter", load(&self.timeouts_total)),
+            ("lis_worker_panics_total", "counter", pool.panics()),
+            ("lis_worker_respawns_total", "counter", pool.respawns()),
+            (
+                "lis_faults_injected_total",
+                "counter",
+                faults.map_or(0, FaultPlan::injected),
+            ),
+            (
+                "lis_connections_rejected_total",
+                "counter",
+                load(&self.connections_rejected),
+            ),
+            (
+                "lis_store_spills_total",
+                "counter",
+                stored(ResultStore::spills),
+            ),
+            (
+                "lis_store_disk_hits_total",
+                "counter",
+                stored(ResultStore::disk_hits),
+            ),
+            (
+                "lis_store_warm_loaded_total",
+                "counter",
+                stored(ResultStore::warm_loaded),
+            ),
+            (
+                "lis_store_quarantined_total",
+                "counter",
+                stored(ResultStore::quarantined),
+            ),
+            (
+                "lis_store_gc_evictions_total",
+                "counter",
+                stored(ResultStore::gc_evictions),
+            ),
+            ("lis_store_entries", "gauge", stored(|s| s.len() as u64)),
+            ("lis_store_bytes", "gauge", stored(ResultStore::bytes)),
+            (
+                "lis_schedule_requests_total",
+                "counter",
+                load(&self.schedule_requests),
+            ),
+            (
+                "lis_schedule_burst_requests_total",
+                "counter",
+                load(&self.schedule_burst_requests),
+            ),
+            ("lis_sweep_jobs_total", "counter", load(&self.sweep_jobs)),
+            ("lis_sweep_rows_total", "counter", load(&self.sweep_rows)),
+        ]
+    }
+
+    /// Renders the Prometheus text exposition: the per-route request
+    /// cells, the scalar `readings` (see [`Metrics::readings`]), then the
+    /// histograms, the event loop's series and the per-role CPU seconds.
+    pub fn render(&self, readings: &[Reading]) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(4096);
         let _ = writeln!(out, "# TYPE lis_requests_total counter");
@@ -440,112 +500,7 @@ impl Metrics {
                 }
             }
         }
-        let _ = writeln!(out, "# TYPE lis_cache_hits_total counter");
-        let _ = writeln!(
-            out,
-            "lis_cache_hits_total {}",
-            self.cache_hits.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE lis_cache_misses_total counter");
-        let _ = writeln!(
-            out,
-            "lis_cache_misses_total {}",
-            self.cache_misses.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE lis_queue_depth gauge");
-        let _ = writeln!(
-            out,
-            "lis_queue_depth {}",
-            self.queue_depth.load(Ordering::Relaxed).max(0)
-        );
-        let _ = writeln!(out, "# TYPE lis_shed_total counter");
-        let _ = writeln!(
-            out,
-            "lis_shed_total {}",
-            self.shed_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE lis_timeouts_total counter");
-        let _ = writeln!(
-            out,
-            "lis_timeouts_total {}",
-            self.timeouts_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE lis_worker_panics_total counter");
-        let _ = writeln!(
-            out,
-            "lis_worker_panics_total {}",
-            self.worker_panics.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE lis_worker_respawns_total counter");
-        let _ = writeln!(
-            out,
-            "lis_worker_respawns_total {}",
-            self.worker_respawns.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE lis_faults_injected_total counter");
-        let _ = writeln!(
-            out,
-            "lis_faults_injected_total {}",
-            self.faults_injected.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE lis_connections_rejected_total counter");
-        let _ = writeln!(
-            out,
-            "lis_connections_rejected_total {}",
-            self.connections_rejected.load(Ordering::Relaxed)
-        );
-        for (name, kind, cell) in [
-            ("lis_store_spills_total", "counter", &self.store_spills),
-            (
-                "lis_store_disk_hits_total",
-                "counter",
-                &self.store_disk_hits,
-            ),
-            (
-                "lis_store_warm_loaded_total",
-                "counter",
-                &self.store_warm_loaded,
-            ),
-            (
-                "lis_store_quarantined_total",
-                "counter",
-                &self.store_quarantined,
-            ),
-            (
-                "lis_store_gc_evictions_total",
-                "counter",
-                &self.store_gc_evictions,
-            ),
-            ("lis_store_entries", "gauge", &self.store_entries),
-            ("lis_store_bytes", "gauge", &self.store_bytes),
-        ] {
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            let _ = writeln!(out, "{name} {}", cell.load(Ordering::Relaxed));
-        }
-        let _ = writeln!(out, "# TYPE lis_schedule_requests_total counter");
-        let _ = writeln!(
-            out,
-            "lis_schedule_requests_total {}",
-            self.schedule_requests.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE lis_schedule_burst_requests_total counter");
-        let _ = writeln!(
-            out,
-            "lis_schedule_burst_requests_total {}",
-            self.schedule_burst_requests.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE lis_sweep_jobs_total counter");
-        let _ = writeln!(
-            out,
-            "lis_sweep_jobs_total {}",
-            self.sweep_jobs.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "# TYPE lis_sweep_rows_total counter");
-        let _ = writeln!(
-            out,
-            "lis_sweep_rows_total {}",
-            self.sweep_rows.load(Ordering::Relaxed)
-        );
+        render_readings(&mut out, readings);
         if self.sweep_latency.count() > 0 {
             self.sweep_latency.render(&mut out, "lis_sweep_seconds");
         }
@@ -554,13 +509,13 @@ impl Metrics {
         self.latency.render(&mut out, "lis_request_seconds");
         if self.engine_latency.iter().any(|h| h.count() > 0) {
             let _ = writeln!(out, "# TYPE lis_engine_request_seconds histogram");
-            for (slot, label) in ENGINE_LABELS.iter().enumerate() {
-                let h = &self.engine_latency[slot];
+            for engine in McmEngine::ALL {
+                let h = &self.engine_latency[engine as usize];
                 if h.count() > 0 {
                     h.render_series(
                         &mut out,
                         "lis_engine_request_seconds",
-                        &format!("engine=\"{label}\","),
+                        &format!("engine=\"{engine}\","),
                     );
                 }
             }
@@ -583,6 +538,14 @@ pub fn parse_metric(exposition: &str, name: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The exposition with an idle pool, no fault plan and no store.
+    fn render(m: &Metrics) -> String {
+        let pool = WorkerPool::new(1, 1);
+        let text = m.render(&m.readings(&pool, None, None));
+        pool.drain();
+        text
+    }
 
     #[test]
     fn counters_land_in_the_right_cells() {
@@ -619,13 +582,16 @@ mod tests {
     #[test]
     fn robustness_counters_render() {
         let m = Metrics::new();
-        m.worker_panics.store(3, Ordering::Relaxed);
-        m.worker_respawns.store(3, Ordering::Relaxed);
-        m.faults_injected.store(7, Ordering::Relaxed);
         m.connections_rejected.store(2, Ordering::Relaxed);
-        let text = m.render();
-        assert_eq!(parse_metric(&text, "lis_worker_panics_total"), Some(3.0));
-        assert_eq!(parse_metric(&text, "lis_worker_respawns_total"), Some(3.0));
+        let plan = FaultPlan::parse("truncate:1").expect("plan");
+        for _ in 0..7 {
+            plan.write_fault();
+        }
+        let pool = WorkerPool::new(1, 1);
+        let text = m.render(&m.readings(&pool, Some(&plan), None));
+        pool.drain();
+        assert_eq!(parse_metric(&text, "lis_worker_panics_total"), Some(0.0));
+        assert_eq!(parse_metric(&text, "lis_worker_respawns_total"), Some(0.0));
         assert_eq!(parse_metric(&text, "lis_faults_injected_total"), Some(7.0));
         assert_eq!(
             parse_metric(&text, "lis_connections_rejected_total"),
@@ -639,12 +605,11 @@ mod tests {
         m.record_request(Route::Analyze, 200, Duration::from_micros(300));
         m.cache_hits.fetch_add(3, Ordering::Relaxed);
         m.cache_misses.fetch_add(1, Ordering::Relaxed);
-        m.queue_depth.store(2, Ordering::Relaxed);
-        let text = m.render();
+        let text = render(&m);
         assert!(text.contains("lis_requests_total{route=\"analyze\",status=\"200\"} 1"));
         assert!(text.contains("lis_cache_hits_total 3"));
         assert!(text.contains("lis_cache_misses_total 1"));
-        assert!(text.contains("lis_queue_depth 2"));
+        assert!(text.contains("lis_queue_depth 0"));
         assert!(text.contains("lis_request_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("lis_request_seconds_count 1"));
         // Every exposition line is either a comment or `name{labels} value`.
@@ -659,19 +624,29 @@ mod tests {
     #[test]
     fn store_counters_render() {
         let m = Metrics::new();
-        let text = m.render();
+        let text = render(&m);
         assert_eq!(parse_metric(&text, "lis_store_spills_total"), Some(0.0));
-        m.store_spills.store(5, Ordering::Relaxed);
-        m.store_disk_hits.store(4, Ordering::Relaxed);
-        m.store_quarantined.store(1, Ordering::Relaxed);
-        m.store_entries.store(5, Ordering::Relaxed);
-        m.store_bytes.store(640, Ordering::Relaxed);
-        let text = m.render();
+        let dir = std::env::temp_dir().join(format!("lis-metrics-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir, 0).expect("open store");
+        for system in 1..=5 {
+            let key = crate::CacheKey { system, request: 0 };
+            store.insert(key, 200, &[b'x'; 128]).expect("insert");
+        }
+        store.get(crate::CacheKey {
+            system: 1,
+            request: 0,
+        });
+        let pool = WorkerPool::new(1, 1);
+        let text = m.render(&m.readings(&pool, None, Some(&store)));
+        pool.drain();
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(parse_metric(&text, "lis_store_spills_total"), Some(5.0));
-        assert_eq!(parse_metric(&text, "lis_store_disk_hits_total"), Some(4.0));
+        assert_eq!(parse_metric(&text, "lis_store_disk_hits_total"), Some(1.0));
         assert_eq!(
             parse_metric(&text, "lis_store_quarantined_total"),
-            Some(1.0)
+            Some(0.0)
         );
         assert_eq!(parse_metric(&text, "lis_store_entries"), Some(5.0));
         assert_eq!(parse_metric(&text, "lis_store_bytes"), Some(640.0));
@@ -687,7 +662,7 @@ mod tests {
     fn parse_metric_reads_render_back() {
         let m = Metrics::new();
         m.cache_hits.fetch_add(41, Ordering::Relaxed);
-        let text = m.render();
+        let text = render(&m);
         assert_eq!(parse_metric(&text, "lis_cache_hits_total"), Some(41.0));
         assert_eq!(parse_metric(&text, "lis_cache_misses_total"), Some(0.0));
         // Exact-name match: a prefix must not pick up the labeled series.
@@ -699,16 +674,14 @@ mod tests {
     fn engine_latency_renders_labeled_series() {
         let m = Metrics::new();
         // Nothing recorded: the engine histogram family is omitted entirely.
-        assert!(!m.render().contains("lis_engine_request_seconds"));
-        m.record_engine("howard", Duration::from_micros(40));
-        m.record_engine("howard", Duration::from_micros(60));
-        m.record_engine("karp", Duration::from_millis(3));
-        m.record_engine("unknown", Duration::from_secs(1)); // ignored
-        assert_eq!(m.engine_count("howard"), 2);
-        assert_eq!(m.engine_count("karp"), 1);
-        assert_eq!(m.engine_count("lawler"), 0);
-        assert_eq!(m.engine_count("unknown"), 0);
-        let text = m.render();
+        assert!(!render(&m).contains("lis_engine_request_seconds"));
+        m.record_engine(McmEngine::Howard, Duration::from_micros(40));
+        m.record_engine(McmEngine::Howard, Duration::from_micros(60));
+        m.record_engine(McmEngine::Karp, Duration::from_millis(3));
+        assert_eq!(m.engine_count(McmEngine::Howard), 2);
+        assert_eq!(m.engine_count(McmEngine::Karp), 1);
+        assert_eq!(m.engine_count(McmEngine::Lawler), 0);
+        let text = render(&m);
         assert!(text.contains("# TYPE lis_engine_request_seconds histogram"));
         assert!(text.contains("lis_engine_request_seconds_count{engine=\"howard\"} 2"));
         assert!(text.contains("lis_engine_request_seconds_count{engine=\"karp\"} 1"));
@@ -726,7 +699,7 @@ mod tests {
     #[test]
     fn sweep_counters_render() {
         let m = Metrics::new();
-        let text = m.render();
+        let text = render(&m);
         assert_eq!(parse_metric(&text, "lis_sweep_jobs_total"), Some(0.0));
         assert_eq!(parse_metric(&text, "lis_sweep_rows_total"), Some(0.0));
         // An idle server omits the sweep latency histogram entirely.
@@ -735,7 +708,7 @@ mod tests {
         m.sweep_rows.fetch_add(128, Ordering::Relaxed);
         m.sweep_latency.observe(Duration::from_millis(12));
         m.record_request(Route::Sweep, 200, Duration::from_millis(12));
-        let text = m.render();
+        let text = render(&m);
         assert_eq!(parse_metric(&text, "lis_sweep_jobs_total"), Some(2.0));
         assert_eq!(parse_metric(&text, "lis_sweep_rows_total"), Some(128.0));
         assert!(text.contains("lis_sweep_seconds_count 1"));
@@ -751,7 +724,7 @@ mod tests {
     #[test]
     fn schedule_counters_render() {
         let m = Metrics::new();
-        let text = m.render();
+        let text = render(&m);
         assert_eq!(
             parse_metric(&text, "lis_schedule_requests_total"),
             Some(0.0)
@@ -763,7 +736,7 @@ mod tests {
         m.record_schedule(true, false);
         m.record_schedule(true, true);
         m.record_schedule(false, false);
-        let text = m.render();
+        let text = render(&m);
         assert_eq!(
             parse_metric(&text, "lis_schedule_requests_total"),
             Some(2.0)
@@ -779,10 +752,10 @@ mod tests {
         let m = Metrics::new();
         m.net.connections_open.store(7, Ordering::Relaxed);
         m.net.wakeups.store(100, Ordering::Relaxed);
-        m.net.observe_depth(1);
-        m.net.observe_depth(3);
-        m.net.observe_depth(500); // beyond the last bucket → +Inf only
-        let text = m.render();
+        m.net.pipeline_depth.observe_units(1);
+        m.net.pipeline_depth.observe_units(3);
+        m.net.pipeline_depth.observe_units(500); // beyond the last bucket → +Inf only
+        let text = render(&m);
         assert_eq!(parse_metric(&text, "lis_net_connections_open"), Some(7.0));
         assert_eq!(
             parse_metric(&text, "lis_net_readiness_wakeups_total"),

@@ -432,6 +432,8 @@ pub struct EventLoop<H: Handler> {
     poller: Poller,
     listener: TcpListener,
     wake_rx: UnixStream,
+    /// Where the wake bytes are drained to, reused across wakeups.
+    wake_sink: Vec<u8>,
     completions_rx: mpsc::Receiver<(SlotKey, Completion)>,
     completions: Completions,
     handler: H,
@@ -469,6 +471,7 @@ impl<H: Handler> EventLoop<H> {
             poller,
             listener,
             wake_rx,
+            wake_sink: Vec::new(),
             completions_rx: rx,
             completions: Completions {
                 tx,
@@ -518,13 +521,12 @@ impl<H: Handler> EventLoop<H> {
         let timeout = self.next_wait_timeout();
         self.poller.wait(events, Some(timeout))?;
         self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-        let batch: Vec<Event> = events.clone();
-        for ev in batch {
+        for &ev in events.iter() {
             match ev.token {
                 TOKEN_LISTENER => self.accept_ready()?,
                 TOKEN_WAKE => {
-                    let mut sink = Vec::new();
-                    let _ = read_available(&mut (&self.wake_rx), &mut sink);
+                    self.wake_sink.clear();
+                    let _ = read_available(&mut (&self.wake_rx), &mut self.wake_sink);
                 }
                 token => self.conn_event(token - TOKEN_BASE, ev),
             }
@@ -751,7 +753,7 @@ impl<H: Handler> EventLoop<H> {
                     };
                     conn.wants_close.insert(seq, wants_close);
                     let depth = conn.unanswered() + 1;
-                    self.stats.observe_depth(depth);
+                    self.stats.pipeline_depth.observe_units(depth as u64);
                     match self.handler.dispatch(*request, key, &self.completions) {
                         Outcome::Respond(r) => {
                             conn.answers.insert(seq, Answer::Full(r));

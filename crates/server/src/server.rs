@@ -43,7 +43,7 @@ use crate::error::ServerError;
 use crate::fault::FaultPlan;
 use crate::http::{ChunkBatcher, Request, REQUEST_ID_HEADER};
 use crate::jobs::{decode_envelope, plan_sweep, render, sweep_lines, RequestKind, SweepLine};
-use crate::metrics::{Metrics, Route};
+use crate::metrics::{reading, Metrics, Reading, Route};
 use crate::net::{Completion, Completions, EventLoop, FrontConfig, Outcome, Rendered, SlotKey};
 use crate::pool::{DrainReport, SubmitError, WorkerPool};
 use crate::store::{key_hex, parse_key_hex, ResultStore, Spiller};
@@ -247,40 +247,26 @@ impl Server {
     }
 }
 
-/// Serves `GET /metrics`: mirrors the pool-, plan- and store-owned
-/// counters into the registry, then renders it.
+/// Every scalar series of `/metrics`, read from the component that counts
+/// it (see [`Metrics::readings`]).
+fn readings(state: &State) -> Vec<Reading> {
+    let store = state.store.as_ref().map(|spiller| &**spiller.store());
+    let faults = state.config.faults.as_deref();
+    state.metrics.readings(&state.pool, faults, store)
+}
+
+/// Serves `GET /metrics`.
 fn metrics_body(state: &State) -> Vec<u8> {
-    let m = &state.metrics;
-    m.queue_depth
-        .store(state.pool.queue_depth() as i64, Ordering::Relaxed);
-    m.worker_panics
-        .store(state.pool.panics(), Ordering::Relaxed);
-    m.worker_respawns
-        .store(state.pool.respawns(), Ordering::Relaxed);
-    if let Some(plan) = &state.config.faults {
-        m.faults_injected.store(plan.injected(), Ordering::Relaxed);
-    }
-    if let Some(spiller) = &state.store {
-        let store = spiller.store();
-        m.store_spills.store(store.spills(), Ordering::Relaxed);
-        m.store_disk_hits
-            .store(store.disk_hits(), Ordering::Relaxed);
-        m.store_warm_loaded
-            .store(store.warm_loaded(), Ordering::Relaxed);
-        m.store_quarantined
-            .store(store.quarantined(), Ordering::Relaxed);
-        m.store_gc_evictions
-            .store(store.gc_evictions(), Ordering::Relaxed);
-        m.store_entries.store(store.len() as u64, Ordering::Relaxed);
-        m.store_bytes.store(store.bytes(), Ordering::Relaxed);
-    }
-    m.render().into_bytes()
+    state.metrics.render(&readings(state)).into_bytes()
 }
 
 /// Serves `GET /healthz`, the gateway's readiness probe and useful
 /// standalone: one JSON object summarizing load and configuration. `ok`
-/// stays first for humans; machines should key on the named fields.
+/// stays first for humans; machines should key on the named fields. The
+/// counts come from the same readings as `/metrics`.
 fn healthz_body(state: &State) -> Vec<u8> {
+    let readings = readings(state);
+    let read = |name: &str| Json::num(reading(&readings, name) as f64);
     let mut body = obj([
         ("ok", Json::Bool(true)),
         ("role", Json::str("server")),
@@ -289,7 +275,7 @@ fn healthz_body(state: &State) -> Vec<u8> {
             Json::str(marked_graph::McmEngine::default().as_str()),
         ),
         ("workers", Json::num(state.pool.workers() as f64)),
-        ("queue_depth", Json::num(state.pool.queue_depth() as f64)),
+        ("queue_depth", read("lis_queue_depth")),
         ("queue_capacity", Json::num(state.pool.capacity() as f64)),
         ("cache_entries", Json::num(state.cache.len() as f64)),
         (
@@ -300,10 +286,7 @@ fn healthz_body(state: &State) -> Vec<u8> {
             "sweeps_in_flight",
             Json::num(state.sweeps_in_flight.load(Ordering::Acquire) as f64),
         ),
-        (
-            "sweep_rows_streamed",
-            Json::num(state.metrics.sweep_rows.load(Ordering::Relaxed) as f64),
-        ),
+        ("sweep_rows_streamed", read("lis_sweep_rows_total")),
         (
             "connections_open",
             Json::num(
@@ -325,18 +308,15 @@ fn healthz_body(state: &State) -> Vec<u8> {
         ),
     ]);
     if let (Json::Obj(fields), Some(spiller)) = (&mut body, &state.store) {
-        let store = spiller.store();
-        fields.push(("store_entries".to_string(), Json::num(store.len() as f64)));
-        fields.push(("store_bytes".to_string(), Json::num(store.bytes() as f64)));
-        fields.push(("store_spills".to_string(), Json::num(store.spills() as f64)));
-        fields.push((
-            "store_warm_loaded".to_string(),
-            Json::num(store.warm_loaded() as f64),
-        ));
-        fields.push((
-            "store_quarantined".to_string(),
-            Json::num(store.quarantined() as f64),
-        ));
+        for (field, series) in [
+            ("store_entries", "lis_store_entries"),
+            ("store_bytes", "lis_store_bytes"),
+            ("store_spills", "lis_store_spills_total"),
+            ("store_warm_loaded", "lis_store_warm_loaded_total"),
+            ("store_quarantined", "lis_store_quarantined_total"),
+        ] {
+            fields.push((field.to_string(), read(series)));
+        }
         fields.push((
             "store_pending_spills".to_string(),
             Json::num(spiller.pending() as f64),
@@ -645,7 +625,7 @@ fn sweep_job(
         });
         state
             .metrics
-            .record_engine(sweep.spec().engine.as_str(), executed.elapsed());
+            .record_engine(sweep.spec().engine, executed.elapsed());
         // Cache, count and free the slot before the stream ends: a client
         // that has read the last byte finds all three already done.
         state.remember(
@@ -760,8 +740,8 @@ fn run_analysis(
         kind.execute(sys)
     }))?;
     let (status, body) = render(result);
-    if let Some(label) = kind.engine_label() {
-        state.metrics.record_engine(label, executed.elapsed());
+    if let Some(engine) = kind.engine() {
+        state.metrics.record_engine(engine, executed.elapsed());
     }
     if let RequestKind::Analyze {
         schedule, burst, ..

@@ -20,8 +20,8 @@
 use std::sync::Arc;
 
 use lis_core::{
-    analysis_report, canonical_hash, classify, ideal_mst_of, AnalysisReport, ChannelId, LisModel,
-    LisSystem, TopologyClass, MAX_PER_MILLE,
+    analysis_report, classify, ideal_mst_of, AnalysisReport, ChannelId, LisModel, LisSystem,
+    TopologyClass, MAX_PER_MILLE,
 };
 use lis_qs::{solve_with_engine, QsReport};
 use lis_sim::{burst_sweep, stall_sweep, CompiledProgram, QueueMode};
@@ -208,18 +208,6 @@ impl Sweep {
         self.plan.points
     }
 
-    /// The sweep's cache identity: the canonical hash of the base netlist
-    /// folded with the spec token, so renames and formatting differences
-    /// do not split the cache.
-    pub fn identity(&self) -> u64 {
-        let mut h = canonical_hash(&self.base);
-        for b in self.spec.token().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     /// Evaluates the whole grid, delivering rows **in point order** to
     /// `sink` as chunks complete. Memory stays bounded by one chunk
     /// ([`CHUNK`] points), so arbitrarily large grids can stream without
@@ -292,9 +280,8 @@ impl Sweep {
         let mut rows = Vec::with_capacity(end - start);
         let group_total = ctx.sys.total_queue_capacity();
         // The point system is built only for the paths that compute on it.
-        let needs_sys = matches!(self.spec.mode, SweepMode::Qs { .. })
-            || self.spec.stalls.is_some()
-            || self.spec.bursts.is_some();
+        let simulates = self.spec.stalls.is_some() || self.spec.bursts.is_some();
+        let needs_sys = matches!(self.spec.mode, SweepMode::Qs { .. }) || simulates;
         for local in start..end {
             let caps = self.plan.capacities_at(local);
             let sys = needs_sys.then(|| point_system(&ctx.sys, &caps));
@@ -309,8 +296,12 @@ impl Sweep {
                 }
             };
             let point = ctx.group.first_point + local;
-            let (sim, burst) = match &sys {
-                Some(sys) => (self.sim_axis(sys, point), self.burst_axis(sys, point)),
+            // One compiled program serves both simulation axes.
+            let (sim, burst) = match sys.as_ref().filter(|_| simulates) {
+                Some(sys) => {
+                    let prog = CompiledProgram::compile(sys, QueueMode::Finite);
+                    (self.sim_axis(&prog, point), self.burst_axis(&prog, point))
+                }
                 None => (Vec::new(), Vec::new()),
             };
             // Axis channels are distinct (the plan rejects duplicates).
@@ -337,11 +328,10 @@ impl Sweep {
         (rows, hits, misses)
     }
 
-    fn sim_axis(&self, sys: &LisSystem, point: usize) -> Vec<SimPoint> {
+    fn sim_axis(&self, prog: &CompiledProgram, point: usize) -> Vec<SimPoint> {
         let Some(stalls) = &self.spec.stalls else {
             return Vec::new();
         };
-        let prog = CompiledProgram::compile(sys, QueueMode::Finite);
         let probs: Vec<f64> = stalls
             .per_mille
             .iter()
@@ -352,7 +342,7 @@ impl Sweep {
         let seed = stalls
             .seed
             .wrapping_add((point as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-        let reports = stall_sweep(&prog, &probs, stalls.trials as usize, stalls.cycles, seed);
+        let reports = stall_sweep(prog, &probs, stalls.trials as usize, stalls.cycles, seed);
         stalls
             .per_mille
             .iter()
@@ -366,11 +356,10 @@ impl Sweep {
             .collect()
     }
 
-    fn burst_axis(&self, sys: &LisSystem, point: usize) -> Vec<BurstPoint> {
+    fn burst_axis(&self, prog: &CompiledProgram, point: usize) -> Vec<BurstPoint> {
         let Some(bursts) = &self.spec.bursts else {
             return Vec::new();
         };
-        let prog = CompiledProgram::compile(sys, QueueMode::Finite);
         let offs: Vec<f64> = bursts
             .off_per_mille
             .iter()
@@ -384,7 +373,7 @@ impl Sweep {
             .seed
             .wrapping_add((point as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let reports = burst_sweep(
-            &prog,
+            prog,
             &offs,
             p_on,
             bursts.trials as usize,

@@ -242,21 +242,4 @@ mod tests {
             assert!(row.burst[0].mean_rate >= row.burst[1].mean_rate);
         }
     }
-
-    #[test]
-    fn identity_separates_netlists_and_specs() {
-        let (a, _, lower) = figures::fig1();
-        let (b, _, _) = figures::fig6();
-        let spec = SweepSpec::analyze();
-        let mut spec2 = spec.clone();
-        spec2.capacities.push(CapacityAxis {
-            channel: lower.index(),
-            values: vec![1, 2],
-        });
-        let id_a = Sweep::new(a.clone(), spec.clone()).unwrap().identity();
-        let id_b = Sweep::new(b, spec).unwrap().identity();
-        let id_a2 = Sweep::new(a, spec2).unwrap().identity();
-        assert_ne!(id_a, id_b);
-        assert_ne!(id_a, id_a2);
-    }
 }

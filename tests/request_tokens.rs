@@ -6,6 +6,7 @@
 
 use lis_server::wire::{obj, Json};
 use lis_server::RequestKind;
+use lis_sweep::{CapacityAxis, SweepSpec};
 
 /// `(route, options JSON, token)`: each route's defaults, each option set
 /// alone, and the combinations the `lis` command tests lower to.
@@ -247,4 +248,21 @@ fn every_pinned_envelope_decodes_to_its_recorded_token() {
         }
     }
     assert!(wrong.is_empty(), "tokens drifted:\n{}", wrong.join("\n"));
+}
+
+/// A sweep's cache key separates two netlists, and two specs over one
+/// netlist.
+#[test]
+fn sweep_keys_separate_netlists_and_specs() {
+    let (a, _, lower) = lis_core::figures::fig1();
+    let (b, _, _) = lis_core::figures::fig6();
+    let spec = SweepSpec::analyze();
+    let mut spec2 = spec.clone();
+    spec2.capacities.push(CapacityAxis {
+        channel: lower.index(),
+        values: vec![1, 2],
+    });
+    let key = |spec: &SweepSpec, sys| RequestKind::Sweep { spec: spec.clone() }.cache_key(sys);
+    assert_ne!(key(&spec, &a), key(&spec, &b));
+    assert_ne!(key(&spec, &a), key(&spec2, &a));
 }
